@@ -524,18 +524,27 @@ def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
     theta = model.theta
 
     def rhs(r, y):
-        u, v, p, q, _, _ = np.split(y, 6)
+        u, v, p, q = y.reshape(6, M)[:4]
         c = dlog(r)
         th = theta(r)
-        return np.concatenate([v, L * u - c * v,
-                               q, L * p + u - c * q,
-                               th * u, th * p])
+        # a fresh array per call: the solver keeps the returned derivative
+        out = np.empty((6, M), dtype=complex)
+        out[0] = v
+        np.multiply(L, u, out=out[1])
+        out[1] -= c * v
+        out[2] = q
+        np.multiply(L, p, out=out[3])
+        out[3] += u
+        out[3] -= c * q
+        np.multiply(th, u, out=out[4])
+        np.multiply(th, p, out=out[5])
+        return out.reshape(-1)
 
     sol = solve_ivp(rhs, (r_t, r_stop), y0, method="DOP853",
                     rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"eigen state integration failed: {sol.message}")
-    u, v, p, q, Phi, Psi = np.split(sol.y[:, -1], 6)
+    u, v, p, q, Phi, Psi = sol.y[:, -1].reshape(6, M)
     return {"phi": u, "dphi_dr": v, "dphi_dL": p, "Phi": Phi, "dPhi_dL": Psi}
 
 

@@ -10,12 +10,46 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from harmonic.density import make_euclidean
+from harmonic import two_radius
+from harmonic.density import make_euclidean, make_real_hyperbolic
 from harmonic.two_radius import (bad_radii, certify_pair, find_L_zeros,
                                  find_r_zeros, mvp_counterexample_demo)
 
 E0 = make_euclidean(0)
+E2 = make_euclidean(2)
+H2 = make_real_hyperbolic(2)
+DEFAULT_BOX = (-60 - 8j, 5 + 8j)
+
+
+def _tan_root(k, c):
+    """k-th positive root of tan x = c x, which lies in (kπ, (k + 1/2)π)."""
+    return brentq(lambda x: math.sin(x) - c * x * math.cos(x),
+                  k * math.pi, (k + 0.5) * math.pi, xtol=1e-15)
+
+
+def _closed_form_zeros(model, target, r, re_min):
+    """L-zeros ≥ re_min of φ_L(r) (sphere) or Φ_L(r) (ball), all simple.
+
+    φ is cos(λr) on the line, sin(λr)/(λr) on R³ and sin(λr)/(λ sinh r) on
+    H³; Φ = ∫ θ φ is sin(λr)/λ, vanishes where tan(λr) = λr, and where
+    tan(λr) = λ tanh r.  L = -(λ² + H²/4) with H = 0, 0, 2.
+    """
+    H = 2.0 if model is H2 else 0.0
+    out = []
+    for j in range(1000):
+        if target == "sphere":
+            lam = (j + (0.5 if model is E0 else 1.0)) * math.pi / r
+        elif model is E0:
+            lam = (j + 1) * math.pi / r
+        else:
+            c = 1.0 if model is E2 else math.tanh(r) / r
+            lam = _tan_root(j + 1, c) / r
+        L = -(lam * lam + H * H / 4)
+        if L < re_min:
+            return sorted(out)
+        out.append(L)
 
 
 def test_line_sphere_zeros_closed_form():
@@ -29,6 +63,31 @@ def test_line_sphere_zeros_closed_form():
         assert z.multiplicity == 1
         assert z.residual < 1e-10
         assert abs(z.L.imag) < 1e-10
+
+
+@pytest.mark.parametrize("r", [0.9, 1.1])
+@pytest.mark.parametrize("target", ["sphere", "ball"])
+@pytest.mark.parametrize("model", [E0, E2, H2], ids=["E0", "E2", "H2"])
+def test_zeros_match_closed_forms(model, target, r):
+    zs = find_L_zeros(model, r, target=target, box=DEFAULT_BOX)
+    expect = _closed_form_zeros(model, target, r, DEFAULT_BOX[0].real)
+    got = np.sort(zs.values().real)
+    assert zs.winding_total == len(expect) == len(zs.zeros)
+    assert np.max(np.abs(got - expect) / (1 + np.abs(expect))) < 1e-10
+    for z in zs.zeros:
+        assert z.multiplicity == 1
+        assert z.residual < 1e-9
+        assert abs(z.L.imag) < 1e-10
+
+
+def test_many_zeros_in_one_box_are_split_apart():
+    # seven zeros are more than one box solves from its moment seeds, so
+    # the box is split
+    zs = find_L_zeros(E0, 3.0, box=DEFAULT_BOX)
+    expect = -(np.arange(1, 15, 2) * math.pi / 6) ** 2
+    assert zs.winding_total == 7
+    assert np.max(np.abs(np.sort(zs.values().real) - np.sort(expect))) < 1e-9
+    assert all(z.multiplicity == 1 for z in zs.zeros)
 
 
 def test_mean_value_zeros_are_double():
@@ -71,6 +130,21 @@ def test_bad_radii_line_are_odd_rationals():
     assert np.max(np.abs(np.asarray(got) - [float(q) for q in oracle])) < 1e-9
 
 
+def test_bad_radii_generic_r1_are_complete():
+    # at a generic r1 the r-zeros fall between profile samples; none may be
+    # dropped
+    r1 = 0.8152320701691138
+    # L-zeros -((2a+1)π/2r1)² in the box; each is an r-zero at r1(2b+1)/(2a+1)
+    odd_a = [2 * a + 1 for a in range(20)
+             if ((2 * a + 1) * math.pi / (2 * r1)) ** 2 <= -DEFAULT_BOX[0].real]
+    oracle = [r1 * float(f) for f in sorted(
+        {Fraction(2 * b + 1, q) for q in odd_a for b in range(100)})
+        if r1 * f <= 10.0]
+    got = bad_radii(E0, r1, box=DEFAULT_BOX)
+    assert len(got) == len(oracle) == 18
+    assert np.max(np.abs(np.asarray(got) - oracle)) < 1e-9
+
+
 def test_certify_rejects_odd_ratio():
     cert = certify_pair(E0, 1.0, 3.0, box=(-30 - 8j, 5 + 8j))
     assert cert.verdict == "common-zero-found"
@@ -87,6 +161,22 @@ def test_certify_accepts_irrational_ratio():
     assert cert.common == []
     # the closest near-coincidence stays far from an actual common zero
     assert cert.min_joint_residual > 0.1
+
+
+def test_certify_solve_budget(monkeypatch):
+    # Newton iterates are polished in lock-step batches, one ODE solve per
+    # round for all of them; one solve per iterate needs 174 for this pair
+    calls = []
+    state_at = two_radius.eigen_state_at
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return state_at(*args, **kwargs)
+
+    monkeypatch.setattr(two_radius, "eigen_state_at", counted)
+    cert = certify_pair(E0, 1.0, math.sqrt(2))
+    assert cert.verdict == "no-common-zero-in-box"
+    assert len(calls) <= 40
 
 
 def test_mean_value_counterexample_demo():
