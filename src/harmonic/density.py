@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -122,7 +123,23 @@ def _series_c2_c4(theta_expr, n):
         return float(c2), float(c4)
 
 
-def _build(name, key, n, theta_expr, dlog=None, log_theta=None, H=None):
+def _product_c2_c4(*factors):
+    """Taylor data of Π (1 + a x + b x²)^p, x = r², from (a, b, p) triples.
+
+    Exact rational arithmetic, rounded once at the end, gives the same
+    doubles as the symbolic series of the built-in densities at a fraction
+    of its cost.
+    """
+    c2 = c4 = Fraction(0)
+    for a, b, p in factors:
+        f2 = p * a
+        f4 = p * b + Fraction(p * (p - 1), 2) * a * a
+        c2, c4 = c2 + f2, c4 + f4 + c2 * f2
+    return float(c2), float(c4)
+
+
+def _build(name, key, n, theta_expr, dlog=None, log_theta=None, H=None,
+           taylor=None):
     theta = _vec(sp.lambdify(_R, theta_expr, "numpy"))
     theta_prime = _vec(sp.lambdify(_R, sp.diff(theta_expr, _R), "numpy"))
     if dlog is None:
@@ -133,7 +150,7 @@ def _build(name, key, n, theta_expr, dlog=None, log_theta=None, H=None):
         def log_theta(r, _f=raw_theta):
             with np.errstate(divide="ignore"):
                 return np.log(_f(r))
-    c2, c4 = _series_c2_c4(theta_expr, n)
+    c2, c4 = _series_c2_c4(theta_expr, n) if taylor is None else taylor
     if H is None:
         H = float(dlog(H_LIMIT_RADIUS))
     return DensityModel(name=name, key=key, n=n, H=H, theta=theta,
@@ -164,7 +181,8 @@ def make_euclidean(n):
         return out if r.ndim else float(out)
 
     return _build(f"euclidean space R^{n+1}", f"euclidean({n})", n,
-                  _R**n, dlog=dlog, log_theta=log_theta, H=0.0)
+                  _R**n, dlog=dlog, log_theta=log_theta, H=0.0,
+                  taylor=(0.0, 0.0))
 
 
 def make_real_hyperbolic(n):
@@ -183,8 +201,11 @@ def make_real_hyperbolic(n):
         out = n * _log_sinh(np.asarray(r, dtype=float))
         return out if np.ndim(r) else float(out)
 
+    # sinh(r)/r = 1 + x/6 + x²/120 + O(x³)
+    taylor = _product_c2_c4((Fraction(1, 6), Fraction(1, 120), n))
     return _build(f"real hyperbolic space H^{n+1}", f"real_hyperbolic({n})", n,
-                  sp.sinh(_R)**n, dlog=dlog, log_theta=log_theta, H=float(n))
+                  sp.sinh(_R)**n, dlog=dlog, log_theta=log_theta, H=float(n),
+                  taylor=taylor)
 
 
 def make_damek_ricci(m, k):
@@ -211,8 +232,11 @@ def make_damek_ricci(m, k):
         return out if np.ndim(r) else float(out)
 
     expr = 2**n * sp.sinh(_R / 2)**n * sp.cosh(_R / 2)**k
+    # sinh(r/2)/(r/2) = 1 + x/24 + x²/1920, cosh(r/2) = 1 + x/8 + x²/384
+    taylor = _product_c2_c4((Fraction(1, 24), Fraction(1, 1920), n),
+                            (Fraction(1, 8), Fraction(1, 384), k))
     return _build(f"Damek-Ricci space ({m},{k})", f"damek_ricci({m},{k})", n,
-                  expr, dlog=dlog, log_theta=log_theta, H=None)
+                  expr, dlog=dlog, log_theta=log_theta, H=None, taylor=taylor)
 
 
 def make_custom(theta_expr, n, name=None, validate=True):

@@ -16,7 +16,6 @@ arcosh of the Lorentz product loses half the digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +47,14 @@ def _lorentz(u, v):
 
 
 def _frame(x):
-    """Lorentz-orthonormal tangent basis at a hyperboloid point."""
+    """Lorentz-orthonormal tangent bases at hyperboloid point(s) (..., 3)."""
     def proj(v):
-        return v + _lorentz(v, x) * x
+        return v + _lorentz(v, x)[..., None] * x
     a = proj(np.array([0.0, 1.0, 0.0]))
-    e1 = a / math.sqrt(_lorentz(a, a))
+    e1 = a / np.sqrt(_lorentz(a, a))[..., None]
     b = proj(np.array([0.0, 0.0, 1.0]))
-    b = b - _lorentz(b, e1) * e1
-    e2 = b / math.sqrt(_lorentz(b, b))
+    b = b - _lorentz(b, e1)[..., None] * e1
+    e2 = b / np.sqrt(_lorentz(b, b))[..., None]
     return e1, e2
 
 
@@ -86,14 +85,17 @@ class ExplicitSpace:
         return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
 
     def sphere_param(self, x, r, phi):
-        """Point(s) on the geodesic circle S_r(x) at angle(s) phi.
+        """Point(s) on the geodesic circle(s) S_r(x) at angle(s) phi.
 
-        x is a single point; r and phi broadcast against each other and the
-        result has their common shape plus the embedding axis.
+        x is a single point or a (..., d) stack of centres; the stack shape,
+        r and phi broadcast against each other and the result has their
+        common shape plus the embedding axis.
         """
         x = np.asarray(x, float)
-        r, phi = np.broadcast_arrays(np.asarray(r, float),
-                                     np.asarray(phi, float))
+        # r and phi are not broadcast up front: each trigonometric function
+        # runs on its own argument's shape, once per distinct value
+        r = np.asarray(r, float)
+        phi = np.asarray(phi, float)
         if self.tag == "plane":
             heading = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
             return x + r[..., None] * heading
@@ -224,25 +226,19 @@ def projector_convolution_check(space, r, f, y_radii=None, quad_order=256):
     circ = float(space.circumference(r))
     psi = _angles(quad_order)
 
-    worst = 0.0
-    for s in y_radii:
-        # left side: average T_r*f over the circle S_s(x0)
-        ys = space.sphere_param(x0, s, psi)
-        lhs = 0.0
-        for y in ys:
-            lhs += circ * np.mean(_eval_points(f, space.sphere_param(y, r, psi)))
-        lhs /= len(ys)
-
-        # right side: circle integral of πf over S_r(y) for one y on the ray
-        y = space.sphere_param(x0, s, 0.0)
-        zs = space.sphere_param(y, r, psi)
-        inner = np.empty(len(zs))
-        for i, z in enumerate(zs):
-            d = float(space.distance(x0, z))
-            inner[i] = np.mean(_eval_points(f, space.sphere_param(x0, d, psi)))
-        rhs = circ * float(np.mean(inner))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    # left side: average T_r*f, the circle means of f about each y, over the
+    # circle S_s(x0); right side: circle integral of πf over S_r(y) for the
+    # one y on the ray (angle 0), where πf(z) is the mean of f over the
+    # circle about x0 of radius d(x0, z).  Both sides need Q circle means per
+    # radius s, so one batch of (2, S, Q) circles of Q points serves both.
+    ys = space.sphere_param(x0, y_radii[:, None], psi)
+    zs = space.sphere_param(ys[:, :1], r, psi)
+    centers = np.stack([ys, np.broadcast_to(x0, ys.shape)])
+    radii = np.stack([np.full(zs.shape[:-1], float(r)),
+                      space.distance(x0, zs)])
+    pts = space.sphere_param(centers[..., None, :], radii[..., None], psi)
+    lhs, rhs = circ * np.mean(np.mean(_eval_points(f, pts), axis=-1), axis=-1)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def projector_selfadjoint_check(space, f, g, domain_radius, quad_order=256,

@@ -149,17 +149,16 @@ class Grid1D:
 
         Cubic-spline interpolation is linear in the data, so the map is a
         matrix; `even=True` clamps the derivative to zero at x=0, the right
-        boundary condition for radial (even) profiles.
+        boundary condition for radial (even) profiles.  Column j is the
+        spline through the j-th unit vector; one spline with the identity as
+        its data builds all columns from a single banded solve.
         """
         key = ("interp", even)
         if key not in self._cache:
             n = self.points.size
-            bc = ((1, 0.0), "not-a-knot") if even else "not-a-knot"
-            cols = np.empty((self.nodes.size, n))
-            eye = np.eye(n)
-            for j in range(n):
-                cols[:, j] = CubicSpline(self.points, eye[j], bc_type=bc)(self.nodes)
-            self._cache[key] = cols
+            bc = ((1, np.zeros(n)), "not-a-knot") if even else "not-a-knot"
+            self._cache[key] = CubicSpline(self.points, np.eye(n),
+                                           bc_type=bc)(self.nodes)
         return self._cache[key]
 
     def values_at_nodes(self, point_values, even=True):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,7 +381,9 @@ def phi(model, lam, grid, method="auto", tol=SERIES_TOL):
     """φ_λ by the best available path.
 
     'auto' uses the series when its cancellation floor is below 1e-10 and the
-    ODE integrator otherwise.  Both paths agree (tested) where they overlap.
+    ODE integrator otherwise, or when the series cannot be formed on this
+    grid (too many terms, or a coefficient failing its quadrature bound).
+    Both paths agree (tested) where they overlap.
     """
     if method == "series":
         return phi_series(model, lam, grid, tol=tol)
@@ -393,7 +396,7 @@ def phi(model, lam, grid, method="auto", tol=SERIES_TOL):
     if _EPS * math.cosh(min(x, 700.0)) < 1e-10:
         try:
             return phi_series(model, lam, grid, tol=tol)
-        except TruncationError:
+        except (TruncationError, QuadratureError):
             pass
     return phi_ode(model, lam, grid)
 
@@ -615,22 +618,72 @@ def eigen_profile(model, L, r_max, n_samples=None, r_points=None,
 # cached real-λ bases for the transform machinery
 # ---------------------------------------------------------------------------
 
-_BASIS_CACHE: dict[tuple, np.ndarray] = {}
+# A datum's rows are looked up again by the 2-3 transform calls that reuse
+# it (abel, then a Klein-Gordon, convolution or inversion of the same
+# profile).  abel on a support-1.5 bump in R³ holds 17 MB of rows, and the
+# calls between two uses of a datum add under 10 MB; this cap keeps a datum
+# alive across them with room for data twice that size, and bounds what
+# stale rows of finished data can pin in memory.
+BASIS_CACHE_BYTES = 64 * 2**20
+
+
+class _BasisCache:
+    """LRU map from (model, λ-nodes, radii) to φ-basis matrices, byte-capped.
+
+    The lock guards lookups, inserts and evictions only; callers integrate
+    outside it.  Two threads that miss on one key both integrate, and the
+    second insert returns the first thread's (identical) matrix.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            out = self._entries.get(key)
+            if out is not None:
+                self._entries.move_to_end(key)
+            return out
+
+    def put(self, key, value):
+        """Insert value (unless it alone exceeds the cap); return the entry."""
+        if value.nbytes > self.max_bytes:
+            return value
+        with self._lock:
+            old = self._entries.get(key)
+            if old is not None:
+                self._entries.move_to_end(key)
+                return old
+            self._entries[key] = value
+            self.nbytes += value.nbytes
+            while self.nbytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted.nbytes
+            return value
+
+
+_BASIS_CACHE = _BasisCache(BASIS_CACHE_BYTES)
 
 
 def phi_basis(model, lams, r_points):
     """Matrix φ_{λ_j}(r_i), shape (len(lams), len(r_points)), cached.
 
-    The cache makes repeated transform calls against the same λ-grid and
-    radial grid cheap (one vectorized ODE integration in total).
+    The cache makes repeated transform calls against the same λ-nodes and
+    radial nodes cheap (one vectorized ODE integration in total).  It is a
+    thread-safe LRU capped at BASIS_CACHE_BYTES; the ODE runs outside its
+    lock.  Returned matrices are shared between callers and read-only.
     """
     lams = np.asarray(lams, dtype=float)
     r_points = np.asarray(r_points, dtype=float)
     key = (model.key, lams.tobytes(), r_points.tobytes())
     out = _BASIS_CACHE.get(key)
     if out is None:
-        vals, _ = phi_ode_values(model, lams, r_points)
-        _BASIS_CACHE[key] = out = vals
+        out, _ = phi_ode_values(model, lams, r_points)
+        out.flags.writeable = False
+        out = _BASIS_CACHE.put(key, out)
     return out
 
 

@@ -188,39 +188,38 @@ def spherical_fourier(model, f, lambdas):
     return SpectralSamples(model=model, lambdas=lambdas, values=vals)
 
 
-def _lambda_grid(lambda_max, s_resolve):
-    """Panel grid in λ fine enough to integrate cos(λ s) for s ≤ s_resolve."""
-    width = math.pi / (2.0 * max(s_resolve, 1.0))
-    return make_grid(lambda_max, n_panels=int(np.ceil(lambda_max / width)))
-
-
-def _fourier_on_lambda_nodes(model, f, lgrid):
-    nodes = f.grid.nodes
-    weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
-    basis = phi_basis(model, lgrid.nodes, nodes)
-    return model.sphere_const * (basis @ weighted)
-
-
 def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
          lambda_max=None, max_lambda_factor=10.0, strict_tail=True):
     """Abel transform via the spectral route; even output on [0, s_max].
 
-    λ_max starts at the conventional 40/R and is extended geometrically until
-    |F f| has decayed below tail_tol of its peak; if the cap is reached the
-    call refuses and reports the λ_max the decay rate would require.
-    strict_tail=False keeps the cap value instead of refusing, for callers
-    that pin the cutoff themselves (identity checks, noisy samples).
+    F f is integrated over λ on Gauss-Legendre panels of fixed width
+    π/(2·max(s_max + 0.5, 1)), fine enough for cos(λ s) up to s_max + 0.5,
+    laid from 0: λ_max is always a whole number of panels (at least 16).
+    λ_max starts at the conventional 40/R, rounded up to a panel edge, and is
+    extended geometrically until |F f| has decayed below tail_tol of its
+    peak; an extension evaluates F f on the added panels only, so every
+    φ-basis row is integrated once (and cached, see phi_basis).  If λ_max
+    reaches max_lambda_factor times its starting value the call refuses and
+    reports the λ_max the decay rate would require.  strict_tail=False keeps the cap
+    value instead of refusing, for callers that pin the cutoff themselves
+    (identity checks, noisy samples).  info["lambda_max"] is the rounded
+    cutoff actually used.
     """
     f = _as_radial(model, f)
     R = f.support_radius
     if not np.isfinite(R):
         raise ValueError("abel needs compact support")
     s_max = (R + 0.6) if s_max is None else float(s_max)
+    width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
     lam0 = lambda_max if lambda_max is not None else max(40.0 / R, 8.0)
-    lam = lam0
+    target = lam0
+    Ff = np.empty(0)
     while True:
-        lgrid = _lambda_grid(lam, s_max + 0.5)
-        Ff = _fourier_on_lambda_nodes(model, f, lgrid)
+        n_panels = max(16, math.ceil(target / width))
+        lgrid = Grid1D(points=width * np.arange(n_panels + 1))
+        lam = lgrid.x_max
+        added = spherical_fourier(model, f, lgrid.nodes[Ff.size:])
+        Ff = np.concatenate([Ff, added.values])
         peak = float(np.max(np.abs(Ff)))
         ltail = lgrid.nodes >= 0.9 * lam
         tail = float(np.max(np.abs(Ff[ltail]))) if peak > 0 else 0.0
@@ -238,7 +237,7 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
                 f"|F f| has not decayed below {tail_tol:g} of peak at "
                 f"λ_max = {lam:.3g}; decay rate suggests λ_max ≈ {need:.3g}",
                 required_lambda_max=float(need))
-        lam *= 1.6
+        target *= 1.6
 
     sgrid = make_grid(s_max, spacing=s_spacing)
     wF = lgrid.node_weights * Ff

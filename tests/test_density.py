@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, strategies as st
 
-from harmonic.density import (DensityError, builtin_models, load_model_config,
-                              make_custom, make_damek_ricci, make_euclidean,
-                              make_real_hyperbolic, mean_curvature_limit,
-                              model_from_config, parse_model_config,
-                              unit_sphere_volume, validate_density)
+from harmonic.density import (DensityError, _series_c2_c4, builtin_models,
+                              load_model_config, make_custom, make_damek_ricci,
+                              make_euclidean, make_real_hyperbolic,
+                              mean_curvature_limit, model_from_config,
+                              parse_model_config, unit_sphere_volume,
+                              validate_density)
 
 
 def test_builtin_models_roster():
@@ -46,6 +48,24 @@ def test_small_r_expansion_coefficients():
         assert ratio == pytest.approx(expect, abs=5e-13)
     assert make_real_hyperbolic(2).c2 == pytest.approx(1 / 3, rel=1e-12)
     assert make_euclidean(5).c2 == 0.0
+
+
+def test_closed_form_taylor_data_matches_symbolic_series():
+    # the built-ins take c2, c4 from exact rational closed forms; the sympy
+    # series (kept for custom densities) must give the very same doubles
+    r = sp.Symbol("r", positive=True)
+    for n in range(1, 8):
+        model = make_real_hyperbolic(n)
+        assert (model.c2, model.c4) == _series_c2_c4(sp.sinh(r)**n, n)
+    for m in range(1, 8):
+        for k in range(5):
+            n = m + k
+            expr = 2**n * sp.sinh(r / 2)**n * sp.cosh(r / 2)**k
+            model = make_damek_ricci(m, k)
+            assert (model.c2, model.c4) == _series_c2_c4(expr, n)
+    for n in range(4):
+        assert (make_euclidean(n).c2, make_euclidean(n).c4) == \
+            _series_c2_c4(r**n, n)
 
 
 def test_mean_curvature_limit_converges():

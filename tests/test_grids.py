@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import CubicSpline
 
 from harmonic.grids import DEFAULT_NODES_PER_PANEL, Grid1D, make_grid
 
@@ -118,6 +119,19 @@ def test_even_spline_has_flat_center():
     s = g.spline(vals)
     assert abs(s(0.0, 1)) < 1e-14
     assert np.max(np.abs(s(g.nodes) - g.values_at_nodes(vals))) < 1e-12
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_interp_matrix_matches_column_splines(even):
+    # reference: one spline per unit vector, the construction the single
+    # identity-data spline replaces; the arithmetic is the same per column
+    g = make_grid(3.0, spacing=0.05)
+    n = g.points.size
+    bc = ((1, 0.0), "not-a-knot") if even else "not-a-knot"
+    ref = np.empty((g.nodes.size, n))
+    for j in range(n):
+        ref[:, j] = CubicSpline(g.points, np.eye(n)[j], bc_type=bc)(g.nodes)
+    assert np.array_equal(g.interp_matrix(even=even), ref)
 
 
 def test_values_at_nodes_accuracy():

@@ -2,11 +2,15 @@
 coefficient bounds, truncation control, derivative checks."""
 
 import math
+import sys
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from harmonic import cli, spherical
 from harmonic.density import (make_custom, make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
@@ -150,6 +154,40 @@ def test_phi_method_dispatch():
         phi(E2, 1.0, GRID, method="newton")
 
 
+def _damek_ricci_phi(m, k, lam, r):
+    """Jacobi-function oracle: 2F1(Q/2+iλ, Q/2-iλ; (m+k+1)/2; -sinh²(r/2))."""
+    Q = m / 2 + k
+    return np.array([complex(mpmath.hyp2f1(Q / 2 + 1j * lam, Q / 2 - 1j * lam,
+                                           (m + k + 1) / 2,
+                                           -math.sinh(x / 2) ** 2))
+                     for x in r])
+
+
+def test_phi_auto_falls_back_to_ode_on_quadrature_error():
+    # on this short grid a_3 misses its lower bound by roundoff, so the
+    # series refuses and 'auto' must take the ODE path
+    model = make_damek_ricci(2, 1)
+    grid = make_grid(2.0, spacing=0.05)
+    with pytest.raises(QuadratureError):
+        phi_series(model, 1.0, grid)
+    sf = phi(model, 1.0, grid)
+    assert sf.method == "ode"
+    ref = _damek_ricci_phi(2, 1, 1.0, grid.points)
+    assert np.max(np.abs(sf.values - ref)) < 1e-8
+
+
+def test_cli_phi_damek_ricci_short_radius(tmp_path):
+    out = tmp_path / "phi.csv"
+    assert cli.main(["phi", "--model", "damek-ricci", "--rmax", "2",
+                     "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert '"key":"damek_ricci(2,1)"' in lines[0]
+    assert '"lambda":{"im":0,"re":1}' in lines[0]
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    ref = _damek_ricci_phi(2, 1, 1.0, rows[:, 0])
+    assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - ref)) < 1e-8
+
+
 def test_spherical_function_spline_call():
     sf = phi_series(E0, 1.1, GRID)
     r = np.array([0.513, 2.044, 5.391])
@@ -244,6 +282,56 @@ def test_phi_basis_values_and_shape():
     assert mat.shape == (2, 17)
     assert np.max(np.abs(mat - np.cos(lams[:, None] * r_pts[None, :]))) < 1e-9
     assert phi_basis(E0, lams, r_pts) is mat  # cached identity
+
+
+def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
+    rows = ode_rows
+    r_pts = np.linspace(0.0, 3.0, 64)
+    one = 2 * r_pts.size * 8     # bytes of a 2-row float matrix
+    monkeypatch.setattr(spherical, "_BASIS_CACHE",
+                        spherical._BasisCache(3 * one + one // 2))
+    cache = spherical._BASIS_CACHE
+    sets = [np.array([0.5, 1.0]) + i for i in range(6)]
+    for lams in sets:
+        phi_basis(E0, lams, r_pts)
+        assert cache.nbytes <= cache.max_bytes
+    assert len(rows) == 6 and cache.nbytes == 3 * one
+    phi_basis(E0, sets[-1], r_pts)      # most recent: still cached
+    assert len(rows) == 6
+    phi_basis(E0, sets[0], r_pts)       # least recent: evicted, recomputed
+    assert len(rows) == 7 and cache.nbytes <= cache.max_bytes
+    # a matrix larger than the whole cap is returned but not stored
+    big = phi_basis(E0, np.linspace(0.0, 3.0, 8), r_pts)
+    assert big.shape == (8, 64) and cache.nbytes <= cache.max_bytes
+
+
+def test_phi_basis_threads_match_serial(ode_rows):
+    r_pts = np.linspace(0.0, 2.0, 33)
+    sets = [np.array([0.3, 0.7]) * (1 + i % 4) for i in range(16)]
+    serial = [phi_ode_values(E2, lams, r_pts)[0] for lams in sets]
+    got = [None] * len(sets)
+
+    def work(i):
+        got[i] = phi_basis(E2, sets[i], r_pts)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(sets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, serial):
+        assert np.array_equal(a, b)
+    cache = spherical._BASIS_CACHE
+    # four distinct keys; a lost update would break the byte count
+    assert len(cache._entries) == 4
+    assert cache.nbytes == sum(v.nbytes for v in cache._entries.values())
 
 
 def test_default_radial_grid():

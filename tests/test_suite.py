@@ -1,16 +1,24 @@
-"""The quick battery's two-radius checks (criterion 8) pass in tier-1.
+"""The quick battery passes in tier-1.
 
-They exercise the L-plane zero search end to end: bad radii on the line,
-a rejected rational pair with its witness, an accepted irrational pair and
-the cosine mean-value counterexample.
+The criterion-8 checks exercise the L-plane zero search end to end: bad
+radii on the line, a rejected rational pair with its witness, an accepted
+irrational pair and the cosine mean-value counterexample.  The other quick
+checks guard every measured value of the series, transform, PDE, growth and
+geometry layers.
 """
 
 import pytest
 
 from harmonic import suite
 
-CRITERION_8 = [c for c in suite.registered_checks(quick=True)
-               if c.criterion == 8]
+QUICK = suite.registered_checks(quick=True)
+CRITERION_8 = [c for c in QUICK if c.criterion == 8]
+OTHER_QUICK = [c for c in QUICK if c.criterion != 8]
+
+
+def _passes(check):
+    res = suite._run_one(check, {"seed": suite.DEFAULT_SEED, "quick": True})
+    assert res.passed, res.detail
 
 
 def test_quick_criterion_8_roster():
@@ -21,5 +29,9 @@ def test_quick_criterion_8_roster():
 
 @pytest.mark.parametrize("check", CRITERION_8, ids=lambda c: c.name)
 def test_quick_criterion_8_check_passes(check):
-    res = suite._run_one(check, {"seed": suite.DEFAULT_SEED, "quick": True})
-    assert res.passed, res.detail
+    _passes(check)
+
+
+@pytest.mark.parametrize("check", OTHER_QUICK, ids=lambda c: c.name)
+def test_quick_check_passes(check):
+    _passes(check)

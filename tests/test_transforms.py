@@ -172,6 +172,22 @@ def test_abel_reports_spectral_window():
     assert af.info["tail_ratio"] <= 1e-8
 
 
+def test_abel_extension_integrates_each_row_once(ode_rows):
+    f = smooth_bump(1.5)
+    af = abel(E2, f)
+    # fixed-width panels keep the earlier rounds' nodes, so each row is
+    # integrated once; panels spread evenly over [0, λ_max] would move every
+    # node each round and integrate 9,304 rows here
+    assert len(ode_rows) > 1
+    assert sum(ode_rows) == af.info["n_lambda_nodes"]
+    width = math.pi / (2 * (f.support + 0.6 + 0.5))
+    n_panels = af.info["lambda_max"] / width
+    assert abs(n_panels - round(n_panels)) < 1e-9
+    again = abel(E2, f)
+    assert sum(ode_rows) == af.info["n_lambda_nodes"]
+    assert np.array_equal(again.values, af.values)
+
+
 # -- the multiplier identity --------------------------------------------------
 
 def test_eigen_multiplier_identity():
