@@ -39,7 +39,6 @@ from .grids import Grid1D, make_grid
 from .pde import (
     BoundaryLeakError,
     HeatState,
-    KGKernel,
     WaveState,
     heat_identity_check,
     intertwine_check,

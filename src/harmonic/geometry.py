@@ -284,17 +284,9 @@ def idempotence_check(space, f, radii=None, quad_order=256):
     radii = np.asarray(radii, float)
 
     def pf(pts):
-        d = space.distance(space.origin, pts)
-        return project_values_at(space, f, d, quad_order)
+        d = np.asarray(space.distance(space.origin, pts), float)
+        return project(space, f, d.ravel(), quad_order=quad_order).reshape(d.shape)
 
     once = project(space, f, radii, quad_order=quad_order)
     twice = project(space, pf, radii, quad_order=quad_order)
     return float(np.max(np.abs(twice - once)))
-
-
-def project_values_at(space, f, distances, quad_order=256):
-    """(πf) evaluated at arbitrary distances (vectorized helper)."""
-    d = np.asarray(distances, float)
-    flat = d.ravel()
-    vals = project(space, f, flat, quad_order=quad_order)
-    return vals.reshape(d.shape)

@@ -103,19 +103,6 @@ def kg_kernel_dt(H, t, s):
     return wt
 
 
-@dataclass(frozen=True)
-class KGKernel:
-    """Evaluator for W(t, s) at fixed H."""
-
-    H: float
-
-    def __call__(self, t, s):
-        return kg_kernel(self.H, t, s)
-
-    def dt(self, t, s):
-        return kg_kernel_dt(self.H, t, s)
-
-
 # ---------------------------------------------------------------------------
 # Klein-Gordon evolution on the line
 # ---------------------------------------------------------------------------

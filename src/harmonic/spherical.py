@@ -18,6 +18,15 @@ and two independent evaluation paths are maintained:
   coefficient θ'/θ ~ n/r is singular at the origin, so the first 10⁻³ of the
   radius is handled by the series-derived Taylor polynomial).
 
+One integrator, `_eigen_rows`, serves every ODE caller.  For a batch of L it
+solves the rows
+
+    u = φ,  v = φ_r  [, p = ∂φ/∂L, q = ∂v/∂L]  [, Φ = ∫θφ  [, Ψ = ∂Φ/∂L]]
+
+stacked in that order: phi_ode_values takes (u, v) for real or complex λ,
+eigen_profile adds Φ, and eigen_state_at takes all six rows for the L-plane
+zero search.
+
 The two paths are cross-checked in the tests wherever the series is
 numerically trustworthy.  The series in double precision carries a
 cancellation floor of about eps·cosh(sqrt(|L|)·r); phi_series reports it as
@@ -33,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -298,22 +307,87 @@ def _taylor_coeffs(model, L):
     return (A, B, C), (A_L, B_L, C_L)
 
 
-def _taylor_eval(coeffs, r):
-    A, B, C = coeffs
-    r = np.asarray(r)
+def _taylor_poly(coeffs, r):
+    """(A r² + B r⁴ + C r⁶, its r-derivative), shape (M, *r.shape)."""
+    A, B, C = (np.reshape(c, np.shape(c) + (1,) * r.ndim) for c in coeffs)
     r2 = r * r
-    u = 1.0 + (A[..., None] + (B[..., None] + C[..., None] * r2) * r2) * r2
-    v = (2.0 * A[..., None] + (4.0 * B[..., None] + 6.0 * C[..., None] * r2) * r2) * r
-    return u, v
+    return ((A + (B + C * r2) * r2) * r2,
+            (2.0 * A + (4.0 * B + 6.0 * C * r2) * r2) * r)
 
 
-def _taylor_eval_dL(coeffs_L, r):
-    A_L, B_L, C_L = coeffs_L
-    r = np.asarray(r)
-    r2 = r * r
-    p = (A_L[..., None] + (B_L[..., None] + C_L[..., None] * r2) * r2) * r2
-    q = (2.0 * A_L[..., None] + (4.0 * B_L[..., None] + 6.0 * C_L[..., None] * r2) * r2) * r
-    return p, q
+def _taylor_rows(model, taylor, taylor_L, radii, dL, Phi):
+    """The rows at radii up to the Taylor radius, from the Taylor polynomial.
+
+    Φ and Ψ are 8-node Gauss-Legendre quadratures of θ·u and θ·p on [0, ρ].
+    """
+    w, dw = _taylor_poly(taylor, radii)
+    rows = [1.0 + w, dw]
+    if dL:
+        rows += _taylor_poly(taylor_L, radii)
+    if Phi:
+        t8, w8, _, _ = _tables(8)
+        half = radii[:, None] / 2
+        qn = half + half * t8
+        qw_th = half * w8 * model.theta(qn)
+        rows.append(np.sum(qw_th * (1.0 + _taylor_poly(taylor, qn)[0]), axis=-1))
+        if dL:
+            rows.append(np.sum(qw_th * _taylor_poly(taylor_L, qn)[0], axis=-1))
+    return rows
+
+
+def _eigen_rows(model, L, radii, dL=False, Phi=False, r_t=TAYLOR_RADIUS,
+                rtol=ODE_RTOL, atol=ODE_ATOL, dense=True):
+    """Rows (u=φ, v=φ_r[, p=∂φ/∂L, q=∂v/∂L][, Φ=∫θφ[, Ψ=∂Φ/∂L]]) at radii.
+
+    L is a 1-d batch, float or complex; the rows take its dtype.  radii is a
+    1-d float array, in any order and with repeats.  Radii up to the Taylor
+    radius r_t come from the Taylor start, the others from one DOP853 solve
+    of the whole batch from r_t, sampled by dense output at each distinct
+    radius.  With dense=False, radii holds one radius: the solve ends there
+    and its last step is read (dense output at the end point differs from
+    that step in the last bits).  Returns one (len(L), len(radii)) array per
+    row, each allocated on its own, in row order; the solver's state stacks
+    the rows in the same order, and its error norm runs over them.
+    """
+    M = L.size
+    taylor, taylor_L = _taylor_coeffs(model, L)
+    small = radii <= r_t
+    rows = [np.empty((M, radii.size), dtype=L.dtype)
+            for _ in range((2 + Phi) * (1 + dL))]
+    if np.any(small):
+        for row, val in zip(rows, _taylor_rows(model, taylor, taylor_L,
+                                               radii[small], dL, Phi)):
+            row[:, small] = val
+    if np.all(small):
+        return rows
+    start = _taylor_rows(model, taylor, taylor_L, np.array([r_t]), dL, Phi)
+    y0 = np.concatenate([row[:, 0] for row in start]).astype(L.dtype)
+    dlog = model.dlog_theta
+    theta = model.theta
+
+    def rhs(r, y):
+        u, v = y[:M], y[M:2 * M]
+        c = dlog(r)
+        parts = [v, L * u - c * v]
+        if dL:
+            p, q = y[2 * M:3 * M], y[3 * M:4 * M]
+            parts += [q, L * p + u - c * q]
+        if Phi:
+            th = theta(r)
+            parts.append(th * u)
+            if dL:
+                parts.append(th * p)
+        return np.concatenate(parts)
+
+    r_unique, inverse = np.unique(radii[~small], return_inverse=True)
+    sol = solve_ivp(rhs, (r_t, r_unique[-1]), y0, method="DOP853",
+                    rtol=rtol, atol=atol, t_eval=r_unique if dense else None)
+    if not sol.success:
+        raise RuntimeError(f"eigenfunction ODE integration failed: {sol.message}")
+    y = sol.y if dense else sol.y[:, -1:]
+    for i, row in enumerate(rows):
+        row[:, ~small] = y[i * M:(i + 1) * M][:, inverse]
+    return rows
 
 
 def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
@@ -328,57 +402,28 @@ def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
         lams = lams.real.astype(float)
     H = model.H
     L = -(lams * lams + H * H / 4.0)
-    M = L.size
     r_points = np.asarray(r_points, dtype=float)
     if r_points.ndim != 1 or np.any(np.diff(r_points) < 0):
         raise ValueError("r_points must be a sorted 1-d array")
     if r_points.size and r_points[0] < 0:
         raise ValueError("radii must be nonnegative")
-
-    taylor, taylor_L = _taylor_coeffs(model, L)
-    dtype = float if real_input else complex
-    values = np.empty((M, r_points.size), dtype=dtype)
-    derivs = np.empty_like(values)
-
-    small = r_points <= TAYLOR_RADIUS
-    if np.any(small):
-        u, v = _taylor_eval(taylor, r_points[small])
-        values[:, small] = u
-        derivs[:, small] = v
-    if np.any(~small):
-        r_eval = r_points[~small]
-        u0, v0 = _taylor_eval(taylor, TAYLOR_RADIUS)
-        y0 = np.concatenate([u0[:, 0], v0[:, 0]]).astype(dtype)
-        dlog = model.dlog_theta
-
-        def rhs(r, y):
-            u, v = y[:M], y[M:]
-            return np.concatenate([v, L * u - dlog(r) * v])
-
-        # t_eval must be strictly increasing and unique
-        r_unique, inverse = np.unique(r_eval, return_inverse=True)
-        sol = solve_ivp(rhs, (TAYLOR_RADIUS, r_unique[-1]), y0,
-                        method="DOP853", rtol=rtol, atol=atol,
-                        t_eval=r_unique, dense_output=False)
-        if not sol.success:
-            raise RuntimeError(f"eigenfunction ODE integration failed: {sol.message}")
-        values[:, ~small] = sol.y[:M][:, inverse]
-        derivs[:, ~small] = sol.y[M:][:, inverse]
+    values, derivs = _eigen_rows(model, L, r_points, rtol=rtol, atol=atol)
     return values, derivs
 
 
-def phi_ode(model, lam, grid, rtol=ODE_RTOL, atol=ODE_ATOL):
-    """φ_λ on grid.points via the ODE path."""
+def phi_ode(model, lam, grid, rtol=ODE_RTOL, atol=ODE_ATOL, at_nodes=False):
+    """φ_λ on grid.points (or grid.nodes) via the ODE path."""
     L, _ = spectral_shift(model, lam)
-    vals, derivs = phi_ode_values(model, [lam], grid.points, rtol=rtol, atol=atol)
+    r = grid.nodes if at_nodes else grid.points
+    vals, derivs = phi_ode_values(model, [lam], r, rtol=rtol, atol=atol)
     scale = float(np.max(np.abs(vals)))
     err = rtol * max(scale, 1.0) * 10 + atol
     return SphericalFunction(model, lam, L, grid, vals[0], derivs[0],
                              "ode", err, k_used=None)
 
 
-def phi(model, lam, grid, method="auto", tol=SERIES_TOL):
-    """φ_λ by the best available path.
+def phi(model, lam, grid, method="auto", tol=SERIES_TOL, at_nodes=False):
+    """φ_λ by the best available path, on grid.points (or grid.nodes).
 
     'auto' uses the series when its cancellation floor is below 1e-10 and the
     ODE integrator otherwise, or when the series cannot be formed on this
@@ -386,19 +431,19 @@ def phi(model, lam, grid, method="auto", tol=SERIES_TOL):
     Both paths agree (tested) where they overlap.
     """
     if method == "series":
-        return phi_series(model, lam, grid, tol=tol)
+        return phi_series(model, lam, grid, tol=tol, at_nodes=at_nodes)
     if method == "ode":
-        return phi_ode(model, lam, grid)
+        return phi_ode(model, lam, grid, at_nodes=at_nodes)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     L, _ = spectral_shift(model, lam)
     x = math.sqrt(abs(L)) * grid.x_max
     if _EPS * math.cosh(min(x, 700.0)) < 1e-10:
         try:
-            return phi_series(model, lam, grid, tol=tol)
+            return phi_series(model, lam, grid, tol=tol, at_nodes=at_nodes)
         except (TruncationError, QuadratureError):
             pass
-    return phi_ode(model, lam, grid)
+    return phi_ode(model, lam, grid, at_nodes=at_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +481,22 @@ def phi_lambda_derivative(model, lam, k, grid, tol=SERIES_TOL):
                 ph = np.sign(L) ** (jj - m)
             else:
                 ph = np.exp(1j * (jj - m) * np.angle(L))
-            total = np.sum(mag * ph[:, None], axis=0)
-            floor = float(np.max(mag, initial=0.0))
-        else:
-            # only j == m contributes: L^0 = 1
-            total = np.zeros(a.shape[1], dtype=float if real_input else complex)
-            if m <= K:
-                total = a[m - 1] * math.factorial(m)
-            floor = float(np.max(np.abs(total), initial=0.0))
-        return total, floor
+            return np.sum(mag * ph[:, None], axis=0)
+        # only j == m contributes: L^0 = 1
+        if m <= K:
+            return a[m - 1] * math.factorial(m)
+        return np.zeros(a.shape[1], dtype=float if real_input else complex)
 
     g1 = -2.0 * lam_n   # dL/dλ
     if k == 1:
-        f1, fl = f_m(1)
-        out = f1 * g1
+        out = f_m(1) * g1
     elif k == 2:
-        f1, fl1 = f_m(1)
-        f2, fl2 = f_m(2)
-        out = f2 * g1 * g1 - 2.0 * f1
-        fl = max(fl1, fl2)
+        out = f_m(2) * g1 * g1 - 2.0 * f_m(1)
     elif k == 3:
-        f2, fl2 = f_m(2)
-        f3, fl3 = f_m(3)
-        out = f3 * g1**3 + 3.0 * f2 * g1 * (-2.0)
-        fl = max(fl2, fl3)
+        out = f_m(3) * g1**3 + 3.0 * f_m(2) * g1 * (-2.0)
     else:
-        f2, fl2 = f_m(2)
-        f3, fl3 = f_m(3)
-        f4, fl4 = f_m(4)
-        out = f4 * g1**4 + 6.0 * f3 * g1 * g1 * (-2.0) + 3.0 * f2 * 4.0
-        fl = max(fl2, fl3, fl4)
+        out = (f_m(4) * g1**4 + 6.0 * f_m(3) * g1 * g1 * (-2.0)
+               + 3.0 * f_m(2) * 4.0)
     if real_input and np.iscomplexobj(out):
         out = out.real
     return out
@@ -475,19 +506,10 @@ def capital_phi(model, lam, grid, method="auto"):
     """Φ_λ(r) = ∫_0^r θ φ_λ dρ at grid.points.
 
     Φ_{iH/2}(r) recovers vol B_r / ω_n; zeros of Φ_λ(r) in L are the
-    eigenvalue data of the Dirichlet ball problem.
+    eigenvalue data of the Dirichlet ball problem.  method is as for phi.
     """
-    L, real_input = spectral_shift(model, lam)
-    x = math.sqrt(abs(L)) * grid.x_max
-    if method == "series" or (method == "auto"
-                              and _EPS * math.cosh(min(x, 700.0)) < 1e-10):
-        sf = phi_series(model, lam, grid, at_nodes=True)
-        node_vals = sf.values
-    else:
-        node_vals, _ = phi_ode_values(model, [lam], grid.nodes)
-        node_vals = node_vals[0]
-    theta_nodes = model.theta(grid.nodes)
-    return grid.cumulative_at_points(theta_nodes * node_vals)
+    node_vals = phi(model, lam, grid, method=method, at_nodes=True).values
+    return grid.cumulative_at_points(model.theta(grid.nodes) * node_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -503,115 +525,26 @@ def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
     search differentiates.
     """
     L = np.atleast_1d(np.asarray(L_values, dtype=complex))
-    M = L.size
     if r_stop <= 0:
         raise ValueError("r_stop must be positive")
-    taylor, taylor_L = _taylor_coeffs(model, L)
-    r_t = min(TAYLOR_RADIUS, r_stop / 2)
-
-    t8, w8, _, _ = _tables(8)
-    qn = r_t / 2 + r_t / 2 * t8
-    qw = r_t / 2 * w8
-    th_q = model.theta(qn)
-    u_q, _ = _taylor_eval(taylor, qn)
-    p_q, _ = _taylor_eval_dL(taylor_L, qn)
-    Phi0 = np.sum(qw * th_q * u_q, axis=-1)
-    Psi0 = np.sum(qw * th_q * p_q, axis=-1)
-
-    u0, v0 = _taylor_eval(taylor, r_t)
-    p0, q0 = _taylor_eval_dL(taylor_L, r_t)
-    y0 = np.concatenate([u0[:, 0], v0[:, 0], p0[:, 0], q0[:, 0], Phi0, Psi0])
-    y0 = y0.astype(complex)
-
-    dlog = model.dlog_theta
-    theta = model.theta
-
-    def rhs(r, y):
-        u, v, p, q = y.reshape(6, M)[:4]
-        c = dlog(r)
-        th = theta(r)
-        # a fresh array per call: the solver keeps the returned derivative
-        out = np.empty((6, M), dtype=complex)
-        out[0] = v
-        np.multiply(L, u, out=out[1])
-        out[1] -= c * v
-        out[2] = q
-        np.multiply(L, p, out=out[3])
-        out[3] += u
-        out[3] -= c * q
-        np.multiply(th, u, out=out[4])
-        np.multiply(th, p, out=out[5])
-        return out.reshape(-1)
-
-    sol = solve_ivp(rhs, (r_t, r_stop), y0, method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"eigen state integration failed: {sol.message}")
-    u, v, p, q, Phi, Psi = sol.y[:, -1].reshape(6, M)
+    rows = _eigen_rows(model, L, np.array([r_stop], dtype=float), dL=True,
+                       Phi=True, r_t=min(TAYLOR_RADIUS, r_stop / 2),
+                       rtol=rtol, atol=atol, dense=False)
+    u, v, p, q, Phi, Psi = (row[:, 0] for row in rows)
     return {"phi": u, "dphi_dr": v, "dphi_dL": p, "Phi": Phi, "dPhi_dL": Psi}
 
 
-def eigen_profile(model, L, r_max, n_samples=None, r_points=None,
-                  rtol=1e-12, atol=1e-14):
-    """Dense radial profile of (φ, φ_r, Φ) for one complex L.
+def eigen_profile(model, L, r_points, rtol=1e-12, atol=1e-14):
+    """Radial profile of (φ, φ_r, Φ) for one complex L at the given radii.
 
-    Used to hunt zeros in r at fixed λ.  Returns dict of arrays sampled on a
-    fine uniform r-grid that resolves the oscillation scale sqrt(|L|), or on
-    the explicitly supplied sorted r_points.
+    Used to hunt zeros in r at fixed λ.  r_points need not be distinct;
+    equal radii get equal values.  Returns a dict of complex arrays keyed
+    "phi", "dphi_dr" and "Phi", plus the radii as "r".
     """
-    L = complex(L)
-    if r_points is not None:
-        r = np.asarray(r_points, dtype=float)
-        r_max = float(r[-1])
-    else:
-        if n_samples is None:
-            osc = math.sqrt(abs(L)) * r_max
-            n_samples = int(max(400, 40 * osc / math.pi))
-        r = np.linspace(0.0, r_max, n_samples + 1)
-    taylor, taylor_L = _taylor_coeffs(model, np.array([L]))
-    r_t = TAYLOR_RADIUS
-
-    t8, w8, _, _ = _tables(8)
-    qn = r_t / 2 + r_t / 2 * t8
-    qw = r_t / 2 * w8
-    u_q, _ = _taylor_eval(taylor, qn)
-    Phi0 = complex(np.sum(qw * model.theta(qn) * u_q[0]))
-
-    u0, v0 = _taylor_eval(taylor, r_t)
-    y0 = np.array([u0[0, 0], v0[0, 0], Phi0], dtype=complex)
-    dlog = model.dlog_theta
-    theta = model.theta
-
-    def rhs(rr, y):
-        u, v, _ = y
-        return np.array([v, L * u - dlog(rr) * v, theta(rr) * u])
-
-    keep = r > r_t
-    if np.any(keep):
-        sol = solve_ivp(rhs, (r_t, max(r_max, float(np.max(r)))), y0,
-                        method="DOP853", rtol=rtol, atol=atol, t_eval=r[keep])
-        if not sol.success:
-            raise RuntimeError(f"profile integration failed: {sol.message}")
-    phi_v = np.empty(r.size, dtype=complex)
-    dphi_v = np.empty_like(phi_v)
-    Phi_v = np.empty_like(phi_v)
-    u_s, v_s = _taylor_eval(taylor, r[~keep])
-    phi_v[~keep] = u_s[0]
-    dphi_v[~keep] = v_s[0]
-    # Φ below the Taylor radius is O(r^{n+1}); quadrature on [0, r] directly
-    for i, rr in enumerate(np.nonzero(~keep)[0]):
-        rv = r[rr]
-        if rv == 0.0:
-            Phi_v[rr] = 0.0
-        else:
-            qn_i = rv / 2 + rv / 2 * t8
-            u_i, _ = _taylor_eval(taylor, qn_i)
-            Phi_v[rr] = np.sum(rv / 2 * w8 * model.theta(qn_i) * u_i[0])
-    if np.any(keep):
-        phi_v[keep] = sol.y[0]
-        dphi_v[keep] = sol.y[1]
-        Phi_v[keep] = sol.y[2]
-    return {"r": r, "phi": phi_v, "dphi_dr": dphi_v, "Phi": Phi_v}
+    r = np.asarray(r_points, dtype=float)
+    u, v, Phi = (row[0] for row in _eigen_rows(
+        model, np.array([complex(L)]), r, Phi=True, rtol=rtol, atol=atol))
+    return {"r": r, "phi": u, "dphi_dr": v, "Phi": Phi}
 
 
 # ---------------------------------------------------------------------------

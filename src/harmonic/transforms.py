@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile
@@ -53,13 +52,36 @@ class ConditioningError(RuntimeError):
 # sampled function containers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RadialFunction:
-    """Radial function sampled at grid points; zero beyond its support.
+class _Sampled:
+    """Even function stored at grid.points, x >= 0; zero beyond the grid.
 
-    Quadrature-node samples are stored separately when the constructor knows
-    them exactly, so integrals of the function do not pay spline error.
+    Quadrature-node samples are stored separately (exact_node_values) when
+    the constructor knows them exactly, so integrals of the function do not
+    pay spline error.
     """
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values)
+
+    def __call__(self, x):
+        x = np.abs(np.asarray(x, dtype=float))
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        out = np.zeros(x.shape, dtype=self.values.dtype)
+        inside = x <= self.grid.x_max
+        if np.any(inside):
+            out[inside] = self.grid.spline(self.values)(x[inside])
+        return out[0] if scalar else out
+
+    def node_values(self):
+        if self.exact_node_values is not None:
+            return self.exact_node_values
+        return self.grid.values_at_nodes(self.values)
+
+
+@dataclass
+class RadialFunction(_Sampled):
+    """Radial function sampled at grid points; zero beyond its support."""
 
     model: object
     grid: Grid1D
@@ -67,24 +89,6 @@ class RadialFunction:
     support_radius: float
     exact_node_values: np.ndarray | None = None
     info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    def __call__(self, r):
-        r = np.abs(np.asarray(r, dtype=float))
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.zeros(r.shape, dtype=self.values.dtype)
-        inside = r <= self.grid.x_max
-        if np.any(inside):
-            out[inside] = self.grid.spline(self.values)(r[inside])
-        return out[0] if scalar else out
-
-    def node_values(self):
-        if self.exact_node_values is not None:
-            return self.exact_node_values
-        return self.grid.values_at_nodes(self.values)
 
     @classmethod
     def from_profile(cls, model, profile, spacing=DEFAULT_SPACING, r_max=None):
@@ -96,7 +100,7 @@ class RadialFunction:
 
 
 @dataclass
-class EvenLineFunction:
+class EvenLineFunction(_Sampled):
     """Even function on the line, stored on s >= 0; zero beyond the grid."""
 
     grid: Grid1D
@@ -105,19 +109,6 @@ class EvenLineFunction:
     deriv_values: np.ndarray | None = None
     exact_node_values: np.ndarray | None = None
     info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    def __call__(self, s):
-        s = np.abs(np.asarray(s, dtype=float))
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.zeros(s.shape, dtype=self.values.dtype)
-        inside = s <= self.grid.x_max
-        if np.any(inside):
-            out[inside] = self.grid.spline(self.values)(s[inside])
-        return out[0] if scalar else out
 
     def derivative(self, s):
         """dg/ds at signed s (odd function)."""
@@ -134,11 +125,6 @@ class EvenLineFunction:
                 d = self.grid.spline(self.values).derivative()(a[inside])
             out[inside] = d * np.sign(s_arr[inside])
         return out[0] if scalar else out
-
-    def node_values(self):
-        if self.exact_node_values is not None:
-            return self.exact_node_values
-        return self.grid.values_at_nodes(self.values)
 
 
 @dataclass

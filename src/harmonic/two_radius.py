@@ -491,7 +491,7 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
 # ---------------------------------------------------------------------------
 
 def _profile_target(model, L, r_pts, target):
-    prof = eigen_profile(model, L, float(np.max(r_pts)), r_points=np.asarray(r_pts))
+    prof = eigen_profile(model, L, r_pts)
     if target == "ball":
         h = prof["Phi"]
         dh = model.theta(prof["r"]) * prof["phi"]
@@ -535,7 +535,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
 
     for _ in range(4):
         cand = np.sort(cand)
-        prof = eigen_profile(model, L, float(np.max(cand)), r_points=cand)
+        prof = eigen_profile(model, L, cand)
         if target == "ball":
             h_c = prof["Phi"]
             dh_c = model.theta(cand) * prof["phi"]

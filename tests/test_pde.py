@@ -8,7 +8,7 @@ from scipy.special import j1
 
 from harmonic.density import make_euclidean, make_real_hyperbolic
 from harmonic.grids import make_grid
-from harmonic.pde import (BoundaryLeakError, KGKernel, heat_identity_check,
+from harmonic.pde import (BoundaryLeakError, heat_identity_check,
                           intertwine_check, kg_energy, kg_kernel,
                           kg_kernel_dt, kg_solve, radial_heat_solve,
                           radial_wave_solve, support_growth_slope)
@@ -69,12 +69,6 @@ def test_kernel_time_derivative_matches_finite_differences():
     s = np.linspace(0.0, 1.8, 10)
     fd = (kg_kernel(H, t + h, s) - kg_kernel(H, t - h, s)) / (2 * h)
     assert np.max(np.abs(kg_kernel_dt(H, t, s) - fd)) < 1e-9
-
-
-def test_kernel_evaluator_object():
-    ker = KGKernel(H=2.0)
-    assert ker(1.5, 0.5) == kg_kernel(2.0, 1.5, 0.5)
-    assert ker.dt(1.5, 0.5) == kg_kernel_dt(2.0, 1.5, 0.5)
 
 
 # -- line evolution -----------------------------------------------------------

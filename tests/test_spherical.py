@@ -15,14 +15,17 @@ from harmonic.density import (make_custom, make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
 from harmonic.spherical import (QuadratureError, TruncationError, capital_phi,
-                                default_radial_grid, eigen_state_at, phi,
+                                default_radial_grid, eigen_profile,
+                                eigen_state_at, phi,
                                 phi_basis, phi_lambda_derivative,
                                 phi_ode_values, phi_series, spectral_shift,
                                 truncation_order, volterra_coefficients)
 
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
+H2 = make_real_hyperbolic(1)
 H3 = make_real_hyperbolic(2)
+DR21 = make_damek_ricci(2, 1)
 GRID = make_grid(6.0, spacing=0.05)
 
 
@@ -244,6 +247,17 @@ def test_capital_phi_flat_line():
     assert np.max(np.abs(vals - np.sin(lam * GRID.points) / lam)) < 1e-12
 
 
+def test_capital_phi_falls_back_to_the_ode():
+    # the series coefficients fail their quadrature bound on this short grid
+    grid = make_grid(2.0, spacing=0.05)
+    with pytest.raises(QuadratureError):
+        capital_phi(DR21, 1.0, grid, method="series")
+    got = capital_phi(DR21, 1.0, grid)
+    assert np.array_equal(got, capital_phi(DR21, 1.0, grid, method="ode"))
+    with pytest.raises(ValueError, match="unknown method"):
+        capital_phi(E0, 1.0, GRID, method="spline")
+
+
 def test_capital_phi_recovers_ball_volume():
     # lambda = iH/2 makes phi constant 1, so Phi = integral of theta.
     vals = capital_phi(H3, 1j, GRID)
@@ -271,6 +285,51 @@ def test_eigen_state_flat_line_closed_forms():
 def test_eigen_state_requires_positive_radius():
     with pytest.raises(ValueError):
         eigen_state_at(E0, [-1.0], 0.0)
+
+
+def test_eigen_state_below_two_taylor_radii_flat_line():
+    # r_stop < 2e-3 moves the Taylor start in to r_stop / 2
+    lam, r = 1.5, 1.5e-3
+    out = eigen_state_at(E0, [-lam * lam], r)
+    assert abs(out["phi"][0] - math.cos(lam * r)) < 1e-14
+    assert abs(out["dphi_dr"][0] + lam * math.sin(lam * r)) < 1e-14
+    assert abs(out["Phi"][0] - math.sin(lam * r) / lam) < 1e-16
+    assert abs(out["dphi_dL"][0] - r * math.sin(lam * r) / (2 * lam)) < 1e-16
+    dPhi = (r * math.cos(lam * r) - math.sin(lam * r) / lam) / lam
+    assert abs(out["dPhi_dL"][0] - dPhi / (-2 * lam)) < 1e-16
+
+
+@pytest.mark.parametrize("model", [H2, DR21], ids=["H2", "DR21"])
+def test_eigen_state_profile_and_ode_values_agree(model):
+    L, r = -3.0 + 2.0j, 2.5
+    state = eigen_state_at(model, [L], r)
+    prof = eigen_profile(model, L, np.array([0.5, r]))
+    lam = np.sqrt(-L - model.H**2 / 4)
+    vals, derivs = phi_ode_values(model, [lam], np.array([r]))
+    for key in ("phi", "dphi_dr", "Phi"):
+        assert abs(state[key][0] - prof[key][1]) < 1e-9
+    assert abs(state["phi"][0] - vals[0, 0]) < 1e-9
+    assert abs(state["dphi_dr"][0] - derivs[0, 0]) < 1e-9
+
+
+def test_eigen_state_L_derivatives_match_central_differences():
+    L, r, h = -3.0 + 2.0j, 2.5, 1e-4
+    state = eigen_state_at(DR21, [L], r)
+    for step in (h, 1j * h):
+        both = eigen_state_at(DR21, [L + step, L - step], r)
+        for key, dkey in (("phi", "dphi_dL"), ("Phi", "dPhi_dL")):
+            fd = (both[key][0] - both[key][1]) / (2 * step)
+            assert abs(fd - state[dkey][0]) < 1e-7
+
+
+def test_eigen_profile_repeated_radii_give_equal_rows():
+    r = np.array([0.0, 5e-4, 5e-4, 0.7, 0.7, 0.7, 2.0, 2.0])
+    distinct, inverse = np.unique(r, return_inverse=True)
+    prof = eigen_profile(H3, -4.0 + 1.0j, r)
+    ref = eigen_profile(H3, -4.0 + 1.0j, distinct)
+    for key in ("phi", "dphi_dr", "Phi"):
+        assert np.array_equal(prof[key], ref[key][inverse])
+    assert prof["Phi"][0] == 0.0
 
 
 # -- basis cache -------------------------------------------------------------
