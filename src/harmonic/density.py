@@ -63,6 +63,24 @@ def _vec(f):
     return g
 
 
+def _scalar_first(vec_fn, scalar_fn):
+    """vec_fn with a math-module path for a single float radius.
+
+    The eigenfunction ODE evaluates the density at one radius per step,
+    where numpy's per-call overhead outweighs the arithmetic.  Values the
+    math module refuses (r = 0, overflow) fall back to vec_fn, so both
+    paths agree everywhere.
+    """
+    def f(r):
+        if isinstance(r, float):
+            try:
+                return scalar_fn(r)
+            except (ArithmeticError, ValueError):
+                pass
+        return vec_fn(r)
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class DensityModel:
     """A harmonic space given by its radial density θ."""
@@ -139,8 +157,10 @@ def _product_c2_c4(*factors):
 
 
 def _build(name, key, n, theta_expr, dlog=None, log_theta=None, H=None,
-           taylor=None):
+           taylor=None, theta_scalar=None):
     theta = _vec(sp.lambdify(_R, theta_expr, "numpy"))
+    if theta_scalar is not None:
+        theta = _scalar_first(theta, theta_scalar)
     theta_prime = _vec(sp.lambdify(_R, sp.diff(theta_expr, _R), "numpy"))
     if dlog is None:
         dlog_expr = sp.simplify(sp.diff(theta_expr, _R) / theta_expr)
@@ -181,8 +201,9 @@ def make_euclidean(n):
         return out if r.ndim else float(out)
 
     return _build(f"euclidean space R^{n+1}", f"euclidean({n})", n,
-                  _R**n, dlog=dlog, log_theta=log_theta, H=0.0,
-                  taylor=(0.0, 0.0))
+                  _R**n, dlog=_scalar_first(dlog, lambda r: n / r if n else 0.0),
+                  log_theta=log_theta, H=0.0, taylor=(0.0, 0.0),
+                  theta_scalar=lambda r: r ** n)
 
 
 def make_real_hyperbolic(n):
@@ -204,8 +225,10 @@ def make_real_hyperbolic(n):
     # sinh(r)/r = 1 + x/6 + x²/120 + O(x³)
     taylor = _product_c2_c4((Fraction(1, 6), Fraction(1, 120), n))
     return _build(f"real hyperbolic space H^{n+1}", f"real_hyperbolic({n})", n,
-                  sp.sinh(_R)**n, dlog=dlog, log_theta=log_theta, H=float(n),
-                  taylor=taylor)
+                  sp.sinh(_R)**n,
+                  dlog=_scalar_first(dlog, lambda r: n / math.tanh(r)),
+                  log_theta=log_theta, H=float(n), taylor=taylor,
+                  theta_scalar=lambda r: math.sinh(r) ** n)
 
 
 def make_damek_ricci(m, k):
@@ -235,8 +258,18 @@ def make_damek_ricci(m, k):
     # sinh(r/2)/(r/2) = 1 + x/24 + x²/1920, cosh(r/2) = 1 + x/8 + x²/384
     taylor = _product_c2_c4((Fraction(1, 24), Fraction(1, 1920), n),
                             (Fraction(1, 8), Fraction(1, 384), k))
+
+    def dlog_scalar(r):
+        th = math.tanh(r / 2)
+        return (m + k) / (2 * th) + (k / 2) * th
+
+    def theta_scalar(r):
+        return 2**n * math.sinh(r / 2)**n * math.cosh(r / 2)**k
+
     return _build(f"Damek-Ricci space ({m},{k})", f"damek_ricci({m},{k})", n,
-                  expr, dlog=dlog, log_theta=log_theta, H=None, taylor=taylor)
+                  expr, dlog=_scalar_first(dlog, dlog_scalar),
+                  log_theta=log_theta, H=None, taylor=taylor,
+                  theta_scalar=theta_scalar)
 
 
 def make_custom(theta_expr, n, name=None, validate=True):

@@ -55,10 +55,21 @@ SERIES_K_CAP = 160
 ODE_RTOL = 1e-11
 ODE_ATOL = 1e-13
 _EPS = np.finfo(float).eps
+# largest log|φ| the ODE path accepts: log(1e300) leaves room for the
+# prefactor of the exponential growth and for φ_r
+LOG_RANGE = 690.0
 
 
 class QuadratureError(RuntimeError):
     """Coefficient quadrature failed its internal bound check."""
+
+
+class PhiOverflowError(OverflowError):
+    """φ_λ would leave double range inside the requested radii."""
+
+    def __init__(self, msg, r_usable):
+        super().__init__(msg)
+        self.r_usable = r_usable
 
 
 class TruncationError(RuntimeError):
@@ -394,7 +405,8 @@ def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
     """Integrate the eigenfunction ODE for a batch of λ simultaneously.
 
     Returns (values, derivatives) with shape (len(lams), len(r_points)).
-    r_points must be sorted ascending.
+    r_points must be sorted ascending.  Raises PhiOverflowError, naming the
+    largest usable radius, when some φ_λ would overflow before the last one.
     """
     lams = np.atleast_1d(np.asarray(lams))
     real_input = not np.iscomplexobj(lams) or np.all(lams.imag == 0)
@@ -407,6 +419,14 @@ def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
         raise ValueError("r_points must be a sorted 1-d array")
     if r_points.size and r_points[0] < 0:
         raise ValueError("radii must be nonnegative")
+    # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
+    # solver meets an overflow
+    rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
+    if r_points.size and rate > 0 and rate * r_points[-1] > LOG_RANGE:
+        r_usable = LOG_RANGE / rate
+        raise PhiOverflowError(
+            f"φ_λ grows like exp({rate:.6g} r) and leaves double range "
+            f"beyond r = {r_usable:.6g}, the largest usable radius", r_usable)
     values, derivs = _eigen_rows(model, L, r_points, rtol=rtol, atol=atol)
     return values, derivs
 

@@ -10,17 +10,28 @@ zero hunting happens in the L-plane: each zero appears once instead of as a
 
 A pair of radii certifies the corresponding two-radius theorem when the two
 zero sets share no point.  Zeros are counted by the argument principle on
-box boundaries.  The ODE state carries dφ/dL and dΦ/dL, so the same boundary
-samples also give the contour moments s_p = (1/2πi) ∮ L^p t'/t dL, the power
-sums of the zeros inside (Delves & Lyness, Math. Comp. 21, 1967).  For a box
-holding w ≤ 4 zeros, Newton's identities turn s_1..s_w into a polynomial
-whose roots seed Newton, and s_1/w is the zeros' centroid.  The moments are
-trapezoid estimates, so seeds only start Newton.  All seeds of a box are
-polished together in one lock-step batch (one ODE solve per round) under two
-hypotheses: w distinct simple zeros, or one zero of multiplicity w at the
-centroid.  A box where neither is verified is split in two and each half is
-searched the same way.  Certificates are explicitly box-relative: the
-theorems quantify over all of ℂ, a search cannot.
+box boundaries sampled at Gauss-Legendre nodes along each edge.  The ODE
+state carries dφ/dL and dΦ/dL, so the same boundary samples also give the
+contour moments s_p = (1/2πi) ∮ L^p t'/t dL, the power sums of the zeros
+inside (Delves & Lyness, Math. Comp. 21, 1967).  The edge rules converge
+geometrically unless a zero nears the boundary, and a box with a zero on its
+boundary is refused.  For a box holding w ≤ 4 zeros,
+Newton's identities turn s_1..s_w into a polynomial whose roots seed Newton.
+Roots that coincide relative to the box are one multiple zero, started once
+with their summed multiplicity (Kravanja & Van Barel, *Computing the Zeros
+of Analytic Functions*, LNM 1727, 2000).  All starts of a box are polished
+together in one lock-step batch (one ODE solve per round), and each zero is
+polished once: a simple zero stops as soon as quadratic convergence puts its
+next step under the floor, a multiple zero at about 1e-7, and the moment
+centroid of its tight box, which must recount its multiplicity, locates it.
+A box where no hypothesis is verified is split in two and each half is
+searched the same way.  One last ODE batch measures every residual.
+Certificates are explicitly box-relative: the theorems quantify over all of
+ℂ, a search cannot.
+
+Zeros in r at fixed L come from one dense profile: Newton runs on the
+quintic Hermite interpolant of its samples, and one exact profile at the
+converged radii accepts them.
 
 The mvp target vanishes identically at L = 0 (φ ≡ 1 there) for every
 radius; that zero is the harmonic case the theorem excludes, so a punctured
@@ -32,8 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .spherical import eigen_profile, eigen_state_at
 
@@ -45,6 +58,13 @@ SEPARATION = 1e-6
 CLUSTER = 1e-5
 # boxes with at most this many zeros are solved from their moment seeds
 MAX_SEEDED = 4
+# seeds closer than this fraction of the box half-diagonal are one multiple
+# zero (quadrature error splits an m-fold zero by about its m-th root)
+GROUP = 0.05
+# Newton stops a simple zero at this relative step, a multiple zero (located
+# only to the square root of the ODE noise) at the second
+SIMPLE_STEP = 1e-14
+MULTIPLE_STEP = 1e-7
 
 # split fractions tried when a subdivision line lands on a zero
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.57, 0.37, 0.63, 0.41, 0.55)
@@ -107,13 +127,29 @@ def _target_values(model, L_values, r, target):
 # argument-principle counting and contour moments
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _edge_rule(n):
+    """n-node Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _box_path(lo, hi, n_side):
-    """Counterclockwise boundary samples, n_side per edge, closed implicitly."""
+    """Counterclockwise boundary nodes, n_side per edge, and their dL weights.
+
+    Every edge carries a Gauss-Legendre rule, ordered along the loop, so
+    contour integrals of the analytic t'/t converge geometrically in n_side;
+    the trapezoid rule on a polygon is only O(h²) because of its corners.
+    """
+    x, w = _edge_rule(n_side)
     c = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-    edges = []
+    pts, wts = [], []
     for a, b in zip(c, c[1:] + c[:1]):
-        edges.append(a + (b - a) * np.arange(n_side) / n_side)
-    return np.concatenate(edges)
+        half = (b - a) / 2
+        pts.append(a + half * (1.0 + x))
+        wts.append(half * w)
+    return np.concatenate(pts), np.concatenate(wts)
 
 
 def _circle_path(center, radius, n):
@@ -145,18 +181,20 @@ class BoxCount:
 
     `seeds` holds one estimate per zero when 1 ≤ winding ≤ MAX_SEEDED (empty
     otherwise); `centroid` is their mean (the box center when there are
-    none).  Both carry the O(h²) error of trapezoid moments.
+    none).  Both carry the quadrature error of the boundary moments, which
+    falls geometrically with the samples per edge but grows as a zero
+    nears the boundary.
     """
     winding: int
     seeds: np.ndarray
     centroid: complex
 
 
-def _moment_seeds(pts, t, dt, w, lo, hi, origin_w):
+def _moment_seeds(pts, wts, t, dt, w, lo, hi, origin_w):
     """Seeds and centroid of the w zeros in [lo, hi] from boundary moments.
 
     Power sums s_p = (1/2πi) ∮ u^p t'/t dL in the box-scaled variable
-    u = (L - c)/ρ, by the trapezoid rule on the closed sample polygon; the
+    u = (L - c)/ρ, by the boundary rule (nodes pts, weights wts); the
     punctured mvp origin (origin_w zeros at L = 0) is subtracted.  Newton's
     identities give the elementary symmetric functions, whose polynomial
     has the w zeros as roots.
@@ -166,8 +204,7 @@ def _moment_seeds(pts, t, dt, w, lo, hi, origin_w):
         return BoxCount(w, np.zeros(0, dtype=complex), c)
     rho = abs(hi - lo) / 2
     u = (pts - c) / rho
-    weight = (np.roll(pts, -1) - np.roll(pts, 1)) / 2
-    f = weight * dt / t / (2j * math.pi)
+    f = wts * dt / t / (2j * math.pi)
     u0 = -c / rho
     s = [complex(np.sum(f * u ** p)) - origin_w * u0 ** p
          for p in range(1, (w if w <= MAX_SEEDED else 1) + 1)]
@@ -187,29 +224,38 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
 
     For mvp, when the box encloses L = 0, the winding of the puncture circle
     |L| = MVP_PUNCTURE is measured in the same ODE batch and subtracted.
-    Returns a BoxCount.  Raises WindingError when a boundary sample sits on
-    (numerically) a zero or the phase refuses to stabilize; callers nudge the
-    box and retry.
+    Returns a BoxCount.  Raises WindingError when a zero lies on (within a
+    fraction of a sample gap of) the boundary or the phase refuses to
+    stabilize; callers nudge the box and retry.
     """
     _check_target(target)
     if n_side is None:
+        # the phase turns about r·sqrt|L| along an edge; mid-edge, Gauss-
+        # Legendre nodes lie π/2 times farther apart than equispaced ones
         scale = max(abs(lo), abs(hi))
-        n_side = int(max(32, 0.7 * r * math.sqrt(scale) + 8))
+        n_side = int(max(32, 1.1 * r * math.sqrt(scale) + 13))
     n_circle = 64 if target == "mvp" and _box_contains(lo, hi, 0j) else 0
     while True:
-        pts = _box_path(lo, hi, n_side)
+        pts, wts = _box_path(lo, hi, n_side)
         circle = _circle_path(0.0, MVP_PUNCTURE, n_circle)
         t_all, dt_all = _target_values(model, np.concatenate([pts, circle]),
                                        r, target)
         t, dt = t_all[:pts.size], dt_all[:pts.size]
         if np.min(np.abs(t)) < zero_floor * max(1.0, float(np.max(np.abs(t)))):
             raise WindingError("boundary sample hits a zero")
+        # |t/t'| is the distance to the nearest zero over its multiplicity m,
+        # at most gap/(2m) for a zero on an edge: an even-order zero there
+        # leaves the phase unchanged, so the count cannot see it
+        gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
+                         np.abs(pts - np.roll(pts, 1)))
+        if np.any(3.0 * np.abs(t) < gap * np.abs(dt)):
+            raise WindingError("a zero lies on the boundary")
         w, _ = _winding_of_samples(t)
         w0 = 0
         if n_circle:
             w0, _ = _winding_of_samples(t_all[pts.size:])
         if w is not None and w0 is not None:
-            return _moment_seeds(pts, t, dt, w - w0, lo, hi, w0)
+            return _moment_seeds(pts, wts, t, dt, w - w0, lo, hi, w0)
         if w is None:
             if n_side >= 2048:
                 raise WindingError("phase did not stabilize at 2048 samples/side")
@@ -228,17 +274,26 @@ def _newton_rounds(model, r, target, starts, mults, max_iter=40, escape=None):
     """Lock-step Schroeder-modified Newton: quadratic even at multiplicity > 1.
 
     Each round integrates the ODE once for all iterates still running and
-    yields (best, resid, done): per iterate, the evaluated point of smallest
-    residual so far, that residual, and whether the iterate has stopped.  An
-    iterate stops when its step falls below 1e-14 (1 + |L|), when dt/dL
-    vanishes, when it leaves an `escape` radius around its start, or when its
-    steps grew twice after the third round, so a hopeless start is cheap.
-    The yielded arrays are updated in place by later rounds.
+    yields (points, resid, done): per iterate, its answer so far, that
+    answer's residual, and whether the iterate has stopped.  A running
+    iterate's answer is its evaluated point of least |t|.  An iterate
+    converges when its step falls below SIMPLE_STEP (1 + |L|), or
+    MULTIPLE_STEP (1 + |L|) at multiplicity > 1, or, for a simple zero, when
+    quadratic convergence puts its next step (about s³/s_prev²) below that
+    floor; its answer is then the point after that step, and the residual of
+    a point not evaluated is predicted by the same law.  A multiple zero's
+    iterate also stops, at its least-residual point, on the first step that
+    does not shrink: the ODE noise drives it from there.  Every iterate
+    stops when dt/dL vanishes, when it leaves an `escape` radius around its
+    start, or when its steps grew twice after the third round, so a
+    hopeless start is cheap.  The yielded arrays are updated in place by
+    later rounds.
     """
     start = np.array(starts, dtype=complex)
     mult = np.asarray(mults, dtype=float)
+    tol = np.where(mult > 1, MULTIPLE_STEP, SIMPLE_STEP)
     z = start.copy()
-    best = start.copy()
+    points = start.copy()
     resid = np.full(z.size, np.inf)
     prev = np.full(z.size, np.inf)
     grew = np.zeros(z.size, dtype=int)
@@ -250,32 +305,39 @@ def _newton_rounds(model, r, target, starts, mults, max_iter=40, escape=None):
         t, dt = _target_values(model, z[act], r, target)
         a = np.abs(t)
         better = a < resid[act]
-        best[act[better]] = z[act[better]]
+        points[act[better]] = z[act[better]]
         resid[act[better]] = a[better]
         flat = dt == 0
         step = np.where(flat, 0.0, mult[act] * t / np.where(flat, 1.0, dt))
         z[act] -= step
         s = np.abs(step)
-        stop = flat | (s <= 1e-14 * (1.0 + np.abs(z[act])))
+        floor = tol[act] * (1.0 + np.abs(z[act]))
+        p = prev[act]
+        quad = ((mult[act] == 1) & np.isfinite(p) & (s < p)
+                & (s ** 3 <= floor * p * p))
+        conv = ~flat & ((s <= floor) | quad)
+        points[act[conv]] = z[act[conv]]
+        resid[act[conv]] = np.where(quad, a * (s / p) ** 2, a)[conv]
+        grow = s >= p
+        stop = flat | conv | ((mult[act] > 1) & grow)
         if escape is not None:
             stop |= np.abs(z[act] - start[act]) > escape
-        grow = s >= prev[act]
         grew[act] = np.where(grow, grew[act] + 1, 0)
         stop |= grow & (grew[act] >= 2) & (i >= 3)
         prev[act] = s
         done[act[stop]] = True
         if i == max_iter - 1:
             done[:] = True
-        yield best, resid, done
+        yield points, resid, done
 
 
 def _newton_polish(model, r, target, starts, mults):
     """Polished points and their residuals for a batch of Newton starts."""
-    best = np.array(starts, dtype=complex)
-    resid = np.full(best.size, np.inf)
-    for best, resid, _ in _newton_rounds(model, r, target, starts, mults):
+    points = np.array(starts, dtype=complex)
+    resid = np.full(points.size, np.inf)
+    for points, resid, _ in _newton_rounds(model, r, target, starts, mults):
         pass
-    return best, resid
+    return points, resid
 
 
 def _same_zero(a, b):
@@ -283,57 +345,95 @@ def _same_zero(a, b):
     return abs(a - b) <= CLUSTER * (1.0 + abs(b))
 
 
+def _group_seeds(seeds, rho):
+    """(start, multiplicity) per group of seeds closer than GROUP·rho.
+
+    Each seed joins the first group whose mean lies within reach, so an
+    m-fold zero split by quadrature error becomes one start of
+    multiplicity m at the mean of its seeds.
+    """
+    groups: list[list[complex]] = []
+    for v in seeds:
+        near = next((g for g in groups
+                     if abs(v - sum(g) / len(g)) <= GROUP * rho), None)
+        if near is None:
+            groups.append([complex(v)])
+        else:
+            near.append(complex(v))
+    return [(sum(g) / len(g), len(g)) for g in groups]
+
+
 def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
     """Zeros of the box from its moment seeds, or None if none is verified.
 
-    One lock-step batch tests two hypotheses: the w seeds converge to w
-    distinct zeros inside the box (then all w zeros are simple), or the
-    centroid, polished with multiplicity w, is one zero whose tight box
-    recounts to w (w separated simple zeros can fake a small residual at
-    their centroid).  The batch ends as soon as one is verified.  At the
-    subdivision floor the centroid needs no recount but may sit just
+    A hypothesis is a list of (start, multiplicity) whose multiplicities
+    sum to w.  The first groups the seeds: seeds closer than GROUP times the
+    box half-diagonal are one zero of multiplicity their number, started at
+    their mean, so an m-fold zero gets one quadratic Schroeder iterate
+    instead of m linear Newton ones.  When that merged seeds, every seed as
+    a simple zero is the second (close simple zeros also give close seeds).
+    At the subdivision floor the centroid as one zero of multiplicity w is
+    the last.  One lock-step Newton batch runs them all and ends as soon as
+    one is verified: every point has its residual below zero_tol, lies in
+    the box and off the mvp puncture, no two points are one zero, and the
+    tight box around every multiple zero recounts to its multiplicity
+    (w separated simple zeros can fake a small residual at their centroid).
+    A multiple zero is returned at that recount's moment centroid, which is
+    far closer than the Newton iterate, stalled at the m-th root of the ODE
+    noise.  At the floor the centroid needs no recount but may sit just
     outside the box.
     """
     w = count.winding
     size = abs(hi - lo)
-    seeds = list(count.seeds) if w > 1 else []
-    k = len(seeds)
+    hyps = []
+    if count.seeds.size:
+        groups = _group_seeds(count.seeds, size / 2)
+        hyps.append(groups)
+        if len(groups) < w:
+            hyps.append([(complex(v), 1) for v in count.seeds])
+    # a single group of all the seeds already is the centroid hypothesis
+    if at_floor and not (hyps and len(hyps[0]) == 1):
+        hyps.append([(count.centroid, w)])
+    members = [m for h in hyps for m in h]
+    bounds = np.cumsum([0] + [len(h) for h in hyps])
 
     def usable(z, pad=0.0):
         return (_box_contains(lo, hi, z, pad=pad)
                 and not (target == "mvp" and abs(z) <= MVP_PUNCTURE))
 
-    def seeds_hold(z, res):
-        return (all(res <= zero_tol) and all(usable(v) for v in z)
-                and not any(_same_zero(z[i], z[j])
-                            for i in range(k) for j in range(i)))
+    def verified(z, res, mults):
+        centroid = at_floor and len(z) == 1
+        pad = max(2 * size, 1e-5 * (1 + abs(z[0]))) if centroid else 0.0
+        if any(res > zero_tol) or not all(usable(v, pad) for v in z) \
+                or any(_same_zero(z[i], z[j])
+                       for i in range(len(z)) for j in range(i)):
+            return None
+        out = []
+        for v, m in zip(z, mults):
+            if m > 1 and not centroid:
+                h = 1e-5 * (1 + abs(v))
+                try:
+                    tight = boundary_winding(model, r, target, v - h - 1j * h,
+                                             v + h + 1j * h)
+                except WindingError:
+                    return None
+                if tight.winding != m:
+                    return None
+                v = tight.centroid
+            out.append((complex(v), m))
+        return out
 
-    def centroid_holds(z, res):
-        pad = max(2 * size, 1e-5 * (1 + abs(z))) if at_floor else 0.0
-        if res > zero_tol or not usable(z, pad):
-            return False
-        if w == 1 or at_floor:
-            return True
-        h = 1e-5 * (1 + abs(z))
-        try:
-            return boundary_winding(model, r, target, z - h - 1j * h,
-                                    z + h + 1j * h).winding == w
-        except WindingError:
-            return False
-
-    open_seeds, open_centroid = k > 0, True
-    for best, resid, done in _newton_rounds(
-            model, r, target, seeds + [count.centroid], [1] * k + [w],
-            escape=max(3.0 * size, 1e-3)):
-        if open_seeds and done[:k].all():
-            open_seeds = False
-            if seeds_hold(best[:k], resid[:k]):
-                return [(complex(v), 1) for v in best[:k]]
-        if open_centroid and done[k]:
-            open_centroid = False
-            if centroid_holds(complex(best[k]), resid[k]):
-                return [(complex(best[k]), w)]
-        if not (open_seeds or open_centroid):
+    pending = list(range(len(hyps)))
+    for z, res, done in _newton_rounds(
+            model, r, target, [v for v, _ in members],
+            [m for _, m in members], escape=max(3.0 * size, 1e-3)):
+        for k in [k for k in pending if done[bounds[k]:bounds[k + 1]].all()]:
+            pending.remove(k)
+            a, b = bounds[k], bounds[k + 1]
+            found = verified(z[a:b], res[a:b], [m for _, m in hyps[k]])
+            if found is not None:
+                return found
+        if not pending:
             break
     return None
 
@@ -407,13 +507,16 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
 
     Counts the zeros in the box by the argument principle and seeds Newton
     from the contour moments of the same boundary samples.  A box with at
-    most MAX_SEEDED zeros polishes its seeds and their centroid together in
-    one lock-step Newton batch, on the analytic dφ/dL carried in the ODE
-    state.  It accepts w distinct simple zeros inside it, or one zero of
-    multiplicity w whose tight box recounts to w.  A box with more zeros, or
-    where neither holds, is split in two, and each half is counted and
-    searched the same way.  Results closer than a multiple zero's noise
-    cluster are merged and re-polished.  For mvp the
+    most MAX_SEEDED zeros groups coinciding seeds into multiple zeros and
+    polishes the groups, and if a group merged seeds also the plain seeds,
+    together in one lock-step Newton batch, on the analytic dφ/dL carried in
+    the ODE state.  It accepts distinct zeros inside it whose multiple
+    members' tight boxes recount to their multiplicities.  A box with more
+    zeros, or where no hypothesis holds, is split in two, and each half is
+    counted and searched the same way.  Each zero is polished once; one
+    final ODE batch measures every residual and snaps near-real zeros onto
+    the real axis when that does not hurt it.  Results closer than a
+    multiple zero's noise cluster are merged and re-polished.  For mvp the
     identically-vanishing point L = 0 is excluded by a punctured disk.
     """
     _check_target(target)
@@ -441,10 +544,10 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
 
     found = _subdivide(model, r, target, corner_lo, corner_hi, total,
                        zero_tol, resolve)
-    # A multiple zero perturbed by ODE-level noise splits into a cluster of
-    # radius ~sqrt(noise); points inside that radius are one zero.  Merge,
-    # re-polish with the summed multiplicity, and snap conjugate-symmetric
-    # clusters onto the real axis when that does not hurt the residual.
+    # Points closer than a multiple zero's noise cluster are one zero (two
+    # boxes at the subdivision floor may both report it): they are merged,
+    # and only such a merged cluster is polished again, with its summed
+    # multiplicity.
     found.sort(key=lambda zm: (zm[0].real, zm[0].imag))
     merged: list[list] = []
     for z, mlt in found:
@@ -456,30 +559,23 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
         else:
             merged.append([z, mlt, [z]])
 
-    def candidates(z, members, z_p):
-        cand = list(members) + [z]
-        if abs(z_p - z) <= 1e-4 * (1.0 + abs(z)):
-            cand.append(z_p)
+    def candidates(z, mlt, members):
+        cand = list(members)
+        if len(members) > 1:
+            (z_p,), _ = _newton_polish(model, r, target, [z], [mlt])
+            cand.append(z)
+            if abs(z_p - z) <= 1e-4 * (1.0 + abs(z)):
+                cand.append(z_p)
+        # snap conjugate-symmetric results onto the real axis when that does
+        # not hurt the residual
         cand.extend(complex(c.real) for c in list(cand)
                     if abs(c.imag) <= 1e-5 * (1.0 + abs(c)))
         return cand
 
-    # simple zeros share one lock-step batch; a multiple zero is located only
-    # to the square root of the ODE noise, which a shared batch changes, so
-    # each keeps its own solves
-    simple = [i for i, m in enumerate(merged) if m[1] == 1]
-    z_s, _ = _newton_polish(model, r, target, [merged[i][0] for i in simple],
-                            [1] * len(simple))
-    picks = dict(zip(simple, _least_residual(
-        model, r, target, [candidates(merged[i][0], merged[i][2], zp)
-                           for i, zp in zip(simple, z_s)])))
-    for i, (z, mlt, members) in enumerate(merged):
-        if mlt > 1:
-            (z_p,), _ = _newton_polish(model, r, target, [z], [mlt])
-            picks[i], = _least_residual(model, r, target,
-                                        [candidates(z, members, z_p)])
-    zeros = [LZero(L=picks[i][0], multiplicity=int(m[1]), residual=picks[i][1])
-             for i, m in enumerate(merged)]
+    picks = _least_residual(model, r, target,
+                            [candidates(*m) for m in merged])
+    zeros = [LZero(L=L, multiplicity=int(m[1]), residual=res)
+             for (L, res), m in zip(picks, merged)]
     return ZeroSet(model=model, target=target, radius=r,
                    box=(corner_lo, corner_hi), zeros=zeros,
                    winding_total=int(total.winding),
@@ -491,14 +587,50 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
 # ---------------------------------------------------------------------------
 
 def _profile_target(model, L, r_pts, target):
+    """(h, h', h'') of the target along r, from one profile solve.
+
+    The ODE gives the second derivative: φ'' = Lφ - (θ'/θ)φ', whose limit at
+    r = 0 is L/(n + 1), and Φ'' = (θφ)' = θ'φ + θφ'.
+    """
     prof = eigen_profile(model, L, r_pts)
+    r, u, v = prof["r"], prof["phi"], prof["dphi_dr"]
     if target == "ball":
-        h = prof["Phi"]
-        dh = model.theta(prof["r"]) * prof["phi"]
-    else:
-        h = prof["phi"] - (1.0 if target == "mvp" else 0.0)
-        dh = prof["dphi_dr"]
-    return h, dh
+        th = model.theta(r)
+        return prof["Phi"], th * u, model.theta_prime(r) * u + th * v
+    h = u - 1.0 if target == "mvp" else u
+    inner = r > 0
+    ddh = np.full(r.shape, L / (model.n + 1), dtype=complex)
+    ddh[inner] = L * u[inner] - model.dlog_theta(r[inner]) * v[inner]
+    return h, v, ddh
+
+
+def _quintic_newton(h, dh, ddh, x, idx, t0, rounds=60):
+    """Newton on Re(h̄ h') over the quintic Hermite interpolant of a scan.
+
+    On each bracket [x_i, x_{i+1}] (i in idx) the quintic matches h, h' and
+    h'' at both ends; its error is O(dx⁶).  t0 holds the starting local
+    coordinates in [0, 1]; returns the radii where Re(h̄ h') vanishes.
+    Rounds cost no ODE solve, so a double zero of h (a triple root of
+    Re(h̄ h'), where Newton contracts only by 2/3) gets enough of them.
+    """
+    dx = x[idx + 1] - x[idx]
+    a0, a1, a2 = h[idx], dh[idx] * dx, ddh[idx] * dx * dx / 2
+    A = h[idx + 1] - a0 - a1 - a2
+    B = dh[idx + 1] * dx - a1 - 2 * a2
+    C = ddh[idx + 1] * dx * dx - 2 * a2
+    a3, a4, a5 = 10 * A - 4 * B + C / 2, -15 * A + 7 * B - C, 6 * A - 3 * B + C / 2
+    t = np.asarray(t0, dtype=float)
+    for _ in range(rounds):
+        p = a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5))))
+        dp = a1 + t * (2 * a2 + t * (3 * a3 + t * (4 * a4 + t * 5 * a5)))
+        ddp = 2 * a2 + t * (6 * a3 + t * (12 * a4 + t * 20 * a5))
+        q = np.real(np.conj(p) * dp)
+        dq = np.abs(dp) ** 2 + np.real(np.conj(p) * ddp)
+        step = np.where(dq != 0, q / np.where(dq == 0, 1.0, dq), 0.0)
+        t = np.clip(t - step, 0.0, 1.0)
+        if np.max(np.abs(step), initial=0.0) < 1e-15:
+            break
+    return x[idx] + t * dx
 
 
 def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
@@ -506,8 +638,13 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
     """All r in (0, r_max] where the target of r vanishes, for fixed L.
 
     Scans a dense oscillation-resolving profile for minima of |h|² (sign
-    changes of Re(h̄ h')), brackets them, then polishes with Newton on
-    Re(h̄ h') using exact ODE states; a root is accepted when |h| < zero_tol.
+    changes of Re(h̄ h')) and brackets them.  Newton on Re(h̄ h') then runs
+    on the quintic Hermite interpolant of the scan's h, h' and h'', so no
+    further ODE solve is needed to converge; one exact profile at the
+    converged radii accepts a root when |h| < zero_tol.  Where |h| is large
+    enough that the interpolation error exceeds zero_tol, one exact Newton
+    step and a second exact profile finish the candidates it left near a
+    zero.
     """
     _check_target(target)
     if r_max > 50:
@@ -516,45 +653,34 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
     osc = math.sqrt(abs(L)) * r_max
     n = int(max(800, 60 * osc / math.pi))
     grid = np.linspace(0.0, r_max, n + 1)
-    h, dh = _profile_target(model, L, grid, target)
+    h, dh, ddh = _profile_target(model, L, grid, target)
     q = np.real(np.conj(h) * dh)
 
     # minima of |h|^2: q crosses - to +
     idx = np.nonzero((q[:-1] < 0) & (q[1:] >= 0) & (grid[1:] > r_min))[0]
-    if idx.size == 0:
-        return []
-    cand = grid[idx] - q[idx] * (grid[idx + 1] - grid[idx]) / (q[idx + 1] - q[idx])
     # cheap rejection: a zero inside the bracket puts the nearer sample
     # within slope × spacing of it
     reach = np.maximum(np.abs(dh[idx]), np.abs(dh[idx + 1])) \
         * (grid[idx + 1] - grid[idx])
-    near = np.minimum(np.abs(h[idx]), np.abs(h[idx + 1])) <= reach
-    cand = cand[near]
-    if cand.size == 0:
+    idx = idx[np.minimum(np.abs(h[idx]), np.abs(h[idx + 1])) <= reach]
+    if idx.size == 0:
         return []
-
-    for _ in range(4):
-        cand = np.sort(cand)
-        prof = eigen_profile(model, L, cand)
-        if target == "ball":
-            h_c = prof["Phi"]
-            dh_c = model.theta(cand) * prof["phi"]
-            ddh = model.theta_prime(cand) * prof["phi"] \
-                + model.theta(cand) * prof["dphi_dr"]
-        else:
-            h_c = prof["phi"] - (1.0 if target == "mvp" else 0.0)
-            dh_c = prof["dphi_dr"]
-            ddh = L * prof["phi"] - model.dlog_theta(cand) * prof["dphi_dr"]
-        qq = np.real(np.conj(h_c) * dh_c)
-        dq = np.abs(dh_c) ** 2 + np.real(np.conj(h_c) * ddh)
-        step = np.where(dq != 0, qq / np.where(dq == 0, 1.0, dq), 0.0)
-        cand = cand - step
-        cand = np.clip(cand, r_min, r_max)
-        if np.max(np.abs(step)) < 1e-13 * r_max:
-            break
-    h_f, _ = _profile_target(model, L, np.sort(cand), target)
-    roots = sorted(float(c) for c, hv in zip(np.sort(cand), h_f)
-                   if abs(hv) < zero_tol)
+    cand = _quintic_newton(h, dh, ddh, grid, idx,
+                           q[idx] / (q[idx] - q[idx + 1]))
+    cand = np.clip(cand, r_min, r_max)
+    h_f, dh_f, ddh_f = _profile_target(model, L, cand, target)
+    # the interpolation error grows with |h| (Φ grows like e^{Hr/2}): a
+    # candidate left within it of a zero gets one exact Newton step on
+    # Re(h̄ h') and one more exact check
+    near = (np.abs(h_f) >= zero_tol) \
+        & (np.abs(h_f) <= 1e-8 * (np.abs(h[idx]) + np.abs(h[idx + 1])))
+    if np.any(near):
+        q = np.real(np.conj(h_f) * dh_f)[near]
+        dq = (np.abs(dh_f) ** 2 + np.real(np.conj(h_f) * ddh_f))[near]
+        cand[near] = np.clip(cand[near] - q / np.where(dq == 0, 1.0, dq),
+                             r_min, r_max)
+        h_f[near] = _profile_target(model, L, cand[near], target)[0]
+    roots = sorted(float(c) for c, hv in zip(cand, h_f) if abs(hv) < zero_tol)
     out = []
     for rt in roots:
         if out and rt - out[-1] < SEPARATION:
@@ -602,23 +728,21 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
     z2 = find_L_zeros(model, r2, target=variant, box=box, zero_tol=zero_tol)
     a, b = z1.values(), z2.values()
 
-    def joint_residuals(L):
-        """max(|t_r1|, |t_r2|) at each L, one ODE batch per radius."""
-        L = np.asarray(L, dtype=complex)
-        if L.size == 0:
-            return np.zeros(0)
-        t1, _ = _target_values(model, L, r1, variant)
-        t2, _ = _target_values(model, L, r2, variant)
-        return np.maximum(np.abs(t1), np.abs(t2))
-
     def certificate(verdict, mjr, common=()):
         return RadiusCertificate(model=model, variant=variant, r1=r1, r2=r2,
                                  box=z1.box, verdict=verdict,
                                  witness=common[0] if common else None,
                                  min_joint_residual=mjr, common=list(common))
 
-    mjr = float(np.min(joint_residuals(np.concatenate([a, b])),
-                       initial=math.inf))
+    # max(|t_r1|, |t_r2|) at every zero of either set, one ODE batch per
+    # radius; both sets are polished, so a shared zero needs no further solve
+    pts = np.concatenate([a, b])
+    joint = np.zeros(0)
+    if pts.size:
+        t1, _ = _target_values(model, pts, r1, variant)
+        t2, _ = _target_values(model, pts, r2, variant)
+        joint = np.maximum(np.abs(t1), np.abs(t2))
+    mjr = float(np.min(joint, initial=math.inf))
     if a.size == 0 or b.size == 0:
         return certificate("no-common-zero-in-box", mjr)
 
@@ -627,17 +751,15 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
     # must be looser than the final separation verdict
     attempt = np.maximum(SEPARATION, 1e-4 * (1.0 + np.abs(a)[:, None]))
     i, j = np.nonzero(dist <= attempt)
-    common = []
-    if i.size:
-        z, res1 = _newton_polish(model, r1, variant, (a[i] + b[j]) / 2,
-                                 np.ones(i.size))
-        t2, _ = _target_values(model, z, r2, variant)
-        common = [complex(v) for v, e1, e2 in zip(z, res1, np.abs(t2))
-                  if e1 < zero_tol and e2 < zero_tol]
+    # of each close pair, the member of smaller joint residual is a common
+    # zero when both targets vanish there
+    k = np.unique(np.where(joint[i] <= joint[a.size + j], i, a.size + j))
+    common = [complex(pts[q]) for q in k if joint[q] < zero_tol]
     if common:
         common.sort(key=lambda z: (abs(z), z.real, z.imag))
         return certificate("common-zero-found",
-                           float(np.min(joint_residuals(common))), common)
+                           float(np.min(joint[k][joint[k] < zero_tol])),
+                           common)
     if float(np.min(dist)) > SEPARATION:
         return certificate("no-common-zero-in-box", mjr)
     return certificate("inconclusive", mjr)

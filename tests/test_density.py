@@ -158,3 +158,15 @@ def test_damek_ricci_family_invariants(m, k, r):
     # density positive and log-derivative decreasing toward H
     assert model.theta(r) > 0
     assert model.dlog_theta(r) >= model.H - 1e-9
+
+
+@pytest.mark.parametrize("model", builtin_models(), ids=lambda m: m.key)
+def test_scalar_path_matches_array_path(model):
+    # the ODE right-hand side calls theta and dlog_theta with one float
+    # radius; that path must agree with the array path
+    for r in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0, 100.0, 300.0):
+        for f in (model.theta, model.dlog_theta):
+            scalar, array = f(r), f(np.array([r]))[0]
+            assert type(scalar) is float
+            assert abs(scalar - array) <= 1e-15 * abs(array)
+            assert f(np.float64(r)) == scalar

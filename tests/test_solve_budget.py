@@ -1,0 +1,59 @@
+"""ODE solve budgets of the zero searches.
+
+A solve's cost is set by its step count, not by its batch rows, so the
+number of eigen_state_at / eigen_profile calls is the cost of a search.
+Each zero is polished once from accurate contour-moment seeds; a search
+that needs more solves than these budgets has regressed.
+"""
+
+import math
+
+import pytest
+
+from harmonic import two_radius
+from harmonic.density import make_euclidean
+from harmonic.two_radius import find_L_zeros, find_r_zeros
+
+E0 = make_euclidean(0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Calls of the two ODE entry points the zero search uses."""
+    calls = {"eigen_state_at": 0, "eigen_profile": 0}
+    for name in calls:
+        real = getattr(two_radius, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(two_radius, name, counted)
+    return calls
+
+
+def test_simple_zeros_budget(solves):
+    # one winding, two Newton rounds and one residual batch: 4 solves
+    zs = find_L_zeros(E0, 0.81, "sphere")
+    assert len(zs.zeros) == 2
+    assert solves["eigen_state_at"] <= 5
+    assert solves["eigen_profile"] == 0
+
+
+def test_double_zero_budget(solves):
+    # one winding, two Schroeder rounds, the tight-box recount and the
+    # residual batch: 5 solves
+    zs = find_L_zeros(E0, 2 * math.pi, "mvp", box=(-3 - 3j, 1 + 3j))
+    assert [z.multiplicity for z in zs.zeros] == [2]
+    assert abs(zs.zeros[0].L + 1.0) < 1e-10
+    assert solves["eigen_state_at"] <= 6
+    assert solves["eigen_profile"] == 0
+
+
+def test_r_zeros_budget(solves):
+    # one scan and one exact acceptance profile; Newton runs on the scan's
+    # quintic interpolant
+    zeros = find_r_zeros(E0, -(math.pi / 2) ** 2, 10.0)
+    assert len(zeros) == 5
+    assert solves["eigen_state_at"] == 0
+    assert solves["eigen_profile"] <= 2
