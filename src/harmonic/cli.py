@@ -156,24 +156,21 @@ def _add_common_flags(sp):
 
 
 def _resolve_model(args):
-    """The model the flags name; kept on args for an error document."""
-    name = (args.model or "euclidean").lower().replace("_", "-")
     if getattr(args, "theta", None) is not None:
         if args.n is None:
             raise CLIError("--theta needs --n (theta ~ r^n near 0)")
-        model = make_custom(args.theta, args.n)
-    elif name in ("euclidean", "flat"):
-        model = make_euclidean(2 if args.n is None else args.n)
-    elif name in ("hyperbolic", "real-hyperbolic"):
-        model = make_real_hyperbolic(2 if args.n is None else args.n)
-    elif name in ("damek-ricci", "dr"):
-        model = make_damek_ricci(2 if args.m is None else args.m,
-                                 1 if args.k is None else args.k)
-    else:
-        raise CLIError(f"unknown model {args.model!r}; use euclidean, "
-                       "hyperbolic, damek-ricci, or --theta")
-    args.resolved_model = model
-    return model
+        return make_custom(args.theta, args.n)
+    name = (args.model or "euclidean").lower().replace("_", "-")
+    if name in ("euclidean", "flat"):
+        return make_euclidean(2 if args.n is None else args.n)
+    if name in ("hyperbolic", "real-hyperbolic"):
+        return make_real_hyperbolic(2 if args.n is None else args.n)
+    if name in ("damek-ricci", "dr"):
+        m = 2 if args.m is None else args.m
+        k = 1 if args.k is None else args.k
+        return make_damek_ricci(m, k)
+    raise CLIError(f"unknown model {args.model!r}; use euclidean, "
+                   "hyperbolic, damek-ricci, or --theta")
 
 
 def _model_desc(model):
@@ -206,14 +203,14 @@ def _resolve_profile(args, suffix=""):
 
 
 def _manifest(command, args, model, params, tolerances=None):
-    """The run manifest; params and tolerances are kept on args so that an
-    error document raised later repeats them."""
-    args.parameters, args.tolerances = params, tolerances or {}
-    return {"command": command, "version": __version__,
-            "seed": int(getattr(args, "seed", suite.DEFAULT_SEED)),
-            "model": _model_desc(model), "parameters": params,
-            "tolerances": tolerances or {},
-            "outputs": [args.out] if getattr(args, "out", None) else []}
+    """The run manifest, also kept on args for an error document."""
+    args.manifest = {
+        "command": command, "version": __version__,
+        "seed": int(getattr(args, "seed", suite.DEFAULT_SEED)),
+        "model": _model_desc(model), "parameters": params,
+        "tolerances": tolerances or {},
+        "outputs": [args.out] if getattr(args, "out", None) else []}
+    return args.manifest
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +621,9 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # whatever resolved before the failure goes into the manifest
-        mani = _manifest(args.command, args,
-                         getattr(args, "resolved_model", None),
-                         getattr(args, "parameters", {}),
-                         getattr(args, "tolerances", {}))
+        # a command that got as far as its manifest keeps it
+        mani = getattr(args, "manifest", None) or _manifest(
+            args.command, args, None, {})
         doc = {"kind": "error", "manifest": mani,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         _write_json(doc, getattr(args, "out", None))

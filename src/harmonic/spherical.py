@@ -67,10 +67,6 @@ class QuadratureError(RuntimeError):
 class PhiOverflowError(OverflowError):
     """φ_λ would leave double range inside the requested radii."""
 
-    def __init__(self, msg, r_usable):
-        super().__init__(msg)
-        self.r_usable = r_usable
-
 
 class TruncationError(RuntimeError):
     """Requested accuracy needs more series terms than the cap allows."""
@@ -426,7 +422,7 @@ def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
         r_usable = LOG_RANGE / rate
         raise PhiOverflowError(
             f"φ_λ grows like exp({rate:.6g} r) and leaves double range "
-            f"beyond r = {r_usable:.6g}, the largest usable radius", r_usable)
+            f"beyond r = {r_usable:.6g}, the largest usable radius")
     values, derivs = _eigen_rows(model, L, r_points, rtol=rtol, atol=atol)
     return values, derivs
 

@@ -71,7 +71,16 @@ _SPLIT_FRACTIONS = (0.5, 0.45, 0.57, 0.37, 0.63, 0.41, 0.55)
 
 
 class WindingError(RuntimeError):
-    """Boundary winding could not be stabilized."""
+    """Boundary winding could not be stabilized.
+
+    `gap` is the sample spacing where a zero was seen on the boundary (0.0
+    for other failures): moving that edge by two gaps clears a zero of
+    multiplicity up to 3 off it, on either side.
+    """
+
+    def __init__(self, msg, gap=0.0):
+        super().__init__(msg)
+        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -225,8 +234,8 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
     For mvp, when the box encloses L = 0, the winding of the puncture circle
     |L| = MVP_PUNCTURE is measured in the same ODE batch and subtracted.
     Returns a BoxCount.  Raises WindingError when a zero lies on (within a
-    fraction of a sample gap of) the boundary or the phase refuses to
-    stabilize; callers nudge the box and retry.
+    fraction of a sample gap of) the boundary, with that gap, or when the
+    phase refuses to stabilize; callers nudge the box and retry.
     """
     _check_target(target)
     if n_side is None:
@@ -241,15 +250,19 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
         t_all, dt_all = _target_values(model, np.concatenate([pts, circle]),
                                        r, target)
         t, dt = t_all[:pts.size], dt_all[:pts.size]
-        if np.min(np.abs(t)) < zero_floor * max(1.0, float(np.max(np.abs(t)))):
-            raise WindingError("boundary sample hits a zero")
         # |t/t'| is the distance to the nearest zero over its multiplicity m,
         # at most gap/(2m) for a zero on an edge: an even-order zero there
         # leaves the phase unchanged, so the count cannot see it
         gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
                          np.abs(pts - np.roll(pts, 1)))
-        if np.any(3.0 * np.abs(t) < gap * np.abs(dt)):
-            raise WindingError("a zero lies on the boundary")
+        hit = np.abs(t) < zero_floor * max(1.0, float(np.max(np.abs(t))))
+        if hit.any():
+            raise WindingError("boundary sample hits a zero",
+                               gap=float(np.max(gap[hit])))
+        near = 3.0 * np.abs(t) < gap * np.abs(dt)
+        if near.any():
+            raise WindingError("a zero lies on the boundary",
+                               gap=float(np.max(gap[near])))
         w, _ = _winding_of_samples(t)
         w0 = 0
         if n_circle:
@@ -531,9 +544,12 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
         try:
             total = boundary_winding(model, r, target, corner_lo, corner_hi)
             break
-        except WindingError:
-            # nudge the outer box outward; the searched region is reported
-            bump = (0.0013 * (attempt + 1)) * (abs(hi - lo) + 1.0)
+        except WindingError as err:
+            # nudge the outer box outward, by two sample gaps when a zero
+            # lies on the boundary so one nudge clears it; the searched
+            # region is reported
+            bump = max((0.0013 * (attempt + 1)) * (abs(hi - lo) + 1.0),
+                       2.0 * err.gap)
             corner_lo = corner_lo - bump * (1 + 1j)
             corner_hi = corner_hi + bump * (1 + 1j)
     if total is None:
@@ -604,14 +620,12 @@ def _profile_target(model, L, r_pts, target):
     return h, v, ddh
 
 
-def _quintic_newton(h, dh, ddh, x, idx, t0, rounds=60):
+def _quintic_newton(h, dh, ddh, x, idx, t0):
     """Newton on Re(h̄ h') over the quintic Hermite interpolant of a scan.
 
     On each bracket [x_i, x_{i+1}] (i in idx) the quintic matches h, h' and
     h'' at both ends; its error is O(dx⁶).  t0 holds the starting local
     coordinates in [0, 1]; returns the radii where Re(h̄ h') vanishes.
-    Rounds cost no ODE solve, so a double zero of h (a triple root of
-    Re(h̄ h'), where Newton contracts only by 2/3) gets enough of them.
     """
     dx = x[idx + 1] - x[idx]
     a0, a1, a2 = h[idx], dh[idx] * dx, ddh[idx] * dx * dx / 2
@@ -620,7 +634,9 @@ def _quintic_newton(h, dh, ddh, x, idx, t0, rounds=60):
     C = ddh[idx + 1] * dx * dx - 2 * a2
     a3, a4, a5 = 10 * A - 4 * B + C / 2, -15 * A + 7 * B - C, 6 * A - 3 * B + C / 2
     t = np.asarray(t0, dtype=float)
-    for _ in range(rounds):
+    # rounds cost no ODE solve, so a double zero of h (a triple root of
+    # Re(h̄ h'), where Newton contracts only by 2/3) gets enough of them
+    for _ in range(60):
         p = a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5))))
         dp = a1 + t * (2 * a2 + t * (3 * a3 + t * (4 * a4 + t * 5 * a5)))
         ddp = 2 * a2 + t * (6 * a3 + t * (12 * a4 + t * 20 * a5))

@@ -48,9 +48,8 @@ def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
 
 def test_overflow_guard_names_the_largest_usable_radius():
     model = make_real_hyperbolic(2)
-    with pytest.raises(PhiOverflowError) as info:
+    with pytest.raises(PhiOverflowError, match="172.5"):
         phi_ode_values(model, [5j], np.linspace(0.0, 300.0, 7))
-    assert info.value.r_usable == pytest.approx(172.5)
     # just inside the limit φ is finite and still grows like e^{4r}
     vals, _ = phi_ode_values(model, [5j], np.array([160.0, 170.0]))
     assert np.all(np.isfinite(vals))
