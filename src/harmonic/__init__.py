@@ -5,8 +5,6 @@ from .asymptotics import (
     Verdict,
     cheeger_chain_report,
     lambda0_estimate,
-    lambda0_extrapolate,
-    log_ball_volume,
     volume_growth,
 )
 from .density import (
@@ -29,11 +27,9 @@ from .geometry import (
     idempotence_check,
     make_hyperbolic_plane,
     make_plane,
-    project,
     projector_convolution_check,
     projector_selfadjoint_check,
     space_by_tag,
-    sphere_average,
 )
 from .grids import Grid1D, make_grid
 from .pde import (
@@ -82,7 +78,6 @@ from .transforms import (
     abel_inverse,
     abel_second_derivative,
     cosine_transform,
-    lift_a,
     line_convolve,
     plane_integral_r3,
     radial_convolve,

@@ -9,9 +9,12 @@ l'Hospital refinement of the previous one:
 
 This module samples all three stages, estimates the Dirichlet bottom
 eigenvalue λ₀(B_R) of the radial Sturm-Liouville problem (whose R → ∞ limit
-is H²/4), and assembles a consolidated report.  h itself is an infimum over
-all compact domains and is not computable from θ alone; the report labels the
-equality h = H as proved but unverified by this artifact.
+is H²/4), and assembles a consolidated report.  λ₀(B_R) is the ground value
+of a finite-volume discretization, found by LAPACK bisection and
+Richardson-extrapolated over mesh halvings until its O(h⁴) update settles.
+h itself is an infimum over all compact domains and is not computable from θ
+alone; the report labels the equality h = H as proved but unverified by this
+artifact.
 
 Ball volumes are always accumulated in log space (panelwise log-sum-exp of
 log θ), so densities that overflow double precision pointwise are still
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from .grids import make_grid
@@ -34,7 +37,6 @@ __all__ = [
     "GrowthReport",
     "Verdict",
     "volume_growth",
-    "log_ball_volume",
     "lambda0_estimate",
     "lambda0_extrapolate",
     "cheeger_chain_report",
@@ -109,43 +111,9 @@ class GrowthReport:
         return all(v.ok for v in self.verdicts)
 
 
-def _merge(a, b):
-    """Combine two report fragments for the same model."""
-    if a.model != b.model:
-        raise ValueError("fragments describe different models")
-    return GrowthReport(
-        model=a.model,
-        H=a.H,
-        mu_estimates=a.mu_estimates or b.mu_estimates,
-        sphere_ratio=a.sphere_ratio or b.sphere_ratio,
-        lambda0_estimates=a.lambda0_estimates or b.lambda0_estimates,
-        verdicts=a.verdicts + b.verdicts,
-        mu_final=a.mu_final if a.mu_final is not None else b.mu_final,
-        lambda0_extrapolated=(a.lambda0_extrapolated
-                              if a.lambda0_extrapolated is not None
-                              else b.lambda0_extrapolated),
-    )
-
-
 # ---------------------------------------------------------------------------
 # ball volumes and the growth chain
 # ---------------------------------------------------------------------------
-
-def log_ball_volume(model, r, spacing=0.01):
-    """log vol B_r = log ω_n + log ∫₀^r θ, computed by panelwise log-sum-exp.
-
-    Gauss nodes never touch r = 0, so log θ stays finite even though
-    θ(0) = 0 for n ≥ 1.
-    """
-    r = float(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    grid = make_grid(r, spacing=spacing)
-    lw = np.log(grid.node_weights).reshape(grid.n_panels, grid.q)
-    lt = model.log_theta(grid.nodes).reshape(grid.n_panels, grid.q)
-    panel_logs = logsumexp(lw + lt, axis=1)
-    return math.log(model.sphere_const) + float(logsumexp(panel_logs))
-
 
 def volume_growth(model, r_list, spacing=0.01):
     """Sample the first two stages of the growth chain at the given radii.
@@ -206,14 +174,16 @@ def volume_growth(model, r_list, spacing=0.01):
 # Dirichlet bottom eigenvalue on B_R
 # ---------------------------------------------------------------------------
 
-def _sturm_tridiagonal(model, R, n_cells):
-    """Symmetric tridiagonal form of -(θu')' = μθu, u'(0)=0, u(R)=0.
+def _dirichlet_bottom(model, R, n_cells):
+    """Lowest eigenvalue of -(θu')' = μθu, u'(0)=0, u(R)=0 on n_cells cells.
 
     Finite-volume cells centered at (i+1/2)h; the flux through r=0 vanishes
     (Neumann), the wall condition enters through a ghost cell mirrored with
     opposite sign.  Conjugating by diag(√(θ_c h)) symmetrizes the pencil;
     the conjugated entries are ratios of θ at points h/2 apart, so they are
-    built from log θ differences and never overflow.
+    built from log θ differences and never overflow.  The symmetric
+    tridiagonal matrix goes to LAPACK bisection (Barth-Martin-Wilkinson,
+    `stebz`): index 0 by Sturm count is the ground state.
     """
     h = R / n_cells
     centers = (np.arange(n_cells) + 0.5) * h
@@ -230,49 +200,24 @@ def _sturm_tridiagonal(model, R, n_cells):
     diag[1:] += right
     diag[-1] += 2.0 * np.exp(lt_f[-1] - lt_c[-1])   # Dirichlet ghost
     off = -np.sqrt(left * right)
-    return diag / h**2, off / h**2
-
-
-def _ground_value(diag, off, shift, tol=1e-13, max_iter=400):
-    """Smallest eigenvalue of the symmetric tridiagonal (diag, off).
-
-    Inverse iteration with the fixed shift: the shift sits below the whole
-    spectrum (it is H²/4, and every Dirichlet value exceeds it), and the gap
-    structure μ_k ≈ shift + k²π²/R² makes the contraction factor about 1/4
-    per step independent of the model.
-    """
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1] = diag - shift
-    ab[2, :-1] = off
-
-    # positive start roughly shaped like the ground state
-    v = np.cos(np.pi * (np.arange(n) + 0.5) / (2 * n))
-    v /= np.linalg.norm(v)
-    mu = float(v @ (diag * v) + 2.0 * (v[:-1] * off * v[1:]).sum())
-    for _ in range(max_iter):
-        v = solve_banded((1, 1), ab, v)
-        v /= np.linalg.norm(v)
-        mu_new = float(v @ (diag * v) + 2.0 * (v[:-1] * off * v[1:]).sum())
-        if abs(mu_new - mu) <= tol * (1.0 + abs(mu_new)):
-            mu = mu_new
-            break
-        mu = mu_new
-    else:
-        raise RuntimeError("inverse iteration stalled")
-    if np.min(v * np.sign(v[np.argmax(np.abs(v))])) < -1e-8:
-        raise RuntimeError("iteration converged to a sign-changing state")
-    return mu
+    # a positive tol bisects to full precision; tol <= 0 would stop at
+    # eps·‖T‖, up to 1e-10 relative on fine meshes
+    mu = eigh_tridiagonal(diag / h**2, off / h**2, eigvals_only=True,
+                          select="i", select_range=(0, 0), tol=1e-300)
+    return float(mu[0])
 
 
 def lambda0_estimate(model, R_list, spacing=0.02, rel_tol=1e-7,
                      max_refine=4):
     """Dirichlet ground value of the radial problem on B_R for each R.
 
-    Each value is refined by mesh halving until the h² Richardson update is
-    below rel_tol (then applied), up to max_refine halvings; a value that
-    never settles raises.  Returns a GrowthReport fragment.
+    The finite-volume value has error c·h² + O(h⁴).  Each halving of the mesh
+    is Richardson-extrapolated once, R₁ = μ(h/2) + (μ(h/2) - μ(h))/3, which
+    leaves O(h⁴); the value is accepted when the next level's update
+    (R₁ₖ - R₁ₖ₋₁)/15 is below rel_tol, and returned with that update
+    applied.  That takes two halvings on every built-in model; a value not
+    settled within max_refine halvings raises.  Returns a GrowthReport
+    fragment.
     """
     Rs = sorted(float(R) for R in np.atleast_1d(np.asarray(R_list, float)))
     if not Rs or Rs[0] <= 0:
@@ -281,19 +226,22 @@ def lambda0_estimate(model, R_list, spacing=0.02, rel_tol=1e-7,
         raise ValueError(
             f"radii beyond {GROWTH_R_CAP:g} exceed the supported range")
 
-    shift = model.H**2 / 4.0
     pairs = []
     for R in Rs:
         n_cells = max(64, int(math.ceil(R / spacing)))
-        prev = _ground_value(*_sturm_tridiagonal(model, R, n_cells), shift)
+        coarse = _dirichlet_bottom(model, R, n_cells)
+        prev = None
         for _ in range(max_refine):
             n_cells *= 2
-            cur = _ground_value(*_sturm_tridiagonal(model, R, n_cells), shift)
-            update = (cur - prev) / 3.0
-            prev = cur
-            if abs(update) <= rel_tol * (1.0 + abs(cur)):
-                pairs.append((R, cur + update))
-                break
+            fine = _dirichlet_bottom(model, R, n_cells)
+            rich = fine + (fine - coarse) / 3.0
+            coarse = fine
+            if prev is not None:
+                update = (rich - prev) / 15.0
+                if abs(update) <= rel_tol * (1.0 + abs(rich)):
+                    pairs.append((R, rich + update))
+                    break
+            prev = rich
         else:
             raise RuntimeError(
                 f"λ₀(B_{R:g}) did not converge within {max_refine} "
@@ -418,14 +366,13 @@ def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
         "h is an infimum over all compact domains and cannot be computed "
         "from θ; the equality h = H is a theorem, taken as given here"))
 
-    merged = _merge(growth, spectral)
     return GrowthReport(
-        model=merged.model,
-        H=merged.H,
-        mu_estimates=merged.mu_estimates,
-        sphere_ratio=merged.sphere_ratio,
-        lambda0_estimates=merged.lambda0_estimates,
+        model=model.name,
+        H=H,
+        mu_estimates=growth.mu_estimates,
+        sphere_ratio=growth.sphere_ratio,
+        lambda0_estimates=spectral.lambda0_estimates,
         verdicts=tuple(verdicts),
-        mu_final=merged.mu_final,
+        mu_final=growth.mu_final,
         lambda0_extrapolated=lam_inf,
     )

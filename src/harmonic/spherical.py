@@ -77,6 +77,60 @@ class TruncationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# byte-capped LRU cache
+# ---------------------------------------------------------------------------
+
+class _BasisCache:
+    """LRU map from keys to values with an nbytes size, byte-capped.
+
+    It holds the φ-basis matrices and, as a second instance, the Volterra
+    coefficient workspaces.  The lock guards lookups, inserts, evictions and
+    size updates only; callers compute outside it.  Two threads that miss on
+    one key both compute, and the second insert returns the first thread's
+    (identical) value.
+    """
+
+    def __init__(self, max_bytes):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            out = self._entries.get(key)
+            if out is not None:
+                self._entries.move_to_end(key)
+            return out
+
+    def put(self, key, value):
+        """Insert value (unless it alone exceeds the cap); return the entry."""
+        if value.nbytes > self.max_bytes:
+            return value
+        with self._lock:
+            old = self._entries.get(key)
+            if old is not None:
+                self._entries.move_to_end(key)
+                return old
+            self._entries[key] = value
+            self.nbytes += value.nbytes
+            self._evict()
+            return value
+
+    def grew(self, key, added):
+        """Count `added` bytes of growth in place of a cached entry."""
+        with self._lock:
+            if key in self._entries:
+                self.nbytes += added
+                self._evict()
+
+    def _evict(self):
+        while self.nbytes > self.max_bytes:
+            _, evicted = self._entries.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+
+
+# ---------------------------------------------------------------------------
 # Volterra coefficients
 # ---------------------------------------------------------------------------
 
@@ -103,6 +157,9 @@ class _CoefWorkspace:
         if np.any(self.theta_nodes <= 0) or not np.all(np.isfinite(self.theta_nodes)):
             raise QuadratureError("theta not positive/finite on quadrature nodes")
         self.theta_points = model.theta(grid.points)
+        # bytes held: θ and log r at nodes and points, then two arrays of
+        # each per level
+        self.nbytes = 2 * (self.theta_nodes.nbytes + self.theta_points.nbytes)
         self.level_nodes = []    # a_k at nodes
         self.level_points = []
         self.deriv_nodes = []
@@ -131,6 +188,7 @@ class _CoefWorkspace:
             self.level_points.append(a_points)
             self.deriv_nodes.append(d_nodes)
             self.deriv_points.append(d_points)
+            self.nbytes += 2 * (a_nodes.nbytes + a_points.nbytes)
 
     def _check_bound(self, k, a, logr):
         bound = np.exp(2 * k * logr - math.lgamma(2 * k + 1))
@@ -157,7 +215,11 @@ class _CoefWorkspace:
         )
 
 
-_COEF_CACHE: dict[tuple, _CoefWorkspace] = {}
+# A workspace holds (2K + 2)·(nodes + points) doubles: 4.6 MB at K = 160 on
+# the suite's r ≤ 10 grid.  The cap keeps the few grids a session reuses;
+# every `phi --rmax` value draws a grid of its own.
+COEF_CACHE_BYTES = 32 * 2**20
+_COEF_CACHE = _BasisCache(COEF_CACHE_BYTES)
 # the workspace grows in place, so concurrent extend() calls would corrupt
 # the recursion state; one lock serializes all access
 _COEF_LOCK = threading.Lock()
@@ -171,8 +233,12 @@ def volterra_coefficients(model, grid, k_max):
     with _COEF_LOCK:
         ws = _COEF_CACHE.get(key)
         if ws is None:
-            ws = _COEF_CACHE[key] = _CoefWorkspace(model, grid)
-        return ws.view(int(k_max))
+            ws = _COEF_CACHE.put(key, _CoefWorkspace(model, grid))
+        before = ws.nbytes
+        try:
+            return ws.view(int(k_max))
+        finally:
+            _COEF_CACHE.grew(key, ws.nbytes - before)
 
 
 def truncation_order(abs_L, r_max, tol=SERIES_TOL, k_cap=SERIES_K_CAP):
@@ -215,10 +281,6 @@ class SphericalFunction:
 
     def __call__(self, r):
         """Cubic-spline evaluation between the stored samples."""
-        if np.iscomplexobj(self.values):
-            re = self.grid.spline(self.values.real)(r)
-            im = self.grid.spline(self.values.imag)(r)
-            return re + 1j * im
         return self.grid.spline(self.values)(r)
 
 
@@ -574,44 +636,6 @@ def eigen_profile(model, L, r_points, rtol=1e-12, atol=1e-14):
 # alive across them with room for data twice that size, and bounds what
 # stale rows of finished data can pin in memory.
 BASIS_CACHE_BYTES = 64 * 2**20
-
-
-class _BasisCache:
-    """LRU map from (model, λ-nodes, radii) to φ-basis matrices, byte-capped.
-
-    The lock guards lookups, inserts and evictions only; callers integrate
-    outside it.  Two threads that miss on one key both integrate, and the
-    second insert returns the first thread's (identical) matrix.
-    """
-
-    def __init__(self, max_bytes):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            out = self._entries.get(key)
-            if out is not None:
-                self._entries.move_to_end(key)
-            return out
-
-    def put(self, key, value):
-        """Insert value (unless it alone exceeds the cap); return the entry."""
-        if value.nbytes > self.max_bytes:
-            return value
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._entries.move_to_end(key)
-                return old
-            self._entries[key] = value
-            self.nbytes += value.nbytes
-            while self.nbytes > self.max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self.nbytes -= evicted.nbytes
-            return value
 
 
 _BASIS_CACHE = _BasisCache(BASIS_CACHE_BYTES)

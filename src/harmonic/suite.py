@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from . import asymptotics, geometry, pde, profiles, transforms, two_radius
@@ -141,6 +142,13 @@ def _phi_oracle(key, lam, r):
         nz = r > 0
         out[nz] = np.sin(lam * r[nz]) / (lam * np.sinh(r[nz]))
         return out
+    if key == "dr21":
+        # Jacobi function 2F1(Q/2 + iλ, Q/2 - iλ; (m+k+1)/2; -sinh²(r/2))
+        m, k = 2, 1
+        Q = m / 2 + k
+        return np.array([complex(mpmath.hyp2f1(
+            Q / 2 + 1j * lam, Q / 2 - 1j * lam, (m + k + 1) / 2,
+            -math.sinh(x / 2) ** 2)) for x in r])
     raise KeyError(key)
 
 
@@ -158,7 +166,7 @@ def _phi_oracle_check(key, lam):
     return fn
 
 
-for _key in ("e0", "e2", "h3"):
+for _key in ("e0", "e2", "h3", "dr21"):
     for _lam in (0.5, 1.0, 2.0, 1 + 0.5j):
         _tag = str(_lam).replace("(", "").replace(")", "").replace(" ", "")
         _check(f"phi_oracle_{_key}_lam_{_tag}", 1)(_phi_oracle_check(_key, _lam))

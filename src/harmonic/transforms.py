@@ -259,23 +259,17 @@ def abel_second_derivative(g):
 # collocation inversion and the lift a
 # ---------------------------------------------------------------------------
 
-def _tikhonov(design, rhs, ridge):
-    U, s, Vt = np.linalg.svd(design, full_matrices=False)
-    alpha = ridge * s[0]
-    filt = s / (s * s + alpha * alpha)
-    coef = Vt.T @ (filt * (U.T @ rhs))
-    cond = s[0] / s[-1]
-    return coef, cond
+def _picard_solve(design, rhs, ridge, cond_cap=math.inf, fit_target=None):
+    """Ridge-filtered SVD solve; returns (coef, condition, relative residual).
 
-
-def _picard_solve(design, rhs, ridge, cond_cap, fit_target):
-    """Regularized solve that refuses when the data needs condition > cond_cap.
-
-    The raw condition of a smoothing-kernel collocation matrix is always
-    astronomical; what matters is how deep into the singular spectrum the
-    right-hand side reaches.  The smallest leading block whose truncated
-    solution fits rhs to fit_target determines the condition number that the
-    inversion actually uses; that is what the cap applies to.
+    Without a fit_target every singular value counts, nothing is refused and
+    the condition is s_max/s_min.  With one, the solve refuses when the data
+    needs condition > cond_cap.  The raw condition of a smoothing-kernel
+    collocation matrix is always astronomical; what matters is how deep into
+    the singular spectrum the right-hand side reaches.  The smallest leading
+    block whose truncated solution fits rhs to fit_target determines the
+    condition number that the inversion actually uses; that is what the cap
+    applies to.
     """
     U, s, Vt = np.linalg.svd(design, full_matrices=False)
     proj = U.T @ rhs
@@ -284,10 +278,13 @@ def _picard_solve(design, rhs, ridge, cond_cap, fit_target):
     out_sq = float(np.sum((rhs - U @ proj) ** 2))
     tail_sq = np.concatenate([np.cumsum((proj ** 2)[::-1])[::-1], [0.0]])
     resid_k = np.sqrt(tail_sq + out_sq) / rhs_norm
-    fits = np.nonzero(resid_k[1:] <= fit_target)[0]
-    needed = int(fits[0]) + 1 if fits.size else s.size
+    needed = s.size
+    if fit_target is not None:
+        fits = np.nonzero(resid_k[1:] <= fit_target)[0]
+        needed = int(fits[0]) + 1 if fits.size else s.size
     cond_needed = float(s[0] / max(s[needed - 1], 1e-300))
-    if cond_needed > cond_cap or resid_k[needed] > fit_target:
+    if cond_needed > cond_cap or (fit_target is not None
+                                  and resid_k[needed] > fit_target):
         raise ConditioningError(
             f"fitting the data to {fit_target:g} needs condition "
             f"{cond_needed:.3e} (cap {cond_cap:.3e}, best residual "
@@ -380,18 +377,14 @@ def lift_a(model, u, s_window, r_max, n_lambda=257, lambda_max=None,
     sgrid = make_grid(s_window, spacing=min(DEFAULT_SPACING, s_window / 64))
     snodes = sgrid.nodes
     sw = np.sqrt(sgrid.node_weights)
-    if isinstance(u, EvenLineFunction):
-        uvals = u.grid.spline(u.values)(np.minimum(snodes, u.grid.x_max))
-        uvals = np.where(snodes <= u.grid.x_max, uvals, 0.0)
-    else:
-        uvals = np.asarray(u(snodes), dtype=float)
+    uvals = np.asarray(u(snodes), dtype=float)
     lam_top = lambda_max if lambda_max is not None else max(40.0 / s_window, 10.0)
     lambdas = np.linspace(0.0, lam_top, n_lambda)
     if len(extra_lambdas):
         lambdas = np.unique(np.concatenate([lambdas, np.asarray(extra_lambdas,
                                                                dtype=float)]))
     design = sw[:, None] * np.cos(np.outer(snodes, lambdas))
-    coef, cond = _tikhonov(design, sw * uvals, ridge)
+    coef, cond, _ = _picard_solve(design, sw * uvals, ridge)
     fit = design @ coef - sw * uvals
     fit_sup = float(np.max(np.abs(fit / np.maximum(sw, 1e-300))))
 

@@ -58,3 +58,57 @@ def test_overflow_guard_names_the_largest_usable_radius():
     # real λ decays, so any radius is usable
     vals, _ = phi_ode_values(model, [5.0], np.array([300.0]))
     assert np.all(np.isfinite(vals))
+
+
+# one small invocation per subcommand except `suite`
+RERUNS = {
+    "phi": ["phi", "--model", "damek-ricci", "--lambda", "1.3,0.2",
+            "--rmax", "3"],
+    "zeros": ["zeros", "--r", "1", "--box=-12,-2,2,2"],
+    "bad-radii": ["bad-radii", "--n", "0", "--r1", "1", "--rmax", "3",
+                  "--box=-12,-2,2,2"],
+    "certify": ["certify", "--n", "0", "--r1", "1", "--r2", "3",
+                "--box=-12,-2,2,2"],
+    "abel": ["abel", "--model", "hyperbolic", "--profile", "gauss",
+             "--width", "0.5"],
+    "fourier": ["fourier", "--model", "damek-ricci", "--count", "9"],
+    "convolve": ["convolve", "--model", "hyperbolic"],
+    "wave": ["wave", "--model", "hyperbolic", "--t", "0.5", "--dt", "0.01",
+             "--dr", "0.02"],
+    "kg": ["kg", "--model", "hyperbolic", "--t", "0.5"],
+    "heat": ["heat", "--t", "0.2", "--dr", "0.02"],
+    "heat-check": ["heat-check", "--model", "hyperbolic", "--count", "3"],
+    "cheeger": ["cheeger", "--model", "damek-ricci", "--m", "4", "--k", "3",
+                "--rmax", "30"],
+    "geo-check": ["geo-check", "--space", "h2"],
+}
+
+
+def _validate(path):
+    """Validate a JSON report, or the manifest line of a CSV, on the schema."""
+    text = path.read_text(encoding="utf-8")
+    if text.startswith("{"):
+        doc = json.loads(text)
+    else:
+        first = text.splitlines()[0]
+        assert first.startswith("# manifest: ")
+        doc = {"kind": "csv", "manifest": json.loads(first[12:]),
+               "result": {}}
+    jsonschema.validate(doc, SCHEMA)
+    return doc
+
+
+@pytest.mark.parametrize("argv", RERUNS.values(), ids=RERUNS.keys())
+def test_rerun_is_byte_identical_and_schema_valid(tmp_path, argv):
+    out = tmp_path / "out.dat"
+    outputs = [out, out.with_suffix(".csv")] if argv[0] == "cheeger" \
+        else [out]
+    runs = []
+    for _ in range(2):
+        rc = cli.main(argv + ["--out", str(out)])
+        runs.append((rc, [p.read_bytes() for p in outputs]))
+    assert runs[0] == runs[1]
+    assert rc == 0
+    for path in outputs:
+        doc = _validate(path)
+        assert doc["manifest"]["command"] == argv[0]

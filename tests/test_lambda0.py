@@ -1,0 +1,42 @@
+"""Dirichlet bottom values where the h² stop rule could not converge.
+
+The finite-volume value converges like h², so an update test on it needs
+about seven mesh halvings to reach 1e-7.  Extrapolated once per halving the
+error is O(h⁴), and two halvings suffice.  The pinned values agree to ten
+digits with an independent shooting solve: the first real zero of
+L ↦ φ_L(R) below -H²/4, from the eigenfunction ODE.
+"""
+
+import pytest
+
+from harmonic.asymptotics import cheeger_chain_report, lambda0_estimate
+from harmonic.density import make_damek_ricci, make_real_hyperbolic
+
+DR43 = make_damek_ricci(4, 3)
+H6 = make_real_hyperbolic(5)
+
+
+@pytest.mark.parametrize("model, radii, values", [
+    (DR43, [20.0, 30.0, 40.0], [6.2848942226, 6.2637823283, 6.2573111867]),
+    (H6, [15.0, 22.5, 30.0], [6.3022942379, 6.2719030352, 6.2619622343]),
+], ids=["DR43", "H6"])
+def test_lambda0_matches_shooting(model, radii, values):
+    rep = lambda0_estimate(model, radii)
+    assert [R for R, _ in rep.lambda0_estimates] == radii
+    for (_, got), want in zip(rep.lambda0_estimates, values):
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("r_max", [30.0, 40.0])
+def test_cheeger_dr43_passes(r_max):
+    rep = cheeger_chain_report(DR43, r_max=r_max)
+    assert rep.ok
+    assert rep.lambda0_extrapolated == pytest.approx(6.25, rel=0.02)
+
+
+def test_cheeger_h6_at_30_fails_only_the_volume_ratio():
+    # log vol B_30 / 30 = 4.9453 is 0.055 from H = 5: the first growth stage
+    # approaches H like 1/r and is outside its 0.05 tolerance at r = 30
+    rep = cheeger_chain_report(H6, r_max=30.0)
+    failed = [v.name for v in rep.verdicts if not v.ok]
+    assert failed == ["log_volume_ratio_near_H"]
