@@ -235,7 +235,10 @@ def make_damek_ricci(m, k):
     """Damek-Ricci space with horosphere data (m, k), dimension m + k + 1.
 
     theta = 2^{m+k} sinh^{m+k}(r/2) cosh^k(r/2).  H is obtained numerically
-    as the limit of theta'/theta.
+    as the limit of theta'/theta.  With a center of dimension k ≥ 1 the
+    m-dimensional complement is a Clifford module, so m must be even: an odd
+    m with k ≥ 1, such as (1, 1), gives a valid test density but not a
+    harmonic manifold.
     """
     m, k = int(m), int(k)
     if m < 1 or k < 0:
@@ -382,7 +385,12 @@ def load_model_config(path):
 
 
 def builtin_models():
-    """The five standard models used throughout the test batteries."""
+    """The five standard models used throughout the test batteries.
+
+    damek_ricci(1, 1) is a valid test density (positive, normalized, with
+    θ'/θ decreasing to H = 3/2) but not a harmonic manifold: k ≥ 1 needs m
+    even.
+    """
     return [
         make_euclidean(0),
         make_euclidean(2),

@@ -142,6 +142,28 @@ class Grid1D:
         base = self.cumulative_at_points(node_values)[:-1][:, None]
         return (base + inner).ravel()
 
+    def first_panel_weighted(self, n):
+        """Matrix of the running integral of s^n·g over the first panel.
+
+        (M @ g)[j] = ∫_0^{x_j} s^n p(s) ds at the first panel's nodes x_j,
+        with p the degree q-1 interpolant of g there; Gauss-Legendre in
+        u = s/x_j integrates u^n p(x_j u) exactly.  An integrand s^n·g keeps
+        its relative accuracy at every node this way, where
+        cumulative_at_nodes, interpolating s^n·g itself, errs by about
+        (h/x_j)^n times its value at the first node x_j.
+        """
+        key = ("first", n)
+        if key not in self._cache:
+            _, _, coef_mat, _ = _tables(self.q)
+            x = self.nodes[:self.q]
+            u, w = leggauss((n + self.q) // 2 + 1)
+            u, w = (u + 1) / 2, w / 2
+            basis = legvander(2 * x[:, None] * u / self.points[1] - 1,
+                              self.q - 1) @ coef_mat
+            self._cache[key] = x[:, None] ** (n + 1) * np.einsum(
+                "m,jmi->ji", w * u ** n, basis)
+        return self._cache[key]
+
     # -- interpolation ---------------------------------------------------
 
     def interp_matrix(self, even=True):

@@ -25,13 +25,24 @@ solves the rows
 
 stacked in that order: phi_ode_values takes (u, v) for real or complex λ,
 eigen_profile adds Φ, and eigen_state_at takes all six rows for the L-plane
-zero search.
+zero search when it integrates.
 
 The two paths are cross-checked in the tests wherever the series is
 numerically trustworthy.  The series in double precision carries a
-cancellation floor of about eps·cosh(sqrt(|L|)·r); phi_series reports it as
-`error_bound` and the `phi` dispatcher switches to the ODE path when the
-floor would exceed 1e-10.
+cancellation floor of about eps·cosh(sqrt(|L|)·r), and each dispatcher takes
+the series only below a floor:
+
+* `phi` (method 'auto') on a grid below 1e-10; phi_series reports the floor
+  as `error_bound`;
+* `eigen_state_at` at one radius below STATE_SERIES_FLOOR = 1e-11, taking
+  the batch's largest |L|.  At a fixed radius φ, φ_r, ∂φ/∂L, Φ and ∂Φ/∂L
+  are polynomials in L (the spectral-parameter power series of Kravchenko
+  & Porter, Math. Methods Appl. Sci. 33, 2010), so one coefficient pass per
+  (model, radius) serves every batch there, by Horner.  Above the floor it
+  integrates, as eigen_profile and phi_ode_values always do.
+
+Either falls back to the ODE when the coefficients fail their quadrature
+bound check.
 
 Everything is even in λ (functions of L only), entire in L, and equals 1
 identically at λ = ±iH/2 (L = 0).
@@ -80,11 +91,12 @@ class TruncationError(RuntimeError):
 # byte-capped LRU cache
 # ---------------------------------------------------------------------------
 
-class _BasisCache:
+class _LRUCache:
     """LRU map from keys to values with an nbytes size, byte-capped.
 
-    It holds the φ-basis matrices and, as a second instance, the Volterra
-    coefficient workspaces.  The lock guards lookups, inserts, evictions and
+    One instance holds the φ-basis matrices; a second holds the Volterra
+    coefficient workspaces and eigen_state_at's coefficient matrices at one
+    radius.  The lock guards lookups, inserts, evictions and
     size updates only; callers compute outside it.  Two threads that miss on
     one key both compute, and the second insert returns the first thread's
     (identical) value.
@@ -157,47 +169,60 @@ class _CoefWorkspace:
         if np.any(self.theta_nodes <= 0) or not np.all(np.isfinite(self.theta_nodes)):
             raise QuadratureError("theta not positive/finite on quadrature nodes")
         self.theta_points = model.theta(grid.points)
-        # bytes held: θ and log r at nodes and points, then two arrays of
-        # each per level
-        self.nbytes = 2 * (self.theta_nodes.nbytes + self.theta_points.nbytes)
+        # bytes held: θ at nodes and points, log r at points, then two
+        # arrays of each per level
+        self.nbytes = self.theta_nodes.nbytes + 2 * self.theta_points.nbytes
         self.level_nodes = []    # a_k at nodes
         self.level_points = []
         self.deriv_nodes = []
         self.deriv_points = []
         with np.errstate(divide="ignore"):
-            logr_nodes = np.log(grid.nodes)
-            logr_points = np.log(grid.points)
-        self._logr_nodes = logr_nodes
-        self._logr_points = logr_points
+            self._logr_points = np.log(grid.points)
 
     def extend(self, k_max):
+        grid, th = self.grid, self.theta_nodes
+        q, n = grid.q, self.model.n
         while len(self.level_nodes) < k_max:
             k = len(self.level_nodes) + 1
-            prev = self.level_nodes[-1] if self.level_nodes else np.ones_like(self.theta_nodes)
-            inner_nodes = self.grid.cumulative_at_nodes(self.theta_nodes * prev)
-            inner_points = self.grid.cumulative_at_points(self.theta_nodes * prev)
-            d_nodes = inner_nodes / self.theta_nodes
+            prev = self.level_nodes[-1] if self.level_nodes else np.ones_like(th)
+            f = th * prev
+            inner_nodes = grid.cumulative_at_nodes(f)
+            # θ·a_{k-1} vanishes like r^n at 0: on the first panel integrate
+            # r^n times the interpolant of θ·a_{k-1}/r^n, so that dividing by
+            # θ keeps the relative accuracy at its first nodes
+            inner_nodes[:q] = (grid.first_panel_weighted(n)
+                               @ (f[:q] / grid.nodes[:q] ** n))
+            inner_points = grid.cumulative_at_points(f)
+            d_nodes = inner_nodes / th
             with np.errstate(divide="ignore", invalid="ignore"):
                 d_points = inner_points / self.theta_points
             d_points[0] = 0.0     # a_k'(0) = 0: inner integral vanishes like theta
-            a_nodes = self.grid.cumulative_at_nodes(d_nodes)
-            a_points = self.grid.cumulative_at_points(d_nodes)
-            self._check_bound(k, a_nodes, self._logr_nodes)
-            self._check_bound(k, a_points, self._logr_points)
+            a_nodes = grid.cumulative_at_nodes(d_nodes)
+            a_points = grid.cumulative_at_points(d_nodes)
+            self._check_bound(k, a_points)
             self.level_nodes.append(a_nodes)
             self.level_points.append(a_points)
             self.deriv_nodes.append(d_nodes)
             self.deriv_points.append(d_points)
             self.nbytes += 2 * (a_nodes.nbytes + a_points.nbytes)
 
-    def _check_bound(self, k, a, logr):
-        bound = np.exp(2 * k * logr - math.lgamma(2 * k + 1))
-        # cumulative quadrature carries an absolute roundoff floor relative to
-        # the largest values on the level, so the pointwise check gets both a
-        # relative slack and that floor
-        floor = 64 * _EPS * float(np.max(np.abs(a), initial=0.0)) + 1e-250
-        slack = 1e-8 * bound + floor
-        if np.any(a > bound + slack) or np.any(a < -slack):
+    def _check_bound(self, k, a):
+        """0 ≤ a_k ≤ r^(2k)/(2k)! at the panel boundaries.
+
+        There the running integrals are Gauss sums; at the nodes they
+        integrate the degree q-1 interpolant, whose error (about 1e-5
+        relative for a_12 of a constant θ on 0.05 panels) is no roundoff.
+        A boundary value is a running sum of q-term panel sums of
+        nonnegative terms, so its roundoff stays below q·eps times the
+        level's largest value; the bound holds up to that and 1e-8 relative
+        (and below 1e-250, where subnormal numbers lose their precision).
+        A level that overflowed (inf or nan) fails too.
+        """
+        bound = np.exp(2 * k * self._logr_points - math.lgamma(2 * k + 1))
+        floor = self.grid.q * _EPS * float(np.max(np.abs(a), initial=0.0))
+        slack = 1e-8 * bound + floor + 1e-250
+        if (np.any(a > bound + slack) or np.any(a < -slack)
+                or not np.all(np.isfinite(a))):
             over = float(np.max(a - bound))
             under = float(np.min(a))
             raise QuadratureError(
@@ -215,11 +240,11 @@ class _CoefWorkspace:
         )
 
 
-# A workspace holds (2K + 2)·(nodes + points) doubles: 4.6 MB at K = 160 on
+# A workspace holds about 2K·(nodes + points) doubles: 4.6 MB at K = 160 on
 # the suite's r ≤ 10 grid.  The cap keeps the few grids a session reuses;
 # every `phi --rmax` value draws a grid of its own.
 COEF_CACHE_BYTES = 32 * 2**20
-_COEF_CACHE = _BasisCache(COEF_CACHE_BYTES)
+_COEF_CACHE = _LRUCache(COEF_CACHE_BYTES)
 # the workspace grows in place, so concurrent extend() calls would corrupt
 # the recursion state; one lock serializes all access
 _COEF_LOCK = threading.Lock()
@@ -500,6 +525,11 @@ def phi_ode(model, lam, grid, rtol=ODE_RTOL, atol=ODE_ATOL, at_nodes=False):
                              "ode", err, k_used=None)
 
 
+def _cancellation_floor(abs_L, r):
+    """eps·cosh(sqrt|L|·r): the double-precision floor of the series sum."""
+    return _EPS * math.cosh(min(math.sqrt(abs_L) * r, 700.0))
+
+
 def phi(model, lam, grid, method="auto", tol=SERIES_TOL, at_nodes=False):
     """φ_λ by the best available path, on grid.points (or grid.nodes).
 
@@ -515,8 +545,7 @@ def phi(model, lam, grid, method="auto", tol=SERIES_TOL, at_nodes=False):
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     L, _ = spectral_shift(model, lam)
-    x = math.sqrt(abs(L)) * grid.x_max
-    if _EPS * math.cosh(min(x, 700.0)) < 1e-10:
+    if _cancellation_floor(abs(L), grid.x_max) < 1e-10:
         try:
             return phi_series(model, lam, grid, tol=tol, at_nodes=at_nodes)
         except (TruncationError, QuadratureError):
@@ -594,17 +623,73 @@ def capital_phi(model, lam, grid, method="auto"):
 # batched state evaluation in the L-plane (used by the zero search)
 # ---------------------------------------------------------------------------
 
+# eigen_state_at sums the series when the cancellation floor of its batch is
+# at most this, about the error its DOP853 path (rtol 1e-12) leaves there
+STATE_SERIES_FLOOR = 1e-11
+# Under that floor sqrt|L|·r ≤ x = acosh(floor/eps) ≈ 11.4, so the series
+# terms x^(2k)/(2k)! fall below eps from the 29th on; the ∂/∂L rows and
+# Φ = θ Σ a'_{k+1} L^k each need one more level.
+STATE_ORDER = truncation_order(
+    math.acosh(STATE_SERIES_FLOOR / _EPS) ** 2, 1.0, tol=_EPS) + 2
+
+
+def _state_polynomials(model, r):
+    """Coefficients in L of φ, φ_r, ∂φ/∂L, Φ and ∂Φ/∂L at radius r.
+
+    Row i of the (5, K + 1) result holds the coefficient of L^j in column j.
+    One Volterra recursion on make_grid(r) (0.05 panels) gives a_k(r) and
+    a_k'(r), k = 1..K, and a_{k+1}' = (1/θ)∫θ a_k (with a_0 = 1) makes
+    Φ = θ(r) Σ_{k≥0} a_{k+1}'(r) L^k; the ∂/∂L rows are term-wise.  The
+    matrix, not the workspace, is kept in the coefficient cache.
+    """
+    key = ("state", model.key, r)
+    out = _COEF_CACHE.get(key)
+    if out is None:
+        ws = _CoefWorkspace(model, make_grid(r))
+        K = STATE_ORDER
+        ws.extend(K)
+        a = np.array([level[-1] for level in ws.level_points])
+        da = np.array([level[-1] for level in ws.deriv_points])
+        theta, k = ws.theta_points[-1], np.arange(1, K + 1)
+        out = np.zeros((5, K + 1))
+        out[0, 0] = 1.0
+        out[0, 1:] = a
+        out[1, 1:] = da
+        out[2, :K] = k * a
+        out[3, :K] = theta * da
+        out[4, :K - 1] = theta * k[:-1] * da[1:]
+        out.flags.writeable = False
+        out = _COEF_CACHE.put(key, out)
+    return out
+
+
 def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
     """φ, φ_r, ∂φ/∂L, Φ, ∂Φ/∂L at radius r_stop for a batch of complex L.
 
-    Integrates the eigenfunction ODE together with its variational equation
-    (∂/∂L) and the cumulative integral Φ = ∫ θ φ.  All outputs are
-    holomorphic functions of L, which is what the argument-principle zero
-    search differentiates.
+    Two routes give the same holomorphic functions of L, which is what the
+    argument-principle zero search differentiates.  When the batch's
+    cancellation floor eps·cosh(sqrt(max|L|)·r_stop) is at most
+    STATE_SERIES_FLOOR, all five are polynomials in L, summed by Horner from
+    coefficients computed once per (model, r_stop) and cached.  Above that
+    floor, or when the coefficients fail their quadrature check, it
+    integrates the eigenfunction ODE (DOP853, rtol/atol) together with its
+    variational equation (∂/∂L) and the cumulative integral Φ = ∫ θ φ.
     """
     L = np.atleast_1d(np.asarray(L_values, dtype=complex))
     if r_stop <= 0:
         raise ValueError("r_stop must be positive")
+    abs_L = float(np.max(np.abs(L), initial=0.0))
+    if _cancellation_floor(abs_L, r_stop) <= STATE_SERIES_FLOOR:
+        try:
+            coeffs = _state_polynomials(model, float(r_stop))
+        except QuadratureError:
+            pass
+        else:
+            rows = np.zeros((5, L.size), dtype=complex)
+            for c in coeffs.T[::-1]:
+                rows = rows * L + c[:, None]
+            return dict(zip(("phi", "dphi_dr", "dphi_dL", "Phi", "dPhi_dL"),
+                            rows))
     rows = _eigen_rows(model, L, np.array([r_stop], dtype=float), dL=True,
                        Phi=True, r_t=min(TAYLOR_RADIUS, r_stop / 2),
                        rtol=rtol, atol=atol, dense=False)
@@ -638,7 +723,7 @@ def eigen_profile(model, L, r_points, rtol=1e-12, atol=1e-14):
 BASIS_CACHE_BYTES = 64 * 2**20
 
 
-_BASIS_CACHE = _BasisCache(BASIS_CACHE_BYTES)
+_BASIS_CACHE = _LRUCache(BASIS_CACHE_BYTES)
 
 
 def phi_basis(model, lams, r_points):

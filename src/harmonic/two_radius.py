@@ -10,7 +10,7 @@ zero hunting happens in the L-plane: each zero appears once instead of as a
 
 A pair of radii certifies the corresponding two-radius theorem when the two
 zero sets share no point.  Zeros are counted by the argument principle on
-box boundaries sampled at Gauss-Legendre nodes along each edge.  The ODE
+box boundaries sampled at Gauss-Legendre nodes along each edge.  The
 state carries dφ/dL and dΦ/dL, so the same boundary samples also give the
 contour moments s_p = (1/2πi) ∮ L^p t'/t dL, the power sums of the zeros
 inside (Delves & Lyness, Math. Comp. 21, 1967).  The edge rules converge
@@ -20,14 +20,21 @@ Newton's identities turn s_1..s_w into a polynomial whose roots seed Newton.
 Roots that coincide relative to the box are one multiple zero, started once
 with their summed multiplicity (Kravanja & Van Barel, *Computing the Zeros
 of Analytic Functions*, LNM 1727, 2000).  All starts of a box are polished
-together in one lock-step batch (one ODE solve per round), and each zero is
-polished once: a simple zero stops as soon as quadratic convergence puts its
-next step under the floor, a multiple zero at about 1e-7, and the moment
-centroid of its tight box, which must recount its multiplicity, locates it.
+together in one lock-step batch (one eigen_state_at call per round), and
+each zero is polished once: a simple zero stops as soon as quadratic
+convergence puts its next step under the floor, a multiple zero at about
+1e-7, and the moment centroid of its tight box, which must recount its
+multiplicity, locates it.
 A box where no hypothesis is verified is split in two and each half is
-searched the same way.  One last ODE batch measures every residual.
+searched the same way.  One last batch measures every residual.
 Certificates are explicitly box-relative: the theorems quantify over all of
 ℂ, a search cannot.
+
+Every state comes from spherical.eigen_state_at, batched over L at one
+radius.  Where the batch's cancellation floor eps·cosh(sqrt(max|L|)·r) is
+at most 1e-11 it sums the Volterra series in L from one coefficient pass
+per (model, radius); elsewhere, as for the default box at r ≳ 1.5 or the
+mean-value boxes at r = 2π, each call is one DOP853 solve.
 
 Zeros in r at fixed L come from one dense profile: Newton runs on the
 quintic Hermite interpolant of its samples, and one exact profile at the
@@ -36,7 +43,7 @@ converged radii accepts them.
 The mvp target vanishes identically at L = 0 (φ ≡ 1 there) for every
 radius; that zero is the harmonic case the theorem excludes, so a punctured
 disk |L| ≤ 1e-6 is removed from every mvp count.  Its winding is measured on
-a circle sampled in the same ODE batch as the enclosing box boundary.
+a circle sampled in the same batch as the enclosing box boundary.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ MAX_SEEDED = 4
 # zero (quadrature error splits an m-fold zero by about its m-th root)
 GROUP = 0.05
 # Newton stops a simple zero at this relative step, a multiple zero (located
-# only to the square root of the ODE noise) at the second
+# only to the square root of the state's noise) at the second
 SIMPLE_STEP = 1e-14
 MULTIPLE_STEP = 1e-7
 
@@ -232,7 +239,7 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
     """Argument-principle zero count inside the box [lo, hi], with seeds.
 
     For mvp, when the box encloses L = 0, the winding of the puncture circle
-    |L| = MVP_PUNCTURE is measured in the same ODE batch and subtracted.
+    |L| = MVP_PUNCTURE is measured in the same batch and subtracted.
     Returns a BoxCount.  Raises WindingError when a zero lies on (within a
     fraction of a sample gap of) the boundary, with that gap, or when the
     phase refuses to stabilize; callers nudge the box and retry.
@@ -286,7 +293,7 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
 def _newton_rounds(model, r, target, starts, mults, max_iter=40, escape=None):
     """Lock-step Schroeder-modified Newton: quadratic even at multiplicity > 1.
 
-    Each round integrates the ODE once for all iterates still running and
+    Each round evaluates the state once for all iterates still running and
     yields (points, resid, done): per iterate, its answer so far, that
     answer's residual, and whether the iterate has stopped.  A running
     iterate's answer is its evaluated point of least |t|.  An iterate
@@ -296,7 +303,7 @@ def _newton_rounds(model, r, target, starts, mults, max_iter=40, escape=None):
     floor; its answer is then the point after that step, and the residual of
     a point not evaluated is predicted by the same law.  A multiple zero's
     iterate also stops, at its least-residual point, on the first step that
-    does not shrink: the ODE noise drives it from there.  Every iterate
+    does not shrink: the state's noise drives it from there.  Every iterate
     stops when dt/dL vanishes, when it leaves an `escape` radius around its
     start, or when its steps grew twice after the third round, so a
     hopeless start is cheap.  The yielded arrays are updated in place by
@@ -392,9 +399,9 @@ def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
     tight box around every multiple zero recounts to its multiplicity
     (w separated simple zeros can fake a small residual at their centroid).
     A multiple zero is returned at that recount's moment centroid, which is
-    far closer than the Newton iterate, stalled at the m-th root of the ODE
-    noise.  At the floor the centroid needs no recount but may sit just
-    outside the box.
+    far closer than the Newton iterate, stalled at the m-th root of the
+    state's noise.  At the floor the centroid needs no recount but may sit
+    just outside the box.
     """
     w = count.winding
     size = abs(hi - lo)
@@ -496,7 +503,7 @@ def _subdivide(model, r, target, lo, hi, count, zero_tol, resolve, depth=0):
 
 
 def _least_residual(model, r, target, groups):
-    """Per candidate group, the candidate of least |t|, from one ODE batch.
+    """Per candidate group, the candidate of least |t|, from one batch.
 
     Ties go to the later candidate, so a real-axis snap appended last wins
     whenever it does not hurt the residual.
@@ -523,11 +530,11 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
     most MAX_SEEDED zeros groups coinciding seeds into multiple zeros and
     polishes the groups, and if a group merged seeds also the plain seeds,
     together in one lock-step Newton batch, on the analytic dφ/dL carried in
-    the ODE state.  It accepts distinct zeros inside it whose multiple
+    the state.  It accepts distinct zeros inside it whose multiple
     members' tight boxes recount to their multiplicities.  A box with more
     zeros, or where no hypothesis holds, is split in two, and each half is
     counted and searched the same way.  Each zero is polished once; one
-    final ODE batch measures every residual and snaps near-real zeros onto
+    final batch measures every residual and snaps near-real zeros onto
     the real axis when that does not hurt it.  Results closer than a
     multiple zero's noise cluster are merged and re-polished.  For mvp the
     identically-vanishing point L = 0 is excluded by a punctured disk.
@@ -750,7 +757,7 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
                                  witness=common[0] if common else None,
                                  min_joint_residual=mjr, common=list(common))
 
-    # max(|t_r1|, |t_r2|) at every zero of either set, one ODE batch per
+    # max(|t_r1|, |t_r2|) at every zero of either set, one batch per
     # radius; both sets are polished, so a shared zero needs no further solve
     pts = np.concatenate([a, b])
     joint = np.zeros(0)

@@ -26,5 +26,5 @@ def ode_rows(monkeypatch):
 
     monkeypatch.setattr(spherical, "phi_ode_values", counted)
     monkeypatch.setattr(spherical, "_BASIS_CACHE",
-                        spherical._BasisCache(spherical.BASIS_CACHE_BYTES))
+                        spherical._LRUCache(spherical.BASIS_CACHE_BYTES))
     return rows

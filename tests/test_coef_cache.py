@@ -14,7 +14,7 @@ def test_coefficient_cache_evicts_to_its_cap(monkeypatch):
     grids = [make_grid(2.0 + 0.5 * i, spacing=0.05) for i in range(6)]
     # room for about two and a half workspaces of the largest grid
     per_ws = (2 * K + 2) * (grids[-1].nodes.size + grids[-1].points.size) * 8
-    cache = spherical._BasisCache(5 * per_ws // 2)
+    cache = spherical._LRUCache(5 * per_ws // 2)
     monkeypatch.setattr(spherical, "_COEF_CACHE", cache)
     first = spherical.volterra_coefficients(H3, grids[0], K)
     for grid in grids[1:]:
@@ -31,7 +31,7 @@ def test_coefficient_cache_evicts_to_its_cap(monkeypatch):
 
 
 def test_growing_workspace_is_counted(monkeypatch):
-    cache = spherical._BasisCache(2**30)
+    cache = spherical._LRUCache(2**30)
     monkeypatch.setattr(spherical, "_COEF_CACHE", cache)
     grid = make_grid(3.0, spacing=0.05)
     spherical.volterra_coefficients(H3, grid, 4)

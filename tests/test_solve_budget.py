@@ -1,9 +1,14 @@
-"""ODE solve budgets of the zero searches.
+"""State-evaluation budgets of the zero searches.
 
-A solve's cost is set by its step count, not by its batch rows, so the
-number of eigen_state_at / eigen_profile calls is the cost of a search.
-Each zero is polished once from accurate contour-moment seeds; a search
-that needs more solves than these budgets has regressed.
+eigen_state_at has two routes.  Below its cancellation floor it sums the
+Volterra series in L, whose coefficients at a radius are computed once, so a
+call costs little more than its batch rows.  Above the floor, as in the
+r = 2π mean-value box, each call is one DOP853 solve, whose cost is set by
+its step count, not by its batch rows.  eigen_profile always integrates.
+Either way the number of eigen_state_at / eigen_profile calls counts the
+rounds of a search.  Each zero is polished once from accurate
+contour-moment seeds; a search that needs more calls than these budgets has
+regressed.
 """
 
 import math

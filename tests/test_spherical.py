@@ -166,9 +166,14 @@ def _damek_ricci_phi(m, k, lam, r):
                      for x in r])
 
 
-def test_phi_auto_falls_back_to_ode_on_quadrature_error():
-    # on this short grid a_3 misses its lower bound by roundoff, so the
-    # series refuses and 'auto' must take the ODE path
+def test_phi_auto_falls_back_to_ode_on_quadrature_error(monkeypatch):
+    # a coefficient failing its quadrature bound makes the series refuse,
+    # and 'auto' must take the ODE path
+    def refuse(self, k, *args):
+        raise QuadratureError(f"a_{k} refused")
+
+    monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", refuse)
+    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
     model = make_damek_ricci(2, 1)
     grid = make_grid(2.0, spacing=0.05)
     with pytest.raises(QuadratureError):
@@ -247,8 +252,14 @@ def test_capital_phi_flat_line():
     assert np.max(np.abs(vals - np.sin(lam * GRID.points) / lam)) < 1e-12
 
 
-def test_capital_phi_falls_back_to_the_ode():
-    # the series coefficients fail their quadrature bound on this short grid
+def test_capital_phi_falls_back_to_the_ode(monkeypatch):
+    # series coefficients failing their quadrature bound make the series
+    # refuse, and 'auto' must take the ODE path
+    def refuse(self, k, *args):
+        raise QuadratureError(f"a_{k} refused")
+
+    monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", refuse)
+    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
     grid = make_grid(2.0, spacing=0.05)
     with pytest.raises(QuadratureError):
         capital_phi(DR21, 1.0, grid, method="series")
@@ -348,7 +359,7 @@ def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
     r_pts = np.linspace(0.0, 3.0, 64)
     one = 2 * r_pts.size * 8     # bytes of a 2-row float matrix
     monkeypatch.setattr(spherical, "_BASIS_CACHE",
-                        spherical._BasisCache(3 * one + one // 2))
+                        spherical._LRUCache(3 * one + one // 2))
     cache = spherical._BASIS_CACHE
     sets = [np.array([0.5, 1.0]) + i for i in range(6)]
     for lams in sets:

@@ -59,7 +59,8 @@ def test_tracer_counts_each_integrator_solve_and_uninstalls():
         assert spherical.solve_ivp is not before[(spherical, "solve_ivp")]
         r = np.linspace(0.0, 2.0, 9)
         spherical.phi_ode_values(E2, [1.0, 2.0], r)
-        spherical.eigen_state_at(E2, [-1.0 + 0.5j, -4.0], 1.5)
+        # |L| = 400 puts the batch above the series floor: the ODE runs
+        spherical.eigen_state_at(E2, [-1.0 + 0.5j, -400.0], 1.5)
         spherical.eigen_profile(E2, -1.0 + 0.5j, r)
     finally:
         tr.uninstall()
