@@ -12,6 +12,13 @@ q-1 inside a panel, exact panel sums up to degree 2q-1).
 That cumulative machinery is what makes the nested Volterra integrals cheap:
 each recursion level is two passes of cumulative integration over the same
 node set.
+
+Values at the nodes of data given at the panel boundaries come from the
+cubic spline through them, evaluated at the nodes directly; the dense
+interpolation matrix is built only when asked for.  make_grid's uniform
+grids have equal panels, so node p·q + j is the panel edge x_p plus the
+offset of node j in the first panel; the cosine synthesis in transforms
+factors through that and refuses grids without it.
 """
 
 from __future__ import annotations
@@ -173,7 +180,9 @@ class Grid1D:
         matrix; `even=True` clamps the derivative to zero at x=0, the right
         boundary condition for radial (even) profiles.  Column j is the
         spline through the j-th unit vector; one spline with the identity as
-        its data builds all columns from a single banded solve.
+        its data builds all columns from a single banded solve.  The matrix
+        is dense, (nodes × points): values_at_nodes does not build it, and
+        it is kept for callers that need the map itself.
         """
         key = ("interp", even)
         if key not in self._cache:
@@ -184,7 +193,13 @@ class Grid1D:
         return self._cache[key]
 
     def values_at_nodes(self, point_values, even=True):
-        return self.interp_matrix(even=even) @ np.asarray(point_values)
+        """Cubic-spline interpolant of point_values evaluated at the nodes.
+
+        The same values as interp_matrix(even) @ point_values up to rounding,
+        from one spline solve and one evaluation, without the dense matrix
+        (72 MB on a wave finite-difference grid, and never reused).
+        """
+        return self.spline(point_values, even=even)(self.nodes)
 
     def spline(self, point_values, even=True):
         bc = ((1, 0.0), "not-a-knot") if even else "not-a-knot"

@@ -14,6 +14,16 @@ which needs no horosphere geometry and works for every density.  The flat
 special cases (A = even extension on the line, A = plane integral on R³)
 are kept nearby as oracles for the tests.
 
+The synthesis takes cos and sin of λ·s at the grid points only.  At the
+quadrature nodes, s = a_p + b_j (panel edge plus in-panel offset) and
+cos λ(a + b) = cos λa cos λb - sin λa sin λb, so the node values are two
+matrix products of the point matrices with the small (λ × q) offset
+matrices; cosine_transform factors the same way.  Both need a grid of equal
+panels, which make_grid's uniform grids are.  Line functions are folded
+against quadrature weights (line_convolve here, the Klein-Gordon kernel in
+pde.kg_solve) by EvenLineFunction.fold, which evaluates the stored spline
+only at the pairs that fall inside its grid, block by block.
+
 A intertwines convolutions: A(f * g) = A f ⋆ A g with ⋆ the line
 convolution, and F(f * g) = F f · F g.  radial_convolve exploits that:
 convolve on the line, then invert A by ridge-regularized least-squares
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +45,8 @@ from .spherical import phi_basis
 
 DEFAULT_SPACING = 0.02
 TAIL_TOL = 1e-11
+# pairs per block of EvenLineFunction.fold: 0.5 MB per temporary array
+_FOLD_PAIRS = 2**16
 
 
 class AccuracyError(RuntimeError):
@@ -57,21 +70,27 @@ class _Sampled:
 
     Quadrature-node samples are stored separately (exact_node_values) when
     the constructor knows them exactly, so integrals of the function do not
-    pay spline error.
+    pay spline error.  Between the samples the function is the even cubic
+    spline through them, built once per object (values must not be changed
+    in place after the first call).
     """
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
 
+    @cached_property
+    def _spline(self):
+        return self.grid.spline(self.values)
+
+    def _at(self, spline, a):
+        """spline at abscissae a >= 0, zero beyond the grid."""
+        x_max = self.grid.x_max
+        return np.where(a <= x_max, spline(np.minimum(a, x_max)), 0.0)
+
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros(x.shape, dtype=self.values.dtype)
-        inside = x <= self.grid.x_max
-        if np.any(inside):
-            out[inside] = self.grid.spline(self.values)(x[inside])
-        return out[0] if scalar else out
+        out = self._at(self._spline, np.atleast_1d(x))
+        return out[0] if x.ndim == 0 else out
 
     def node_values(self):
         if self.exact_node_values is not None:
@@ -110,21 +129,57 @@ class EvenLineFunction(_Sampled):
     exact_node_values: np.ndarray | None = None
     info: dict = field(default_factory=dict)
 
+    @cached_property
+    def _slope_spline(self):
+        """Spline of deriv_values when given, else the value spline's slope."""
+        if self.deriv_values is None:
+            return self._spline.derivative()
+        return self.grid.spline(self.deriv_values)
+
     def derivative(self, s):
         """dg/ds at signed s (odd function)."""
-        s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-        s_arr = np.atleast_1d(s_arr)
-        a = np.abs(s_arr)
-        out = np.zeros(s_arr.shape, dtype=self.values.dtype)
-        inside = a <= self.grid.x_max
-        if np.any(inside):
-            if self.deriv_values is not None:
-                d = self.grid.spline(self.deriv_values)(a[inside])
-            else:
-                d = self.grid.spline(self.values).derivative()(a[inside])
-            out[inside] = d * np.sign(s_arr[inside])
-        return out[0] if scalar else out
+        s = np.asarray(s, dtype=float)
+        s1 = np.atleast_1d(s)
+        out = self._at(self._slope_spline, np.abs(s1)) * np.sign(s1)
+        return out[0] if s.ndim == 0 else out
+
+    def fold(self, x, sigma, weights, slope=False):
+        """Σ_k (g(x - σ_k) + g(x + σ_k)) weights[k] at each x, and of g'.
+
+        x ascending, weights (K,) or (K, m) for the K entries of sigma; the
+        result has the shape (x.size,) + weights.shape[1:].
+        With slope=True the same fold of g' follows as a second result.
+        For each ±σ_k the x with |x ± σ_k| inside the grid form one index
+        range.  σ is taken in blocks of about _FOLD_PAIRS / x.size nodes,
+        and each block evaluates value (and slope) on the rectangle of x
+        its ranges span only, then sums it against the block's weights.
+        """
+        x = np.asarray(x, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        n, x_max = x.size, self.grid.x_max
+        splines = ((self._spline, self._slope_spline) if slope
+                   else (self._spline,))
+        sums = [np.zeros((n,) + w.shape[1:]) for _ in splines]
+        block = max(1, _FOLD_PAIRS // max(n, 1))
+        for shift in (-sigma, sigma):
+            # one index of slack each side against rounding at the edges;
+            # _at zeroes the pairs that land beyond the grid
+            lo = np.searchsorted(x, -x_max - shift) - 1
+            hi = np.searchsorted(x, x_max - shift, side="right") + 1
+            for k in range(0, sigma.size, block):
+                a = max(0, int(lo[k:k + block].min()))
+                b = min(n, int(hi[k:k + block].max()))
+                if b <= a:
+                    continue
+                z = x[a:b] + shift[k:k + block, None]
+                az = np.abs(z)
+                vals = [self._at(spl, az) for spl in splines]
+                if slope:
+                    vals[1] *= np.sign(z)
+                for total, v in zip(sums, vals):
+                    total[a:b] += v.T @ w[k:k + block]
+        return tuple(sums) if slope else sums[0]
 
 
 @dataclass
@@ -226,13 +281,19 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
         target *= 1.6
 
     sgrid = make_grid(s_max, spacing=s_spacing)
+    lnodes = lgrid.nodes
     wF = lgrid.node_weights * Ff
-    phase = np.outer(sgrid.points, lgrid.nodes)
+    phase = np.outer(sgrid.points, lnodes)
     cosp = np.cos(phase)
+    sinp = np.sin(phase)
     vals = (cosp @ wF) / math.pi
-    dvals = -(np.sin(phase) @ (wF * lgrid.nodes)) / math.pi
-    d2vals = -(cosp @ (wF * lgrid.nodes**2)) / math.pi
-    node_vals = (np.cos(np.outer(sgrid.nodes, lgrid.nodes)) @ wF) / math.pi
+    dvals = -(sinp @ (wF * lnodes)) / math.pi
+    d2vals = -(cosp @ (wF * lnodes**2)) / math.pi
+    # node p·q + j = edge p + offset j, and the edges are the first P points:
+    # cos λ(a + b) = cos λa cos λb - sin λa sin λb reuses cosp and sinp
+    inner = np.outer(lnodes, _panel_frame(sgrid)[1])
+    node_vals = ((cosp[:-1] * wF) @ np.cos(inner)
+                 - (sinp[:-1] * wF) @ np.sin(inner)).ravel() / math.pi
     info = {"lambda_max": lam, "tail_ratio": (tail / peak if peak else 0.0),
             "n_lambda_nodes": lgrid.nodes.size, "d2_values": d2vals}
     return EvenLineFunction(grid=sgrid, values=vals, support=min(R, s_max),
@@ -240,12 +301,37 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
                             info=info)
 
 
+def _panel_frame(grid):
+    """(panel edges, in-panel node offsets) of a grid with equal panels.
+
+    Node p·q + j lies at edges[p] + offsets[j], so cos and sin of λ times
+    every node follow from those at the P edges and the q offsets by the
+    angle-addition formula.  make_grid's uniform grids qualify (their panel
+    widths agree to a few ulps of x_max); any other grid is refused.
+    """
+    widths = np.diff(grid.points)
+    if np.ptp(widths) > 16 * np.finfo(float).eps * grid.x_max:
+        raise ValueError(
+            "the cosine synthesis needs equal panels; build the grid with "
+            "make_grid(kind='uniform')")
+    return grid.points[:-1], grid.nodes[:grid.q]
+
+
 def cosine_transform(g, lambdas):
-    """ĝ(λ) = 2 ∫_0^S g(s) cos(λ s) ds for an even line function."""
+    """ĝ(λ) = 2 ∫_0^S g(s) cos(λ s) ds for an even line function.
+
+    The quadrature sum over the nodes factors by panel: with node = a_p + b_j,
+    ĝ(λ) = 2 Σ_p [cos λa_p C_p(λ) - sin λa_p S_p(λ)], C_p = Σ_j w_pj cos λb_j
+    and S_p likewise, so cos and sin are taken on (λ × panels) and
+    (λ × q) arrays instead of (λ × nodes).  g's grid needs equal panels.
+    """
     lambdas = np.asarray(lambdas, dtype=float)
-    nodes = g.grid.nodes
-    w = g.grid.node_weights * g.node_values()
-    return 2.0 * (np.cos(np.outer(lambdas, nodes)) @ w)
+    edges, offsets = _panel_frame(g.grid)
+    w = (g.grid.node_weights * g.node_values()).reshape(edges.size, -1)
+    outer = np.outer(lambdas, edges)
+    inner = np.outer(lambdas, offsets)
+    return 2.0 * (np.einsum("lp,lp->l", np.cos(outer), np.cos(inner) @ w.T)
+                  - np.einsum("lp,lp->l", np.sin(outer), np.sin(inner) @ w.T))
 
 
 def abel_second_derivative(g):
@@ -411,12 +497,10 @@ def line_convolve(g1, g2, s_spacing=DEFAULT_SPACING):
     out_grid = make_grid(S, spacing=s_spacing)
     sig = g1.grid.nodes
     w1 = g1.grid.node_weights * g1.node_values()
-
-    def fold(s):
-        return (g2(s[:, None] - sig[None, :]) + g2(s[:, None] + sig[None, :])) @ w1
-
-    return EvenLineFunction(grid=out_grid, values=fold(out_grid.points),
-                            support=S, exact_node_values=fold(out_grid.nodes))
+    return EvenLineFunction(grid=out_grid,
+                            values=g2.fold(out_grid.points, sig, w1),
+                            support=S,
+                            exact_node_values=g2.fold(out_grid.nodes, sig, w1))
 
 
 def radial_convolve(model, f, g, **inverse_kwargs):

@@ -7,11 +7,13 @@ import pytest
 from scipy.special import j1
 
 from harmonic.density import make_euclidean, make_real_hyperbolic
+from harmonic import pde
 from harmonic.grids import make_grid
 from harmonic.pde import (BoundaryLeakError, heat_identity_check,
                           intertwine_check, kg_energy, kg_kernel,
                           kg_kernel_dt, kg_solve, radial_heat_solve,
-                          radial_wave_solve, support_growth_slope)
+                          radial_wave_solve, support_growth_slope,
+                          wave_to_kg_check)
 from harmonic.profiles import gauss_bump, smooth_bump
 from harmonic.transforms import EvenLineFunction, RadialFunction
 
@@ -157,6 +159,16 @@ def test_intertwine_requires_profile():
     f = RadialFunction.from_profile(E2, gauss_bump(0.4))
     with pytest.raises(TypeError, match="RadialProfile"):
         intertwine_check(E2, f)
+
+
+def test_wave_to_kg_gap_does_not_depend_on_fd_node_count(monkeypatch):
+    # each wave cell is one cubic spline piece, so 4 Gauss-Legendre nodes
+    # per cell integrate the transform as well as 8
+    gaps = {}
+    for q in (4, 8):
+        monkeypatch.setattr(pde, "FD_NODES_PER_CELL", q)
+        gaps[q] = wave_to_kg_check(H3, gauss_bump(0.42), 1.25)
+    assert abs(gaps[4] - gaps[8]) <= 1e-10 * gaps[8]
 
 
 # -- radial heat flow ---------------------------------------------------------

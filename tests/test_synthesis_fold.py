@@ -1,0 +1,208 @@
+"""Cosine synthesis and the line fold against their dense reference formulas.
+
+abel and cosine_transform factor cos/sin of λ times each quadrature node
+through the panel edges and the in-panel offsets; EvenLineFunction.fold
+evaluates only the (x, σ) pairs inside the grid, from splines built once.
+The references below are the dense formulas those replace: np.cos of the
+full (nodes × λ) outer product, and masked spline evaluations on full
+(points × σ) arrays with a matrix-vector sum.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from harmonic import transforms
+from harmonic.density import make_damek_ricci, make_euclidean
+from harmonic.grids import Grid1D, make_grid
+from harmonic.pde import _kg_series, kg_kernel, kg_solve
+from harmonic.profiles import annulus_bump, smooth_bump
+from harmonic.transforms import (EvenLineFunction, abel, cosine_transform,
+                                 line_convolve)
+
+E3 = make_euclidean(2)
+DR21 = make_damek_ricci(2, 1)
+
+
+def _gauss_line(w, S, deriv=False):
+    g = make_grid(S, spacing=0.02)
+
+    def f(s):
+        return np.exp(-s**2 / (2 * w * w))
+
+    return EvenLineFunction(grid=g, values=f(g.points), support=S,
+                            deriv_values=-g.points / (w * w) * f(g.points)
+                            if deriv else None,
+                            exact_node_values=f(g.nodes))
+
+
+# -- cosine synthesis ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bump_abel():
+    """abel(E3, smooth_bump(1.5)) with the F f samples it synthesized from."""
+    pieces = []
+    real = transforms.spherical_fourier
+
+    def recording(model, f, lambdas):
+        out = real(model, f, lambdas)
+        pieces.append(out.values)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "spherical_fourier", recording)
+        af = abel(E3, smooth_bump(1.5))
+    return af, np.concatenate(pieces)
+
+
+def test_abel_synthesis_matches_the_dense_formula(bump_abel):
+    af, Ff = bump_abel
+    s_max = af.grid.x_max
+    width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
+    lgrid = Grid1D(points=width * np.arange(
+        round(af.info["lambda_max"] / width) + 1))
+    assert lgrid.nodes.size == Ff.size
+    assert af.info["lambda_max"] > 250
+    lam = lgrid.nodes
+    wF = lgrid.node_weights * Ff
+    phase = np.outer(af.grid.points, lam)
+    expect = {
+        "values": (np.cos(phase) @ wF / math.pi, af.values),
+        "slopes": (-(np.sin(phase) @ (wF * lam)) / math.pi, af.deriv_values),
+        "d2": (-(np.cos(phase) @ (wF * lam**2)) / math.pi,
+               af.info["d2_values"]),
+        "nodes": (np.cos(np.outer(af.grid.nodes, lam)) @ wF / math.pi,
+                  af.exact_node_values),
+    }
+    for name, (ref, got) in expect.items():
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * peak, name
+
+
+@pytest.mark.parametrize("case", ["abel_output", "gauss_line"])
+def test_cosine_transform_matches_the_dense_formula(case, bump_abel):
+    if case == "abel_output":
+        g, lams = bump_abel[0], np.linspace(0.0, 275.0, 301)
+    else:
+        g, lams = _gauss_line(0.4, 3.0), np.linspace(0.0, 60.0, 241)
+    w = g.grid.node_weights * g.node_values()
+    ref = 2.0 * (np.cos(np.outer(lams, g.grid.nodes)) @ w)
+    got = cosine_transform(g, lams)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cosine_transform_refuses_unequal_panels():
+    g = make_grid(2.0, n_panels=40, kind="graded")
+    line = EvenLineFunction(grid=g, values=np.exp(-g.points**2), support=2.0)
+    with pytest.raises(ValueError, match="make_grid"):
+        cosine_transform(line, [0.0, 1.0])
+
+
+# -- the fold -----------------------------------------------------------------
+
+def _dense_at(g, a, data, deriv=False):
+    """Masked spline evaluation of data at |a|, zero beyond the grid."""
+    a = np.abs(np.asarray(a, dtype=float))
+    out = np.zeros(a.shape)
+    inside = a <= g.grid.x_max
+    spl = g.grid.spline(data)
+    out[inside] = (spl.derivative() if deriv else spl)(a[inside])
+    return out
+
+
+def _dense_value(g, s):
+    return _dense_at(g, s, g.values)
+
+
+def _dense_slope(g, s):
+    s = np.asarray(s, dtype=float)
+    if g.deriv_values is not None:
+        return _dense_at(g, s, g.deriv_values) * np.sign(s)
+    return _dense_at(g, s, g.values, deriv=True) * np.sign(s)
+
+
+def _dense_kg(H, g, t):
+    """kg_solve's (v, v_s, v_t, energy) from dense (points × σ) folds."""
+    s_spacing = min(0.02, 2.0 * float(g.grid.points[1] - g.grid.points[0]))
+    sgrid = make_grid(g.support + t + 0.5, spacing=s_spacing)
+    qgrid = make_grid(t, spacing=0.03)
+    sig = qgrid.nodes
+    w_here, wt_here = _kg_series(H, t, sig, want_dt=True)
+    w_quad = qgrid.node_weights * w_here
+    wt_quad = qgrid.node_weights * wt_here
+    edge = kg_kernel(H, t, t)
+
+    def assemble(x):
+        gm, gp = _dense_value(g, x - t), _dense_value(g, x + t)
+        dm, dp = _dense_slope(g, x - t), _dense_slope(g, x + t)
+        folded = (_dense_value(g, x[:, None] - sig)
+                  + _dense_value(g, x[:, None] + sig))
+        dfold = (_dense_slope(g, x[:, None] - sig)
+                 + _dense_slope(g, x[:, None] + sig))
+        return (0.5 * (gm + gp) + folded @ w_quad,
+                0.5 * (dm + dp) + dfold @ w_quad,
+                0.5 * (dp - dm) + edge * (gm + gp) + folded @ wt_quad)
+
+    v, vs, vt = assemble(sgrid.points)
+    vn, vsn, vtn = assemble(sgrid.nodes)
+    energy = 2.0 * float(sgrid.integrate(vsn**2 + vtn**2 + H * H / 4 * vn**2))
+    return v, vs, vt, vn, energy
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", ["deriv_values", "spline_slope", "abel"])
+def test_kg_solve_fold_matches_dense_reference(case):
+    if case == "abel":
+        H, g, t = DR21.H, abel(DR21, annulus_bump(0.9, 0.2)), 2.5
+    else:
+        H, g, t = 2.0, _gauss_line(0.5, 3.0, deriv=case == "deriv_values"), 1.5
+    v = kg_solve(H, g, t)
+    ref_v, ref_vs, ref_vt, ref_vn, ref_e = _dense_kg(H, g, t)
+    assert _rel(v.values, ref_v) <= 1e-14
+    assert _rel(v.deriv_values, ref_vs) <= 1e-14
+    assert _rel(v.info["vt_values"], ref_vt) <= 1e-14
+    assert _rel(v.exact_node_values, ref_vn) <= 1e-14
+    assert abs(v.info["energy"] - ref_e) <= 1e-14 * ref_e
+
+
+def test_line_convolve_fold_matches_dense_reference():
+    g1, g2 = _gauss_line(0.35, 2.6), _gauss_line(0.45, 3.4)
+    conv = line_convolve(g1, g2)
+    sig = g1.grid.nodes
+    w1 = g1.grid.node_weights * g1.node_values()
+    for x, got in ((conv.grid.points, conv.values),
+                   (conv.grid.nodes, conv.exact_node_values)):
+        ref = (_dense_value(g2, x[:, None] - sig)
+               + _dense_value(g2, x[:, None] + sig)) @ w1
+        assert _rel(got, ref) <= 1e-14
+
+
+def test_fold_edges_and_scalars():
+    # a Gaussian cut at two widths is far from zero at x_max
+    g = _gauss_line(0.5, 1.0)
+    x_max = g.grid.x_max
+    assert x_max == 1.0
+    probe = np.array([0.0, 0.3, x_max, x_max + 1e-12, 1.7, -x_max])
+    assert _rel(g(probe), _dense_value(g, probe)) <= 1e-14
+    assert g(x_max) != 0.0 and g(x_max + 1e-12) == 0.0 and g(-2.0) == 0.0
+    assert _rel(g.derivative(probe), _dense_slope(g, probe)) <= 1e-14
+    # scalar in, scalar out
+    assert np.ndim(g(0.3)) == 0 and np.ndim(g.derivative(-0.3)) == 0
+    assert abs(g(0.3) - _dense_value(g, np.array([0.3]))[0]) <= 1e-15
+    assert abs(g.derivative(-0.3)
+               - _dense_slope(g, np.array([-0.3]))[0]) <= 1e-15
+    # x ± σ lands exactly on x_max (0.25 + 0.75, 0.5 + 0.5) and beyond it
+    x = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 4.0])
+    sig = np.array([0.25, 0.5, 0.75, 2.5])
+    w = np.array([0.3, -0.2, 0.5, 0.7])
+    vals, slopes = g.fold(x, sig, w, slope=True)
+    ref = (_dense_value(g, x[:, None] - sig)
+           + _dense_value(g, x[:, None] + sig)) @ w
+    dref = (_dense_slope(g, x[:, None] - sig)
+            + _dense_slope(g, x[:, None] + sig)) @ w
+    assert _rel(vals, ref) <= 1e-14 and _rel(slopes, dref) <= 1e-14
+    assert vals[-1] == 0.0  # every pair of x = 4 lies beyond the grid

@@ -1,0 +1,101 @@
+"""Micro-benchmark of the spectral-stack kernels; prints one JSON object.
+
+    PYTHONPATH=src python tools/kernel_bench.py [--repeat 5]
+
+Each entry is the best of --repeat wall-clock timings, in seconds, of one
+call with its inputs built beforehand:
+
+  abel_synthesis   abel(E3, smooth_bump(1.5)) with the φ-basis cached, so
+                   it times the cosine synthesis (λ_max ≈ 275)
+  kg_solve         kg_solve on A(annulus_bump(0.9, 0.2)) over DR(2,1), t = 5.25
+  line_convolve    A(smooth_bump(1.5)) ⋆ A(gauss_bump(0.4)) on E3
+  values_at_nodes  node values of a wave solution on radial_wave_solve's
+                   finite-difference grid (H3, gauss_bump(0.42), T = 1.25),
+                   on a fresh copy of the grid each time
+  phi_basis        the φ-basis of E3 for abel's λ-nodes up to 275 at the
+                   radial nodes of smooth_bump(1.5), from an empty cache
+
+One BLAS thread, as in perfbench/run.py.  Compare two commits by running
+this file against each one's src on the same machine, back to back.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from harmonic import pde, spherical, transforms  # noqa: E402
+from harmonic.density import (make_damek_ricci, make_euclidean,  # noqa: E402
+                              make_real_hyperbolic)
+from harmonic.grids import Grid1D  # noqa: E402
+from harmonic.profiles import (annulus_bump, gauss_bump,  # noqa: E402
+                               smooth_bump)
+
+
+def best_of(fn, repeat, setup=None):
+    best = math.inf
+    for _ in range(repeat):
+        if setup is not None:
+            setup()
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--repeat", type=int, default=5)
+    repeat = p.parse_args(argv).repeat
+
+    e3, h3, dr = (make_euclidean(2), make_real_hyperbolic(2),
+                  make_damek_ricci(2, 1))
+    bump = smooth_bump(1.5)
+    a_bump = transforms.abel(e3, bump)
+    a_gauss = transforms.abel(e3, gauss_bump(0.4))
+    a_ann = transforms.abel(dr, annulus_bump(0.9, 0.2))
+    wave = pde.radial_wave_solve(h3, gauss_bump(0.42), 1.25, 0.002)[-1]
+
+    # abel's λ-grid for the bump: fixed-width panels up to its λ_max
+    s_max = a_bump.grid.x_max
+    width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
+    n_panels = round(a_bump.info["lambda_max"] / width)
+    lams = Grid1D(points=width * np.arange(n_panels + 1)).nodes
+    r_nodes = transforms.RadialFunction.from_profile(e3, bump).grid.nodes
+
+    def empty_basis_cache():
+        spherical._BASIS_CACHE = spherical._LRUCache(
+            spherical.BASIS_CACHE_BYTES)
+
+    out = {
+        "abel_synthesis": best_of(lambda: transforms.abel(e3, bump), repeat),
+        "kg_solve": best_of(lambda: pde.kg_solve(dr.H, a_ann, 5.25), repeat),
+        "line_convolve": best_of(
+            lambda: transforms.line_convolve(a_bump, a_gauss), repeat),
+        "values_at_nodes": best_of(
+            lambda: Grid1D(points=wave.grid.points,
+                           nodes_per_panel=wave.grid.q).values_at_nodes(
+                               wave.u), repeat),
+        "phi_basis": best_of(lambda: spherical.phi_basis(e3, lams, r_nodes),
+                             repeat, setup=empty_basis_cache),
+    }
+    report = {"unit": "s", "repeat": repeat, "best": out,
+              "sizes": {"abel_lambda_nodes": int(lams.size),
+                        "phi_basis_radii": int(r_nodes.size),
+                        "fd_grid_nodes": int(wave.grid.nodes.size)},
+              "python": platform.python_version(),
+              "numpy": np.__version__}
+    json.dump(report, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
