@@ -70,7 +70,6 @@ from .spherical import (
 )
 from .transforms import (
     AccuracyError,
-    ConditioningError,
     EvenLineFunction,
     RadialFunction,
     SpectralSamples,

@@ -30,7 +30,6 @@ __all__ = [
     "make_plane",
     "make_hyperbolic_plane",
     "space_by_tag",
-    "sphere_average",
     "project",
     "bump_patch",
     "displacement_identity_check",
@@ -142,17 +141,6 @@ def _check_order(quad_order):
 
 def _angles(n):
     return np.arange(n) * (2.0 * np.pi / n)
-
-
-def sphere_average(space, f, x, r, quad_order=256):
-    """(π_x f)(r): the mean of f over the geodesic circle S_r(x).
-
-    Equal-angle samples make this the trapezoid rule on a smooth periodic
-    integrand, so the error decays spectrally in quad_order.
-    """
-    _check_order(quad_order)
-    pts = space.sphere_param(x, r, _angles(quad_order))
-    return float(np.mean(_eval_points(f, pts)))
 
 
 def project(space, f, radii, quad_order=256):

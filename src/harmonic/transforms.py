@@ -26,9 +26,13 @@ only at the pairs that fall inside its grid, block by block.
 
 A intertwines convolutions: A(f * g) = A f ⋆ A g with ⋆ the line
 convolution, and F(f * g) = F f · F g.  radial_convolve exploits that:
-convolve on the line, then invert A by ridge-regularized least-squares
-collocation on a λ-grid.  The dual lift `a` (with a(cos λ·) = φ_λ and
-a(cosh(H·/2)) = 1) is the same collocation run in the opposite direction.
+convolve on the line, then invert A.  abel_inverse needs no c-function: a
+radial f supported in the ball B_S is determined by F f at the Dirichlet
+eigenvalues of B_S, where F f equals the cosine transform of A f, and f is
+their eigen-expansion (exact by Sturm-Liouville completeness).  Its cutoff
+in λ follows abel's tail rule through the same helper.  The dual lift `a`
+(with a(cos λ·) = φ_λ and a(cosh(H·/2)) = 1) fits its input in cosines by
+ridge-regularized least squares and maps each cosine to its φ_λ.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class AccuracyError(RuntimeError):
     def __init__(self, msg, required_lambda_max=None):
         super().__init__(msg)
         self.required_lambda_max = required_lambda_max
-
-
-class ConditioningError(RuntimeError):
-    """A collocation system is too ill-conditioned to invert."""
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +237,12 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
     π/(2·max(s_max + 0.5, 1)), fine enough for cos(λ s) up to s_max + 0.5,
     laid from 0: λ_max is always a whole number of panels (at least 16).
     λ_max starts at the conventional 40/R, rounded up to a panel edge, and is
-    extended geometrically until |F f| has decayed below tail_tol of its
-    peak; an extension evaluates F f on the added panels only, so every
-    φ-basis row is integrated once (and cached, see phi_basis).  If λ_max
-    reaches max_lambda_factor times its starting value the call refuses and
-    reports the λ_max the decay rate would require.  strict_tail=False keeps the cap
-    value instead of refusing, for callers that pin the cutoff themselves
-    (identity checks, noisy samples).  info["lambda_max"] is the rounded
-    cutoff actually used.
+    extended by _sample_until_decayed's tail rule (tail_tol, refusing at
+    max_lambda_factor times the start); an extension evaluates F f on the
+    added panels only, so every φ-basis row is integrated once (and cached,
+    see phi_basis).  strict_tail=False keeps the cap value instead of
+    refusing, for callers that pin the cutoff themselves (identity checks,
+    noisy samples).  info["lambda_max"] is the rounded cutoff actually used.
     """
     f = _as_radial(model, f)
     R = f.support_radius
@@ -253,32 +251,16 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
     s_max = (R + 0.6) if s_max is None else float(s_max)
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
     lam0 = lambda_max if lambda_max is not None else max(40.0 / R, 8.0)
-    target = lam0
-    Ff = np.empty(0)
-    while True:
-        n_panels = max(16, math.ceil(target / width))
-        lgrid = Grid1D(points=width * np.arange(n_panels + 1))
-        lam = lgrid.x_max
-        added = spherical_fourier(model, f, lgrid.nodes[Ff.size:])
-        Ff = np.concatenate([Ff, added.values])
-        peak = float(np.max(np.abs(Ff)))
-        ltail = lgrid.nodes >= 0.9 * lam
-        tail = float(np.max(np.abs(Ff[ltail]))) if peak > 0 else 0.0
-        if peak == 0.0 or tail <= tail_tol * peak:
-            break
-        if lam >= max_lambda_factor * lam0:
-            if not strict_tail:
-                break
-            # extrapolate the decay to report what would have been needed
-            mask = lgrid.nodes >= 0.5 * lam
-            x, y = lgrid.nodes[mask], np.log(np.abs(Ff[mask]) + 1e-300)
-            slope = np.polyfit(x, y, 1)[0]
-            need = lam + (math.log(tail_tol * peak) - y[-1]) / min(slope, -1e-12)
-            raise AccuracyError(
-                f"|F f| has not decayed below {tail_tol:g} of peak at "
-                f"λ_max = {lam:.3g}; decay rate suggests λ_max ≈ {need:.3g}",
-                required_lambda_max=float(need))
-        target *= 1.6
+
+    def panels(n):
+        return Grid1D(points=width * np.arange(n + 1))
+
+    n, Ff, tail_ratio = _sample_until_decayed(
+        lambda lams: spherical_fourier(model, f, lams).values,
+        lambda n: panels(n).nodes, width, lam0, tail_tol,
+        max_lambda_factor, strict_tail)
+    lgrid = panels(n)
+    lam = lgrid.x_max
 
     sgrid = make_grid(s_max, spacing=s_spacing)
     lnodes = lgrid.nodes
@@ -294,11 +276,50 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
     inner = np.outer(lnodes, _panel_frame(sgrid)[1])
     node_vals = ((cosp[:-1] * wF) @ np.cos(inner)
                  - (sinp[:-1] * wF) @ np.sin(inner)).ravel() / math.pi
-    info = {"lambda_max": lam, "tail_ratio": (tail / peak if peak else 0.0),
+    info = {"lambda_max": lam, "tail_ratio": tail_ratio,
             "n_lambda_nodes": lgrid.nodes.size, "d2_values": d2vals}
     return EvenLineFunction(grid=sgrid, values=vals, support=min(R, s_max),
                             deriv_values=dvals, exact_node_values=node_vals,
                             info=info)
+
+
+def _sample_until_decayed(sample, abscissae, width, lam0, tail_tol=TAIL_TOL,
+                          max_factor=10.0, strict=True):
+    """Samples of a decaying transform on [0, n·width], n grown until it decays.
+
+    abscissae(n) lists the sample points of n steps of width, each list
+    extending the last, and sample(x) gives the transform at new points only,
+    so every point is sampled once.  n starts at the steps covering lam0 (at
+    least 16) and grows 1.6-fold until the largest |sample| at λ ≥ 0.9·n·width
+    is at most tail_tol of the peak.  If n·width reaches max_factor·lam0
+    first, it stops there when strict is False and otherwise raises
+    AccuracyError with the λ_max that the decay rate of the upper half would
+    need, extrapolated from that tail maximum.  Returns (n, samples,
+    tail / peak).
+    """
+    target = lam0
+    vals = np.empty(0)
+    while True:
+        n = max(16, math.ceil(target / width))
+        x = abscissae(n)
+        lam = n * width
+        vals = np.concatenate([vals, sample(x[vals.size:])])
+        peak = float(np.max(np.abs(vals)))
+        tail = float(np.max(np.abs(vals[x >= 0.9 * lam])))
+        if tail <= tail_tol * peak:
+            return n, vals, (tail / peak if peak else 0.0)
+        if lam >= max_factor * lam0:
+            if not strict:
+                return n, vals, tail / peak
+            upper = x >= 0.5 * lam
+            slope = np.polyfit(x[upper], np.log(np.abs(vals[upper]) + 1e-300),
+                               1)[0]
+            need = lam + math.log(tail_tol * peak / tail) / min(slope, -1e-12)
+            raise AccuracyError(
+                f"|F f| has not decayed below {tail_tol:g} of peak at "
+                f"λ_max = {lam:.3g}; decay rate suggests λ_max ≈ {need:.3g}",
+                required_lambda_max=float(need))
+        target *= 1.6
 
 
 def _panel_frame(grid):
@@ -342,112 +363,95 @@ def abel_second_derivative(g):
 
 
 # ---------------------------------------------------------------------------
-# collocation inversion and the lift a
+# inversion by the Dirichlet eigen-expansion
 # ---------------------------------------------------------------------------
 
-def _picard_solve(design, rhs, ridge, cond_cap=math.inf, fit_target=None):
-    """Ridge-filtered SVD solve; returns (coef, condition, relative residual).
+# points of a local interpolation window in λ, as offsets from the left end
+# of the scan interval it serves, and their barycentric weights
+_WINDOW = 16
+_OFFSETS = np.arange(_WINDOW) - (_WINDOW // 2 - 1)
+_BARY = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k)
+                  for k in range(_WINDOW)])
 
-    Without a fit_target every singular value counts, nothing is refused and
-    the condition is s_max/s_min.  With one, the solve refuses when the data
-    needs condition > cond_cap.  The raw condition of a smoothing-kernel
-    collocation matrix is always astronomical; what matters is how deep into
-    the singular spectrum the right-hand side reaches.  The smallest leading
-    block whose truncated solution fits rhs to fit_target determines the
-    condition number that the inversion actually uses; that is what the cap
-    applies to.
+
+def _lagrange_weights(t):
+    """Interpolation weights on the window, one row per local position t.
+
+    0 < t < 1 places the point strictly inside its scan interval, so never
+    on a window point (_scan_roots' bisection keeps every t there).
     """
-    U, s, Vt = np.linalg.svd(design, full_matrices=False)
-    proj = U.T @ rhs
-    rhs_norm = max(float(np.linalg.norm(rhs)), 1e-300)
-    # component of rhs outside col(U); the norm-difference formula cancels
-    out_sq = float(np.sum((rhs - U @ proj) ** 2))
-    tail_sq = np.concatenate([np.cumsum((proj ** 2)[::-1])[::-1], [0.0]])
-    resid_k = np.sqrt(tail_sq + out_sq) / rhs_norm
-    needed = s.size
-    if fit_target is not None:
-        fits = np.nonzero(resid_k[1:] <= fit_target)[0]
-        needed = int(fits[0]) + 1 if fits.size else s.size
-    cond_needed = float(s[0] / max(s[needed - 1], 1e-300))
-    if cond_needed > cond_cap or (fit_target is not None
-                                  and resid_k[needed] > fit_target):
-        raise ConditioningError(
-            f"fitting the data to {fit_target:g} needs condition "
-            f"{cond_needed:.3e} (cap {cond_cap:.3e}, best residual "
-            f"{resid_k[needed]:.3e}); the input is not numerically in the "
-            "transform's range on this support")
-    alpha = ridge * s[0]
-    filt = np.where(s >= s[0] / cond_cap, s / (s * s + alpha * alpha), 0.0)
-    coef = Vt.T @ (filt * proj)
-    return coef, cond_needed, float(resid_k[needed])
+    a = _BARY / (np.asarray(t, dtype=float)[:, None] - _OFFSETS)
+    return a / a.sum(axis=1, keepdims=True)
 
 
-def _even_cheb_design(r, S, n_coef):
-    """Chebyshev basis in the even variable x = 2(r/S)² - 1, row per radius.
+def _scan_roots(edge, n):
+    """Zeros of the interpolant of edge = φ_λ(S) on the scan's first n steps.
 
-    Polynomials in r² keep the representation even in r and spectrally
-    accurate, so representation error stays near machine precision; a
-    spline-in-r basis would inject ~1e-7 systematic error, which drowns the
-    weak signal the density leaves near r = 0.
+    Returns (left, window, t): zero j lies at local position t[j] of scan
+    interval [left[j], left[j] + 1], and window[j] holds the scan indices
+    of its samples, mirrored through λ = 0 (φ_λ is even in λ).  The zeros
+    are bisected to full precision on the interpolant, all at once.
     """
-    x = 2.0 * (np.asarray(r) / S) ** 2 - 1.0
-    return np.polynomial.chebyshev.chebvander(x, n_coef - 1)
+    pos = edge > 0
+    left = np.nonzero(pos[:n] != pos[1:n + 1])[0]
+    window = np.abs(left[:, None] + _OFFSETS)
+    samples = edge[window]
+    lo, hi = np.zeros(left.size), np.ones(left.size)
+    for _ in range(52):              # to the spacing of doubles below 1
+        mid = 0.5 * (lo + hi)
+        same = (np.sum(_lagrange_weights(mid) * samples, axis=1) > 0) \
+            == pos[left]
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return left, window, 0.5 * (lo + hi)
 
 
-def _extend_lambda_for_decay(sample_fn, lam0, tail_tol, cap):
-    """Grow λ_max geometrically until sample_fn's tail has decayed."""
-    lam = lam0
-    while True:
-        probe = np.linspace(0.9 * lam, lam, 9)
-        peak_probe = np.linspace(0.0, lam, 129)
-        peak = float(np.max(np.abs(sample_fn(peak_probe))))
-        tail = float(np.max(np.abs(sample_fn(probe))))
-        if peak == 0.0 or tail <= tail_tol * peak or lam >= cap:
-            return lam
-        lam *= 1.6
+def abel_inverse(model, g):
+    """Solve A f = g for the radial f supported in [0, S], S = g.support.
 
+    F f equals ĝ, the cosine transform of g, and f is its Dirichlet
+    eigen-expansion on the ball B_S,
 
-def abel_inverse(model, g, n_lambda=257, lambda_max=None, ridge=1e-12,
-                 cond_cap=1e12, fit_target=1e-8, n_coef=None,
-                 decay_decades=12.0, r_spacing=DEFAULT_SPACING):
-    """Solve A f = g for a radial f by spectral collocation.
+        f = Σ_j ĝ(λ_j) φ_{λ_j} / (ω_n ∫_0^S θ φ_{λ_j}²),
 
-    The cosine data ĝ(λ_j) equals F f(λ_j); f is represented as an even
-    Chebyshev series on [0, S] and recovered by SVD-regularized least
-    squares.  Columns are scaled by an analytic-decay envelope (reaching
-    10^-decay_decades on the last coefficient): near r = 0 the density makes
-    the data weight vanish, and a flat coefficient prior would zero out the
-    reconstruction there instead of completing it smoothly.  Refuses,
-    reporting the condition number, when fitting the data would need
-    condition above cond_cap.
+    over the zeros λ_j > 0 of λ ↦ φ_λ(S).  They are real (the Dirichlet
+    eigenvalues λ_j² + H²/4 of B_S exceed H²/4), the φ_{λ_j} are complete
+    on [0, S] (Sturm-Liouville), and no c-function enters, so any density
+    serves.  The sum runs to the λ_max at which abel's tail rule stops on ĝ
+    (refusing, like abel, when ĝ does not decay).
+
+    One φ-basis solve serves it: λ is scanned at spacing π/(4S) at the
+    output grid's points and nodes, of which S is the last.  In λ, φ_λ(r) is
+    even and entire of exponential type r ≤ S, so _WINDOW-point
+    interpolation on the scan (mirrored through λ = 0) gives the zeros of
+    φ_λ(S) and the rows φ_{λ_j}(r), within about 4e-8 of φ's size near
+    r = S and far closer inside; the norms come from the grid's
+    Gauss-Legendre rule.  info holds the λ_j ("lambdas"), the norms
+    ∫_0^S θ φ_{λ_j}² ("norms") and the cutoff ("lambda_max").
     """
     S = g.support
-    lam0 = lambda_max if lambda_max is not None else max(40.0 / S, 8.0)
-    lam = _extend_lambda_for_decay(lambda i: cosine_transform(g, i),
-                                   lam0, 1e-10, 12 * lam0)
-    n_lambda = max(n_lambda, int(np.ceil(lam * 2 * (S + 1) / math.pi)) + 1)
-    lambdas = np.linspace(0.0, lam, n_lambda)
-    ghat = cosine_transform(g, lambdas)
-
-    rgrid = make_grid(S, spacing=r_spacing)
-    nodes = rgrid.nodes
-    wth = rgrid.node_weights * model.theta(nodes)
-    if n_coef is None:
-        n_coef = int(min(max(64, np.ceil(0.55 * S * lam)), 400))
-    prolong = _even_cheb_design(nodes, S, n_coef)
-    B = model.sphere_const * ((phi_basis(model, lambdas, nodes) * wth) @ prolong)
-    envelope = 10.0 ** (-decay_decades * np.arange(n_coef) / (n_coef - 1))
-
-    scaled, cond, resid = _picard_solve(B * envelope[None, :], ghat,
-                                        ridge, cond_cap, fit_target)
-    coef = envelope * scaled
-    vals = _even_cheb_design(rgrid.points, S, n_coef) @ coef
-    return RadialFunction(model=model, grid=rgrid, values=vals,
-                          support_radius=S, exact_node_values=prolong @ coef,
-                          info={"condition": float(cond),
-                                "collocation_residual": resid,
-                                "lambda_max": float(lam),
-                                "n_coef": n_coef})
+    step = math.pi / (4.0 * S)
+    n, _, _ = _sample_until_decayed(lambda lams: cosine_transform(g, lams),
+                                    lambda n: step * np.arange(n + 1),
+                                    step, max(40.0 / S, 8.0))
+    rgrid = make_grid(S, spacing=DEFAULT_SPACING)
+    radii, where = np.unique(np.concatenate([rgrid.points, rgrid.nodes]),
+                             return_inverse=True)
+    scan = phi_basis(model, step * np.arange(n + _WINDOW // 2 + 1), radii)
+    left, window, t = _scan_roots(scan[:, -1], n)
+    lambdas = step * (left + t)
+    interp = np.zeros((left.size, scan.shape[0]))
+    np.add.at(interp, (np.arange(left.size)[:, None], window),
+              _lagrange_weights(t))
+    rows = (interp @ scan)[:, where]
+    n_pts = rgrid.points.size
+    at_points, at_nodes = rows[:, :n_pts], rows[:, n_pts:]
+    norms = at_nodes ** 2 @ (rgrid.node_weights * model.theta(rgrid.nodes))
+    coef = cosine_transform(g, lambdas) / (model.sphere_const * norms)
+    return RadialFunction(model=model, grid=rgrid, values=coef @ at_points,
+                          support_radius=S, exact_node_values=coef @ at_nodes,
+                          info={"lambdas": lambdas, "norms": norms,
+                                "lambda_max": n * step})
 
 
 def lift_a(model, u, s_window, r_max, n_lambda=257, lambda_max=None,
@@ -470,7 +474,11 @@ def lift_a(model, u, s_window, r_max, n_lambda=257, lambda_max=None,
         lambdas = np.unique(np.concatenate([lambdas, np.asarray(extra_lambdas,
                                                                dtype=float)]))
     design = sw[:, None] * np.cos(np.outer(snodes, lambdas))
-    coef, cond, _ = _picard_solve(design, sw * uvals, ridge)
+    # ridge-filtered SVD solve
+    U, sv, Vt = np.linalg.svd(design, full_matrices=False)
+    alpha = ridge * sv[0]
+    coef = Vt.T @ (sv / (sv * sv + alpha * alpha) * (U.T @ (sw * uvals)))
+    cond = sv[0] / max(sv[-1], 1e-300)
     fit = design @ coef - sw * uvals
     fit_sup = float(np.max(np.abs(fit / np.maximum(sw, 1e-300))))
 
@@ -503,14 +511,14 @@ def line_convolve(g1, g2, s_spacing=DEFAULT_SPACING):
                             exact_node_values=g2.fold(out_grid.nodes, sig, w1))
 
 
-def radial_convolve(model, f, g, **inverse_kwargs):
+def radial_convolve(model, f, g):
     """Radial convolution on X through the Abel route: A(f*g) = Af ⋆ Ag."""
     f = _as_radial(model, f)
     g = _as_radial(model, g)
     af = abel(model, f)
     ag = abel(model, g)
     h = line_convolve(af, ag)
-    return abel_inverse(model, h, **inverse_kwargs)
+    return abel_inverse(model, h)
 
 
 # ---------------------------------------------------------------------------

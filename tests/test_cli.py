@@ -112,3 +112,15 @@ def test_rerun_is_byte_identical_and_schema_valid(tmp_path, argv):
     for path in outputs:
         doc = _validate(path)
         assert doc["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("model_flags", [
+    ["--model", "damek-ricci", "--m", "4", "--k", "3"],
+    ["--model", "hyperbolic", "--n", "5"]], ids=["DR43", "H6"])
+def test_convolve_on_higher_rank_models(tmp_path, model_flags):
+    out = tmp_path / "conv.csv"
+    assert cli.main(["convolve"] + model_flags + ["--out", str(out)]) == 0
+    doc = _validate(out)
+    assert doc["manifest"]["command"] == "convolve"
+    rows = np.loadtxt(out, delimiter=",", comments="#")
+    assert np.all(np.isfinite(rows))

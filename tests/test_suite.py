@@ -35,3 +35,10 @@ def test_quick_criterion_8_check_passes(check):
 @pytest.mark.parametrize("check", OTHER_QUICK, ids=lambda c: c.name)
 def test_quick_check_passes(check):
     _passes(check)
+
+
+def test_smooth_bump_roundtrip_h3_passes():
+    # a full-suite check: smooth_bump(1.3) on H³ round-trips to 1e-7
+    (check,) = [c for c in suite.registered_checks()
+                if c.name == "abel_roundtrip_smooth_h3"]
+    _passes(check)

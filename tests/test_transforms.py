@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from harmonic.density import make_euclidean, make_real_hyperbolic
+from harmonic.density import (make_damek_ricci, make_euclidean,
+                              make_real_hyperbolic)
 from harmonic.grids import make_grid
 from harmonic.profiles import annulus_bump, gauss_bump, smooth_bump
 from harmonic.transforms import (AccuracyError, EvenLineFunction,
-                                 RadialFunction, abel, abel_second_derivative,
+                                 RadialFunction, abel, abel_inverse,
+                                 abel_second_derivative,
                                  cosine_transform, eigen_multiplier_check,
                                  line_convolve, plane_integral_r3,
                                  radial_convolve, radial_integral,
@@ -19,6 +21,8 @@ from harmonic.transforms import (AccuracyError, EvenLineFunction,
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
 H3 = make_real_hyperbolic(2)
+DR43 = make_damek_ricci(4, 3)
+H6 = make_real_hyperbolic(5)
 
 
 def _gauss_line(w, S=None):
@@ -149,6 +153,51 @@ def test_radial_convolve_line_gaussians():
     assert np.max(np.abs(h(r) - exact)) < 1e-8
 
 
+# -- inversion by the Dirichlet eigen-expansion --------------------------------
+
+@pytest.mark.parametrize("model, offset", [(E0, 0.5), (E2, 1.0), (H3, 1.0)],
+                         ids=["E0", "E2", "H3"])
+def test_abel_inverse_eigenvalues_closed_forms(model, offset):
+    # φ_λ(S) is cos(λS) on the line and sin(λS)/(λS), sin(λS)/(λ sinh S) on
+    # R³ and H³.  Their zeros lie on the π/(4S) scan, so they carry only the
+    # integrator's error in φ_λ(S) (rtol 1e-11), which grows with λ: the top
+    # root here is about 1.2e-12 off.
+    g = abel(model, gauss_bump(0.4))
+    S = g.support
+    lams = abel_inverse(model, g).info["lambdas"]
+    exact = (np.arange(lams.size) + offset) * math.pi / S
+    assert lams.size >= 16
+    assert np.max(np.abs(lams / exact - 1.0)) < 1e-11
+
+
+def test_abel_inverse_norms_on_r3():
+    # ∫_0^S r² (sin(λr)/(λr))² dr = S/(2λ²) when sin(λS) = 0
+    g = abel(E2, gauss_bump(0.4))
+    info = abel_inverse(E2, g).info
+    exact = g.support / (2.0 * info["lambdas"] ** 2)
+    assert np.max(np.abs(info["norms"] / exact - 1.0)) < 1e-10
+
+
+def _factorization_error(model, f, g):
+    conv = radial_convolve(model, f, g)
+    lams = np.linspace(0.0, 6.0, 25)
+    Fc = spherical_fourier(model, conv, lams).values
+    prod = (spherical_fourier(model, f, lams).values
+            * spherical_fourier(model, g, lams).values)
+    return float(np.max(np.abs(Fc - prod)) / np.max(np.abs(prod)))
+
+
+@pytest.mark.parametrize("model", [DR43, H6], ids=["DR43", "H6"])
+def test_abel_inverse_on_higher_rank_models(model):
+    # roots off the scan points: the rows and zeros are interpolated in λ
+    f = gauss_bump(0.4)
+    finv = abel_inverse(model, abel(model, f))
+    truth = f.f(finv.grid.points)
+    assert np.max(np.abs(finv.values - truth)) < 1e-6 * np.max(truth)
+    assert _factorization_error(model, gauss_bump(0.35),
+                                gauss_bump(0.45)) < 1e-6
+
+
 # -- tail control -------------------------------------------------------------
 
 def test_abel_refuses_nonsmooth_data():
@@ -164,6 +213,17 @@ def test_abel_refuses_nonsmooth_data():
 
     out = abel(E0, tri, strict_tail=False)
     assert out.info["tail_ratio"] > 1e-8  # honest diagnostics survive
+
+
+def test_abel_refusal_asks_for_more_than_it_tried():
+    # the decay is extrapolated from the tail maximum the stop test uses,
+    # not from the last sample, which can sit near a zero of F f
+    f = smooth_bump(1.3)
+    E1 = make_euclidean(1)
+    with pytest.raises(AccuracyError) as exc:
+        abel(E1, f)
+    tried = abel(E1, f, strict_tail=False).info["lambda_max"]
+    assert exc.value.required_lambda_max > tried
 
 
 def test_abel_reports_spectral_window():

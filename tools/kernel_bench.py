@@ -14,6 +14,10 @@ call with its inputs built beforehand:
                    on a fresh copy of the grid each time
   phi_basis        the φ-basis of E3 for abel's λ-nodes up to 275 at the
                    radial nodes of smooth_bump(1.5), from an empty cache
+  abel_inverse_h3_gauss    abel_inverse of A(gauss_bump(0.4)) on H3, from
+                           an empty φ-basis cache
+  abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
+                           an empty φ-basis cache
 
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
 this file against each one's src on the same machine, back to back.
@@ -63,6 +67,8 @@ def main(argv=None):
     a_gauss = transforms.abel(e3, gauss_bump(0.4))
     a_ann = transforms.abel(dr, annulus_bump(0.9, 0.2))
     wave = pde.radial_wave_solve(h3, gauss_bump(0.42), 1.25, 0.002)[-1]
+    a_h3_gauss = transforms.abel(h3, gauss_bump(0.4))
+    a_e3_smooth = transforms.abel(e3, smooth_bump(1.3))
 
     # abel's λ-grid for the bump: fixed-width panels up to its λ_max
     s_max = a_bump.grid.x_max
@@ -86,6 +92,12 @@ def main(argv=None):
                                wave.u), repeat),
         "phi_basis": best_of(lambda: spherical.phi_basis(e3, lams, r_nodes),
                              repeat, setup=empty_basis_cache),
+        "abel_inverse_h3_gauss": best_of(
+            lambda: transforms.abel_inverse(h3, a_h3_gauss), repeat,
+            setup=empty_basis_cache),
+        "abel_inverse_e3_smooth": best_of(
+            lambda: transforms.abel_inverse(e3, a_e3_smooth), repeat,
+            setup=empty_basis_cache),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
               "sizes": {"abel_lambda_nodes": int(lams.size),
