@@ -11,13 +11,10 @@ from .density import (
     DensityModel,
     DensityError,
     builtin_models,
-    load_model_config,
     make_custom,
     make_damek_ricci,
     make_euclidean,
     make_real_hyperbolic,
-    mean_curvature_limit,
-    model_from_config,
     unit_sphere_volume,
 )
 from .geometry import (
@@ -38,9 +35,7 @@ from .pde import (
     WaveState,
     heat_identity_check,
     intertwine_check,
-    kg_energy,
     kg_kernel,
-    kg_kernel_dt,
     kg_solve,
     radial_heat_solve,
     radial_wave_solve,
@@ -57,12 +52,9 @@ from .profiles import (
 from .spherical import (
     SeriesCoefficients,
     SphericalFunction,
-    capital_phi,
     eigen_profile,
     eigen_state_at,
     phi,
-    phi_lambda_derivative,
-    phi_ode,
     phi_ode_values,
     phi_series,
     spectral_shift,
@@ -80,7 +72,6 @@ from .transforms import (
     line_convolve,
     plane_integral_r3,
     radial_convolve,
-    radial_integral,
     spherical_fourier,
 )
 from .two_radius import (

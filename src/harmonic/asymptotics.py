@@ -43,6 +43,18 @@ __all__ = [
 ]
 
 GROWTH_R_CAP = 60.0
+# panel width of the ball-volume quadrature
+GROWTH_SPACING = 0.01
+# λ₀(B_R): cell width of the coarsest mesh, the relative size of the O(h⁴)
+# update at which a value is accepted, and the halvings allowed to get there
+LAMBDA0_SPACING = 0.02
+LAMBDA0_REL_TOL = 1e-7
+LAMBDA0_MAX_REFINE = 4
+# cheeger_chain_report's tolerances: θ'/θ(r_max) against H (relative to
+# 1 + H), log vol B_r / r against H, and λ₀ against H²/4 (relative)
+MU_TOL = 1e-8
+STAGE1_TOL = 0.05
+SPECTRAL_BOTTOM_TOL = 0.02
 
 # Slack for the monotonicity / domination invariants; they hold strictly for
 # every admissible density, the slack only absorbs quadrature roundoff.
@@ -115,7 +127,7 @@ class GrowthReport:
 # ball volumes and the growth chain
 # ---------------------------------------------------------------------------
 
-def volume_growth(model, r_list, spacing=0.01):
+def volume_growth(model, r_list):
     """Sample the first two stages of the growth chain at the given radii.
 
     Returns a GrowthReport fragment whose mu_estimates are log vol B_r / r,
@@ -131,7 +143,7 @@ def volume_growth(model, r_list, spacing=0.01):
             f"radii beyond {GROWTH_R_CAP:g} exceed the supported range")
 
     # One fine grid to r_max; cumulative panel sums give every smaller ball.
-    grid = make_grid(rs[-1], spacing=spacing)
+    grid = make_grid(rs[-1], spacing=GROWTH_SPACING)
     lw = np.log(grid.node_weights).reshape(grid.n_panels, grid.q)
     lt = model.log_theta(grid.nodes).reshape(grid.n_panels, grid.q)
     panel_logs = logsumexp(lw + lt, axis=1)
@@ -148,8 +160,9 @@ def volume_growth(model, r_list, spacing=0.01):
         base = cum_logs[j - 1] if j > 0 else -np.inf
         a = float(grid.points[j])
         if r > a + 1e-14:
-            tail = make_grid(r - a, n_panels=16) if r - a < 16 * spacing \
-                else make_grid(r - a, spacing=spacing)
+            tail = make_grid(r - a, n_panels=16) \
+                if r - a < 16 * GROWTH_SPACING \
+                else make_grid(r - a, spacing=GROWTH_SPACING)
             tw = np.log(tail.node_weights)
             tt = model.log_theta(tail.nodes + a)
             log_int = np.logaddexp(base, logsumexp(tw + tt))
@@ -207,17 +220,16 @@ def _dirichlet_bottom(model, R, n_cells):
     return float(mu[0])
 
 
-def lambda0_estimate(model, R_list, spacing=0.02, rel_tol=1e-7,
-                     max_refine=4):
+def lambda0_estimate(model, R_list):
     """Dirichlet ground value of the radial problem on B_R for each R.
 
     The finite-volume value has error c·h² + O(h⁴).  Each halving of the mesh
     is Richardson-extrapolated once, R₁ = μ(h/2) + (μ(h/2) - μ(h))/3, which
     leaves O(h⁴); the value is accepted when the next level's update
-    (R₁ₖ - R₁ₖ₋₁)/15 is below rel_tol, and returned with that update
-    applied.  That takes two halvings on every built-in model; a value not
-    settled within max_refine halvings raises.  Returns a GrowthReport
-    fragment.
+    (R₁ₖ - R₁ₖ₋₁)/15 is below LAMBDA0_REL_TOL, and returned with that
+    update applied.  That takes two halvings on every built-in model; a
+    value not settled within LAMBDA0_MAX_REFINE halvings raises.  Returns
+    a GrowthReport fragment.
     """
     Rs = sorted(float(R) for R in np.atleast_1d(np.asarray(R_list, float)))
     if not Rs or Rs[0] <= 0:
@@ -228,23 +240,23 @@ def lambda0_estimate(model, R_list, spacing=0.02, rel_tol=1e-7,
 
     pairs = []
     for R in Rs:
-        n_cells = max(64, int(math.ceil(R / spacing)))
+        n_cells = max(64, int(math.ceil(R / LAMBDA0_SPACING)))
         coarse = _dirichlet_bottom(model, R, n_cells)
         prev = None
-        for _ in range(max_refine):
+        for _ in range(LAMBDA0_MAX_REFINE):
             n_cells *= 2
             fine = _dirichlet_bottom(model, R, n_cells)
             rich = fine + (fine - coarse) / 3.0
             coarse = fine
             if prev is not None:
                 update = (rich - prev) / 15.0
-                if abs(update) <= rel_tol * (1.0 + abs(rich)):
+                if abs(update) <= LAMBDA0_REL_TOL * (1.0 + abs(rich)):
                     pairs.append((R, rich + update))
                     break
             prev = rich
         else:
             raise RuntimeError(
-                f"λ₀(B_{R:g}) did not converge within {max_refine} "
+                f"λ₀(B_{R:g}) did not converge within {LAMBDA0_MAX_REFINE} "
                 "mesh refinements")
     return GrowthReport(
         model=model.name,
@@ -279,9 +291,7 @@ def lambda0_extrapolate(pairs):
 FLAT_H = 1e-8
 
 
-def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
-                         lambda0_radii=None, mu_tol=1e-8, stage1_tol=0.05,
-                         lambda0_rel_tol=0.02):
+def cheeger_chain_report(model, r_max=40.0):
     """Verify every computable link of the chain h = H = mu, λ₀ = H²/4.
 
     The verdicts confirm (i) the final growth stage θ'/θ(r_max) matches H,
@@ -289,17 +299,13 @@ def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
     growth estimate at every sampled r ≥ 1 and decreases, (iv) the
     extrapolated Dirichlet bottom matches H²/4.  The Cheeger constant itself
     is an infimum over all compact domains, not computable from θ; it is
-    reported as assumed.
+    reported as assumed.  The growth stages are sampled at nine radii from
+    min(1, r_max/4) to r_max and at r = 1, λ₀(B_R) at R = r_max/2, 3r_max/4
+    and r_max.
     """
-    if growth_radii is None:
-        lo = min(1.0, r_max / 4)
-        growth_radii = np.unique(np.concatenate([
-            np.linspace(lo, r_max, 9), [1.0, r_max]]))
-    if lambda0_radii is None:
-        lambda0_radii = (r_max / 2, 3 * r_max / 4, r_max)
-
-    growth = volume_growth(model, growth_radii)
-    spectral = lambda0_estimate(model, lambda0_radii)
+    growth = volume_growth(model, np.unique(np.concatenate([
+        np.linspace(min(1.0, r_max / 4), r_max, 9), [1.0, r_max]])))
+    spectral = lambda0_estimate(model, (r_max / 2, 3 * r_max / 4, r_max))
     lam_inf = lambda0_extrapolate(spectral.lambda0_estimates)
 
     H = model.H
@@ -314,7 +320,7 @@ def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
         cap1 = (model.n + 1.0) * (math.log(max(r_last, math.e)) + 1) / r_last
         verdicts.append(Verdict(
             "growth_rate_matches_H",
-            "pass" if growth.mu_final <= cap3 + mu_tol else "fail",
+            "pass" if growth.mu_final <= cap3 + MU_TOL else "fail",
             f"θ'/θ({r_max:g}) = {growth.mu_final:.6g} is below the "
             f"polynomial-growth scale (n+1)/r = {cap3:.3g}, "
             "consistent with H = 0"))
@@ -328,15 +334,15 @@ def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
         gap = abs(growth.mu_final - H)
         verdicts.append(Verdict(
             "growth_rate_matches_H",
-            "pass" if gap <= mu_tol * (1.0 + H) else "fail",
+            "pass" if gap <= MU_TOL * (1.0 + H) else "fail",
             f"θ'/θ({r_max:g}) = {growth.mu_final:.12g} vs H = {H:.12g} "
             f"(|diff| = {gap:.3e})"))
         gap1 = abs(stage1 - H)
         verdicts.append(Verdict(
             "log_volume_ratio_near_H",
-            "pass" if gap1 <= stage1_tol else "fail",
+            "pass" if gap1 <= STAGE1_TOL else "fail",
             f"log vol B_r / r at r = {r_last:g} is {stage1:.6g} vs "
-            f"H = {H:g} (|diff| = {gap1:.3e}, tolerance {stage1_tol:g})"))
+            f"H = {H:g} (|diff| = {gap1:.3e}, tolerance {STAGE1_TOL:g})"))
 
     sampled = [(r, v) for r, v in growth.sphere_ratio if r >= 1.0]
     dominated = all(v >= H - INVARIANT_SLACK * (1 + H) for _, v in sampled)
@@ -353,7 +359,7 @@ def cheeger_chain_report(model, r_max=40.0, growth_radii=None,
                       "(rigidity) and λ₀ = 0")
     else:
         target = H**2 / 4.0
-        lam_ok = abs(lam_inf - target) <= lambda0_rel_tol * target
+        lam_ok = abs(lam_inf - target) <= SPECTRAL_BOTTOM_TOL * target
         lam_detail = (f"extrapolated λ₀ = {lam_inf:.9g} vs H²/4 = "
                       f"{target:.9g} (rel err {abs(lam_inf/target-1):.2e})")
     verdicts.append(Verdict(

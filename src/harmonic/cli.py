@@ -147,10 +147,16 @@ def _add_model_flags(sp):
                     help="density as a sympy expression in r, e.g. 'sinh(r)**2'")
 
 
-def _add_common_flags(sp):
+def _add_out_flag(sp):
     sp.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _add_seed_flag(sp):
     sp.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,
                     help="seed for randomized checks")
+
+
+def _add_tol_flag(sp):
     sp.add_argument("--tol", type=float, default=None,
                     help="override the command's default tolerance")
 
@@ -494,7 +500,7 @@ def _build_parser():
 
     sp = sub.add_parser("phi", help="radial eigenfunction samples (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     sp.add_argument("--lambda", dest="lam", default="1,0", metavar="RE[,IM]")
     sp.add_argument("--rmax", type=float, default=10.0)
     sp.set_defaults(fn=_cmd_phi)
@@ -502,7 +508,8 @@ def _build_parser():
     sp = sub.add_parser("zeros", help="eigenvalue-plane zeros of a radius "
                                       "functional (JSON)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_tol_flag(sp)
     sp.add_argument("--r", type=float, default=1.0)
     sp.add_argument("--target", default="sphere",
                     choices=["sphere", "ball", "mvp"])
@@ -513,7 +520,8 @@ def _build_parser():
     sp = sub.add_parser("bad-radii", help="second radii sharing a zero with "
                                           "r1 (JSON)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_tol_flag(sp)
     sp.add_argument("--r1", type=float, default=1.0)
     sp.add_argument("--rmax", type=float, default=10.0)
     sp.add_argument("--target", default="sphere",
@@ -524,7 +532,8 @@ def _build_parser():
     sp = sub.add_parser("certify", help="two-radius disjointness certificate "
                                         "(JSON)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_tol_flag(sp)
     sp.add_argument("--r1", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--target", default="sphere",
@@ -534,14 +543,14 @@ def _build_parser():
 
     sp = sub.add_parser("abel", help="Abel transform of a radial bump (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     _add_profile_flags(sp)
     sp.add_argument("--smax", type=float, default=None)
     sp.set_defaults(fn=_cmd_abel)
 
     sp = sub.add_parser("fourier", help="spherical Fourier transform (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     _add_profile_flags(sp)
     sp.add_argument("--lambda-max", type=float, default=8.0)
     sp.add_argument("--count", type=int, default=161)
@@ -550,14 +559,14 @@ def _build_parser():
     sp = sub.add_parser("convolve", help="radial convolution of two bumps "
                                          "(CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     _add_profile_flags(sp, width=0.35, default="gauss")
     _add_profile_flags(sp, suffix="2", width=0.45, default="gauss")
     sp.set_defaults(fn=_cmd_convolve)
 
     sp = sub.add_parser("wave", help="radial wave slice at time t (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     _add_profile_flags(sp)
     sp.add_argument("--t", type=float, default=3.0)
     sp.add_argument("--dt", type=float, default=0.004)
@@ -567,7 +576,7 @@ def _build_parser():
     sp = sub.add_parser("kg", help="Klein-Gordon line evolution from a "
                                    "Gaussian (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     sp.add_argument("--width", type=float, default=0.5)
     sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--smax0", type=float, default=4.0,
@@ -576,7 +585,7 @@ def _build_parser():
 
     sp = sub.add_parser("heat", help="radial heat profile at time t (CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     sp.add_argument("--t", type=float, default=0.5)
     sp.add_argument("--width", type=float, default=0.3)
     sp.add_argument("--dr", type=float, default=0.01)
@@ -585,7 +594,8 @@ def _build_parser():
     sp = sub.add_parser("heat-check", help="heat multiplier identity verdict "
                                            "(JSON; exit 1 on failure)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_tol_flag(sp)
     sp.add_argument("--t", type=float, default=0.5)
     sp.add_argument("--lambda-max", type=float, default=2.0)
     sp.add_argument("--count", type=int, default=9)
@@ -594,20 +604,22 @@ def _build_parser():
     sp = sub.add_parser("cheeger", help="growth chain and spectral bottom "
                                         "report (JSON + CSV)")
     _add_model_flags(sp)
-    _add_common_flags(sp)
+    _add_out_flag(sp)
     sp.add_argument("--rmax", type=float, default=40.0)
     sp.set_defaults(fn=_cmd_cheeger)
 
     sp = sub.add_parser("geo-check", help="non-radial identities on an "
                                           "explicit 2D space (JSON)")
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_seed_flag(sp)
     sp.add_argument("--space", default="plane",
                     choices=["plane", "euclidean", "hyperbolic_plane", "h2"])
     sp.set_defaults(fn=_cmd_geo_check)
 
     sp = sub.add_parser("suite", help="full verification battery (JSON; "
                                       "exit 0 iff all checks pass)")
-    _add_common_flags(sp)
+    _add_out_flag(sp)
+    _add_seed_flag(sp)
     sp.add_argument("--quick", action="store_true",
                     help="skip the slowest checks (still >= 40 checks)")
     sp.set_defaults(fn=_cmd_suite)

@@ -35,6 +35,8 @@ _R = sp.Symbol("r", positive=True)
 # Radius used to read off H = lim theta'/theta.  tanh saturates to 1 at
 # double precision well before this, so the limit is exact for the built-ins.
 H_LIMIT_RADIUS = 100.0
+# slack of validate_density's monotonicity and sign tests on θ'/θ
+DLOG_SLACK = 1e-7
 
 
 class DensityError(ValueError):
@@ -275,7 +277,7 @@ def make_damek_ricci(m, k):
                   theta_scalar=theta_scalar)
 
 
-def make_custom(theta_expr, n, name=None, validate=True):
+def make_custom(theta_expr, n, validate=True):
     """Density from a sympy expression (or string) in r.
 
     The expression must satisfy theta/r^n -> 1 at 0, positivity on r > 0, and
@@ -289,13 +291,13 @@ def make_custom(theta_expr, n, name=None, validate=True):
         raise DensityError(f"theta expression has unknown symbols {free}")
     n = int(n)
     key = f"custom({sp.srepr(expr)},n={n})"
-    model = _build(name or f"custom density {expr}", key, n, expr)
+    model = _build(f"custom density {expr}", key, n, expr)
     if validate:
         validate_density(model)
     return model
 
 
-def validate_density(model, r_max=50.0, tol=1e-7):
+def validate_density(model, r_max=50.0):
     """Check the harmonic-space requirements on a sample grid; hard error."""
     r = np.linspace(1e-3, r_max, 2001)
     th = model.theta(r)
@@ -307,12 +309,12 @@ def validate_density(model, r_max=50.0, tol=1e-7):
         raise DensityError(
             f"theta(r)/r^{model.n} -> {ratio[-1]:.6g} near 0, expected 1")
     d = model.dlog_theta(r)
-    if np.any(np.diff(d) > tol):
+    if np.any(np.diff(d) > DLOG_SLACK):
         i = int(np.argmax(np.diff(d)))
         raise DensityError(
             f"theta'/theta increases near r = {r[i]:.3g}; "
             "not a harmonic density")
-    if np.any(d < -tol):
+    if np.any(d < -DLOG_SLACK):
         raise DensityError("theta must be nondecreasing (theta'/theta >= 0)")
     # d decreases toward H, so H is a lower bound on the whole window; the
     # limit itself is not attainable on a finite grid (flat models decay
@@ -324,68 +326,8 @@ def validate_density(model, r_max=50.0, tol=1e-7):
     return True
 
 
-def mean_curvature_limit(model, r_max=H_LIMIT_RADIUS):
-    """theta'(r_max)/theta(r_max): converges to H as r_max grows."""
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
-    return float(model.dlog_theta(float(r_max)))
-
-
-# ---------------------------------------------------------------------------
-# plain-text config files:  key = value lines, # comments
-# ---------------------------------------------------------------------------
-
-_MODEL_ALIASES = {
-    "euclidean": "euclidean",
-    "hyperbolic": "hyperbolic",
-    "real_hyperbolic": "hyperbolic",
-    "damek-ricci": "damek_ricci",
-    "damek_ricci": "damek_ricci",
-    "custom": "custom",
-}
-
-
-def parse_model_config(text):
-    """Parse `key = value` lines into a dict (no interpretation)."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DensityError(f"config line {lineno}: expected key = value")
-        key, val = line.split("=", 1)
-        out[key.strip().lower()] = val.strip()
-    return out
-
-
-def model_from_config(text):
-    """Build a DensityModel from config text (see parse_model_config)."""
-    cfg = parse_model_config(text)
-    kind = cfg.get("model")
-    if kind is None:
-        raise DensityError("config must set model = ...")
-    kind = _MODEL_ALIASES.get(kind.lower())
-    if kind is None:
-        raise DensityError(f"unknown model {cfg['model']!r}")
-    if kind == "euclidean":
-        return make_euclidean(int(cfg["n"]))
-    if kind == "hyperbolic":
-        return make_real_hyperbolic(int(cfg["n"]))
-    if kind == "damek_ricci":
-        return make_damek_ricci(int(cfg["m"]), int(cfg["k"]))
-    if "theta" not in cfg or "n" not in cfg:
-        raise DensityError("custom model needs theta = <expr> and n = <int>")
-    return make_custom(cfg["theta"], int(cfg["n"]))
-
-
-def load_model_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_config(fh.read())
-
-
 def builtin_models():
-    """The five standard models used throughout the test batteries.
+    """The five standard models of the suite and the tests.
 
     damek_ricci(1, 1) is a valid test density (positive, normalized, with
     θ'/θ decreasing to H = 3/2) but not a harmonic manifold: k ≥ 1 needs m

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 MIN_QUAD_ORDER = 64
+# points per circle of the projector π and of the checks' circle means
+QUAD_ORDER = 256
 
 
 def _lorentz(u, v):
@@ -143,12 +145,11 @@ def _angles(n):
     return np.arange(n) * (2.0 * np.pi / n)
 
 
-def project(space, f, radii, quad_order=256):
+def project(space, f, radii):
     """Radial profile of the projector πf about the origin, at many radii."""
-    _check_order(quad_order)
     radii = np.asarray(radii, float)
     pts = space.sphere_param(space.origin, radii[:, None],
-                             _angles(quad_order)[None, :])
+                             _angles(QUAD_ORDER)[None, :])
     return np.mean(_eval_points(f, pts), axis=-1)
 
 
@@ -174,7 +175,7 @@ def _phi_at(model, lam, d):
     return out.reshape(d.shape)
 
 
-def displacement_identity_check(space, lam, x, r_grid, quad_order=256):
+def displacement_identity_check(space, lam, x, r_grid, quad_order=QUAD_ORDER):
     """sup_r | π((φ_λ)_x)(r) - φ_λ(d(x₀,x)) φ_λ(r) |.
 
     Averaging the displaced eigenfunction z ↦ φ_λ(d(x, z)) over circles
@@ -198,7 +199,8 @@ def displacement_identity_check(space, lam, x, r_grid, quad_order=256):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def projector_convolution_check(space, r, f, y_radii=None, quad_order=256):
+def projector_convolution_check(space, r, f, y_radii=None,
+                                quad_order=QUAD_ORDER):
     """Residual of π(T_r * f) = T_r * (π f) along a ray from the origin.
 
     T_r * f is the unnormalized circle integral circumference(r) times the
@@ -229,26 +231,23 @@ def projector_convolution_check(space, r, f, y_radii=None, quad_order=256):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def projector_selfadjoint_check(space, f, g, domain_radius, quad_order=256,
-                                inner_order=None, radial_spacing=0.02):
+def projector_selfadjoint_check(space, f, g, domain_radius):
     """| ⟨πf, g⟩ - ⟨f, πg⟩ | over the disk of the given radius.
 
     The area element in geodesic polar coordinates is θ(s) ds dφ, so each
     pairing reduces to a radial integral of (projector of one factor) times
     (circle mean of the other).  The projector deliberately uses a different
-    angular rule than the pairing (offset nodes, higher order): with shared
-    nodes the two sides would be the same floating-point expression and the
-    check would be vacuous.  Both f and g must be supported in the disk.
+    angular rule than the pairing (offset nodes, 1.5 times the order): with
+    shared nodes the two sides would be the same floating-point expression
+    and the check would be vacuous.  Both f and g must be supported in the
+    disk.
     """
-    _check_order(quad_order)
-    if inner_order is None:
-        inner_order = quad_order + quad_order // 2
-    _check_order(inner_order)
-    sgrid = make_grid(domain_radius, spacing=radial_spacing)
+    sgrid = make_grid(domain_radius, spacing=0.02)
     s = sgrid.nodes
     x0 = space.origin
 
-    outer = _angles(quad_order)
+    inner_order = QUAD_ORDER + QUAD_ORDER // 2
+    outer = _angles(QUAD_ORDER)
     inner = _angles(inner_order) + np.pi / inner_order
     pts_out = space.sphere_param(x0, s[:, None], outer[None, :])
     pts_in = space.sphere_param(x0, s[:, None], inner[None, :])
@@ -264,17 +263,14 @@ def projector_selfadjoint_check(space, f, g, domain_radius, quad_order=256,
     return abs(lhs - rhs)
 
 
-def idempotence_check(space, f, radii=None, quad_order=256):
-    """max_r | π(πf)(r) - (πf)(r) |; πf is already radial, so π fixes it."""
-    _check_order(quad_order)
-    if radii is None:
-        radii = np.linspace(0.1, 3.0, 12)
-    radii = np.asarray(radii, float)
+def idempotence_check(space, f):
+    """max_r | π(πf)(r) - (πf)(r) | on r ∈ [0.1, 3]; π fixes the radial πf."""
+    radii = np.linspace(0.1, 3.0, 12)
 
     def pf(pts):
         d = np.asarray(space.distance(space.origin, pts), float)
-        return project(space, f, d.ravel(), quad_order=quad_order).reshape(d.shape)
+        return project(space, f, d.ravel()).reshape(d.shape)
 
-    once = project(space, f, radii, quad_order=quad_order)
-    twice = project(space, pf, radii, quad_order=quad_order)
+    once = project(space, f, radii)
+    twice = project(space, pf, radii)
     return float(np.max(np.abs(twice - once)))

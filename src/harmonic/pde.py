@@ -33,6 +33,13 @@ _SERIES_MAX_TERMS = 600
 # within a cell: 4 nodes give F f within 1e-14 of its peak (against 16, on
 # wave_to_kg's H3 data for λ <= 150); 8 would only double the φ-basis radii.
 FD_NODES_PER_CELL = 4
+# a wave slice's numerical support ends at its last sample above this
+# fraction of the slice's peak
+SUPPORT_FLOOR = 3e-4
+# heat mass in the last three cells above this is a leak through the wall
+LEAK_TOL = 1e-10
+# heat_identity_check refuses λ where |F bump| is at most this
+MULTIPLIER_GUARD = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +109,11 @@ def kg_kernel(H, t, s):
     return w
 
 
-def kg_kernel_dt(H, t, s):
-    """∂W/∂t by term-by-term differentiation of the kernel series."""
-    _, wt = _kg_series(H, t, s, want_dt=True)
-    return wt
-
-
 # ---------------------------------------------------------------------------
 # Klein-Gordon evolution on the line
 # ---------------------------------------------------------------------------
 
-def kg_solve(H, g, t, s_spacing=None, sigma_spacing=0.03, s_max=None,
-             sigma_panels=None):
+def kg_solve(H, g, t, s_max=None, sigma_panels=None):
     """Evolve v_tt = v_ss - (H²/4) v from v(0) = g, v_t(0) = 0.
 
     v(t, s) = (g(s-t) + g(s+t))/2 + ∫_{-t}^{t} W(t, σ) g(s-σ) dσ, so the
@@ -126,11 +126,10 @@ def kg_solve(H, g, t, s_spacing=None, sigma_spacing=0.03, s_max=None,
         raise ValueError("t must be nonnegative")
     t = float(t)
     support = g.support + t
-    if s_spacing is None:
-        s_spacing = min(0.02, 2.0 * float(g.grid.points[1] - g.grid.points[0]))
     if s_max is None:
         s_max = support + 0.5
-    sgrid = make_grid(s_max, spacing=s_spacing)
+    sgrid = make_grid(s_max, spacing=min(
+        0.02, 2.0 * float(g.grid.points[1] - g.grid.points[0])))
     quarter = H * H / 4.0
 
     # for H = 0 the kernel vanishes identically and v is the d'Alembert mean
@@ -138,7 +137,7 @@ def kg_solve(H, g, t, s_spacing=None, sigma_spacing=0.03, s_max=None,
     if smoothing:
         # a fixed panel count makes the quadrature error vary smoothly in t,
         # which matters when callers difference solutions across times
-        qgrid = make_grid(t, n_panels=sigma_panels, spacing=sigma_spacing)
+        qgrid = make_grid(t, n_panels=sigma_panels, spacing=0.03)
         sig = qgrid.nodes
         w_here, wt_here = _kg_series(H, t, sig, want_dt=True)
         weights = qgrid.node_weights[:, None] * np.column_stack([w_here,
@@ -171,11 +170,6 @@ def kg_solve(H, g, t, s_spacing=None, sigma_spacing=0.03, s_max=None,
                             deriv_values=vsp, exact_node_values=vn, info=info)
 
 
-def kg_energy(v):
-    """Conserved energy of a kg_solve output."""
-    return v.info["energy"]
-
-
 # ---------------------------------------------------------------------------
 # radial wave flow
 # ---------------------------------------------------------------------------
@@ -200,19 +194,18 @@ def _radial_data(q0):
     raise TypeError("expected RadialFunction or RadialProfile")
 
 
-def _numerical_support(u, r, floor_rel):
+def _numerical_support(u, r):
     # threshold relative to the current slice, so fronts whose amplitude
     # decays (spreading, damping) are still tracked
     a = np.abs(u)
     peak = float(np.max(a))
     if peak == 0.0:
         return 0.0
-    hot = np.nonzero(a > floor_rel * peak)[0]
+    hot = np.nonzero(a > SUPPORT_FLOOR * peak)[0]
     return float(r[hot[-1]]) if hot.size else 0.0
 
 
-def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9,
-                      support_floor=3e-4):
+def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
     """Leapfrog trajectory of w_tt = w_rr + (θ'/θ) w_r with w_t(0) = 0.
 
     The origin is handled by the even-extension ghost point together with
@@ -262,7 +255,7 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9,
     if sample_steps and sample_steps[0] == 0:
         states.append(WaveState(
             0.0, grid, w_prev.copy(), np.zeros_like(w_prev), model,
-            _numerical_support(w_prev, r, support_floor)))
+            _numerical_support(w_prev, r)))
     wanted = set(sample_steps)
     for m in range(1, n_steps + 1):
         w_next = 2.0 * w_cur - w_prev + dt * dt * apply_lap(w_cur)
@@ -270,7 +263,7 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9,
             u_t = (w_next - w_prev) * (0.5 / dt)
             states.append(WaveState(
                 m * dt, grid, w_cur.copy(), u_t, model,
-                _numerical_support(w_cur, r, support_floor)))
+                _numerical_support(w_cur, r)))
         w_prev, w_cur = w_cur, w_next
     return states
 
@@ -308,24 +301,25 @@ def intertwine_check(model, f):
     # both transforms share one spectral cutoff: the identity holds at any
     # truncation level, and a common grid keeps tail effects out of it
     lam_c = max(40.0 / f.support, 8.0)
-    pinned = dict(lambda_max=lam_c, max_lambda_factor=1.0, strict_tail=False)
-    a_f = abel(model, rf, **pinned)
-    a_lap = abel(model, rlap, s_max=a_f.grid.x_max, **pinned)
+    a_f = abel(model, rf, lambda_max=lam_c, max_lambda_factor=1.0,
+               strict_tail=False)
+    a_lap = abel(model, rlap, s_max=a_f.grid.x_max, lambda_max=lam_c,
+                 max_lambda_factor=1.0, strict_tail=False)
     d2 = abel_second_derivative(a_f)
     quarter = model.H ** 2 / 4.0
     resid = a_lap.values - (d2 - quarter * a_f.values)
     return float(np.max(np.abs(resid)))
 
 
-def wave_to_kg_check(model, q0, T, dt=0.002, n_checks=3):
+def wave_to_kg_check(model, q0, T, dt=0.002):
     """Max gap between the transported wave flow and the line evolution.
 
     The radial wave trajectory from q0 is pushed to the line by the
-    transform at a few sample times and compared against the Klein-Gordon
+    transform at three sample times and compared against the Klein-Gordon
     solution started from A q0.  Returns the worst sup-norm gap.
     """
     rf = _as_radial(model, q0)
-    states = radial_wave_solve(model, rf, T, dt, n_samples=n_checks + 1)
+    states = radial_wave_solve(model, rf, T, dt, n_samples=4)
     g0 = abel(model, rf)
     worst = 0.0
     for st in states:
@@ -373,8 +367,8 @@ class BoundaryLeakError(RuntimeError):
         self.required_r_max = required_r_max
 
 
-def radial_heat_solve(model, t_final, bump_width, dr=0.01, dt=None,
-                      r_max=None, n_samples=9, leak_tol=1e-10):
+def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
+                      n_samples=9):
     """Crank-Nicolson trajectory of k_t = k_rr + (θ'/θ) k_r from a bump.
 
     Discretized in flux form on cell centers, d/dt (θ_i k_i Δr) =
@@ -387,8 +381,7 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, dt=None,
         raise ValueError("t_final must lie in (0, 5]")
     if bump_width < 3.0 * dr:
         raise ValueError("bump_width must be at least 3 dr")
-    if dt is None:
-        dt = 0.5 * dr
+    dt = 0.5 * dr
     spread = model.H * t_final + 10.0 * math.sqrt(t_final) + 2.0
     if r_max is None:
         r_max = bump_width + spread
@@ -451,10 +444,10 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, dt=None,
                                     bump_width, mass_of(k)))
 
     tail = model.sphere_const * float(np.sum(theta_c[-3:] * k[-3:])) * dr
-    if tail > leak_tol:
+    if tail > LEAK_TOL:
         needed = max(bump_width + 1.6 * spread, 1.5 * grid.x_max)
         raise BoundaryLeakError(
-            f"mass {tail:.3g} in the last cells exceeds {leak_tol:g}; "
+            f"mass {tail:.3g} in the last cells exceeds {LEAK_TOL:g}; "
             f"rerun with r_max >= {needed:.4g}", required_r_max=needed)
     return states
 
@@ -471,28 +464,27 @@ def _cells_to_radial(model, state):
                           exact_node_values=spl(g.nodes))
 
 
-def heat_identity_check(model, t, lambdas, bump_width=0.3, dr=0.01, dt=None,
-                        guard=1e-3):
+def heat_identity_check(model, t, lambdas, dr=0.01):
     """Max relative gap between the heat flow and its spectral multiplier.
 
-    Evolving a bump b for time t multiplies its transform pointwise:
-    F(k(t))(λ) = e^{-(λ² + H²/4) t} F(b)(λ).  Both transforms use the same
-    cell data, so the discretization of b cancels in the ratio.  λ values
-    where |F b| <= guard are refused (the quotient would amplify noise).
+    Evolving a bump b of width 0.3 for time t multiplies its transform
+    pointwise: F(k(t))(λ) = e^{-(λ² + H²/4) t} F(b)(λ).  Both transforms use
+    the same cell data, so the discretization of b cancels in the ratio.  λ
+    values where |F b| <= MULTIPLIER_GUARD are refused (the quotient would
+    amplify noise).
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    states = radial_heat_solve(model, t, bump_width, dr=dr, dt=dt,
-                               n_samples=2)
+    states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
     f_end = spherical_fourier(model, _cells_to_radial(model, states[-1]),
                               lambdas).values
     f_start = spherical_fourier(model, _cells_to_radial(model, states[0]),
                                 lambdas).values
-    weak = np.abs(f_start) <= guard
+    weak = np.abs(f_start) <= MULTIPLIER_GUARD
     if np.any(weak):
         ok = lambdas[~weak]
         cap = f"{np.max(ok):.4g}" if ok.size else "none"
         raise ValueError(
-            f"|F bump| <= {guard:g} at λ = {lambdas[weak][0]:.4g}; "
+            f"|F bump| <= {MULTIPLIER_GUARD:g} at λ = {lambdas[weak][0]:.4g}; "
             f"shrink the λ grid (largest usable λ: {cap})")
     target = np.exp(-(lambdas**2 + model.H**2 / 4.0) * states[-1].t)
     if np.any(target < 1e-12):

@@ -93,14 +93,14 @@ def smooth_bump(R=1.0):
                          d2f=_masked(R, d2core))
 
 
-def gauss_bump(width=0.3, support=None):
-    """Truncated Gaussian exp(-r²/2w²); support defaults to 7.5 w.
+def gauss_bump(width=0.3):
+    """Truncated Gaussian exp(-r²/2w²), supported in [0, 7.5 w].
 
     The cut value exp(-7.5²/2) ≈ 6e-13 is far below every tolerance used
     against these profiles, so the jump at the support edge is invisible.
     """
     w = float(width)
-    R = 7.5 * w if support is None else float(support)
+    R = 7.5 * w
 
     def core(r):
         return np.exp(-r * r / (2 * w * w))
@@ -116,14 +116,15 @@ def gauss_bump(width=0.3, support=None):
                          d2f=_masked(R, d2core))
 
 
-def annulus_bump(center=1.0, width=0.25, support=None):
+def annulus_bump(center=1.0, width=0.25):
     """Evenized Gaussian ring exp(-(r-c)²/2w²) + exp(-(r+c)²/2w²).
 
-    The mirror term keeps all odd derivatives zero at r = 0, so the profile
-    is a genuine smooth radial function.
+    It is supported in [0, c + 7.5 w].  The mirror term keeps all odd
+    derivatives zero at r = 0, so the profile is a genuine smooth radial
+    function.
     """
     c, w = float(center), float(width)
-    R = c + 7.5 * w if support is None else float(support)
+    R = c + 7.5 * w
 
     def pair(r):
         return (np.exp(-(r - c) ** 2 / (2 * w * w)),
@@ -147,13 +148,12 @@ def annulus_bump(center=1.0, width=0.25, support=None):
                          d2f=_masked(R, d2core))
 
 
-def standard_suite(scale=1.0):
+def standard_suite():
     """Five assorted profiles used by the intertwining and transform batteries."""
-    s = float(scale)
     return [
-        gauss_bump(0.25 * s),
-        gauss_bump(0.4 * s),
-        annulus_bump(0.8 * s, 0.2 * s),
-        annulus_bump(1.2 * s, 0.3 * s),
-        smooth_bump(1.5 * s),
+        gauss_bump(0.25),
+        gauss_bump(0.4),
+        annulus_bump(0.8, 0.2),
+        annulus_bump(1.2, 0.3),
+        smooth_bump(1.5),
     ]

@@ -356,28 +356,25 @@ def _series_sum(coeff_arrays, L, real_input, extra_log=None):
     return vals, max_term
 
 
-def phi_series(model, lam, grid, tol=SERIES_TOL, k_cap=SERIES_K_CAP,
-               at_nodes=False):
-    """φ_λ via the truncated Volterra series.
+def phi_series(model, lam, grid):
+    """φ_λ on grid.points via the truncated Volterra series.
 
-    error_bound combines the truncation tolerance with the double-precision
-    cancellation floor eps·max_k |a_k L^k|.
+    error_bound combines the truncation tolerance SERIES_TOL with the
+    double-precision cancellation floor eps·max_k |a_k L^k|.
     """
     L, real_input = spectral_shift(model, lam)
-    K = truncation_order(abs(L), grid.x_max, tol=tol, k_cap=k_cap)
+    K = truncation_order(abs(L), grid.x_max)
     if K == 0:
-        P = grid.nodes.size if at_nodes else grid.points.size
+        P = grid.points.size
         ones = np.ones(P) if real_input else np.ones(P, complex)
         zeros = np.zeros_like(ones)
         return SphericalFunction(model, lam, L, grid, ones, zeros,
                                  "series", 0.0, k_used=0)
     coeffs = volterra_coefficients(model, grid, K)
-    a = coeffs.node_values if at_nodes else coeffs.point_values
-    da = coeffs.node_derivs if at_nodes else coeffs.point_derivs
-    vals, mx1 = _series_sum(a, L, real_input)
-    derivs, mx2 = _series_sum(da, L, real_input)
+    vals, mx1 = _series_sum(coeffs.point_values, L, real_input)
+    derivs, mx2 = _series_sum(coeffs.point_derivs, L, real_input)
     derivs = derivs - 1.0   # derivative series has no constant term
-    err = _EPS * max(mx1, mx2, 1.0) + tol
+    err = _EPS * max(mx1, mx2, 1.0) + SERIES_TOL
     return SphericalFunction(model, lam, L, grid, vals, derivs,
                              "series", float(err), k_used=K)
 
@@ -484,7 +481,7 @@ def _eigen_rows(model, L, radii, dL=False, Phi=False, r_t=TAYLOR_RADIUS,
     return rows
 
 
-def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
+def phi_ode_values(model, lams, r_points):
     """Integrate the eigenfunction ODE for a batch of λ simultaneously.
 
     Returns (values, derivatives) with shape (len(lams), len(r_points)).
@@ -510,17 +507,16 @@ def phi_ode_values(model, lams, r_points, rtol=ODE_RTOL, atol=ODE_ATOL):
         raise PhiOverflowError(
             f"φ_λ grows like exp({rate:.6g} r) and leaves double range "
             f"beyond r = {r_usable:.6g}, the largest usable radius")
-    values, derivs = _eigen_rows(model, L, r_points, rtol=rtol, atol=atol)
+    values, derivs = _eigen_rows(model, L, r_points)
     return values, derivs
 
 
-def phi_ode(model, lam, grid, rtol=ODE_RTOL, atol=ODE_ATOL, at_nodes=False):
-    """φ_λ on grid.points (or grid.nodes) via the ODE path."""
+def _phi_ode(model, lam, grid):
+    """φ_λ on grid.points via the ODE path (tolerances ODE_RTOL, ODE_ATOL)."""
     L, _ = spectral_shift(model, lam)
-    r = grid.nodes if at_nodes else grid.points
-    vals, derivs = phi_ode_values(model, [lam], r, rtol=rtol, atol=atol)
+    vals, derivs = phi_ode_values(model, [lam], grid.points)
     scale = float(np.max(np.abs(vals)))
-    err = rtol * max(scale, 1.0) * 10 + atol
+    err = ODE_RTOL * max(scale, 1.0) * 10 + ODE_ATOL
     return SphericalFunction(model, lam, L, grid, vals[0], derivs[0],
                              "ode", err, k_used=None)
 
@@ -530,8 +526,8 @@ def _cancellation_floor(abs_L, r):
     return _EPS * math.cosh(min(math.sqrt(abs_L) * r, 700.0))
 
 
-def phi(model, lam, grid, method="auto", tol=SERIES_TOL, at_nodes=False):
-    """φ_λ by the best available path, on grid.points (or grid.nodes).
+def phi(model, lam, grid, method="auto"):
+    """φ_λ on grid.points by the best available path.
 
     'auto' uses the series when its cancellation floor is below 1e-10 and the
     ODE integrator otherwise, or when the series cannot be formed on this
@@ -539,92 +535,30 @@ def phi(model, lam, grid, method="auto", tol=SERIES_TOL, at_nodes=False):
     Both paths agree (tested) where they overlap.
     """
     if method == "series":
-        return phi_series(model, lam, grid, tol=tol, at_nodes=at_nodes)
+        return phi_series(model, lam, grid)
     if method == "ode":
-        return phi_ode(model, lam, grid, at_nodes=at_nodes)
+        return _phi_ode(model, lam, grid)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     L, _ = spectral_shift(model, lam)
     if _cancellation_floor(abs(L), grid.x_max) < 1e-10:
         try:
-            return phi_series(model, lam, grid, tol=tol, at_nodes=at_nodes)
+            return phi_series(model, lam, grid)
         except (TruncationError, QuadratureError):
             pass
-    return phi_ode(model, lam, grid, at_nodes=at_nodes)
-
-
-# ---------------------------------------------------------------------------
-# λ-derivatives and the integrated eigenfunction
-# ---------------------------------------------------------------------------
-
-def phi_lambda_derivative(model, lam, k, grid, tol=SERIES_TOL):
-    """∂^k φ_λ / ∂λ^k on grid.points, term-wise from the series (k ≤ 4).
-
-    Chain rule through L(λ) = -(λ² + H²/4): L' = -2λ, L'' = -2, higher
-    derivatives vanish, so Faa di Bruno terminates quickly.
-    """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be between 1 and 4")
-    L, real_input = spectral_shift(model, lam)
-    lam_n, _ = _normalize_lambda(lam)
-    K = truncation_order(abs(L), grid.x_max, tol=tol) + 12
-    K = min(K, SERIES_K_CAP + 12)
-    coeffs = volterra_coefficients(model, grid, K)
-    a = coeffs.point_values
-
-    # f_m = Σ_j a_j j!/(j-m)! L^{j-m}  (the m-th L-derivative of the series)
-    def f_m(m):
-        j = np.arange(1, K + 1)
-        sel = j >= m
-        jj = j[sel]
-        fall = np.exp(np.array([math.lgamma(x + 1) - math.lgamma(x - m + 1) for x in jj]))
-        with np.errstate(divide="ignore"):
-            loga = np.log(np.maximum(a[sel], 0.0))
-        absL = abs(L)
-        if absL > 0:
-            logmag = loga + ((jj - m) * math.log(absL))[:, None] + np.log(fall)[:, None]
-            mag = np.exp(logmag)
-            if real_input:
-                ph = np.sign(L) ** (jj - m)
-            else:
-                ph = np.exp(1j * (jj - m) * np.angle(L))
-            return np.sum(mag * ph[:, None], axis=0)
-        # only j == m contributes: L^0 = 1
-        if m <= K:
-            return a[m - 1] * math.factorial(m)
-        return np.zeros(a.shape[1], dtype=float if real_input else complex)
-
-    g1 = -2.0 * lam_n   # dL/dλ
-    if k == 1:
-        out = f_m(1) * g1
-    elif k == 2:
-        out = f_m(2) * g1 * g1 - 2.0 * f_m(1)
-    elif k == 3:
-        out = f_m(3) * g1**3 + 3.0 * f_m(2) * g1 * (-2.0)
-    else:
-        out = (f_m(4) * g1**4 + 6.0 * f_m(3) * g1 * g1 * (-2.0)
-               + 3.0 * f_m(2) * 4.0)
-    if real_input and np.iscomplexobj(out):
-        out = out.real
-    return out
-
-
-def capital_phi(model, lam, grid, method="auto"):
-    """Φ_λ(r) = ∫_0^r θ φ_λ dρ at grid.points.
-
-    Φ_{iH/2}(r) recovers vol B_r / ω_n; zeros of Φ_λ(r) in L are the
-    eigenvalue data of the Dirichlet ball problem.  method is as for phi.
-    """
-    node_vals = phi(model, lam, grid, method=method, at_nodes=True).values
-    return grid.cumulative_at_points(model.theta(grid.nodes) * node_vals)
+    return _phi_ode(model, lam, grid)
 
 
 # ---------------------------------------------------------------------------
 # batched state evaluation in the L-plane (used by the zero search)
 # ---------------------------------------------------------------------------
 
+# tolerances of the L-plane and r-profile solves (eigen_state_at,
+# eigen_profile)
+STATE_RTOL = 1e-12
+STATE_ATOL = 1e-14
 # eigen_state_at sums the series when the cancellation floor of its batch is
-# at most this, about the error its DOP853 path (rtol 1e-12) leaves there
+# at most this, about the error its DOP853 path (STATE_RTOL) leaves there
 STATE_SERIES_FLOOR = 1e-11
 # Under that floor sqrt|L|·r ≤ x = acosh(floor/eps) ≈ 11.4, so the series
 # terms x^(2k)/(2k)! fall below eps from the 29th on; the ∂/∂L rows and
@@ -663,7 +597,7 @@ def _state_polynomials(model, r):
     return out
 
 
-def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
+def eigen_state_at(model, L_values, r_stop):
     """φ, φ_r, ∂φ/∂L, Φ, ∂Φ/∂L at radius r_stop for a batch of complex L.
 
     Two routes give the same holomorphic functions of L, which is what the
@@ -672,7 +606,7 @@ def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
     STATE_SERIES_FLOOR, all five are polynomials in L, summed by Horner from
     coefficients computed once per (model, r_stop) and cached.  Above that
     floor, or when the coefficients fail their quadrature check, it
-    integrates the eigenfunction ODE (DOP853, rtol/atol) together with its
+    integrates the eigenfunction ODE (DOP853, STATE_RTOL/STATE_ATOL) with its
     variational equation (∂/∂L) and the cumulative integral Φ = ∫ θ φ.
     """
     L = np.atleast_1d(np.asarray(L_values, dtype=complex))
@@ -692,12 +626,12 @@ def eigen_state_at(model, L_values, r_stop, rtol=1e-12, atol=1e-14):
                             rows))
     rows = _eigen_rows(model, L, np.array([r_stop], dtype=float), dL=True,
                        Phi=True, r_t=min(TAYLOR_RADIUS, r_stop / 2),
-                       rtol=rtol, atol=atol, dense=False)
+                       rtol=STATE_RTOL, atol=STATE_ATOL, dense=False)
     u, v, p, q, Phi, Psi = (row[:, 0] for row in rows)
     return {"phi": u, "dphi_dr": v, "dphi_dL": p, "Phi": Phi, "dPhi_dL": Psi}
 
 
-def eigen_profile(model, L, r_points, rtol=1e-12, atol=1e-14):
+def eigen_profile(model, L, r_points):
     """Radial profile of (φ, φ_r, Φ) for one complex L at the given radii.
 
     Used to hunt zeros in r at fixed λ.  r_points need not be distinct;
@@ -706,7 +640,8 @@ def eigen_profile(model, L, r_points, rtol=1e-12, atol=1e-14):
     """
     r = np.asarray(r_points, dtype=float)
     u, v, Phi = (row[0] for row in _eigen_rows(
-        model, np.array([complex(L)]), r, Phi=True, rtol=rtol, atol=atol))
+        model, np.array([complex(L)]), r, Phi=True, rtol=STATE_RTOL,
+        atol=STATE_ATOL))
     return {"r": r, "phi": u, "dphi_dr": v, "Phi": Phi}
 
 
@@ -744,6 +679,3 @@ def phi_basis(model, lams, r_points):
         out = _BASIS_CACHE.put(key, out)
     return out
 
-
-def default_radial_grid(r_max, spacing=0.02):
-    return make_grid(r_max, spacing=spacing)

@@ -18,10 +18,9 @@ import mpmath
 import numpy as np
 
 from . import asymptotics, geometry, pde, profiles, transforms, two_radius
-from .density import (builtin_models, make_damek_ricci, make_euclidean,
-                      make_real_hyperbolic)
+from .density import builtin_models
 from .grids import make_grid
-from .spherical import phi, phi_ode, phi_series, volterra_coefficients
+from .spherical import phi, phi_series, volterra_coefficients
 from .transforms import EvenLineFunction, RadialFunction
 
 DEFAULT_SEED = 20260814
@@ -84,14 +83,12 @@ def registered_checks(quick=False):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _models():
+    return dict(zip(("e0", "e2", "h3", "dr21", "dr11"), builtin_models()))
+
+
 def _model(key):
-    return {
-        "e0": make_euclidean(0),
-        "e2": make_euclidean(2),
-        "h3": make_real_hyperbolic(2),
-        "dr21": make_damek_ricci(2, 1),
-        "dr11": make_damek_ricci(1, 1),
-    }[key]
+    return _models()[key]
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +172,7 @@ def _paths_agree(ctx):
     worst = 0.0
     for lam in (0.5, 1.0, 2.0, 1 + 0.5j):
         a = phi_series(_model("dr21"), lam, grid).values
-        b = phi_ode(_model("dr21"), lam, grid).values
+        b = phi(_model("dr21"), lam, grid, method="ode").values
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst, 1e-8, "series vs ODE evaluation on Damek-Ricci(2,1)"
 

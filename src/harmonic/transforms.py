@@ -30,9 +30,7 @@ convolve on the line, then invert A.  abel_inverse needs no c-function: a
 radial f supported in the ball B_S is determined by F f at the Dirichlet
 eigenvalues of B_S, where F f equals the cosine transform of A f, and f is
 their eigen-expansion (exact by Sturm-Liouville completeness).  Its cutoff
-in λ follows abel's tail rule through the same helper.  The dual lift `a`
-(with a(cos λ·) = φ_λ and a(cosh(H·/2)) = 1) fits its input in cosines by
-ridge-regularized least squares and maps each cosine to its φ_λ.
+in λ follows abel's tail rule through the same helper.
 """
 
 from __future__ import annotations
@@ -196,20 +194,12 @@ class SpectralSamples:
         return self.model.sphere_const
 
 
-def _as_radial(model, f, spacing=DEFAULT_SPACING):
+def _as_radial(model, f):
     if isinstance(f, RadialFunction):
         return f
     if isinstance(f, RadialProfile):
-        return RadialFunction.from_profile(model, f, spacing=spacing)
+        return RadialFunction.from_profile(model, f)
     raise TypeError("expected RadialFunction or RadialProfile")
-
-
-def radial_integral(model, f):
-    """∫_X f = ω_n ∫ f θ dr for a radial f."""
-    f = _as_radial(model, f)
-    nodes = f.grid.nodes
-    return model.sphere_const * f.grid.integrate(
-        model.theta(nodes) * f.node_values())
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +219,8 @@ def spherical_fourier(model, f, lambdas):
     return SpectralSamples(model=model, lambdas=lambdas, values=vals)
 
 
-def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
-         lambda_max=None, max_lambda_factor=10.0, strict_tail=True):
+def abel(model, f, s_max=None, tail_tol=TAIL_TOL, lambda_max=None,
+         max_lambda_factor=10.0, strict_tail=True):
     """Abel transform via the spectral route; even output on [0, s_max].
 
     F f is integrated over λ on Gauss-Legendre panels of fixed width
@@ -262,7 +252,7 @@ def abel(model, f, s_max=None, s_spacing=0.01, tail_tol=TAIL_TOL,
     lgrid = panels(n)
     lam = lgrid.x_max
 
-    sgrid = make_grid(s_max, spacing=s_spacing)
+    sgrid = make_grid(s_max, spacing=0.01)
     lnodes = lgrid.nodes
     wF = lgrid.node_weights * Ff
     phase = np.outer(sgrid.points, lnodes)
@@ -454,55 +444,14 @@ def abel_inverse(model, g):
                                 "lambda_max": n * step})
 
 
-def lift_a(model, u, s_window, r_max, n_lambda=257, lambda_max=None,
-           ridge=1e-12, extra_lambdas=(), r_spacing=DEFAULT_SPACING,
-           residual_warn=1e-6):
-    """The lift a: even functions on the line -> radial functions on X.
-
-    Fits u on [0, s_window] in the dictionary {cos(λ_j s)} and maps each
-    cosine to φ_{λ_j} (a cos(λ·) = φ_λ).  Exact on the dictionary span by
-    construction; the fit residual is reported in .info and flagged when it
-    exceeds residual_warn.
-    """
-    sgrid = make_grid(s_window, spacing=min(DEFAULT_SPACING, s_window / 64))
-    snodes = sgrid.nodes
-    sw = np.sqrt(sgrid.node_weights)
-    uvals = np.asarray(u(snodes), dtype=float)
-    lam_top = lambda_max if lambda_max is not None else max(40.0 / s_window, 10.0)
-    lambdas = np.linspace(0.0, lam_top, n_lambda)
-    if len(extra_lambdas):
-        lambdas = np.unique(np.concatenate([lambdas, np.asarray(extra_lambdas,
-                                                               dtype=float)]))
-    design = sw[:, None] * np.cos(np.outer(snodes, lambdas))
-    # ridge-filtered SVD solve
-    U, sv, Vt = np.linalg.svd(design, full_matrices=False)
-    alpha = ridge * sv[0]
-    coef = Vt.T @ (sv / (sv * sv + alpha * alpha) * (U.T @ (sw * uvals)))
-    cond = sv[0] / max(sv[-1], 1e-300)
-    fit = design @ coef - sw * uvals
-    fit_sup = float(np.max(np.abs(fit / np.maximum(sw, 1e-300))))
-
-    rgrid = make_grid(r_max, spacing=r_spacing)
-    union, inv = np.unique(np.concatenate([rgrid.points, rgrid.nodes]),
-                           return_inverse=True)
-    samples = (coef @ phi_basis(model, lambdas, union))[inv]
-    n_pts = rgrid.points.size
-    info = {"fit_residual": fit_sup, "condition": float(cond),
-            "coef_norm": float(np.linalg.norm(coef)),
-            "residual_ok": fit_sup <= residual_warn}
-    return RadialFunction(model=model, grid=rgrid, values=samples[:n_pts],
-                          support_radius=math.inf,
-                          exact_node_values=samples[n_pts:], info=info)
-
-
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
 
-def line_convolve(g1, g2, s_spacing=DEFAULT_SPACING):
+def line_convolve(g1, g2):
     """(g1 ⋆ g2)(s) = ∫ g1(σ) g2(s - σ) dσ for even g1, g2."""
     S = g1.support + g2.support
-    out_grid = make_grid(S, spacing=s_spacing)
+    out_grid = make_grid(S, spacing=DEFAULT_SPACING)
     sig = g1.grid.nodes
     w1 = g1.grid.node_weights * g1.node_values()
     return EvenLineFunction(grid=out_grid,
@@ -519,40 +468,6 @@ def radial_convolve(model, f, g):
     ag = abel(model, g)
     h = line_convolve(af, ag)
     return abel_inverse(model, h)
-
-
-# ---------------------------------------------------------------------------
-# multiplier identity check
-# ---------------------------------------------------------------------------
-
-def eigen_multiplier_check(model, f, lam, r_test_max=3.0, s_window=None):
-    """Residual of the commuting diagram a((A f) ⋆ cos(λ·)) = F f(λ) φ_λ.
-
-    Convolving A f with the even plane wave multiplies it by F f(λ); lifting
-    the product must land on F f(λ) φ_λ.  Returns the sup-norm residual on
-    [0, r_test_max] plus diagnostics.
-    """
-    lam = float(lam)
-    f = _as_radial(model, f)
-    af = abel(model, f)
-    s_window = (r_test_max + 1.0) if s_window is None else float(s_window)
-    sig = af.grid.nodes
-    wA = af.grid.node_weights * af.node_values()
-
-    def u(s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return (np.cos(lam * (s[:, None] - sig[None, :]))
-                + np.cos(lam * (s[:, None] + sig[None, :]))) @ wA
-
-    lift = lift_a(model, u, s_window, r_test_max,
-                  lambda_max=max(40.0 / s_window, 2 * lam + 5.0),
-                  extra_lambdas=(lam,))
-    Ff = float(np.real(spherical_fourier(model, f, [lam]).values[0]))
-    target = Ff * phi_basis(model, [lam], lift.grid.points)[0]
-    resid = float(np.max(np.abs(lift.values - target)))
-    return {"residual": resid, "multiplier": Ff,
-            "relative": resid / max(abs(Ff), 1e-300),
-            "lift_fit_residual": lift.info["fit_residual"]}
 
 
 # ---------------------------------------------------------------------------

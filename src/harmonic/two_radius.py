@@ -72,6 +72,14 @@ GROUP = 0.05
 # only to the square root of the state's noise) at the second
 SIMPLE_STEP = 1e-14
 MULTIPLE_STEP = 1e-7
+# a boundary sample with |t| below this fraction of max(1, max |t|) is a zero
+ZERO_FLOOR = 1e-11
+# find_L_zeros refuses a box holding more zeros than this
+MAX_ZEROS = 64
+# subdivision stops at boxes this small relative to 1 + |center|
+RESOLVE = 1e-4
+# find_r_zeros searches r in [R_MIN, r_max]
+R_MIN = 1e-3
 
 # split fractions tried when a subdivision line lands on a zero
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.57, 0.37, 0.63, 0.41, 0.55)
@@ -235,7 +243,7 @@ def _moment_seeds(pts, wts, t, dt, w, lo, hi, origin_w):
     return BoxCount(w, c + rho * roots, centroid)
 
 
-def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
+def boundary_winding(model, r, target, lo, hi):
     """Argument-principle zero count inside the box [lo, hi], with seeds.
 
     For mvp, when the box encloses L = 0, the winding of the puncture circle
@@ -245,11 +253,9 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
     phase refuses to stabilize; callers nudge the box and retry.
     """
     _check_target(target)
-    if n_side is None:
-        # the phase turns about r·sqrt|L| along an edge; mid-edge, Gauss-
-        # Legendre nodes lie π/2 times farther apart than equispaced ones
-        scale = max(abs(lo), abs(hi))
-        n_side = int(max(32, 1.1 * r * math.sqrt(scale) + 13))
+    # the phase turns about r·sqrt|L| along an edge; mid-edge, Gauss-Legendre
+    # nodes lie π/2 times farther apart than equispaced ones
+    n_side = int(max(32, 1.1 * r * math.sqrt(max(abs(lo), abs(hi))) + 13))
     n_circle = 64 if target == "mvp" and _box_contains(lo, hi, 0j) else 0
     while True:
         pts, wts = _box_path(lo, hi, n_side)
@@ -262,7 +268,7 @@ def boundary_winding(model, r, target, lo, hi, n_side=None, zero_floor=1e-11):
         # leaves the phase unchanged, so the count cannot see it
         gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
                          np.abs(pts - np.roll(pts, 1)))
-        hit = np.abs(t) < zero_floor * max(1.0, float(np.max(np.abs(t))))
+        hit = np.abs(t) < ZERO_FLOOR * max(1.0, float(np.max(np.abs(t))))
         if hit.any():
             raise WindingError("boundary sample hits a zero",
                                gap=float(np.max(gap[hit])))
@@ -458,7 +464,7 @@ def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
     return None
 
 
-def _subdivide(model, r, target, lo, hi, count, zero_tol, resolve, depth=0):
+def _subdivide(model, r, target, lo, hi, count, zero_tol, depth=0):
     """Isolate the counted zeros in [lo, hi]; returns [(L, mult), ...]."""
     w = count.winding
     if w == 0:
@@ -467,7 +473,7 @@ def _subdivide(model, r, target, lo, hi, count, zero_tol, resolve, depth=0):
         raise WindingError(f"negative winding {w}: boundary unstable")
     size = abs(hi - lo)
     center = (lo + hi) / 2
-    at_floor = size <= resolve * (1.0 + abs(center)) or depth >= 48
+    at_floor = size <= RESOLVE * (1.0 + abs(center)) or depth >= 48
     if w <= MAX_SEEDED or at_floor:
         found = _polish_box(model, r, target, lo, hi, count, zero_tol,
                             at_floor)
@@ -495,7 +501,7 @@ def _subdivide(model, r, target, lo, hi, count, zero_tol, resolve, depth=0):
             out = []
             for (a, b), c in zip(boxes, counts):
                 out.extend(_subdivide(model, r, target, a, b, c,
-                                      zero_tol, resolve, depth + 1))
+                                      zero_tol, depth + 1))
             return out
         except WindingError as err:
             last_err = err
@@ -522,7 +528,7 @@ def _least_residual(model, r, target, groups):
 
 
 def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
-                 max_zeros=64, zero_tol=DEFAULT_ZERO_TOL, resolve=1e-4):
+                 zero_tol=DEFAULT_ZERO_TOL):
     """All zeros of the target function inside the L-plane box.
 
     Counts the zeros in the box by the argument principle and seeds Newton
@@ -561,12 +567,13 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
             corner_hi = corner_hi + bump * (1 + 1j)
     if total is None:
         raise WindingError("outer boundary winding unstable after nudging")
-    if total.winding > max_zeros:
+    if total.winding > MAX_ZEROS:
         raise WindingError(
-            f"{total.winding} zeros counted, above max_zeros={max_zeros}")
+            f"{total.winding} zeros counted in the box, above the limit of "
+            f"{MAX_ZEROS}; search a smaller box")
 
     found = _subdivide(model, r, target, corner_lo, corner_hi, total,
-                       zero_tol, resolve)
+                       zero_tol)
     # Points closer than a multiple zero's noise cluster are one zero (two
     # boxes at the subdivision floor may both report it): they are merged,
     # and only such a merged cluster is polished again, with its summed
@@ -656,9 +663,8 @@ def _quintic_newton(h, dh, ddh, x, idx, t0):
     return x[idx] + t * dx
 
 
-def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
-                 r_min=1e-3):
-    """All r in (0, r_max] where the target of r vanishes, for fixed L.
+def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
+    """All r in [R_MIN, r_max] where the target of r vanishes, for fixed L.
 
     Scans a dense oscillation-resolving profile for minima of |h|² (sign
     changes of Re(h̄ h')) and brackets them.  Newton on Re(h̄ h') then runs
@@ -680,7 +686,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
     q = np.real(np.conj(h) * dh)
 
     # minima of |h|^2: q crosses - to +
-    idx = np.nonzero((q[:-1] < 0) & (q[1:] >= 0) & (grid[1:] > r_min))[0]
+    idx = np.nonzero((q[:-1] < 0) & (q[1:] >= 0) & (grid[1:] > R_MIN))[0]
     # cheap rejection: a zero inside the bracket puts the nearer sample
     # within slope × spacing of it
     reach = np.maximum(np.abs(dh[idx]), np.abs(dh[idx + 1])) \
@@ -690,7 +696,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
         return []
     cand = _quintic_newton(h, dh, ddh, grid, idx,
                            q[idx] / (q[idx] - q[idx + 1]))
-    cand = np.clip(cand, r_min, r_max)
+    cand = np.clip(cand, R_MIN, r_max)
     h_f, dh_f, ddh_f = _profile_target(model, L, cand, target)
     # the interpolation error grows with |h| (Φ grows like e^{Hr/2}): a
     # candidate left within it of a zero gets one exact Newton step on
@@ -701,7 +707,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL,
         q = np.real(np.conj(h_f) * dh_f)[near]
         dq = (np.abs(dh_f) ** 2 + np.real(np.conj(h_f) * ddh_f))[near]
         cand[near] = np.clip(cand[near] - q / np.where(dq == 0, 1.0, dq),
-                             r_min, r_max)
+                             R_MIN, r_max)
         h_f[near] = _profile_target(model, L, cand[near], target)[0]
     roots = sorted(float(c) for c, hv in zip(cand, h_f) if abs(hv) < zero_tol)
     out = []
@@ -792,13 +798,14 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
 # the classical cosine counterexample
 # ---------------------------------------------------------------------------
 
-def mvp_counterexample_demo(n_samples=100, seed=20260814):
+def mvp_counterexample_demo(seed=20260814):
     """cos satisfies the sphere mean value property at radius 2π, yet is not
     harmonic; at radius π the property fails.  Linear functions satisfy it
-    at every radius.  Returns a dict of measured residuals.
+    at every radius.  Returns a dict of residuals measured at 100 random
+    points.
     """
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-20.0, 20.0, size=n_samples)
+    x = rng.uniform(-20.0, 20.0, size=100)
 
     def mvp_residual(f, r):
         return float(np.max(np.abs((f(x - r) + f(x + r)) / 2 - f(x))))

@@ -46,6 +46,13 @@ def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
     assert doc["manifest"]["parameters"] == {}
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--seed"])
+def test_phi_refuses_flags_it_does_not_read(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["phi", flag, "1"])
+    assert exc.value.code == 2
+
+
 def test_overflow_guard_names_the_largest_usable_radius():
     model = make_real_hyperbolic(2)
     with pytest.raises(PhiOverflowError, match="172.5"):

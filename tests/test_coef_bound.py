@@ -76,6 +76,6 @@ def test_high_dimension_series_matches_ode(model, r_max):
     grid = make_grid(r_max, spacing=0.05)
     for lam in (0.5, 1.0 + 0.3j, 3.0):
         series = spherical.phi_series(model, lam, grid)
-        ode = spherical.phi_ode(model, lam, grid)
+        ode = spherical.phi(model, lam, grid, method="ode")
         scale = max(1.0, float(np.max(np.abs(ode.values))))
         assert np.max(np.abs(series.values - ode.values)) < 1e-9 * scale

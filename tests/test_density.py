@@ -6,10 +6,8 @@ import sympy as sp
 from hypothesis import given, strategies as st
 
 from harmonic.density import (DensityError, _series_c2_c4, builtin_models,
-                              load_model_config, make_custom, make_damek_ricci,
-                              make_euclidean, make_real_hyperbolic,
-                              mean_curvature_limit, model_from_config,
-                              parse_model_config, unit_sphere_volume,
+                              make_custom, make_damek_ricci, make_euclidean,
+                              make_real_hyperbolic, unit_sphere_volume,
                               validate_density)
 
 
@@ -69,12 +67,12 @@ def test_closed_form_taylor_data_matches_symbolic_series():
 
 
 def test_mean_curvature_limit_converges():
-    assert mean_curvature_limit(make_real_hyperbolic(2), 40.0) == \
+    assert make_real_hyperbolic(2).dlog_theta(40.0) == \
         pytest.approx(2.0, abs=1e-8)
-    assert mean_curvature_limit(make_damek_ricci(1, 1), 40.0) == \
+    assert make_damek_ricci(1, 1).dlog_theta(40.0) == \
         pytest.approx(1.5, abs=1e-8)
     # flat models decay like n/r instead
-    assert mean_curvature_limit(make_euclidean(2), 40.0) == \
+    assert make_euclidean(2).dlog_theta(40.0) == \
         pytest.approx(2 / 40, rel=1e-12)
 
 
@@ -120,24 +118,6 @@ def test_validate_density_reports_overflow():
     with np.errstate(over="ignore"), pytest.raises(DensityError,
                                                    match="finite and positive"):
         validate_density(model, r_max=2000.0)
-
-
-def test_model_config_round_trip(tmp_path):
-    cfg = "model = damek-ricci\nm = 2\nk = 1\n"
-    assert parse_model_config(cfg) == {"model": "damek-ricci",
-                                       "m": "2", "k": "1"}
-    model = model_from_config(cfg)
-    assert model.key == "damek_ricci(2,1)"
-    p = tmp_path / "m.cfg"
-    p.write_text("model = hyperbolic\nn = 2\n")
-    assert load_model_config(p).key == "real_hyperbolic(2)"
-
-
-def test_model_config_rejects_unknown():
-    with pytest.raises(ValueError):
-        model_from_config("model = torus\n")
-    with pytest.raises(ValueError):
-        parse_model_config("not an assignment\n")
 
 
 @given(n=st.integers(min_value=0, max_value=6),

@@ -14,10 +14,8 @@ from harmonic import cli, spherical
 from harmonic.density import (make_custom, make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
-from harmonic.spherical import (QuadratureError, TruncationError, capital_phi,
-                                default_radial_grid, eigen_profile,
-                                eigen_state_at, phi,
-                                phi_basis, phi_lambda_derivative,
+from harmonic.spherical import (QuadratureError, TruncationError,
+                                eigen_profile, eigen_state_at, phi, phi_basis,
                                 phi_ode_values, phi_series, spectral_shift,
                                 truncation_order, volterra_coefficients)
 
@@ -180,6 +178,8 @@ def test_phi_auto_falls_back_to_ode_on_quadrature_error(monkeypatch):
         phi_series(model, 1.0, grid)
     sf = phi(model, 1.0, grid)
     assert sf.method == "ode"
+    assert np.array_equal(sf.values,
+                          phi(model, 1.0, grid, method="ode").values)
     ref = _damek_ricci_phi(2, 1, 1.0, grid.points)
     assert np.max(np.abs(sf.values - ref)) < 1e-8
 
@@ -218,61 +218,45 @@ def test_phi_ode_values_requires_sorted_points():
         phi_ode_values(E2, [1.0], np.array([1.0, 0.5, 2.0]))
 
 
-# -- lambda derivatives ----------------------------------------------------
-
-def test_lambda_derivative_matches_finite_differences():
-    lam, h = 1.2, 1e-5
-    d1 = phi_lambda_derivative(E2, lam, 1, GRID)
-    up = phi_series(E2, lam + h, GRID).values
-    dn = phi_series(E2, lam - h, GRID).values
-    assert np.max(np.abs(d1 - (up - dn) / (2 * h))) < 1e-7
-
-
-def test_second_lambda_derivative_matches_finite_differences():
-    lam, h = 1.2, 1e-4
-    d2 = phi_lambda_derivative(H3, lam, 2, GRID)
-    mid = phi_series(H3, lam, GRID).values
-    up = phi_series(H3, lam + h, GRID).values
-    dn = phi_series(H3, lam - h, GRID).values
-    assert np.max(np.abs(d2 - (up - 2 * mid + dn) / h**2)) < 1e-5
-
-
-def test_lambda_derivative_guards():
-    with pytest.raises(ValueError):
-        phi_lambda_derivative(E2, 1.0, 0, GRID)
-    with pytest.raises(ValueError):
-        phi_lambda_derivative(E2, 1.0, 5, GRID)
-
-
 # -- integrated eigenfunction ----------------------------------------------
 
 def test_capital_phi_flat_line():
+    # Φ = ∫θφ at single radii, where the state sums its series in L
     lam = 1.4
-    vals = capital_phi(E0, lam, GRID)
-    assert np.max(np.abs(vals - np.sin(lam * GRID.points) / lam)) < 1e-12
+    for r in GRID.points[10::10]:
+        Phi = eigen_state_at(E0, [-lam * lam], r)["Phi"][0]
+        assert abs(Phi - math.sin(lam * r) / lam) < 1e-12
 
 
 def test_capital_phi_falls_back_to_the_ode(monkeypatch):
     # series coefficients failing their quadrature bound make the series
-    # refuse, and 'auto' must take the ODE path
+    # refuse, and Φ must come from the ODE path
+    L, r = -1.0 - 0.25j, 2.0
+    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
+    series = eigen_state_at(DR21, [L], r)["Phi"][0]
+
     def refuse(self, k, *args):
         raise QuadratureError(f"a_{k} refused")
 
     monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", refuse)
     monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
-    grid = make_grid(2.0, spacing=0.05)
     with pytest.raises(QuadratureError):
-        capital_phi(DR21, 1.0, grid, method="series")
-    got = capital_phi(DR21, 1.0, grid)
-    assert np.array_equal(got, capital_phi(DR21, 1.0, grid, method="ode"))
+        spherical._state_polynomials(DR21, r)
+    got = eigen_state_at(DR21, [L], r)["Phi"][0]
+    ode = spherical._eigen_rows(
+        DR21, np.array([L]), np.array([r]), dL=True, Phi=True,
+        r_t=min(spherical.TAYLOR_RADIUS, r / 2), rtol=spherical.STATE_RTOL,
+        atol=spherical.STATE_ATOL, dense=False)[4][0, 0]
+    assert got == ode
+    assert abs(got - series) < 1e-9 * abs(series)
     with pytest.raises(ValueError, match="unknown method"):
-        capital_phi(E0, 1.0, GRID, method="spline")
+        phi(E0, 1.0, GRID, method="spline")
 
 
 def test_capital_phi_recovers_ball_volume():
-    # lambda = iH/2 makes phi constant 1, so Phi = integral of theta.
-    vals = capital_phi(H3, 1j, GRID)
+    # L = 0 (lambda = iH/2) makes phi constant 1, so Phi = integral of theta.
     r = GRID.points
+    vals = eigen_profile(H3, 0.0, r)["Phi"]
     exact = (np.sinh(r) * np.cosh(r) - r) / 2.0
     assert np.max(np.abs(vals - exact)) < 1e-12 * exact[-1]
 
@@ -402,12 +386,6 @@ def test_phi_basis_threads_match_serial(ode_rows):
     # four distinct keys; a lost update would break the byte count
     assert len(cache._entries) == 4
     assert cache.nbytes == sum(v.nbytes for v in cache._entries.values())
-
-
-def test_default_radial_grid():
-    g = default_radial_grid(8.0)
-    assert g.x_max == 8.0
-    assert g.n_panels == 400
 
 
 # -- structural properties ---------------------------------------------------

@@ -14,8 +14,9 @@ from scipy.optimize import brentq
 
 from harmonic import two_radius
 from harmonic.density import make_euclidean, make_real_hyperbolic
-from harmonic.two_radius import (bad_radii, certify_pair, find_L_zeros,
-                                 find_r_zeros, mvp_counterexample_demo)
+from harmonic.two_radius import (WindingError, bad_radii, certify_pair,
+                                 find_L_zeros, find_r_zeros,
+                                 mvp_counterexample_demo)
 
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
@@ -107,6 +108,13 @@ def test_find_L_zeros_box_guard():
         find_L_zeros(E0, 1.0, box=(5 + 8j, -60 - 8j))
     with pytest.raises(ValueError, match="target"):
         find_L_zeros(E0, 1.0, target="disk")
+
+
+def test_find_L_zeros_refuses_a_box_with_too_many_zeros(monkeypatch):
+    # the default box holds 7 zeros of cos(3 sqrt(-L))
+    monkeypatch.setattr(two_radius, "MAX_ZEROS", 1)
+    with pytest.raises(WindingError, match="7 zeros .* smaller box"):
+        find_L_zeros(E0, 3.0)
 
 
 def test_find_r_zeros_odd_integers():
