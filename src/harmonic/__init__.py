@@ -62,13 +62,12 @@ from .spherical import (
 )
 from .transforms import (
     AccuracyError,
-    EvenLineFunction,
-    RadialFunction,
+    EvenFunction,
     SpectralSamples,
     abel,
     abel_inverse,
-    abel_second_derivative,
     cosine_transform,
+    gauss_line,
     line_convolve,
     plane_integral_r3,
     radial_convolve,

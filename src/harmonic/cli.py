@@ -23,7 +23,6 @@ from .density import (make_custom, make_damek_ricci, make_euclidean,
                       make_real_hyperbolic)
 from .grids import make_grid
 from .spherical import phi as phi_eval
-from .transforms import EvenLineFunction
 
 
 class CLIError(ValueError):
@@ -346,17 +345,8 @@ def _cmd_wave(args):
 
 def _cmd_kg(args):
     model = _resolve_model(args)
-    grid = make_grid(args.smax0, spacing=0.01)
-    w = args.width
-
-    def gf(s):
-        return np.exp(-((s / w) ** 2))
-
-    g = EvenLineFunction(grid, gf(grid.points), args.smax0,
-                         deriv_values=-2 * grid.points / w**2
-                         * gf(grid.points),
-                         exact_node_values=gf(grid.nodes))
-    params = {"width": w, "t": args.t, "smax0": args.smax0}
+    g = transforms.gauss_line(args.width, args.smax0)
+    params = {"width": args.width, "t": args.t, "smax0": args.smax0}
     mani = _manifest("kg", args, model, params)
     v = pde.kg_solve(model.H, g, args.t)
     vt = v.info["vt_values"]

@@ -14,11 +14,12 @@ each recursion level is two passes of cumulative integration over the same
 node set.
 
 Values at the nodes of data given at the panel boundaries come from the
-cubic spline through them, evaluated at the nodes directly; the dense
-interpolation matrix is built only when asked for.  make_grid's uniform
-grids have equal panels, so node p·q + j is the panel edge x_p plus the
-offset of node j in the first panel; the cosine synthesis in transforms
-factors through that and refuses grids without it.
+even cubic spline through them (flat at 0), evaluated at the nodes
+directly; the dense interpolation matrix is built only when asked for.
+make_grid builds grids of equal panels only, so node p·q + j is the panel
+edge x_p plus the offset of node j in the first panel; the cosine synthesis
+in transforms factors through that and refuses grids without it (a Grid1D
+built from other points).
 """
 
 from __future__ import annotations
@@ -192,39 +193,34 @@ class Grid1D:
                                            bc_type=bc)(self.nodes)
         return self._cache[key]
 
-    def values_at_nodes(self, point_values, even=True):
-        """Cubic-spline interpolant of point_values evaluated at the nodes.
+    def values_at_nodes(self, point_values):
+        """Even cubic-spline interpolant of point_values at the nodes.
 
-        The same values as interp_matrix(even) @ point_values up to rounding,
+        The same values as interp_matrix() @ point_values up to rounding,
         from one spline solve and one evaluation, without the dense matrix
         (72 MB on a wave finite-difference grid, and never reused).
         """
-        return self.spline(point_values, even=even)(self.nodes)
+        return self.spline(point_values)(self.nodes)
 
-    def spline(self, point_values, even=True):
-        bc = ((1, 0.0), "not-a-knot") if even else "not-a-knot"
-        return CubicSpline(self.points, point_values, bc_type=bc)
+    def spline(self, point_values):
+        """Cubic spline through point_values, flat at 0 (even data)."""
+        return CubicSpline(self.points, point_values,
+                           bc_type=((1, 0.0), "not-a-knot"))
 
 
-def make_grid(x_max, n_panels=None, spacing=0.05, kind="uniform",
+def make_grid(x_max, n_panels=None, spacing=0.05,
               nodes_per_panel=DEFAULT_NODES_PER_PANEL):
-    """Build a Grid1D on [0, x_max].
+    """Build a Grid1D of equal panels on [0, x_max].
 
     Either give n_panels explicitly or let it follow from the requested
-    spacing.  kind='graded' clusters panels quadratically toward 0.
+    spacing.
     """
     if x_max <= 0:
         raise ValueError("x_max must be positive")
     if n_panels is None:
         n_panels = max(16, int(np.ceil(x_max / spacing)))
     n_panels = max(16, int(n_panels))
-    i = np.arange(n_panels + 1) / n_panels
-    if kind == "uniform":
-        pts = x_max * i
-    elif kind == "graded":
-        pts = x_max * i**2
-    else:
-        raise ValueError(f"unknown grid kind {kind!r}")
+    pts = x_max * (np.arange(n_panels + 1) / n_panels)
     pts[0] = 0.0
     pts[-1] = x_max
     return Grid1D(points=pts, nodes_per_panel=nodes_per_panel)

@@ -21,8 +21,7 @@ from scipy.linalg import solve_banded
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile, smooth_bump
-from .transforms import (EvenLineFunction, RadialFunction, _as_radial, abel,
-                         abel_second_derivative, spherical_fourier)
+from .transforms import EvenFunction, _as_radial, abel, spherical_fourier
 
 # the kernel series alternates; beyond H*t = 40 it cancels away more
 # digits than double precision has to spare
@@ -166,8 +165,8 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
     energy = 2.0 * float(sgrid.integrate(vsn**2 + vtn**2 + quarter * vn**2))
     info = {"H": H, "t": t, "energy": energy,
             "vt_values": vtp, "vt_node_values": vtn}
-    return EvenLineFunction(grid=sgrid, values=vp, support=support,
-                            deriv_values=vsp, exact_node_values=vn, info=info)
+    return EvenFunction(grid=sgrid, values=vp, support=support,
+                        deriv_values=vsp, exact_node_values=vn, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +188,9 @@ class WaveState:
 def _radial_data(q0):
     if isinstance(q0, RadialProfile):
         return q0.f, q0.support
-    if isinstance(q0, RadialFunction):
-        return q0.__call__, q0.support_radius
-    raise TypeError("expected RadialFunction or RadialProfile")
+    if isinstance(q0, EvenFunction):
+        return q0.__call__, q0.support
+    raise TypeError("expected EvenFunction or RadialProfile")
 
 
 def _numerical_support(u, r):
@@ -292,22 +291,18 @@ def intertwine_check(model, f):
     """
     if not isinstance(f, RadialProfile):
         raise TypeError("intertwine_check needs a RadialProfile")
-    rf = RadialFunction.from_profile(model, f)
+    rf = EvenFunction.from_profile(f)
     lap = f.laplacian(model)
-    rlap = RadialFunction(model=model, grid=rf.grid,
-                          values=lap(rf.grid.points),
-                          support_radius=f.support,
-                          exact_node_values=lap(rf.grid.nodes))
+    rlap = EvenFunction(grid=rf.grid, values=lap(rf.grid.points),
+                        support=f.support,
+                        exact_node_values=lap(rf.grid.nodes))
     # both transforms share one spectral cutoff: the identity holds at any
     # truncation level, and a common grid keeps tail effects out of it
     lam_c = max(40.0 / f.support, 8.0)
-    a_f = abel(model, rf, lambda_max=lam_c, max_lambda_factor=1.0,
-               strict_tail=False)
-    a_lap = abel(model, rlap, s_max=a_f.grid.x_max, lambda_max=lam_c,
-                 max_lambda_factor=1.0, strict_tail=False)
-    d2 = abel_second_derivative(a_f)
+    a_f = abel(model, rf, lambda_max=lam_c)
+    a_lap = abel(model, rlap, s_max=a_f.grid.x_max, lambda_max=lam_c)
     quarter = model.H ** 2 / 4.0
-    resid = a_lap.values - (d2 - quarter * a_f.values)
+    resid = a_lap.values - (a_f.info["d2_values"] - quarter * a_f.values)
     return float(np.max(np.abs(resid)))
 
 
@@ -318,20 +313,19 @@ def wave_to_kg_check(model, q0, T, dt=0.002):
     transform at three sample times and compared against the Klein-Gordon
     solution started from A q0.  Returns the worst sup-norm gap.
     """
-    rf = _as_radial(model, q0)
+    rf = _as_radial(q0)
     states = radial_wave_solve(model, rf, T, dt, n_samples=4)
     g0 = abel(model, rf)
     worst = 0.0
     for st in states:
         if st.t <= 0:
             continue
-        fw = RadialFunction(model=model, grid=st.grid, values=st.u,
-                            support_radius=min(st.support + 0.1,
-                                               st.grid.x_max))
-        # FD samples carry O(dr^2) noise, so the spectral tail flattens
-        # around it; cap the cutoff instead of chasing decay
-        a_w = abel(model, fw, s_max=st.support + 0.5, tail_tol=1e-8,
-                   strict_tail=False)
+        fw = EvenFunction(grid=st.grid, values=st.u,
+                          support=min(st.support + 0.1, st.grid.x_max))
+        # the flow multiplies F q0 by a bounded factor, so above q0's own
+        # cutoff a slice's spectrum is the O(dr^2) noise of its FD samples
+        a_w = abel(model, fw, s_max=st.support + 0.5,
+                   lambda_max=g0.info["lambda_max"])
         v = kg_solve(model.H, g0, st.t)
         gap = np.abs(a_w.values - v(a_w.grid.points))
         worst = max(worst, float(np.max(gap)))
@@ -452,16 +446,15 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     return states
 
 
-def _cells_to_radial(model, state):
+def _cells_to_radial(state):
     """Radial container over the heat grid, interpolating cell centers."""
     rc = state.r
     xs = np.concatenate([-rc[::-1], rc])
     ys = np.concatenate([state.k[::-1], state.k])
     spl = CubicSpline(xs, ys)
     g = state.grid
-    return RadialFunction(model=model, grid=g, values=spl(g.points),
-                          support_radius=g.x_max,
-                          exact_node_values=spl(g.nodes))
+    return EvenFunction(grid=g, values=spl(g.points), support=g.x_max,
+                        exact_node_values=spl(g.nodes))
 
 
 def heat_identity_check(model, t, lambdas, dr=0.01):
@@ -475,9 +468,9 @@ def heat_identity_check(model, t, lambdas, dr=0.01):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
-    f_end = spherical_fourier(model, _cells_to_radial(model, states[-1]),
+    f_end = spherical_fourier(model, _cells_to_radial(states[-1]),
                               lambdas).values
-    f_start = spherical_fourier(model, _cells_to_radial(model, states[0]),
+    f_start = spherical_fourier(model, _cells_to_radial(states[0]),
                                 lambdas).values
     weak = np.abs(f_start) <= MULTIPLIER_GUARD
     if np.any(weak):

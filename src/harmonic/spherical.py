@@ -16,7 +16,8 @@ and two independent evaluation paths are maintained:
 
 * direct integration of the ODE from a Taylor start near r = 0 (the
   coefficient θ'/θ ~ n/r is singular at the origin, so the first 10⁻³ of the
-  radius is handled by the series-derived Taylor polynomial).
+  radius, less where √|L|·10⁻³ > TAYLOR_PHASE, is handled by the
+  series-derived Taylor polynomial).
 
 One integrator, `_eigen_rows`, serves every ODE caller.  For a batch of L it
 solves the rows
@@ -61,6 +62,10 @@ from scipy.integrate import solve_ivp
 from .grids import Grid1D, _tables, make_grid
 
 TAYLOR_RADIUS = 1e-3
+# the Taylor start drops the r⁸ term, (√|L|·r)⁸/8! relative for n = 0, the
+# worst case; at √|L|·r_t ≤ TAYLOR_PHASE that is at most 1.6e-16, so large
+# |L| move the start inward
+TAYLOR_PHASE = 0.04
 SERIES_TOL = 1e-14
 SERIES_K_CAP = 160
 ODE_RTOL = 1e-11
@@ -432,15 +437,19 @@ def _eigen_rows(model, L, radii, dL=False, Phi=False, r_t=TAYLOR_RADIUS,
 
     L is a 1-d batch, float or complex; the rows take its dtype.  radii is a
     1-d float array, in any order and with repeats.  Radii up to the Taylor
-    radius r_t come from the Taylor start, the others from one DOP853 solve
-    of the whole batch from r_t, sampled by dense output at each distinct
-    radius.  With dense=False, radii holds one radius: the solve ends there
-    and its last step is read (dense output at the end point differs from
-    that step in the last bits).  Returns one (len(L), len(radii)) array per
-    row, each allocated on its own, in row order; the solver's state stacks
-    the rows in the same order, and its error norm runs over them.
+    radius r_t (less where TAYLOR_PHASE asks) come from the Taylor start,
+    the others from one DOP853 solve of the whole batch from there, sampled
+    by dense output at each distinct radius.  With dense=False, radii holds
+    one radius: the solve ends there and its last step is read (dense output
+    at the end point differs from that step in the last bits).  Returns one
+    (len(L), len(radii)) array per row, each allocated on its own, in row
+    order; the solver's state stacks the rows in the same order, and its
+    error norm runs over them.
     """
     M = L.size
+    top = float(np.max(np.abs(L), initial=0.0))
+    if top * r_t * r_t > TAYLOR_PHASE ** 2:
+        r_t = TAYLOR_PHASE / math.sqrt(top)
     taylor, taylor_L = _taylor_coeffs(model, L)
     small = radii <= r_t
     rows = [np.empty((M, radii.size), dtype=L.dtype)

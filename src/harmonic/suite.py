@@ -21,7 +21,6 @@ from . import asymptotics, geometry, pde, profiles, transforms, two_radius
 from .density import builtin_models
 from .grids import make_grid
 from .spherical import phi, phi_series, volterra_coefficients
-from .transforms import EvenLineFunction, RadialFunction
 
 DEFAULT_SEED = 20260814
 
@@ -105,21 +104,6 @@ def _wave_states(key):
 @lru_cache(maxsize=None)
 def _cheeger(key):
     return asymptotics.cheeger_chain_report(_model(key))
-
-
-@lru_cache(maxsize=None)
-def _gauss_line(width, S):
-    grid = make_grid(S, spacing=0.01)
-
-    def f(s):
-        return np.exp(-((s / width) ** 2))
-
-    def df(s):
-        return -2.0 * s / width**2 * np.exp(-((s / width) ** 2))
-
-    return EvenLineFunction(grid, f(grid.points), S,
-                            deriv_values=df(grid.points),
-                            exact_node_values=f(grid.nodes))
 
 
 def _phi_oracle(key, lam, r):
@@ -265,10 +249,8 @@ def _factorization_check(key):
         conv = transforms.radial_convolve(model, f, g)
         lams = np.linspace(0.0, 6.0, 25)
         Fc = transforms.spherical_fourier(model, conv, lams).values
-        Ff = transforms.spherical_fourier(
-            model, RadialFunction.from_profile(model, f), lams).values
-        Fg = transforms.spherical_fourier(
-            model, RadialFunction.from_profile(model, g), lams).values
+        Ff = transforms.spherical_fourier(model, f, lams).values
+        Fg = transforms.spherical_fourier(model, g, lams).values
         rel = float(np.max(np.abs(Fc - Ff * Fg)) / np.max(np.abs(Ff * Fg)))
         return rel, 1e-6, "F(f*g) = Ff · Fg, relative on λ ∈ [0, 6]"
     return fn
@@ -334,7 +316,7 @@ def _kg_diag(ctx):
 
 @_check("kg_energy_drift", 6)
 def _kg_energy(ctx):
-    g = _gauss_line(0.8, 6.0)
+    g = transforms.gauss_line(0.8, 6.0)
     worst = 0.0
     for H in (0.0, 1.0, 2.0):
         e0 = pde.kg_solve(H, g, 0.25).info["energy"]
@@ -589,7 +571,7 @@ def _heat_order(ctx):
 
 @_check("kg_quadrature_order", 12)
 def _kg_order(ctx):
-    g = _gauss_line(0.12, 3.0)
+    g = transforms.gauss_line(0.12, 3.0)
     ref = pde.kg_solve(3.0, g, 2.0, sigma_panels=256, s_max=7.0)
     errs = []
     for p in (32, 64):

@@ -14,15 +14,24 @@ which needs no horosphere geometry and works for every density.  The flat
 special cases (A = even extension on the line, A = plane integral on R³)
 are kept nearby as oracles for the tests.
 
+So F = (cosine transform) ∘ A, and both sides of every transform are the
+same kind of object: an even function of one variable, stored on [0, X].
+One container, EvenFunction, holds them all, radial data on X and line
+functions alike.
+
 The synthesis takes cos and sin of λ·s at the grid points only.  At the
 quadrature nodes, s = a_p + b_j (panel edge plus in-panel offset) and
 cos λ(a + b) = cos λa cos λb - sin λa sin λb, so the node values are two
 matrix products of the point matrices with the small (λ × q) offset
 matrices; cosine_transform factors the same way.  Both need a grid of equal
-panels, which make_grid's uniform grids are.  Line functions are folded
-against quadrature weights (line_convolve here, the Klein-Gordon kernel in
-pde.kg_solve) by EvenLineFunction.fold, which evaluates the stored spline
-only at the pairs that fall inside its grid, block by block.
+panels, which every make_grid grid is.  Line functions are folded against
+quadrature weights (line_convolve here, the Klein-Gordon kernel in
+pde.kg_solve) by EvenFunction.fold, which evaluates the stored spline only
+at the pairs that fall inside its grid, block by block.
+
+abel's cutoff in λ is either the caller's lambda_max, used as given, or the
+tail rule: grow λ_max until |F f| on the top tenth of [0, λ_max] is at most
+TAIL_TOL of its peak, refusing at LAMBDA_CAP_FACTOR times the start.
 
 A intertwines convolutions: A(f * g) = A f ⋆ A g with ⋆ the line
 convolution, and F(f * g) = F f · F g.  radial_convolve exploits that:
@@ -46,8 +55,10 @@ from .profiles import RadialProfile
 from .spherical import phi_basis
 
 DEFAULT_SPACING = 0.02
+# abel's tail rule, see _sample_until_decayed
 TAIL_TOL = 1e-11
-# pairs per block of EvenLineFunction.fold: 0.5 MB per temporary array
+LAMBDA_CAP_FACTOR = 10.0
+# pairs per block of EvenFunction.fold: 0.5 MB per temporary array
 _FOLD_PAIRS = 2**16
 
 
@@ -60,25 +71,50 @@ class AccuracyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sampled function containers
+# the sampled even function
 # ---------------------------------------------------------------------------
 
-class _Sampled:
+@dataclass
+class EvenFunction:
     """Even function stored at grid.points, x >= 0; zero beyond the grid.
 
-    Quadrature-node samples are stored separately (exact_node_values) when
-    the constructor knows them exactly, so integrals of the function do not
-    pay spline error.  Between the samples the function is the even cubic
-    spline through them, built once per object (values must not be changed
-    in place after the first call).
+    Both sides of every transform are of this kind: a radial function on X
+    (x the distance to the origin) and its Abel transform, an even function
+    on the line.  support bounds where it is nonzero.  Quadrature-node
+    samples are stored separately (exact_node_values) when the constructor
+    knows them exactly, so integrals of the function do not pay spline
+    error.  Between the samples the function is the even cubic spline
+    through them, built once per object (values must not be changed in place
+    after the first call); its slope is the spline through deriv_values when
+    given, else the value spline's derivative.
     """
+
+    grid: Grid1D
+    values: np.ndarray
+    support: float
+    deriv_values: np.ndarray | None = None
+    exact_node_values: np.ndarray | None = None
+    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
 
+    @classmethod
+    def from_profile(cls, profile):
+        grid = make_grid(profile.support, spacing=DEFAULT_SPACING)
+        return cls(grid=grid, values=profile.f(grid.points),
+                   support=profile.support,
+                   exact_node_values=profile.f(grid.nodes))
+
     @cached_property
     def _spline(self):
         return self.grid.spline(self.values)
+
+    @cached_property
+    def _slope_spline(self):
+        if self.deriv_values is None:
+            return self._spline.derivative()
+        return self.grid.spline(self.deriv_values)
 
     def _at(self, spline, a):
         """spline at abscissae a >= 0, zero beyond the grid."""
@@ -94,45 +130,6 @@ class _Sampled:
         if self.exact_node_values is not None:
             return self.exact_node_values
         return self.grid.values_at_nodes(self.values)
-
-
-@dataclass
-class RadialFunction(_Sampled):
-    """Radial function sampled at grid points; zero beyond its support."""
-
-    model: object
-    grid: Grid1D
-    values: np.ndarray
-    support_radius: float
-    exact_node_values: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_profile(cls, model, profile, spacing=DEFAULT_SPACING, r_max=None):
-        r_max = profile.support if r_max is None else r_max
-        grid = make_grid(r_max, spacing=spacing)
-        return cls(model=model, grid=grid, values=profile.f(grid.points),
-                   support_radius=profile.support,
-                   exact_node_values=profile.f(grid.nodes))
-
-
-@dataclass
-class EvenLineFunction(_Sampled):
-    """Even function on the line, stored on s >= 0; zero beyond the grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-    support: float
-    deriv_values: np.ndarray | None = None
-    exact_node_values: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
-
-    @cached_property
-    def _slope_spline(self):
-        """Spline of deriv_values when given, else the value spline's slope."""
-        if self.deriv_values is None:
-            return self._spline.derivative()
-        return self.grid.spline(self.deriv_values)
 
     def derivative(self, s):
         """dg/ds at signed s (odd function)."""
@@ -184,22 +181,29 @@ class EvenLineFunction(_Sampled):
 class SpectralSamples:
     """F f sampled on a real λ-grid."""
 
-    model: object
     lambdas: np.ndarray
     values: np.ndarray
-    info: dict = field(default_factory=dict)
-
-    @property
-    def sphere_const(self):
-        return self.model.sphere_const
 
 
-def _as_radial(model, f):
-    if isinstance(f, RadialFunction):
+def gauss_line(width, support):
+    """exp(-(s/width)²) on [0, support], with exact slopes and node samples."""
+    grid = make_grid(support, spacing=0.01)
+
+    def f(s):
+        return np.exp(-((s / width) ** 2))
+
+    return EvenFunction(grid, f(grid.points), support,
+                        deriv_values=-2.0 * grid.points / width**2
+                        * f(grid.points),
+                        exact_node_values=f(grid.nodes))
+
+
+def _as_radial(f):
+    if isinstance(f, EvenFunction):
         return f
     if isinstance(f, RadialProfile):
-        return RadialFunction.from_profile(model, f)
-    raise TypeError("expected RadialFunction or RadialProfile")
+        return EvenFunction.from_profile(f)
+    raise TypeError("expected EvenFunction or RadialProfile")
 
 
 # ---------------------------------------------------------------------------
@@ -208,49 +212,56 @@ def _as_radial(model, f):
 
 def spherical_fourier(model, f, lambdas):
     """F f on a grid of real λ ≥ 0.  f must be compactly supported."""
-    f = _as_radial(model, f)
-    if not np.isfinite(f.support_radius):
+    f = _as_radial(f)
+    if not np.isfinite(f.support):
         raise ValueError("spherical_fourier needs compact support")
     lambdas = np.asarray(lambdas, dtype=float)
     nodes = f.grid.nodes
     weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
     basis = phi_basis(model, lambdas, nodes)
     vals = model.sphere_const * (basis @ weighted)
-    return SpectralSamples(model=model, lambdas=lambdas, values=vals)
+    return SpectralSamples(lambdas=lambdas, values=vals)
 
 
-def abel(model, f, s_max=None, tail_tol=TAIL_TOL, lambda_max=None,
-         max_lambda_factor=10.0, strict_tail=True):
+def abel(model, f, s_max=None, lambda_max=None):
     """Abel transform via the spectral route; even output on [0, s_max].
 
     F f is integrated over λ on Gauss-Legendre panels of fixed width
     π/(2·max(s_max + 0.5, 1)), fine enough for cos(λ s) up to s_max + 0.5,
     laid from 0: λ_max is always a whole number of panels (at least 16).
-    λ_max starts at the conventional 40/R, rounded up to a panel edge, and is
-    extended by _sample_until_decayed's tail rule (tail_tol, refusing at
-    max_lambda_factor times the start); an extension evaluates F f on the
-    added panels only, so every φ-basis row is integrated once (and cached,
-    see phi_basis).  strict_tail=False keeps the cap value instead of
-    refusing, for callers that pin the cutoff themselves (identity checks,
-    noisy samples).  info["lambda_max"] is the rounded cutoff actually used.
+    Without lambda_max, λ_max starts at the conventional 40/R, rounded up to
+    a panel edge, and is extended by _sample_until_decayed's tail rule; an
+    extension evaluates F f on the added panels only, so every φ-basis row
+    is integrated once (and cached, see phi_basis).  A given lambda_max is a
+    fixed cutoff, rounded up to a panel edge, neither extended nor refused,
+    for callers that pin it themselves (identity checks, samples whose
+    spectrum flattens into noise).  info["lambda_max"] is the rounded cutoff
+    actually used, info["tail_ratio"] the largest |F f| on its top tenth
+    relative to the peak, and info["d2_values"] the second derivative at
+    the grid points, from the same spectral samples.
     """
-    f = _as_radial(model, f)
-    R = f.support_radius
+    f = _as_radial(f)
+    R = f.support
     if not np.isfinite(R):
         raise ValueError("abel needs compact support")
     s_max = (R + 0.6) if s_max is None else float(s_max)
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
-    lam0 = lambda_max if lambda_max is not None else max(40.0 / R, 8.0)
 
     def panels(n):
         return Grid1D(points=width * np.arange(n + 1))
 
-    n, Ff, tail_ratio = _sample_until_decayed(
-        lambda lams: spherical_fourier(model, f, lams).values,
-        lambda n: panels(n).nodes, width, lam0, tail_tol,
-        max_lambda_factor, strict_tail)
-    lgrid = panels(n)
-    lam = lgrid.x_max
+    def sample(lams):
+        return spherical_fourier(model, f, lams).values
+
+    if lambda_max is None:
+        n, Ff, tail_ratio = _sample_until_decayed(
+            sample, lambda n: panels(n).nodes, width, max(40.0 / R, 8.0))
+        lgrid = panels(n)
+    else:
+        lgrid = panels(max(16, math.ceil(lambda_max / width)))
+        Ff = sample(lgrid.nodes)
+        tail, peak = _tail_and_peak(lgrid.nodes, Ff, lgrid.x_max)
+        tail_ratio = tail / peak
 
     sgrid = make_grid(s_max, spacing=0.01)
     lnodes = lgrid.nodes
@@ -266,26 +277,30 @@ def abel(model, f, s_max=None, tail_tol=TAIL_TOL, lambda_max=None,
     inner = np.outer(lnodes, _panel_frame(sgrid)[1])
     node_vals = ((cosp[:-1] * wF) @ np.cos(inner)
                  - (sinp[:-1] * wF) @ np.sin(inner)).ravel() / math.pi
-    info = {"lambda_max": lam, "tail_ratio": tail_ratio,
-            "n_lambda_nodes": lgrid.nodes.size, "d2_values": d2vals}
-    return EvenLineFunction(grid=sgrid, values=vals, support=min(R, s_max),
-                            deriv_values=dvals, exact_node_values=node_vals,
-                            info=info)
+    info = {"lambda_max": lgrid.x_max, "tail_ratio": tail_ratio,
+            "n_lambda_nodes": lnodes.size, "d2_values": d2vals}
+    return EvenFunction(grid=sgrid, values=vals, support=min(R, s_max),
+                        deriv_values=dvals, exact_node_values=node_vals,
+                        info=info)
 
 
-def _sample_until_decayed(sample, abscissae, width, lam0, tail_tol=TAIL_TOL,
-                          max_factor=10.0, strict=True):
+def _tail_and_peak(x, vals, lam):
+    """Largest |vals| at the x in the top tenth of [0, lam], and overall."""
+    return (float(np.max(np.abs(vals[x >= 0.9 * lam]))),
+            float(np.max(np.abs(vals))))
+
+
+def _sample_until_decayed(sample, abscissae, width, lam0):
     """Samples of a decaying transform on [0, n·width], n grown until it decays.
 
     abscissae(n) lists the sample points of n steps of width, each list
     extending the last, and sample(x) gives the transform at new points only,
     so every point is sampled once.  n starts at the steps covering lam0 (at
     least 16) and grows 1.6-fold until the largest |sample| at λ ≥ 0.9·n·width
-    is at most tail_tol of the peak.  If n·width reaches max_factor·lam0
-    first, it stops there when strict is False and otherwise raises
-    AccuracyError with the λ_max that the decay rate of the upper half would
-    need, extrapolated from that tail maximum.  Returns (n, samples,
-    tail / peak).
+    is at most TAIL_TOL of the peak.  If n·width reaches LAMBDA_CAP_FACTOR·lam0
+    first, it raises AccuracyError with the λ_max that the decay rate of the
+    upper half would need, extrapolated from that tail maximum.  Returns
+    (n, samples, tail / peak).
     """
     target = lam0
     vals = np.empty(0)
@@ -294,19 +309,16 @@ def _sample_until_decayed(sample, abscissae, width, lam0, tail_tol=TAIL_TOL,
         x = abscissae(n)
         lam = n * width
         vals = np.concatenate([vals, sample(x[vals.size:])])
-        peak = float(np.max(np.abs(vals)))
-        tail = float(np.max(np.abs(vals[x >= 0.9 * lam])))
-        if tail <= tail_tol * peak:
+        tail, peak = _tail_and_peak(x, vals, lam)
+        if tail <= TAIL_TOL * peak:
             return n, vals, (tail / peak if peak else 0.0)
-        if lam >= max_factor * lam0:
-            if not strict:
-                return n, vals, tail / peak
+        if lam >= LAMBDA_CAP_FACTOR * lam0:
             upper = x >= 0.5 * lam
             slope = np.polyfit(x[upper], np.log(np.abs(vals[upper]) + 1e-300),
                                1)[0]
-            need = lam + math.log(tail_tol * peak / tail) / min(slope, -1e-12)
+            need = lam + math.log(TAIL_TOL * peak / tail) / min(slope, -1e-12)
             raise AccuracyError(
-                f"|F f| has not decayed below {tail_tol:g} of peak at "
+                f"|F f| has not decayed below {TAIL_TOL:g} of peak at "
                 f"λ_max = {lam:.3g}; decay rate suggests λ_max ≈ {need:.3g}",
                 required_lambda_max=float(need))
         target *= 1.6
@@ -317,14 +329,14 @@ def _panel_frame(grid):
 
     Node p·q + j lies at edges[p] + offsets[j], so cos and sin of λ times
     every node follow from those at the P edges and the q offsets by the
-    angle-addition formula.  make_grid's uniform grids qualify (their panel
+    angle-addition formula.  make_grid's grids qualify (their panel
     widths agree to a few ulps of x_max); any other grid is refused.
     """
     widths = np.diff(grid.points)
     if np.ptp(widths) > 16 * np.finfo(float).eps * grid.x_max:
         raise ValueError(
             "the cosine synthesis needs equal panels; build the grid with "
-            "make_grid(kind='uniform')")
+            "make_grid")
     return grid.points[:-1], grid.nodes[:grid.q]
 
 
@@ -343,13 +355,6 @@ def cosine_transform(g, lambdas):
     inner = np.outer(lambdas, offsets)
     return 2.0 * (np.einsum("lp,lp->l", np.cos(outer), np.cos(inner) @ w.T)
                   - np.einsum("lp,lp->l", np.sin(outer), np.sin(inner) @ w.T))
-
-
-def abel_second_derivative(g):
-    """(A f)'' sampled on g's grid, via the stored spectral data if present."""
-    if "d2_values" in g.info:
-        return g.info["d2_values"]
-    return g.grid.spline(g.values).derivative(2)(g.grid.points)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +443,10 @@ def abel_inverse(model, g):
     at_points, at_nodes = rows[:, :n_pts], rows[:, n_pts:]
     norms = at_nodes ** 2 @ (rgrid.node_weights * model.theta(rgrid.nodes))
     coef = cosine_transform(g, lambdas) / (model.sphere_const * norms)
-    return RadialFunction(model=model, grid=rgrid, values=coef @ at_points,
-                          support_radius=S, exact_node_values=coef @ at_nodes,
-                          info={"lambdas": lambdas, "norms": norms,
-                                "lambda_max": n * step})
+    return EvenFunction(grid=rgrid, values=coef @ at_points, support=S,
+                        exact_node_values=coef @ at_nodes,
+                        info={"lambdas": lambdas, "norms": norms,
+                              "lambda_max": n * step})
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +459,14 @@ def line_convolve(g1, g2):
     out_grid = make_grid(S, spacing=DEFAULT_SPACING)
     sig = g1.grid.nodes
     w1 = g1.grid.node_weights * g1.node_values()
-    return EvenLineFunction(grid=out_grid,
-                            values=g2.fold(out_grid.points, sig, w1),
-                            support=S,
-                            exact_node_values=g2.fold(out_grid.nodes, sig, w1))
+    return EvenFunction(grid=out_grid,
+                        values=g2.fold(out_grid.points, sig, w1), support=S,
+                        exact_node_values=g2.fold(out_grid.nodes, sig, w1))
 
 
 def radial_convolve(model, f, g):
     """Radial convolution on X through the Abel route: A(f*g) = Af ⋆ Ag."""
-    f = _as_radial(model, f)
-    g = _as_radial(model, g)
-    af = abel(model, f)
-    ag = abel(model, g)
-    h = line_convolve(af, ag)
+    h = line_convolve(abel(model, f), abel(model, g))
     return abel_inverse(model, h)
 
 

@@ -86,21 +86,12 @@ def test_grid_construction_guards():
 def test_make_grid_guards():
     with pytest.raises(ValueError, match="positive"):
         make_grid(-1.0)
-    with pytest.raises(ValueError, match="unknown grid kind"):
-        make_grid(1.0, kind="chebyshev")
 
 
 def test_make_grid_spacing_and_minimum():
     assert make_grid(10.0, spacing=0.05).n_panels == 200
     # tiny domain still gets the 16-panel floor
     assert make_grid(0.1, spacing=0.05).n_panels == 16
-
-
-def test_graded_grid_clusters_toward_zero():
-    g = make_grid(4.0, n_panels=32, kind="graded")
-    widths = np.diff(g.points)
-    assert g.points[0] == 0.0 and g.points[-1] == 4.0
-    assert np.all(np.diff(widths) > 0)  # panels widen monotonically
 
 
 def test_signature_identity():

@@ -14,7 +14,7 @@ from harmonic.pde import (BoundaryLeakError, heat_identity_check,
                           radial_heat_solve, radial_wave_solve,
                           support_growth_slope, wave_to_kg_check)
 from harmonic.profiles import gauss_bump, smooth_bump
-from harmonic.transforms import EvenLineFunction, RadialFunction
+from harmonic.transforms import EvenFunction
 
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
@@ -24,9 +24,9 @@ H3 = make_real_hyperbolic(2)
 def _gauss_line(w):
     S = 7.5 * w
     g = make_grid(S, spacing=0.02)
-    return EvenLineFunction(grid=g, values=np.exp(-g.points**2 / (2 * w * w)),
-                            support=S,
-                            exact_node_values=np.exp(-g.nodes**2 / (2 * w * w)))
+    return EvenFunction(grid=g, values=np.exp(-g.points**2 / (2 * w * w)),
+                        support=S,
+                        exact_node_values=np.exp(-g.nodes**2 / (2 * w * w)))
 
 
 # -- smoothing kernel ---------------------------------------------------------
@@ -139,7 +139,7 @@ def test_wave_guards():
         radial_wave_solve(E2, gauss_bump(0.5), 5.0, 0.004, r_max=4.0)
     with pytest.raises(ValueError, match="dt > 0"):
         radial_wave_solve(E2, gauss_bump(0.5), 1.0, dt=-0.01)
-    with pytest.raises(TypeError, match="RadialFunction or RadialProfile"):
+    with pytest.raises(TypeError, match="EvenFunction or RadialProfile"):
         radial_wave_solve(E2, np.cos, 1.0, 0.004)
 
 
@@ -156,7 +156,7 @@ def test_intertwine_residual_small():
 
 
 def test_intertwine_requires_profile():
-    f = RadialFunction.from_profile(E2, gauss_bump(0.4))
+    f = EvenFunction.from_profile(gauss_bump(0.4))
     with pytest.raises(TypeError, match="RadialProfile"):
         intertwine_check(E2, f)
 

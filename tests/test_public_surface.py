@@ -9,12 +9,15 @@ or the benchmark.  Two rules:
   module-level statements apart from imports and `__all__`.  The walk
   follows every name a reached function's body calls or references;
   `__init__.py` re-exports do not count;
-* every defaulted parameter of a public function is passed, by keyword or
-  by position, at some call site in `src/`, `tests/`, `tools/` or
-  `perfbench/`.  A `**mapping` at a call site passes nothing by name.
+* every defaulted parameter of a public function, or of a public method or
+  classmethod of a public class, is passed, by keyword or by position, at
+  some call site in `src/`, `tests/`, `tools/` or `perfbench/`.  A method
+  counts the calls of its name as an attribute, `self` and `cls` not among
+  the positions.  A `**mapping` at a call site passes nothing by name.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,8 +115,30 @@ def _call_sites():
                        {k.arg for k in node.keywords if k.arg is not None})
 
 
+def _methods(modules):
+    """{name: [FunctionDef, ...]} of the methods of every public class,
+    without `self` or `cls` (static methods keep all their parameters)."""
+    out = {}
+    for tree in modules.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for stmt in cls.body:
+                if not isinstance(stmt, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in stmt.decorator_list):
+                    stmt = copy.deepcopy(stmt)
+                    del (stmt.args.posonlyargs or stmt.args.args)[0]
+                out.setdefault(stmt.name, []).append(stmt)
+    return out
+
+
 def _never_passed(modules):
     public = _public(_functions(modules))
+    for name, defs in _public(_methods(modules)).items():
+        public.setdefault(name, []).extend(defs)
     calls = {}
     for name, n_pos, keywords in _call_sites():
         if name in public:

@@ -213,6 +213,24 @@ def test_phi_ode_values_batch_matches_single():
         assert np.allclose(dbatch[i], dsingle[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("model, exact, bound_320", [
+    (E0, lambda lam, r: np.cos(lam * r), 3e-9),
+    (E2, lambda lam, r: np.sin(lam * r) / (lam * r), 1e-10),
+    (H3, lambda lam, r: np.sin(lam * r) / (lam * np.sinh(r)), 1e-10),
+], ids=["E0", "E3", "H3"])
+def test_phi_ode_values_at_large_lambda(model, exact, bound_320):
+    # the Taylor start drops a term of relative size (λ r_t)⁸/8!; at a fixed
+    # r_t = 1e-3 that was 5e-10 at λ = 160 and 7e-8 at 320 on the line.  On
+    # the line the λ = 320 row also carries DOP853's phase drift over the
+    # 150 periods of cos(320 r) on [0, 3], about 1.4e-9 at rtol 1e-11
+    r = np.linspace(0.0, 3.0, 301)[1:]
+    lams = np.array([40.0, 80.0, 160.0, 320.0])
+    vals, _ = phi_ode_values(model, lams, r)
+    errs = [np.max(np.abs(v - exact(lam, r))) for v, lam in zip(vals, lams)]
+    assert max(errs[:3]) < 1e-10
+    assert errs[3] < bound_320
+
+
 def test_phi_ode_values_requires_sorted_points():
     with pytest.raises(ValueError, match="sorted"):
         phi_ode_values(E2, [1.0], np.array([1.0, 0.5, 2.0]))

@@ -1,7 +1,7 @@
 """Cosine synthesis and the line fold against their dense reference formulas.
 
 abel and cosine_transform factor cos/sin of λ times each quadrature node
-through the panel edges and the in-panel offsets; EvenLineFunction.fold
+through the panel edges and the in-panel offsets; EvenFunction.fold
 evaluates only the (x, σ) pairs inside the grid, from splines built once.
 The references below are the dense formulas those replace: np.cos of the
 full (nodes × λ) outer product, and masked spline evaluations on full
@@ -18,7 +18,7 @@ from harmonic.density import make_damek_ricci, make_euclidean
 from harmonic.grids import Grid1D, make_grid
 from harmonic.pde import _kg_series, kg_kernel, kg_solve
 from harmonic.profiles import annulus_bump, smooth_bump
-from harmonic.transforms import (EvenLineFunction, abel, cosine_transform,
+from harmonic.transforms import (EvenFunction, abel, cosine_transform,
                                  line_convolve)
 
 E3 = make_euclidean(2)
@@ -31,10 +31,10 @@ def _gauss_line(w, S, deriv=False):
     def f(s):
         return np.exp(-s**2 / (2 * w * w))
 
-    return EvenLineFunction(grid=g, values=f(g.points), support=S,
-                            deriv_values=-g.points / (w * w) * f(g.points)
-                            if deriv else None,
-                            exact_node_values=f(g.nodes))
+    return EvenFunction(grid=g, values=f(g.points), support=S,
+                        deriv_values=-g.points / (w * w) * f(g.points)
+                        if deriv else None,
+                        exact_node_values=f(g.nodes))
 
 
 # -- cosine synthesis ---------------------------------------------------------
@@ -93,8 +93,8 @@ def test_cosine_transform_matches_the_dense_formula(case, bump_abel):
 
 
 def test_cosine_transform_refuses_unequal_panels():
-    g = make_grid(2.0, n_panels=40, kind="graded")
-    line = EvenLineFunction(grid=g, values=np.exp(-g.points**2), support=2.0)
+    g = Grid1D(points=2.0 * (np.arange(41) / 40) ** 2)
+    line = EvenFunction(grid=g, values=np.exp(-g.points**2), support=2.0)
     with pytest.raises(ValueError, match="make_grid"):
         cosine_transform(line, [0.0, 1.0])
 

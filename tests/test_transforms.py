@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from harmonic import transforms
 from harmonic.density import (make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
 from harmonic.profiles import annulus_bump, gauss_bump, smooth_bump
-from harmonic.transforms import (AccuracyError, EvenLineFunction,
-                                 RadialFunction, abel, abel_inverse,
-                                 abel_second_derivative, cosine_transform,
+from harmonic.transforms import (AccuracyError, EvenFunction, abel,
+                                 abel_inverse, cosine_transform,
                                  line_convolve, plane_integral_r3,
                                  radial_convolve, spherical_fourier)
 
@@ -27,16 +27,16 @@ def _gauss_line(w, S=None):
     """Even Gaussian on the line with exact node samples."""
     S = 7.5 * w if S is None else S
     g = make_grid(S, spacing=min(0.02, S / 20))
-    return EvenLineFunction(grid=g, values=np.exp(-g.points**2 / (2 * w * w)),
-                            support=S,
-                            exact_node_values=np.exp(-g.nodes**2 / (2 * w * w)))
+    return EvenFunction(grid=g, values=np.exp(-g.points**2 / (2 * w * w)),
+                        support=S,
+                        exact_node_values=np.exp(-g.nodes**2 / (2 * w * w)))
 
 
 # -- containers ---------------------------------------------------------------
 
 def test_radial_function_from_profile():
-    f = RadialFunction.from_profile(E2, gauss_bump(0.4))
-    assert f.support_radius == pytest.approx(3.0)
+    f = EvenFunction.from_profile(gauss_bump(0.4))
+    assert f.support == pytest.approx(3.0)
     # exact node samples, not spline-interpolated ones
     assert np.array_equal(f.node_values(), gauss_bump(0.4).f(f.grid.nodes))
     assert f(-0.7) == pytest.approx(f(0.7))       # even by construction
@@ -55,14 +55,13 @@ def test_even_line_function_symmetry():
 
 
 def test_transforms_reject_raw_callables():
-    with pytest.raises(TypeError, match="RadialFunction or RadialProfile"):
+    with pytest.raises(TypeError, match="EvenFunction or RadialProfile"):
         spherical_fourier(E2, lambda r: np.exp(-r), [1.0])
 
 
 def test_fourier_requires_compact_support():
     g = make_grid(2.0, n_panels=20)
-    f = RadialFunction(model=E2, grid=g, values=np.exp(-g.points),
-                       support_radius=np.inf)
+    f = EvenFunction(grid=g, values=np.exp(-g.points), support=np.inf)
     with pytest.raises(ValueError, match="compact support"):
         spherical_fourier(E2, f, [1.0])
 
@@ -110,9 +109,9 @@ def test_plane_integral_gaussian_closed_form():
     assert np.max(np.abs(plane_integral_r3(f, s) - exact)) < 1e-11
 
 
-def test_abel_second_derivative_consistent():
+def test_abel_d2_values_consistent():
     af = abel(E2, gauss_bump(0.4))
-    d2_spectral = abel_second_derivative(af)
+    d2_spectral = af.info["d2_values"]
     d2_spline = af.grid.spline(af.values).derivative(2)(af.grid.points)
     # the spline's second derivative is only O(h^2); this is a consistency
     # check of the spectral values, not an accuracy statement about splines
@@ -190,30 +189,41 @@ def test_abel_inverse_on_higher_rank_models(model):
 
 # -- tail control -------------------------------------------------------------
 
+def _kinked():
+    """Tent of height 1 and support 0.2: a kink at the origin."""
+    g = make_grid(0.2, n_panels=20)
+    return EvenFunction(grid=g, values=np.maximum(0.0, 1.0 - g.points / 0.2),
+                        support=0.2)
+
+
 def test_abel_refuses_nonsmooth_data():
     # kink at the origin: spectral decay is only algebraic, the tail check
     # must refuse and report the lambda_max the decay rate would demand
-    g = make_grid(0.2, n_panels=20)
-    tri = RadialFunction(model=E0, grid=g,
-                         values=np.maximum(0.0, 1.0 - g.points / 0.2),
-                         support_radius=0.2)
+    tri = _kinked()
     with pytest.raises(AccuracyError) as exc:
         abel(E0, tri)
     assert exc.value.required_lambda_max > 2000
 
-    out = abel(E0, tri, strict_tail=False)
+    # a pinned cutoff is neither extended nor refused
+    out = abel(E0, tri, lambda_max=2000.0)
     assert out.info["tail_ratio"] > 1e-8  # honest diagnostics survive
 
 
-def test_abel_refusal_asks_for_more_than_it_tried():
+def test_abel_refusal_asks_for_more_than_it_tried(monkeypatch):
     # the decay is extrapolated from the tail maximum the stop test uses,
-    # not from the last sample, which can sit near a zero of F f
-    f = smooth_bump(1.3)
-    E1 = make_euclidean(1)
+    # not from the last sample, which can sit near a zero of F f; the kinked
+    # datum's transform decays only algebraically, so it truly needs more λ
+    tried = []
+    real = transforms.spherical_fourier
+
+    def recorded(model, f, lams):
+        tried.append(float(np.max(lams)))
+        return real(model, f, lams)
+
+    monkeypatch.setattr(transforms, "spherical_fourier", recorded)
     with pytest.raises(AccuracyError) as exc:
-        abel(E1, f)
-    tried = abel(E1, f, strict_tail=False).info["lambda_max"]
-    assert exc.value.required_lambda_max > tried
+        abel(E0, _kinked())
+    assert exc.value.required_lambda_max > max(tried)
 
 
 def test_abel_reports_spectral_window():
@@ -286,10 +296,9 @@ def test_profile_derivatives_match_finite_differences(r):
 
 @given(st.floats(min_value=0.2, max_value=3.0))
 def test_fourier_scales_linearly(c):
-    f = RadialFunction.from_profile(E2, gauss_bump(0.4))
-    scaled = RadialFunction(model=E2, grid=f.grid, values=c * f.values,
-                            support_radius=f.support_radius,
-                            exact_node_values=c * f.node_values())
+    f = EvenFunction.from_profile(gauss_bump(0.4))
+    scaled = EvenFunction(grid=f.grid, values=c * f.values, support=f.support,
+                          exact_node_values=c * f.node_values())
     lams = np.array([0.5, 1.5])
     a = spherical_fourier(E2, scaled, lams).values
     b = c * spherical_fourier(E2, f, lams).values

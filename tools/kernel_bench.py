@@ -75,7 +75,7 @@ def main(argv=None):
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
     n_panels = round(a_bump.info["lambda_max"] / width)
     lams = Grid1D(points=width * np.arange(n_panels + 1)).nodes
-    r_nodes = transforms.RadialFunction.from_profile(e3, bump).grid.nodes
+    r_nodes = transforms.EvenFunction.from_profile(bump).grid.nodes
 
     def empty_basis_cache():
         spherical._BASIS_CACHE = spherical._LRUCache(
