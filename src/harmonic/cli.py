@@ -143,7 +143,8 @@ def _add_model_flags(sp):
     sp.add_argument("--k", type=int, default=None,
                     help="Damek-Ricci horosphere parameter k")
     sp.add_argument("--theta", default=None, metavar="EXPR",
-                    help="density as a sympy expression in r, e.g. 'sinh(r)**2'")
+                    help="density as a sympy expression in r, e.g. "
+                         "'sinh(r)**2'; sympy is imported only for this flag")
 
 
 def _add_out_flag(sp):

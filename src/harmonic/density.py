@@ -15,9 +15,11 @@ Built-in families:
     damek_ricci(m, k)   θ = 2^{m+k} sinh^{m+k}(r/2) cosh^k(r/2)
 
 For Damek-Ricci models H is *computed* as the large-r limit of θ'/θ; the
-analytic value m/2 + k is only used as a cross-check in the tests.  Custom
-densities are accepted as sympy expressions in r and validated against the
-normalization, positivity, and monotonicity requirements at load time.
+analytic value m/2 + k is only used as a cross-check in the tests.  The
+built-ins evaluate θ and θ' from numpy closed forms.  Custom densities are
+accepted as sympy expressions in r and validated against the normalization,
+positivity, and monotonicity requirements at load time; sympy is imported
+only then, so a process that uses the built-ins never loads it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import sympy as sp
-
-_R = sp.Symbol("r", positive=True)
 
 # Radius used to read off H = lim theta'/theta.  tanh saturates to 1 at
 # double precision well before this, so the limit is exact for the built-ins.
@@ -117,14 +116,16 @@ def unit_sphere_volume(n):
 
 def _series_c2_c4(theta_expr, n):
     """Taylor data of theta/r^n = 1 + c2 r^2 + c4 r^4 + O(r^6) near 0."""
+    import sympy as sp
+    r = sp.Symbol("r", positive=True)
     try:
-        ser = sp.series(theta_expr / _R**n, _R, 0, 6).removeO()
-        poly = sp.Poly(sp.expand(ser), _R)
-        c2 = float(poly.coeff_monomial(_R**2))
-        c4 = float(poly.coeff_monomial(_R**4))
+        ser = sp.series(theta_expr / r**n, r, 0, 6).removeO()
+        poly = sp.Poly(sp.expand(ser), r)
+        c2 = float(poly.coeff_monomial(r**2))
+        c4 = float(poly.coeff_monomial(r**4))
         c0 = float(poly.coeff_monomial(1))
-        c1 = float(poly.coeff_monomial(_R))
-        c3 = float(poly.coeff_monomial(_R**3))
+        c1 = float(poly.coeff_monomial(r))
+        c3 = float(poly.coeff_monomial(r**3))
         if abs(c0 - 1.0) > 1e-12 or abs(c1) > 1e-12 or abs(c3) > 1e-12:
             raise DensityError(
                 f"density not normalized: theta/r^{n} = {c0} + {c1} r + ... near 0"
@@ -134,7 +135,7 @@ def _series_c2_c4(theta_expr, n):
         raise
     except Exception:
         # Fall back to a numeric fit through three small radii.
-        f = _vec(sp.lambdify(_R, theta_expr / _R**n, "numpy"))
+        f = _vec(sp.lambdify(r, theta_expr / r**n, "numpy"))
         rs = np.array([0.02, 0.012, 0.006])
         g = f(rs) - 1.0
         V = np.vander(rs**2, 3, increasing=True)[:, 1:]  # columns r^2, r^4
@@ -158,25 +159,22 @@ def _product_c2_c4(*factors):
     return float(c2), float(c4)
 
 
-def _build(name, key, n, theta_expr, dlog=None, log_theta=None, H=None,
-           taylor=None, theta_scalar=None):
-    theta = _vec(sp.lambdify(_R, theta_expr, "numpy"))
+def _build(name, key, n, theta, theta_prime, dlog, taylor, log_theta=None,
+           H=None, theta_scalar=None):
+    """The model of θ and θ', given as numpy functions of an array r."""
+    theta = _vec(theta)
     if theta_scalar is not None:
         theta = _scalar_first(theta, theta_scalar)
-    theta_prime = _vec(sp.lambdify(_R, sp.diff(theta_expr, _R), "numpy"))
-    if dlog is None:
-        dlog_expr = sp.simplify(sp.diff(theta_expr, _R) / theta_expr)
-        dlog = _vec(sp.lambdify(_R, dlog_expr, "numpy"))
     if log_theta is None:
         raw_theta = theta
         def log_theta(r, _f=raw_theta):
             with np.errstate(divide="ignore"):
                 return np.log(_f(r))
-    c2, c4 = _series_c2_c4(theta_expr, n) if taylor is None else taylor
     if H is None:
         H = float(dlog(H_LIMIT_RADIUS))
+    c2, c4 = taylor
     return DensityModel(name=name, key=key, n=n, H=H, theta=theta,
-                        theta_prime=theta_prime, dlog_theta=dlog,
+                        theta_prime=_vec(theta_prime), dlog_theta=dlog,
                         log_theta=log_theta, c2=c2, c4=c4)
 
 
@@ -202,9 +200,14 @@ def make_euclidean(n):
             out = n * np.log(r)
         return out if r.ndim else float(out)
 
+    # each closed form in the operation order sympy's lambdify prints, so
+    # the values are those of the symbolic θ = r^n to the last bit; θ' at
+    # n = 0 is the constant 0, since 0*r**-1 would be nan at r = 0
+    theta_prime = (lambda r: 0) if n == 0 else (lambda r: n*r**(n-1))
     return _build(f"euclidean space R^{n+1}", f"euclidean({n})", n,
-                  _R**n, dlog=_scalar_first(dlog, lambda r: n / r if n else 0.0),
-                  log_theta=log_theta, H=0.0, taylor=(0.0, 0.0),
+                  lambda r: r**n, theta_prime,
+                  _scalar_first(dlog, lambda r: n / r if n else 0.0),
+                  (0.0, 0.0), log_theta=log_theta, H=0.0,
                   theta_scalar=lambda r: r ** n)
 
 
@@ -227,9 +230,10 @@ def make_real_hyperbolic(n):
     # sinh(r)/r = 1 + x/6 + x²/120 + O(x³)
     taylor = _product_c2_c4((Fraction(1, 6), Fraction(1, 120), n))
     return _build(f"real hyperbolic space H^{n+1}", f"real_hyperbolic({n})", n,
-                  sp.sinh(_R)**n,
-                  dlog=_scalar_first(dlog, lambda r: n / math.tanh(r)),
-                  log_theta=log_theta, H=float(n), taylor=taylor,
+                  lambda r: np.sinh(r)**n,
+                  lambda r: n*np.sinh(r)**(n-1)*np.cosh(r),
+                  _scalar_first(dlog, lambda r: n / math.tanh(r)), taylor,
+                  log_theta=log_theta, H=float(n),
                   theta_scalar=lambda r: math.sinh(r) ** n)
 
 
@@ -259,7 +263,19 @@ def make_damek_ricci(m, k):
                + k * _log_cosh(r / 2))
         return out if np.ndim(r) else float(out)
 
-    expr = 2**n * sp.sinh(_R / 2)**n * sp.cosh(_R / 2)**k
+    def theta(r):
+        s, c = np.sinh(0.5*r), np.cosh(0.5*r)
+        return 2**n*s**n*c**k
+
+    def theta_prime(r):
+        s, c = np.sinh(0.5*r), np.cosh(0.5*r)
+        out = 2**(n-1)*n*s**(n-1)*c**(k+1)
+        if k:
+            # absent at k = 0, as in sympy's print: 0·s^(n+1) would be nan
+            # where s^(n+1) overflows
+            out = 2**(n-1)*k*s**(n+1)*c**(k-1) + out
+        return out
+
     # sinh(r/2)/(r/2) = 1 + x/24 + x²/1920, cosh(r/2) = 1 + x/8 + x²/384
     taylor = _product_c2_c4((Fraction(1, 24), Fraction(1, 1920), n),
                             (Fraction(1, 8), Fraction(1, 384), k))
@@ -272,9 +288,8 @@ def make_damek_ricci(m, k):
         return 2**n * math.sinh(r / 2)**n * math.cosh(r / 2)**k
 
     return _build(f"Damek-Ricci space ({m},{k})", f"damek_ricci({m},{k})", n,
-                  expr, dlog=_scalar_first(dlog, dlog_scalar),
-                  log_theta=log_theta, H=None, taylor=taylor,
-                  theta_scalar=theta_scalar)
+                  theta, theta_prime, _scalar_first(dlog, dlog_scalar), taylor,
+                  log_theta=log_theta, theta_scalar=theta_scalar)
 
 
 def make_custom(theta_expr, n, validate=True):
@@ -283,15 +298,24 @@ def make_custom(theta_expr, n, validate=True):
     The expression must satisfy theta/r^n -> 1 at 0, positivity on r > 0, and
     nonincreasing theta'/theta; violations raise DensityError.  Stability note:
     custom densities are evaluated directly, so they are only usable on radii
-    where theta itself stays inside double-precision range.
+    where theta itself stays inside double-precision range.  This is the one
+    path that imports sympy.
     """
-    expr = sp.sympify(theta_expr, locals={"r": _R})
-    free = expr.free_symbols - {_R}
+    import sympy as sp
+    r = sp.Symbol("r", positive=True)
+    expr = sp.sympify(theta_expr, locals={"r": r})
+    free = expr.free_symbols - {r}
     if free:
         raise DensityError(f"theta expression has unknown symbols {free}")
     n = int(n)
     key = f"custom({sp.srepr(expr)},n={n})"
-    model = _build(f"custom density {expr}", key, n, expr)
+    dexpr = sp.diff(expr, r)
+    dlog_expr = sp.simplify(dexpr / expr)
+    model = _build(f"custom density {expr}", key, n,
+                   sp.lambdify(r, expr, "numpy"),
+                   sp.lambdify(r, dexpr, "numpy"),
+                   _vec(sp.lambdify(r, dlog_expr, "numpy")),
+                   _series_c2_c4(expr, n))
     if validate:
         validate_density(model)
     return model

@@ -53,15 +53,20 @@ class RadialProfile:
         return lap
 
 
-def _masked(support, fn):
+def _masked(support, fn, odd=False):
+    """fn on [0, support), zero beyond; extended to r < 0 as an even
+    function, or as an odd one for the first derivative of a radial profile."""
     def g(r):
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
-        r = np.atleast_1d(np.abs(r))
-        out = np.zeros_like(r)
-        inside = r < support
+        r = np.atleast_1d(r)
+        a = np.abs(r)
+        out = np.zeros_like(a)
+        inside = a < support
         if np.any(inside):
-            out[inside] = fn(r[inside])
+            out[inside] = fn(a[inside])
+        if odd:
+            np.negative(out, out=out, where=r < 0)
         return float(out[0]) if scalar else out
     return g
 
@@ -89,7 +94,7 @@ def smooth_bump(R=1.0):
         return (dchi**2 - d2chi) * core(r)
 
     return RadialProfile(label=f"bump(R={R:g})", support=R,
-                         f=_masked(R, core), df=_masked(R, dcore),
+                         f=_masked(R, core), df=_masked(R, dcore, odd=True),
                          d2f=_masked(R, d2core))
 
 
@@ -112,7 +117,7 @@ def gauss_bump(width=0.3):
         return (r * r / w**4 - 1.0 / w**2) * core(r)
 
     return RadialProfile(label=f"gauss(w={w:g})", support=R,
-                         f=_masked(R, core), df=_masked(R, dcore),
+                         f=_masked(R, core), df=_masked(R, dcore, odd=True),
                          d2f=_masked(R, d2core))
 
 
@@ -144,7 +149,7 @@ def annulus_bump(center=1.0, width=0.25):
                 + ((r + c) ** 2 / w**2 - 1.0) * b) / w**2
 
     return RadialProfile(label=f"annulus(c={c:g},w={w:g})", support=R,
-                         f=_masked(R, core), df=_masked(R, dcore),
+                         f=_masked(R, core), df=_masked(R, dcore, odd=True),
                          d2f=_masked(R, d2core))
 
 

@@ -66,6 +66,23 @@ def test_closed_form_taylor_data_matches_symbolic_series():
             _series_c2_c4(r**n, n)
 
 
+def test_closed_form_theta_matches_lambdify_bit_for_bit():
+    # the built-ins evaluate θ and θ' without sympy; each closed form keeps
+    # the operation order lambdify prints, so the doubles are the same
+    r = sp.Symbol("r", positive=True)
+    x = np.linspace(0, 30, 3001)
+    cases = [(make_euclidean(n), r**n) for n in range(8)]
+    cases += [(make_real_hyperbolic(n), sp.sinh(r)**n) for n in range(1, 8)]
+    cases += [(make_damek_ricci(m, k),
+               2**(m + k) * sp.sinh(r / 2)**(m + k) * sp.cosh(r / 2)**k)
+              for m in range(1, 8) for k in range(5)]
+    for model, expr in cases:
+        for got, ref in ((model.theta, expr),
+                         (model.theta_prime, sp.diff(expr, r))):
+            want = np.broadcast_to(sp.lambdify(r, ref, "numpy")(x), x.shape)
+            assert np.array_equal(got(x), want), (model.key, ref)
+
+
 def test_mean_curvature_limit_converges():
     assert make_real_hyperbolic(2).dlog_theta(40.0) == \
         pytest.approx(2.0, abs=1e-8)

@@ -275,6 +275,10 @@ def test_annulus_bump_is_even():
     r, h = np.array([0.3, 0.9, 1.4]), 1e-6
     assert abs(f.df(0.0)) < 1e-30
     assert np.array_equal(f.f(-r), f.f(r))
+    assert np.array_equal(f.d2f(-r), f.d2f(r))
+    # the derivative of an even function is odd
+    assert np.array_equal(f.df(-r), -f.df(r))
+    assert f.df(-0.3) == -f.df(0.3)
     # so its slope at -r is -df(r)
     slope = (f.f(-r + h) - f.f(-r - h)) / (2 * h)
     assert slope == pytest.approx(-f.df(r), rel=1e-7)

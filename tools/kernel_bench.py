@@ -18,6 +18,9 @@ call with its inputs built beforehand:
                            an empty φ-basis cache
   abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
                            an empty φ-basis cache
+  import_cli       `import harmonic.cli` in a fresh interpreter with
+                   PYTHONPATH=src, interpreter start-up included
+  build_models     the five built-in models plus H⁶ and DR(4,3)
 
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
 this file against each one's src on the same machine, back to back.
@@ -28,8 +31,10 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -37,11 +42,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from harmonic import pde, spherical, transforms  # noqa: E402
-from harmonic.density import (make_damek_ricci, make_euclidean,  # noqa: E402
-                              make_real_hyperbolic)
+from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
+                              make_euclidean, make_real_hyperbolic)
 from harmonic.grids import Grid1D  # noqa: E402
 from harmonic.profiles import (annulus_bump, gauss_bump,  # noqa: E402
                                smooth_bump)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def best_of(fn, repeat, setup=None):
@@ -53,6 +61,16 @@ def best_of(fn, repeat, setup=None):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def import_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", "import harmonic.cli"], env=env,
+                   check=True)
+
+
+def build_models():
+    return builtin_models() + [make_real_hyperbolic(5), make_damek_ricci(4, 3)]
 
 
 def main(argv=None):
@@ -98,6 +116,8 @@ def main(argv=None):
         "abel_inverse_e3_smooth": best_of(
             lambda: transforms.abel_inverse(e3, a_e3_smooth), repeat,
             setup=empty_basis_cache),
+        "import_cli": best_of(import_cli, repeat),
+        "build_models": best_of(build_models, repeat),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
               "sizes": {"abel_lambda_nodes": int(lams.size),
