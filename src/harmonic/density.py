@@ -311,11 +311,18 @@ def make_custom(theta_expr, n, validate=True):
     key = f"custom({sp.srepr(expr)},n={n})"
     dexpr = sp.diff(expr, r)
     dlog_expr = sp.simplify(dexpr / expr)
-    model = _build(f"custom density {expr}", key, n,
-                   sp.lambdify(r, expr, "numpy"),
-                   sp.lambdify(r, dexpr, "numpy"),
-                   _vec(sp.lambdify(r, dlog_expr, "numpy")),
-                   _series_c2_c4(expr, n))
+    funcs = [sp.lambdify(r, e, "numpy") for e in (expr, dexpr, dlog_expr)]
+    # lambdify prints a function numpy lacks by its bare name, which fails
+    # only when called
+    try:
+        with np.errstate(all="ignore"):
+            for f in funcs:
+                f(np.float64(1.0))
+    except NameError as exc:
+        raise DensityError(
+            f"theta uses {exc.name}, which numpy cannot evaluate") from exc
+    model = _build(f"custom density {expr}", key, n, funcs[0], funcs[1],
+                   _vec(funcs[2]), _series_c2_c4(expr, n))
     if validate:
         validate_density(model)
     return model

@@ -179,8 +179,8 @@ def displacement_identity_check(space, lam, x, r_grid, quad_order=QUAD_ORDER):
     """sup_r | π((φ_λ)_x)(r) - φ_λ(d(x₀,x)) φ_λ(r) |.
 
     Averaging the displaced eigenfunction z ↦ φ_λ(d(x, z)) over circles
-    about the origin must reproduce φ_λ(d(x₀,x)) φ_λ(r); one batched ODE
-    solve evaluates φ_λ at every distance this needs.
+    about the origin must reproduce φ_λ(d(x₀,x)) φ_λ(r); one phi_ode_values
+    call evaluates φ_λ at every distance this needs.
     """
     _check_order(quad_order)
     x = np.asarray(x, float)
@@ -220,14 +220,18 @@ def projector_convolution_check(space, r, f, y_radii=None,
     # circle S_s(x0); right side: circle integral of πf over S_r(y) for the
     # one y on the ray (angle 0), where πf(z) is the mean of f over the
     # circle about x0 of radius d(x0, z).  Both sides need Q circle means per
-    # radius s, so one batch of (2, S, Q) circles of Q points serves both.
+    # radius s, so one batch of (2, Q) circles of Q points serves both; one
+    # radius per pass keeps the point stack at (2, Q, Q).
     ys = space.sphere_param(x0, y_radii[:, None], psi)
     zs = space.sphere_param(ys[:, :1], r, psi)
-    centers = np.stack([ys, np.broadcast_to(x0, ys.shape)])
-    radii = np.stack([np.full(zs.shape[:-1], float(r)),
-                      space.distance(x0, zs)])
-    pts = space.sphere_param(centers[..., None, :], radii[..., None], psi)
-    lhs, rhs = circ * np.mean(np.mean(_eval_points(f, pts), axis=-1), axis=-1)
+    means = np.empty((2, y_radii.size))
+    for s in range(y_radii.size):
+        centers = np.stack([ys[s], np.broadcast_to(x0, ys[s].shape)])
+        radii = np.stack([np.full(psi.shape, float(r)),
+                          space.distance(x0, zs[s])])
+        pts = space.sphere_param(centers[..., None, :], radii[..., None], psi)
+        means[:, s] = np.mean(np.mean(_eval_points(f, pts), axis=-1), axis=-1)
+    lhs, rhs = circ * means
     return float(np.max(np.abs(lhs - rhs)))
 
 

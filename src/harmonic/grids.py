@@ -46,11 +46,16 @@ def _legendre_tables(q):
     p = np.arange(q)
     # c_p = (2p+1)/2 * sum_j w_j P_p(t_j) g_j, exact for g in P_{q-1}
     coef_mat = ((2 * p[:, None] + 1) / 2.0) * (w[None, :] * V[:, :q].T)
-    partial = np.empty((q, q))
-    partial[:, 0] = t + 1.0
-    for pp in range(1, q):
-        partial[:, pp] = (V[:, pp + 1] - V[:, pp - 1]) / (2 * pp + 1)
-    return t, w, coef_mat, partial
+    return t, w, coef_mat, _legendre_partials(t, V)
+
+
+def _legendre_partials(x, V):
+    """Matrix of ∫_{-1}^{x_j} P_p, p = 0..q-1, from V = legvander(x, q)."""
+    out = np.empty((len(x), V.shape[1] - 1))
+    out[:, 0] = x + 1.0
+    for pp in range(1, out.shape[1]):
+        out[:, pp] = (V[:, pp + 1] - V[:, pp - 1]) / (2 * pp + 1)
+    return out
 
 
 _TABLE_CACHE: dict[int, tuple] = {}
@@ -154,22 +159,15 @@ class Grid1D:
         """Matrix of the running integral of s^n·g over the first panel.
 
         (M @ g)[j] = ∫_0^{x_j} s^n p(s) ds at the first panel's nodes x_j,
-        with p the degree q-1 interpolant of g there; Gauss-Legendre in
-        u = s/x_j integrates u^n p(x_j u) exactly.  An integrand s^n·g keeps
-        its relative accuracy at every node this way, where
-        cumulative_at_nodes, interpolating s^n·g itself, errs by about
-        (h/x_j)^n times its value at the first node x_j.
+        with p the degree q-1 interpolant of g there (_weighted_running).
+        An integrand s^n·g keeps its relative accuracy at every node this
+        way, where cumulative_at_nodes, interpolating s^n·g itself, errs by
+        about (h/x_j)^n times its value at the first node x_j.
         """
         key = ("first", n)
         if key not in self._cache:
-            _, _, coef_mat, _ = _tables(self.q)
-            x = self.nodes[:self.q]
-            u, w = leggauss((n + self.q) // 2 + 1)
-            u, w = (u + 1) / 2, w / 2
-            basis = legvander(2 * x[:, None] * u / self.points[1] - 1,
-                              self.q - 1) @ coef_mat
-            self._cache[key] = x[:, None] ** (n + 1) * np.einsum(
-                "m,jmi->ji", w * u ** n, basis)
+            self._cache[key] = _weighted_running(
+                self.nodes[:self.q], self.points[1], self.q, n)
         return self._cache[key]
 
     # -- interpolation ---------------------------------------------------
@@ -206,6 +204,20 @@ class Grid1D:
         """Cubic spline through point_values, flat at 0 (even data)."""
         return CubicSpline(self.points, point_values,
                            bc_type=((1, 0.0), "not-a-knot"))
+
+
+def _weighted_running(x, width, q, n):
+    """Matrix of the running integral of s^n·g from 0 to each x_j ≤ width.
+
+    (M @ g)[j] = ∫_0^{x_j} s^n p(s) ds, with p the degree q-1 interpolant of
+    g at the q Gauss-Legendre nodes of [0, width]; Gauss-Legendre in
+    u = s/x_j integrates u^n p(x_j u) exactly.
+    """
+    _, _, coef_mat, _ = _tables(q)
+    u, w = leggauss((n + q) // 2 + 1)
+    u, w = (u + 1) / 2, w / 2
+    basis = legvander(2 * x[:, None] * u / width - 1, q - 1) @ coef_mat
+    return x[:, None] ** (n + 1) * np.einsum("m,jmi->ji", w * u ** n, basis)
 
 
 def make_grid(x_max, n_panels=None, spacing=0.05,

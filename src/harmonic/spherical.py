@@ -4,7 +4,7 @@
 
     φ'' + (θ'/θ) φ' = L φ,      L = -(λ² + H²/4),
 
-and two independent evaluation paths are maintained:
+and three evaluation paths are maintained:
 
 * a Volterra power series  φ_λ = 1 + Σ_{k≥1} a_k(r) L^k  whose coefficients
   obey the recursion
@@ -14,36 +14,48 @@ and two independent evaluation paths are maintained:
 
   with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant);
 
-* direct integration of the ODE from a Taylor start near r = 0 (the
-  coefficient θ'/θ ~ n/r is singular at the origin, so the first 10⁻³ of the
-  radius, less where √|L|·10⁻³ > TAYLOR_PHASE, is handled by the
+* the same spectral-parameter power series (Kravchenko & Porter, Math.
+  Methods Appl. Sci. 33, 2010) taken piece by piece.  The radii are cut
+  into pieces of length h = min(3/sqrt(max|L|), 0.5); on each piece two
+  fundamental solutions are power series in L from the piece's start, with
+  coefficient functions that depend on the model and the pieces but not on
+  λ, and (φ, φ') pass from piece to piece by 2×2 transfer matrices.  As
+  sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
+  eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
+  proportion to its size and not to λ_max;
+
+* direct integration of the ODE (DOP853) from a Taylor start near r = 0
+  (the coefficient θ'/θ ~ n/r is singular at the origin, so the first 10⁻³
+  of the radius, less where √|L|·10⁻³ > TAYLOR_PHASE, is handled by the
   series-derived Taylor polynomial).
 
-One integrator, `_eigen_rows`, serves every ODE caller.  For a batch of L it
-solves the rows
+Which path serves which caller:
 
-    u = φ,  v = φ_r  [, p = ∂φ/∂L, q = ∂v/∂L]  [, Φ = ∫θφ  [, Ψ = ∂Φ/∂L]]
+* phi_ode_values takes the piecewise series for real or complex λ, and with
+  it phi_basis (the transforms), phi with method 'ode' (and 'auto' above
+  the series floor) and the geometry checks;
+* `_eigen_rows` integrates the ODE, for a batch of L, solving the rows
 
-stacked in that order: phi_ode_values takes (u, v) for real or complex λ,
-eigen_profile adds Φ, and eigen_state_at takes all six rows for the L-plane
-zero search when it integrates.
+      u = φ,  v = φ_r  [, p = ∂φ/∂L, q = ∂v/∂L]  [, Φ = ∫θφ  [, Ψ = ∂Φ/∂L]]
 
-The two paths are cross-checked in the tests wherever the series is
-numerically trustworthy.  The series in double precision carries a
-cancellation floor of about eps·cosh(sqrt(|L|)·r), and each dispatcher takes
-the series only below a floor:
+  stacked in that order: eigen_profile takes (u, v, Φ), and eigen_state_at
+  all six rows for the L-plane zero search when it integrates.
+
+The Volterra series in double precision carries a cancellation floor of
+about eps·cosh(sqrt(|L|)·r) over the whole radius, and each dispatcher
+takes it only below a floor:
 
 * `phi` (method 'auto') on a grid below 1e-10; phi_series reports the floor
   as `error_bound`;
 * `eigen_state_at` at one radius below STATE_SERIES_FLOOR = 1e-11, taking
   the batch's largest |L|.  At a fixed radius φ, φ_r, ∂φ/∂L, Φ and ∂Φ/∂L
-  are polynomials in L (the spectral-parameter power series of Kravchenko
-  & Porter, Math. Methods Appl. Sci. 33, 2010), so one coefficient pass per
-  (model, radius) serves every batch there, by Horner.  Above the floor it
-  integrates, as eigen_profile and phi_ode_values always do.
+  are polynomials in L, so one coefficient pass per (model, radius) serves
+  every batch there, by Horner.  Above the floor it integrates, as
+  eigen_profile always does.
 
-Either falls back to the ODE when the coefficients fail their quadrature
-bound check.
+When the coefficients fail their quadrature bound check, `phi` falls back
+to phi_ode_values and eigen_state_at to the ODE.  The tests cross-check
+the paths wherever they overlap.
 
 Everything is even in λ (functions of L only), entire in L, and equals 1
 identically at λ = ±iH/2 (L = 0).
@@ -57,9 +69,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 from scipy.integrate import solve_ivp
 
-from .grids import Grid1D, _tables, make_grid
+from .grids import (Grid1D, _legendre_partials, _tables, _weighted_running,
+                    make_grid)
 
 TAYLOR_RADIUS = 1e-3
 # the Taylor start drops the r⁸ term, (√|L|·r)⁸/8! relative for n = 0, the
@@ -490,12 +504,139 @@ def _eigen_rows(model, L, radii, dL=False, Phi=False, r_t=TAYLOR_RADIUS,
     return rows
 
 
+# Piecewise spectral-parameter power series (phi_ode_values).  Pieces are
+# at most SPPS_PHASE/sqrt(max|L|) long, so sqrt|L|·h ≤ X = SPPS_PHASE on each,
+# and at most SPPS_MAX_PIECE, so θ grows by at most about e^(H/2) across one
+# and its SPPS_NODES Legendre nodes resolve it
+SPPS_PHASE = 3.0
+SPPS_MAX_PIECE = 0.5
+SPPS_NODES = 32
+# the smallest K whose term bound X^(2K)/(2K)! is below 1e-17, plus one
+# level of margin
+SPPS_ORDER = truncation_order(SPPS_PHASE ** 2, 1.0, tol=1e-17) + 1
+# radii are evaluated in blocks whose temporaries stay near this size
+SPPS_BLOCK_BYTES = 2 * 2**20
+
+
+def _spps_levels(model, edges):
+    """λ-free data of the pieces [edges[p], edges[p+1]] of the series.
+
+    On a piece from b the fundamental solutions of (θ̂y')' = Lθ̂y, with
+    θ̂ = θ/θ(b), are y1 = Σ L^k A_k (y1(b) = 1, y1'(b) = 0) and
+    y2 = Σ L^k B_k (y2(b) = 0, y2'(b) = 1), where
+
+        A_0 = 1,  A_k = ∫_b (1/θ̂) ∫_b θ̂ A_{k-1},
+        B_0 = ∫_b 1/θ̂,  B_k = ∫_b (1/θ̂) ∫_b θ̂ B_{k-1},
+
+    every one nonnegative.  The first piece, from 0, holds the Volterra
+    levels a_k of φ itself in the y1 slot (θ̂ = θ/θ(b_1), its inner
+    integral r^n-weighted as in Grid1D.first_panel_weighted) and no y2.
+    Each integral is the running integral of the degree D-1 interpolant at
+    the piece's D Gauss-Legendre nodes.  Returns (ends, slopes): ends
+    (K+1, 4, P) holds A_k, A_k', B_k, B_k' at each piece's end, slopes
+    (P, K+1, 2, D) the node values of A_k' and B_k'.
+    """
+    D, K, n = SPPS_NODES, SPPS_ORDER, model.n
+    t, w, coef_mat, partial = _tables(D)
+    # running integral at the nodes, then over the whole piece
+    run = np.vstack([partial @ coef_mat, w]).T
+    a, b = edges[:-1, None], edges[1:, None]
+    half = (b - a) / 2
+    x = np.hstack([a + half * (1 + t), b])
+    th = np.exp(model.log_theta(x) - model.log_theta(np.where(a > 0, a, b)))
+    if not np.all(np.isfinite(th) & (th > 0)):
+        raise QuadratureError("theta not positive/finite on the series nodes")
+    first = _weighted_running(x[0], edges[1], D, n) / x[0, :D] ** n
+    P = edges.size - 1
+    d = np.zeros((2, P, D + 1))
+    d[1, 1:] = 1.0 / th[1:]
+    v = half * (d[..., :D] @ run)
+    v[0] = 1.0
+    ends = np.empty((K + 1, 4, P))
+    slopes = np.empty((P, K + 1, 2, D))
+    for k in range(K + 1):
+        ends[k] = v[0, :, D], d[0, :, D], v[1, :, D], d[1, :, D]
+        slopes[:, k] = d[..., :D].transpose(1, 0, 2)
+        if k < K:
+            g = th[:, :D] * v[..., :D]
+            flux = half * (g @ run)
+            flux[:, 0] = g[:, 0] @ first.T
+            d = flux / th
+            v = half * (d[..., :D] @ run)
+    return ends, slopes
+
+
+def _spps_rows(model, L, radii):
+    """(φ, φ_r) at sorted radii for a batch of L, by the piecewise series.
+
+    Pieces: the first [0, h] and then equal pieces of length
+    h = min(SPPS_PHASE/sqrt(max|L|), SPPS_MAX_PIECE, r_last) up to the last
+    radius, so every later piece [b, b + h] keeps b ≥ h away from the
+    singular θ'/θ ~ n/r.  (φ, φ') pass from piece to piece by the 2×2
+    transfer matrices [[y1, y2], [y1', y2']] at the piece ends; a radius in
+    piece p gets φ(b_p) y1(r) + φ'(b_p) y2(r).  Each piece's sums carry a
+    rounding floor of about eps·cosh(SPPS_PHASE).
+    """
+    M, K, D = L.size, SPPS_ORDER, SPPS_NODES
+    values = np.ones((M, radii.size), dtype=L.dtype)
+    derivs = np.zeros_like(values)
+    r_last = float(radii[-1]) if radii.size else 0.0
+    if r_last == 0.0:
+        return values, derivs
+    top = float(np.max(np.abs(L), initial=0.0))
+    h = min(SPPS_PHASE / math.sqrt(top) if top > 0 else math.inf,
+            SPPS_MAX_PIECE, r_last)
+    P = max(1, math.ceil(r_last / h - 1e-9))
+    edges = h * np.arange(P + 1.0)
+    edges[-1] = r_last
+    ends, slopes = _spps_levels(model, edges)
+    powers = L[:, None] ** np.arange(K + 1)
+    # φ(0) = 1 and φ'(0) = 0 hold as set; piece p holds the radii
+    # r[cut[p]:cut[p+1]], each at tloc on the reference panel [-1, 1]
+    i0 = np.searchsorted(radii, 0.0, side="right")
+    r = radii[i0:]
+    cut = np.concatenate([[0], np.searchsorted(r, edges[1:-1]), [r.size]])
+    half = np.diff(edges) / 2
+    piece = np.repeat(np.arange(P), np.diff(cut))
+    tloc = (r - edges[piece]) / half[piece] - 1.0
+    V = legvander(tloc, D)
+    _, _, coef_mat, _ = _tables(D)
+    # value and slope maps from a piece's node slopes to the radius
+    maps = np.stack([(_legendre_partials(tloc, V) @ coef_mat)
+                     * half[piece, None], V[:, :D] @ coef_mat])
+    block = max(1, SPPS_BLOCK_BYTES // (4 * values.itemsize * M))
+    # (φ, φ') at the start of each piece, passed on by the piece's transfer
+    # matrix [[y1, y2], [y1', y2']] at its end; the matrices of `block`
+    # pieces come from one product
+    u, du = np.ones(M, dtype=L.dtype), np.zeros(M, dtype=L.dtype)
+    for p in range(P):
+        if p % block == 0:
+            ends_p = ends[:, :, p:p + block]
+            transfer = (ends_p.reshape(K + 1, -1).T @ powers.T).reshape(
+                4, -1, M)
+        for lo in range(cut[p], cut[p + 1], block):
+            s = slice(lo, min(lo + block, cut[p + 1]))
+            # y1, y1', y2, y2' at the radii
+            lev = np.tensordot(slopes[p], maps[:, s], axes=(2, 2))
+            lev[0, 0, 0] += 1.0      # A_0 = 1
+            y = (powers @ lev.reshape(K + 1, -1)).reshape(M, 4, -1)
+            s = slice(i0 + s.start, i0 + s.stop)
+            values[:, s] = u[:, None] * y[:, 0] + du[:, None] * y[:, 2]
+            derivs[:, s] = u[:, None] * y[:, 1] + du[:, None] * y[:, 3]
+        y1, dy1, y2, dy2 = transfer[:, p % block]
+        u, du = y1 * u + y2 * du, dy1 * u + dy2 * du
+    return values, derivs
+
+
 def phi_ode_values(model, lams, r_points):
-    """Integrate the eigenfunction ODE for a batch of λ simultaneously.
+    """φ_λ and φ_λ' at the radii for a batch of λ, by a piecewise series.
 
     Returns (values, derivatives) with shape (len(lams), len(r_points)).
-    r_points must be sorted ascending.  Raises PhiOverflowError, naming the
-    largest usable radius, when some φ_λ would overflow before the last one.
+    r_points must be sorted ascending.  No ODE is stepped: the coefficient
+    functions of the piecewise spectral-parameter power series depend on
+    the model and the pieces only, so rows cost ∝ their count, not
+    λ_max (see _spps_rows).  Raises PhiOverflowError, naming the largest
+    usable radius, when some φ_λ would overflow before the last one.
     """
     lams = np.atleast_1d(np.asarray(lams))
     real_input = not np.iscomplexobj(lams) or np.all(lams.imag == 0)
@@ -509,19 +650,23 @@ def phi_ode_values(model, lams, r_points):
     if r_points.size and r_points[0] < 0:
         raise ValueError("radii must be nonnegative")
     # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
-    # solver meets an overflow
+    # sums meet an overflow
     rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
     if r_points.size and rate > 0 and rate * r_points[-1] > LOG_RANGE:
         r_usable = LOG_RANGE / rate
         raise PhiOverflowError(
             f"φ_λ grows like exp({rate:.6g} r) and leaves double range "
             f"beyond r = {r_usable:.6g}, the largest usable radius")
-    values, derivs = _eigen_rows(model, L, r_points)
-    return values, derivs
+    return _spps_rows(model, L, r_points)
 
 
 def _phi_ode(model, lam, grid):
-    """φ_λ on grid.points via the ODE path (tolerances ODE_RTOL, ODE_ATOL)."""
+    """φ_λ on grid.points via phi_ode_values (method 'ode').
+
+    error_bound keeps the conservative ODE_RTOL-based figure; the piecewise
+    series is within 1e-12 of the closed forms for λ ≤ 640 on r ≤ 3 and
+    λ ≤ 160 on r ≤ 10 (tests).
+    """
     L, _ = spectral_shift(model, lam)
     vals, derivs = phi_ode_values(model, [lam], grid.points)
     scale = float(np.max(np.abs(vals)))
@@ -674,9 +819,10 @@ def phi_basis(model, lams, r_points):
     """Matrix φ_{λ_j}(r_i), shape (len(lams), len(r_points)), cached.
 
     The cache makes repeated transform calls against the same λ-nodes and
-    radial nodes cheap (one vectorized ODE integration in total).  It is a
-    thread-safe LRU capped at BASIS_CACHE_BYTES; the ODE runs outside its
-    lock.  Returned matrices are shared between callers and read-only.
+    radial nodes cheap (one phi_ode_values call in total).  It is a
+    thread-safe LRU capped at BASIS_CACHE_BYTES; the rows are computed
+    outside its lock.  Returned matrices are shared between callers and
+    read-only.
     """
     lams = np.asarray(lams, dtype=float)
     r_points = np.asarray(r_points, dtype=float)

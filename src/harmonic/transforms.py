@@ -232,7 +232,8 @@ def abel(model, f, s_max=None, lambda_max=None):
     Without lambda_max, λ_max starts at the conventional 40/R, rounded up to
     a panel edge, and is extended by _sample_until_decayed's tail rule; an
     extension evaluates F f on the added panels only, so every φ-basis row
-    is integrated once (and cached, see phi_basis).  A given lambda_max is a
+    is computed once (and cached, see phi_basis); rows cost ∝ their count,
+    not λ_max (phi_ode_values).  A given lambda_max is a
     fixed cutoff, rounded up to a panel edge, neither extended nor refused,
     for callers that pin it themselves (identity checks, samples whose
     spectrum flattens into noise).  info["lambda_max"] is the rounded cutoff

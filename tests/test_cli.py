@@ -38,6 +38,14 @@ def test_overflowing_phi_is_refused_with_its_model(tmp_path):
     assert mani["parameters"]["lambda"] == {"im": 5, "re": 0}
 
 
+def test_theta_numpy_cannot_evaluate_is_a_density_error(tmp_path):
+    rc, doc = _run(tmp_path, ["phi", "--theta", "r**2*(1 + besselj(1, r)**2)",
+                              "--n", "2"])
+    assert rc == 1
+    assert doc["error"]["type"] == "DensityError"
+    assert "besselj" in doc["error"]["message"]
+
+
 def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
     rc, doc = _run(tmp_path, ["phi", "--model", "sphere"])
     assert rc == 1

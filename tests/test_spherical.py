@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 from harmonic import cli, spherical
 from harmonic.density import (make_custom, make_damek_ricci, make_euclidean,
@@ -213,22 +214,79 @@ def test_phi_ode_values_batch_matches_single():
         assert np.allclose(dbatch[i], dsingle[0], atol=1e-12)
 
 
-@pytest.mark.parametrize("model, exact, bound_320", [
-    (E0, lambda lam, r: np.cos(lam * r), 3e-9),
-    (E2, lambda lam, r: np.sin(lam * r) / (lam * r), 1e-10),
-    (H3, lambda lam, r: np.sin(lam * r) / (lam * np.sinh(r)), 1e-10),
+def _e3_slope(lam, r):
+    return (lam * r * np.cos(lam * r) - np.sin(lam * r)) / (lam * r * r)
+
+
+def _h3_slope(lam, r):
+    return ((lam * np.cos(lam * r) * np.sinh(r) - np.sin(lam * r) * np.cosh(r))
+            / (lam * np.sinh(r) ** 2))
+
+
+# (model, φ_λ, φ_λ') in closed form; λ may be complex
+CLOSED_FORMS = {
+    "E1": (E0, lambda lam, r: np.cos(lam * r),
+           lambda lam, r: -lam * np.sin(lam * r)),
+    "E2": (make_euclidean(1), lambda lam, r: special.jv(0, lam * r),
+           lambda lam, r: -lam * special.jv(1, lam * r)),
+    "E3": (E2, lambda lam, r: np.sin(lam * r) / (lam * r), _e3_slope),
+    "H3": (H3, lambda lam, r: np.sin(lam * r) / (lam * np.sinh(r)),
+           _h3_slope),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+@pytest.mark.parametrize("r_max, lam_max", [(3.0, 640.0), (10.0, 160.0)])
+def test_phi_ode_values_match_closed_forms(name, r_max, lam_max):
+    # the piecewise series is λ-uniform: φ and φ'/max(1, |λ|) within 1e-12
+    # up to λ r = 1920, where DOP853 drifted in phase by up to 6e-9
+    model, f, df = CLOSED_FORMS[name]
+    r = np.linspace(0.0, r_max, 601)[1:]
+    lams = np.linspace(0.5, lam_max, 64)
+    vals, derivs = phi_ode_values(model, lams, r)
+    lam = lams[:, None]
+    assert np.max(np.abs(vals - f(lam, r))) < 1e-12
+    assert np.max(np.abs(derivs - df(lam, r)) / np.maximum(1.0, lam)) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_phi_ode_values_match_closed_forms_at_complex_lambda(name):
+    model, f, df = CLOSED_FORMS[name]
+    r = np.linspace(0.0, 3.0, 301)[1:]
+    lam = 1.0 + 0.5j
+    vals, derivs = phi_ode_values(model, [lam], r)
+    assert vals.dtype == complex
+    assert np.max(np.abs(vals[0] - f(lam, r))) < 1e-12
+    assert np.max(np.abs(derivs[0] - df(lam, r))) < 1e-12
+
+
+@pytest.mark.parametrize("model, exact", [
+    (E0, lambda lam, r: np.cos(lam * r)),
+    (E2, lambda lam, r: np.sin(lam * r) / (lam * r)),
+    (H3, lambda lam, r: np.sin(lam * r) / (lam * np.sinh(r))),
 ], ids=["E0", "E3", "H3"])
-def test_phi_ode_values_at_large_lambda(model, exact, bound_320):
-    # the Taylor start drops a term of relative size (λ r_t)⁸/8!; at a fixed
-    # r_t = 1e-3 that was 5e-10 at λ = 160 and 7e-8 at 320 on the line.  On
-    # the line the λ = 320 row also carries DOP853's phase drift over the
-    # 150 periods of cos(320 r) on [0, 3], about 1.4e-9 at rtol 1e-11
+def test_phi_ode_values_at_large_lambda(model, exact):
+    # a batch topped by λ = 320: on the line DOP853 at rtol 1e-11 was 1.4e-9
+    # off in the λ = 320 row, its phase drift over the 150 periods of
+    # cos(320 r) on [0, 3]
     r = np.linspace(0.0, 3.0, 301)[1:]
     lams = np.array([40.0, 80.0, 160.0, 320.0])
     vals, _ = phi_ode_values(model, lams, r)
-    errs = [np.max(np.abs(v - exact(lam, r))) for v, lam in zip(vals, lams)]
-    assert max(errs[:3]) < 1e-10
-    assert errs[3] < bound_320
+    assert np.max(np.abs(vals - exact(lams[:, None], r))) < 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    DR21, make_damek_ricci(4, 3), make_real_hyperbolic(5),
+    make_custom("sinh(r)**2", 2)], ids=["DR21", "DR43", "H6", "custom"])
+def test_phi_ode_values_match_the_ode_reference(model):
+    # no closed form: DOP853 (_eigen_rows) is the reference
+    r = np.linspace(0.0, 6.0, 241)
+    lams = np.linspace(0.0, 40.0, 21)
+    vals, derivs = phi_ode_values(model, lams, r)
+    L = -(lams * lams + model.H ** 2 / 4)
+    ref, dref = spherical._eigen_rows(model, L, r)
+    assert np.max(np.abs(vals - ref)) < 1e-10
+    assert np.max(np.abs(derivs - dref) / np.maximum(1.0, lams[:, None])) < 1e-10
 
 
 def test_phi_ode_values_requires_sorted_points():

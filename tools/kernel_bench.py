@@ -18,6 +18,9 @@ call with its inputs built beforehand:
                            an empty φ-basis cache
   abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
                            an empty φ-basis cache
+  phi_rows_sweep   phi_ode_values for 256 rows, λ evenly spaced up to
+                   λ_max = 10 / 40 / 160 / 640, at the 600 radial nodes of
+                   r ≤ 1.5 (spacing 0.02), keyed by λ_max
   import_cli       `import harmonic.cli` in a fresh interpreter with
                    PYTHONPATH=src, interpreter start-up included
   build_models     the five built-in models plus H⁶ and DR(4,3)
@@ -44,12 +47,13 @@ import numpy as np  # noqa: E402
 from harmonic import pde, spherical, transforms  # noqa: E402
 from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
                               make_euclidean, make_real_hyperbolic)
-from harmonic.grids import Grid1D  # noqa: E402
+from harmonic.grids import Grid1D, make_grid  # noqa: E402
 from harmonic.profiles import (annulus_bump, gauss_bump,  # noqa: E402
                                smooth_bump)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SWEEP_LAMBDA_MAX = (10.0, 40.0, 160.0, 640.0)
 
 
 def best_of(fn, repeat, setup=None):
@@ -94,6 +98,7 @@ def main(argv=None):
     n_panels = round(a_bump.info["lambda_max"] / width)
     lams = Grid1D(points=width * np.arange(n_panels + 1)).nodes
     r_nodes = transforms.EvenFunction.from_profile(bump).grid.nodes
+    sweep_radii = make_grid(1.5, spacing=0.02).nodes
 
     def empty_basis_cache():
         spherical._BASIS_CACHE = spherical._LRUCache(
@@ -116,12 +121,17 @@ def main(argv=None):
         "abel_inverse_e3_smooth": best_of(
             lambda: transforms.abel_inverse(e3, a_e3_smooth), repeat,
             setup=empty_basis_cache),
+        "phi_rows_sweep": {
+            f"{lam_max:g}": best_of(lambda: spherical.phi_ode_values(
+                e3, np.linspace(0.0, lam_max, 256), sweep_radii), repeat)
+            for lam_max in SWEEP_LAMBDA_MAX},
         "import_cli": best_of(import_cli, repeat),
         "build_models": best_of(build_models, repeat),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
               "sizes": {"abel_lambda_nodes": int(lams.size),
                         "phi_basis_radii": int(r_nodes.size),
+                        "sweep_radii": int(sweep_radii.size),
                         "fd_grid_nodes": int(wave.grid.nodes.size)},
               "python": platform.python_version(),
               "numpy": np.__version__}
