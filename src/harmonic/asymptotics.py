@@ -337,12 +337,18 @@ def cheeger_chain_report(model, r_max=40.0):
             "pass" if gap <= MU_TOL * (1.0 + H) else "fail",
             f"θ'/θ({r_max:g}) = {growth.mu_final:.12g} vs H = {H:.12g} "
             f"(|diff| = {gap:.3e})"))
-        gap1 = abs(stage1 - H)
+        # log vol B_r / r = H + log(C)/r + O(e^{-r}): the last two radii
+        # fit away the 1/r term, which is 0.055 on H⁶ at r = 30
+        r_prev, stage_prev = growth.mu_estimates[-2]
+        fit = (r_last * stage1 - r_prev * stage_prev) / (r_last - r_prev)
+        gap1 = abs(fit - H)
         verdicts.append(Verdict(
             "log_volume_ratio_near_H",
             "pass" if gap1 <= STAGE1_TOL else "fail",
-            f"log vol B_r / r at r = {r_last:g} is {stage1:.6g} vs "
-            f"H = {H:g} (|diff| = {gap1:.3e}, tolerance {STAGE1_TOL:g})"))
+            f"log vol B_r / r at r = {r_last:g} is {stage1:.6g}; its fit "
+            f"H + c/r through r = {r_prev:g} and {r_last:g} gives "
+            f"{fit:.6g} vs H = {H:g} (|diff| = {gap1:.3e}, tolerance "
+            f"{STAGE1_TOL:g})"))
 
     sampled = [(r, v) for r, v in growth.sphere_ratio if r >= 1.0]
     dominated = all(v >= H - INVARIANT_SLACK * (1 + H) for _, v in sampled)

@@ -4,7 +4,7 @@
 
     φ'' + (θ'/θ) φ' = L φ,      L = -(λ² + H²/4),
 
-and three evaluation paths are maintained:
+and two evaluation paths are maintained:
 
 * a Volterra power series  φ_λ = 1 + Σ_{k≥1} a_k(r) L^k  whose coefficients
   obey the recursion
@@ -12,50 +12,38 @@ and three evaluation paths are maintained:
       a_0 = 1,
       a_{k+1}(r) = ∫_0^r (1/θ(r₂)) ∫_0^{r₂} θ(r₁) a_k(r₁) dr₁ dr₂,
 
-  with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant);
+  with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant).
+  In double precision it carries a cancellation floor of about
+  eps·cosh(sqrt(|L|)·r) over the whole radius;
 
 * the same spectral-parameter power series (Kravchenko & Porter, Math.
   Methods Appl. Sci. 33, 2010) taken piece by piece.  The radii are cut
-  into pieces of length h = min(3/sqrt(max|L|), 0.5); on each piece two
+  into pieces of length h ≤ min(3/sqrt(max|L|), 0.5); on each piece two
   fundamental solutions are power series in L from the piece's start, with
   coefficient functions that depend on the model and the pieces but not on
-  λ, and (φ, φ') pass from piece to piece by 2×2 transfer matrices.  As
-  sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
-  eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
-  proportion to its size and not to λ_max;
-
-* direct integration of the ODE (DOP853) from a Taylor start near r = 0
-  (the coefficient θ'/θ ~ n/r is singular at the origin, so the first 10⁻³
-  of the radius, less where √|L|·10⁻³ > TAYLOR_PHASE, is handled by the
-  series-derived Taylor polynomial).
+  λ, and (φ, φ') pass from piece to piece by 2×2 transfer matrices.  The
+  inner integrals of the recursion are the piece's fluxes, so Φ = ∫θφ
+  follows from the same levels without dividing by L.  As sqrt|L|·h ≤ 3,
+  the sums on a piece carry a rounding floor of about eps·cosh 3 whatever
+  λ is, and a batch of rows costs matrix products, in proportion to its
+  size and not to λ_max.
 
 Which path serves which caller:
 
-* phi_ode_values takes the piecewise series for real or complex λ, and with
-  it phi_basis (the transforms), phi with method 'ode' (and 'auto' above
-  the series floor) and the geometry checks;
-* `_eigen_rows` integrates the ODE, for a batch of L, solving the rows
+* `phi` (method 'auto') takes the Volterra series on a grid where its floor
+  is below 1e-10 and its coefficients pass their quadrature bound check;
+  phi_series reports the floor as `error_bound`;
+* everything else takes the piecewise series: phi_ode_values for real or
+  complex λ, and with it phi_basis (values only, for the transforms), phi
+  with method 'ode' (and 'auto' otherwise) and the geometry checks;
+  eigen_state_at for the L-plane zero search, at one radius cut into a
+  power-of-two number of equal pieces, with ∂/∂L through the transfer
+  chain; eigen_profile for the zeros in r, on the distinct radii of a
+  profile.
 
-      u = φ,  v = φ_r  [, p = ∂φ/∂L, q = ∂v/∂L]  [, Φ = ∫θφ  [, Ψ = ∂Φ/∂L]]
-
-  stacked in that order: eigen_profile takes (u, v, Φ), and eigen_state_at
-  all six rows for the L-plane zero search when it integrates.
-
-The Volterra series in double precision carries a cancellation floor of
-about eps·cosh(sqrt(|L|)·r) over the whole radius, and each dispatcher
-takes it only below a floor:
-
-* `phi` (method 'auto') on a grid below 1e-10; phi_series reports the floor
-  as `error_bound`;
-* `eigen_state_at` at one radius below STATE_SERIES_FLOOR = 1e-11, taking
-  the batch's largest |L|.  At a fixed radius φ, φ_r, ∂φ/∂L, Φ and ∂Φ/∂L
-  are polynomials in L, so one coefficient pass per (model, radius) serves
-  every batch there, by Horner.  Above the floor it integrates, as
-  eigen_profile always does.
-
-When the coefficients fail their quadrature bound check, `phi` falls back
-to phi_ode_values and eigen_state_at to the ODE.  The tests cross-check
-the paths wherever they overlap.
+No ODE is stepped anywhere.  The tests cross-check both paths against the
+closed forms of the flat and real hyperbolic spaces and against a DOP853
+reference built in the tests.
 
 Everything is even in λ (functions of L only), entire in L, and equals 1
 identically at λ = ±iH/2 (L = 0).
@@ -70,23 +58,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.integrate import solve_ivp
+# not called here: perfbench/tracer.py wraps this module global by name
+# (tests/test_tracer_contract.py::test_every_traced_name_resolves)
+from scipy.integrate import solve_ivp  # noqa: F401
 
-from .grids import (Grid1D, _legendre_partials, _tables, _weighted_running,
-                    make_grid)
+from .grids import Grid1D, _legendre_partials, _tables, _weighted_running
 
-TAYLOR_RADIUS = 1e-3
-# the Taylor start drops the r⁸ term, (√|L|·r)⁸/8! relative for n = 0, the
-# worst case; at √|L|·r_t ≤ TAYLOR_PHASE that is at most 1.6e-16, so large
-# |L| move the start inward
-TAYLOR_PHASE = 0.04
 SERIES_TOL = 1e-14
 SERIES_K_CAP = 160
-ODE_RTOL = 1e-11
-ODE_ATOL = 1e-13
 _EPS = np.finfo(float).eps
-# largest log|φ| the ODE path accepts: log(1e300) leaves room for the
-# prefactor of the exponential growth and for φ_r
+# largest log|φ| (or log|Φ|) the piecewise series accepts: log(1e300) leaves
+# room for the prefactor of the exponential growth and for φ_r
 LOG_RANGE = 690.0
 
 
@@ -114,7 +96,7 @@ class _LRUCache:
     """LRU map from keys to values with an nbytes size, byte-capped.
 
     One instance holds the φ-basis matrices; a second holds the Volterra
-    coefficient workspaces and eigen_state_at's coefficient matrices at one
+    coefficient workspaces and eigen_state_at's series levels at one
     radius.  The lock guards lookups, inserts, evictions and
     size updates only; callers compute outside it.  Two threads that miss on
     one key both compute, and the second insert returns the first thread's
@@ -399,115 +381,12 @@ def phi_series(model, lam, grid):
 
 
 # ---------------------------------------------------------------------------
-# Taylor start and ODE path
+# piecewise spectral-parameter power series
 # ---------------------------------------------------------------------------
 
-def _taylor_coeffs(model, L):
-    """φ ≈ 1 + A r² + B r⁴ + C r⁶ near 0, from the series recursion."""
-    n = model.n
-    g1 = 2.0 * model.c2
-    g3 = 4.0 * model.c4 - 2.0 * model.c2**2
-    A = L / (2.0 * (n + 1))
-    B = A * (L - 2.0 * g1) / (4.0 * (n + 3))
-    C = (L * B - 4.0 * B * g1 - 2.0 * A * g3) / (6.0 * (n + 5))
-    # and the L-derivatives, for the variational equation
-    A_L = np.ones_like(np.asarray(L)) / (2.0 * (n + 1))
-    B_L = (A_L * (L - 2.0 * g1) + A) / (4.0 * (n + 3))
-    C_L = (B + L * B_L - 4.0 * B_L * g1 - 2.0 * A_L * g3) / (6.0 * (n + 5))
-    return (A, B, C), (A_L, B_L, C_L)
-
-
-def _taylor_poly(coeffs, r):
-    """(A r² + B r⁴ + C r⁶, its r-derivative), shape (M, *r.shape)."""
-    A, B, C = (np.reshape(c, np.shape(c) + (1,) * r.ndim) for c in coeffs)
-    r2 = r * r
-    return ((A + (B + C * r2) * r2) * r2,
-            (2.0 * A + (4.0 * B + 6.0 * C * r2) * r2) * r)
-
-
-def _taylor_rows(model, taylor, taylor_L, radii, dL, Phi):
-    """The rows at radii up to the Taylor radius, from the Taylor polynomial.
-
-    Φ and Ψ are 8-node Gauss-Legendre quadratures of θ·u and θ·p on [0, ρ].
-    """
-    w, dw = _taylor_poly(taylor, radii)
-    rows = [1.0 + w, dw]
-    if dL:
-        rows += _taylor_poly(taylor_L, radii)
-    if Phi:
-        t8, w8, _, _ = _tables(8)
-        half = radii[:, None] / 2
-        qn = half + half * t8
-        qw_th = half * w8 * model.theta(qn)
-        rows.append(np.sum(qw_th * (1.0 + _taylor_poly(taylor, qn)[0]), axis=-1))
-        if dL:
-            rows.append(np.sum(qw_th * _taylor_poly(taylor_L, qn)[0], axis=-1))
-    return rows
-
-
-def _eigen_rows(model, L, radii, dL=False, Phi=False, r_t=TAYLOR_RADIUS,
-                rtol=ODE_RTOL, atol=ODE_ATOL, dense=True):
-    """Rows (u=φ, v=φ_r[, p=∂φ/∂L, q=∂v/∂L][, Φ=∫θφ[, Ψ=∂Φ/∂L]]) at radii.
-
-    L is a 1-d batch, float or complex; the rows take its dtype.  radii is a
-    1-d float array, in any order and with repeats.  Radii up to the Taylor
-    radius r_t (less where TAYLOR_PHASE asks) come from the Taylor start,
-    the others from one DOP853 solve of the whole batch from there, sampled
-    by dense output at each distinct radius.  With dense=False, radii holds
-    one radius: the solve ends there and its last step is read (dense output
-    at the end point differs from that step in the last bits).  Returns one
-    (len(L), len(radii)) array per row, each allocated on its own, in row
-    order; the solver's state stacks the rows in the same order, and its
-    error norm runs over them.
-    """
-    M = L.size
-    top = float(np.max(np.abs(L), initial=0.0))
-    if top * r_t * r_t > TAYLOR_PHASE ** 2:
-        r_t = TAYLOR_PHASE / math.sqrt(top)
-    taylor, taylor_L = _taylor_coeffs(model, L)
-    small = radii <= r_t
-    rows = [np.empty((M, radii.size), dtype=L.dtype)
-            for _ in range((2 + Phi) * (1 + dL))]
-    if np.any(small):
-        for row, val in zip(rows, _taylor_rows(model, taylor, taylor_L,
-                                               radii[small], dL, Phi)):
-            row[:, small] = val
-    if np.all(small):
-        return rows
-    start = _taylor_rows(model, taylor, taylor_L, np.array([r_t]), dL, Phi)
-    y0 = np.concatenate([row[:, 0] for row in start]).astype(L.dtype)
-    dlog = model.dlog_theta
-    theta = model.theta
-
-    def rhs(r, y):
-        u, v = y[:M], y[M:2 * M]
-        c = dlog(r)
-        parts = [v, L * u - c * v]
-        if dL:
-            p, q = y[2 * M:3 * M], y[3 * M:4 * M]
-            parts += [q, L * p + u - c * q]
-        if Phi:
-            th = theta(r)
-            parts.append(th * u)
-            if dL:
-                parts.append(th * p)
-        return np.concatenate(parts)
-
-    r_unique, inverse = np.unique(radii[~small], return_inverse=True)
-    sol = solve_ivp(rhs, (r_t, r_unique[-1]), y0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=r_unique if dense else None)
-    if not sol.success:
-        raise RuntimeError(f"eigenfunction ODE integration failed: {sol.message}")
-    y = sol.y if dense else sol.y[:, -1:]
-    for i, row in enumerate(rows):
-        row[:, ~small] = y[i * M:(i + 1) * M][:, inverse]
-    return rows
-
-
-# Piecewise spectral-parameter power series (phi_ode_values).  Pieces are
-# at most SPPS_PHASE/sqrt(max|L|) long, so sqrt|L|·h ≤ X = SPPS_PHASE on each,
-# and at most SPPS_MAX_PIECE, so θ grows by at most about e^(H/2) across one
-# and its SPPS_NODES Legendre nodes resolve it
+# Pieces are at most SPPS_PHASE/sqrt(max|L|) long, so sqrt|L|·h ≤ X =
+# SPPS_PHASE on each, and at most SPPS_MAX_PIECE, so θ grows by at most about
+# e^(H/2) across one and its SPPS_NODES Legendre nodes resolve it
 SPPS_PHASE = 3.0
 SPPS_MAX_PIECE = 0.5
 SPPS_NODES = 32
@@ -518,7 +397,13 @@ SPPS_ORDER = truncation_order(SPPS_PHASE ** 2, 1.0, tol=1e-17) + 1
 SPPS_BLOCK_BYTES = 2 * 2**20
 
 
-def _spps_levels(model, edges):
+def _spps_piece(top):
+    """Longest piece for a batch whose largest |L| is top."""
+    return min(SPPS_PHASE / math.sqrt(top) if top > 0 else math.inf,
+               SPPS_MAX_PIECE)
+
+
+def _spps_levels(model, edges, Phi=False):
     """λ-free data of the pieces [edges[p], edges[p+1]] of the series.
 
     On a piece from b the fundamental solutions of (θ̂y')' = Lθ̂y, with
@@ -528,13 +413,18 @@ def _spps_levels(model, edges):
         A_0 = 1,  A_k = ∫_b (1/θ̂) ∫_b θ̂ A_{k-1},
         B_0 = ∫_b 1/θ̂,  B_k = ∫_b (1/θ̂) ∫_b θ̂ B_{k-1},
 
-    every one nonnegative.  The first piece, from 0, holds the Volterra
-    levels a_k of φ itself in the y1 slot (θ̂ = θ/θ(b_1), its inner
-    integral r^n-weighted as in Grid1D.first_panel_weighted) and no y2.
-    Each integral is the running integral of the degree D-1 interpolant at
-    the piece's D Gauss-Legendre nodes.  Returns (ends, slopes): ends
-    (K+1, 4, P) holds A_k, A_k', B_k, B_k' at each piece's end, slopes
-    (P, K+1, 2, D) the node values of A_k' and B_k'.
+    every one nonnegative.  The inner integrals are the fluxes
+    C_{k+1} = ∫_b θ̂ A_k and E_{k+1} = ∫_b θ̂ B_k, so ∫_b θ y1 =
+    θ(b) Σ L^k C_{k+1}, with no division by L.  The first piece, from 0,
+    holds the Volterra levels a_k of φ itself in the y1 slot (θ̂ = θ/θ(b_1),
+    its inner integral r^n-weighted as in Grid1D.first_panel_weighted) and
+    no y2.  Each integral is the running integral of the degree D-1
+    interpolant at the piece's D Gauss-Legendre nodes.  Returns (ends,
+    slopes, log_ref): ends (K+1, 2, 2, P) holds (A_k, B_k) and
+    (A_k', B_k') at each piece's end, slopes (1, P, K+1, 2, D) the node
+    values of (A_k', B_k'), and log_ref (P,) log θ at the radius θ̂ is
+    relative to.  With Phi, ends[:, 2] and slopes[1] hold (C_{k+1}, E_{k+1})
+    in the same way.
     """
     D, K, n = SPPS_NODES, SPPS_ORDER, model.n
     t, w, coef_mat, partial = _tables(D)
@@ -543,7 +433,8 @@ def _spps_levels(model, edges):
     a, b = edges[:-1, None], edges[1:, None]
     half = (b - a) / 2
     x = np.hstack([a + half * (1 + t), b])
-    th = np.exp(model.log_theta(x) - model.log_theta(np.where(a > 0, a, b)))
+    log_ref = model.log_theta(np.where(a > 0, a, b))
+    th = np.exp(model.log_theta(x) - log_ref)
     if not np.all(np.isfinite(th) & (th > 0)):
         raise QuadratureError("theta not positive/finite on the series nodes")
     first = _weighted_running(x[0], edges[1], D, n) / x[0, :D] ** n
@@ -552,46 +443,57 @@ def _spps_levels(model, edges):
     d[1, 1:] = 1.0 / th[1:]
     v = half * (d[..., :D] @ run)
     v[0] = 1.0
-    ends = np.empty((K + 1, 4, P))
-    slopes = np.empty((P, K + 1, 2, D))
+    ends = np.empty((K + 1, 2 + Phi, 2, P))
+    slopes = np.empty((1 + Phi, P, K + 1, 2, D))
     for k in range(K + 1):
-        ends[k] = v[0, :, D], d[0, :, D], v[1, :, D], d[1, :, D]
-        slopes[:, k] = d[..., :D].transpose(1, 0, 2)
+        ends[k, :2] = v[..., D], d[..., D]
+        slopes[0, :, k] = d[..., :D].transpose(1, 0, 2)
+        if k == K and not Phi:
+            break
+        g = th[:, :D] * v[..., :D]
+        flux = half * (g @ run)
+        flux[:, 0] = g[:, 0] @ first.T
+        if Phi:
+            ends[k, 2] = flux[..., D]
+            slopes[1, :, k] = flux[..., :D].transpose(1, 0, 2)
         if k < K:
-            g = th[:, :D] * v[..., :D]
-            flux = half * (g @ run)
-            flux[:, 0] = g[:, 0] @ first.T
             d = flux / th
             v = half * (d[..., :D] @ run)
-    return ends, slopes
+    return ends, slopes, log_ref[:, 0]
 
 
-def _spps_rows(model, L, radii):
-    """(φ, φ_r) at sorted radii for a batch of L, by the piecewise series.
+def _spps_rows(model, L, radii, derivs=True, Phi=False):
+    """φ[, φ_r][, Φ = ∫θφ] at sorted radii for a batch of L, by the series.
 
     Pieces: the first [0, h] and then equal pieces of length
-    h = min(SPPS_PHASE/sqrt(max|L|), SPPS_MAX_PIECE, r_last) up to the last
-    radius, so every later piece [b, b + h] keeps b ≥ h away from the
-    singular θ'/θ ~ n/r.  (φ, φ') pass from piece to piece by the 2×2
-    transfer matrices [[y1, y2], [y1', y2']] at the piece ends; a radius in
-    piece p gets φ(b_p) y1(r) + φ'(b_p) y2(r).  Each piece's sums carry a
-    rounding floor of about eps·cosh(SPPS_PHASE).
+    h = min(_spps_piece(max|L|), r_last) up to the last radius, so every
+    later piece [b, b + h] keeps b ≥ h away from the singular θ'/θ ~ n/r.
+    (φ, φ') pass from piece to piece by the 2×2 transfer matrices
+    [[y1, y2], [y1', y2']] at the piece ends; a radius in piece p gets
+    φ(b_p) y1(r) + φ'(b_p) y2(r), and Φ(b_p) plus θ_p times
+    φ(b_p) Σ L^k C_{k+1}(r) + φ'(b_p) Σ L^k E_{k+1}(r), θ_p being θ where
+    θ̂ = 1.  Values map the
+    node slopes A_k', B_k' to the radii by their running integral; φ_r and
+    Φ interpolate node values, so derivs=False maps and sums half the
+    levels of φ and φ_r.  Each piece's sums carry a rounding floor of about
+    eps·cosh(SPPS_PHASE).  Returns the rows in that order, each
+    (len(L), len(radii)).
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
-    values = np.ones((M, radii.size), dtype=L.dtype)
-    derivs = np.zeros_like(values)
+    rows = [np.ones((M, radii.size), dtype=L.dtype)]
+    rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
     r_last = float(radii[-1]) if radii.size else 0.0
     if r_last == 0.0:
-        return values, derivs
-    top = float(np.max(np.abs(L), initial=0.0))
-    h = min(SPPS_PHASE / math.sqrt(top) if top > 0 else math.inf,
-            SPPS_MAX_PIECE, r_last)
+        return rows
+    h = min(_spps_piece(float(np.max(np.abs(L), initial=0.0))), r_last)
     P = max(1, math.ceil(r_last / h - 1e-9))
     edges = h * np.arange(P + 1.0)
     edges[-1] = r_last
-    ends, slopes = _spps_levels(model, edges)
+    ends, slopes, log_ref = _spps_levels(model, edges, Phi)
+    if Phi:
+        theta_ref = np.exp(log_ref)
     powers = L[:, None] ** np.arange(K + 1)
-    # φ(0) = 1 and φ'(0) = 0 hold as set; piece p holds the radii
+    # φ(0) = 1, φ'(0) = 0 and Φ(0) = 0 hold as set; piece p holds the radii
     # r[cut[p]:cut[p+1]], each at tloc on the reference panel [-1, 1]
     i0 = np.searchsorted(radii, 0.0, side="right")
     r = radii[i0:]
@@ -601,42 +503,65 @@ def _spps_rows(model, L, radii):
     tloc = (r - edges[piece]) / half[piece] - 1.0
     V = legvander(tloc, D)
     _, _, coef_mat, _ = _tables(D)
-    # value and slope maps from a piece's node slopes to the radius
-    maps = np.stack([(_legendre_partials(tloc, V) @ coef_mat)
-                     * half[piece, None], V[:, :D] @ coef_mat])
-    block = max(1, SPPS_BLOCK_BYTES // (4 * values.itemsize * M))
-    # (φ, φ') at the start of each piece, passed on by the piece's transfer
-    # matrix [[y1, y2], [y1', y2']] at its end; the matrices of `block`
-    # pieces come from one product
+    # maps from a piece's node values to the radii: the running integral
+    # (A', B' to y1, y2) and the interpolant (to y1', y2' and the fluxes)
+    value_map = (_legendre_partials(tloc, V) @ coef_mat) * half[piece, None]
+    node_map = V[:, :D] @ coef_mat if derivs or Phi else None
+    maps = np.stack([value_map, node_map]) if derivs else value_map[None]
+    groups = 1 + derivs + Phi
+    block = max(1, SPPS_BLOCK_BYTES // (2 * groups * rows[0].itemsize * M))
+    # (φ, φ', Φ) at the start of each piece, passed on by the piece's
+    # transfer matrices at its end; the matrices of `block` pieces come from
+    # one product
     u, du = np.ones(M, dtype=L.dtype), np.zeros(M, dtype=L.dtype)
+    Phi_b = np.zeros(M, dtype=L.dtype)
     for p in range(P):
         if p % block == 0:
-            ends_p = ends[:, :, p:p + block]
-            transfer = (ends_p.reshape(K + 1, -1).T @ powers.T).reshape(
-                4, -1, M)
+            ends_p = ends[..., p:p + block]
+            transfer = (powers @ ends_p.reshape(K + 1, -1)).reshape(
+                M, 2 + Phi, 2, -1)
         for lo in range(cut[p], cut[p + 1], block):
             s = slice(lo, min(lo + block, cut[p + 1]))
-            # y1, y1', y2, y2' at the radii
-            lev = np.tensordot(slopes[p], maps[:, s], axes=(2, 2))
+            # y1, y2 [, y1', y2'] [, the flux sums] at the radii
+            lev = np.tensordot(slopes[0, p], maps[:, s], axes=(2, 2))
+            if Phi:
+                flux = np.tensordot(slopes[1, p], node_map[s],
+                                    axes=(2, 1))
+                lev = np.concatenate([lev, flux[:, :, None]], axis=2)
             lev[0, 0, 0] += 1.0      # A_0 = 1
-            y = (powers @ lev.reshape(K + 1, -1)).reshape(M, 4, -1)
+            y = (powers @ lev.reshape(K + 1, -1)).reshape(M, 2, groups, -1)
             s = slice(i0 + s.start, i0 + s.stop)
-            values[:, s] = u[:, None] * y[:, 0] + du[:, None] * y[:, 2]
-            derivs[:, s] = u[:, None] * y[:, 1] + du[:, None] * y[:, 3]
-        y1, dy1, y2, dy2 = transfer[:, p % block]
-        u, du = y1 * u + y2 * du, dy1 * u + dy2 * du
-    return values, derivs
+            for g, row in enumerate(rows):
+                row[:, s] = u[:, None] * y[:, 0, g] + du[:, None] * y[:, 1, g]
+            if Phi:
+                rows[-1][:, s] *= theta_ref[p]
+                rows[-1][:, s] += Phi_b[:, None]
+        t = transfer[..., p % block]
+        if Phi:
+            Phi_b = Phi_b + theta_ref[p] * (t[:, 2, 0] * u + t[:, 2, 1] * du)
+        u, du = (t[:, 0, 0] * u + t[:, 0, 1] * du,
+                 t[:, 1, 0] * u + t[:, 1, 1] * du)
+    return rows
 
 
-def phi_ode_values(model, lams, r_points):
+def _refuse_growth(what, rate, r_last):
+    """PhiOverflowError when exp(rate·r_last) leaves double range."""
+    if rate > 0 and rate * r_last > LOG_RANGE:
+        raise PhiOverflowError(
+            f"{what} grows like exp({rate:.6g} r) and leaves double range "
+            f"beyond r = {LOG_RANGE / rate:.6g}, the largest usable radius")
+
+
+def phi_ode_values(model, lams, r_points, *, derivs=True):
     """φ_λ and φ_λ' at the radii for a batch of λ, by a piecewise series.
 
-    Returns (values, derivatives) with shape (len(lams), len(r_points)).
-    r_points must be sorted ascending.  No ODE is stepped: the coefficient
-    functions of the piecewise spectral-parameter power series depend on
-    the model and the pieces only, so rows cost ∝ their count, not
-    λ_max (see _spps_rows).  Raises PhiOverflowError, naming the largest
-    usable radius, when some φ_λ would overflow before the last one.
+    Returns (values, derivatives) with shape (len(lams), len(r_points));
+    with derivs=False the derivatives are not formed and come back as None
+    (phi_basis).  r_points must be sorted ascending.  No ODE is stepped:
+    the coefficient functions of the piecewise spectral-parameter power
+    series depend on the model and the pieces only, so rows cost ∝ their
+    count, not λ_max (see _spps_rows).  Raises PhiOverflowError, naming the
+    largest usable radius, when some φ_λ would overflow before the last one.
     """
     lams = np.atleast_1d(np.asarray(lams))
     real_input = not np.iscomplexobj(lams) or np.all(lams.imag == 0)
@@ -651,26 +576,26 @@ def phi_ode_values(model, lams, r_points):
         raise ValueError("radii must be nonnegative")
     # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
     # sums meet an overflow
-    rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
-    if r_points.size and rate > 0 and rate * r_points[-1] > LOG_RANGE:
-        r_usable = LOG_RANGE / rate
-        raise PhiOverflowError(
-            f"φ_λ grows like exp({rate:.6g} r) and leaves double range "
-            f"beyond r = {r_usable:.6g}, the largest usable radius")
-    return _spps_rows(model, L, r_points)
+    if r_points.size:
+        rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
+        _refuse_growth("φ_λ", rate, r_points[-1])
+    rows = _spps_rows(model, L, r_points, derivs=derivs)
+    return rows[0], (rows[1] if derivs else None)
 
 
 def _phi_ode(model, lam, grid):
     """φ_λ on grid.points via phi_ode_values (method 'ode').
 
-    error_bound keeps the conservative ODE_RTOL-based figure; the piecewise
-    series is within 1e-12 of the closed forms for λ ≤ 640 on r ≤ 3 and
-    λ ≤ 160 on r ≤ 10 (tests).
+    error_bound is the series floor: eps·cosh(SPPS_PHASE) per piece, summed
+    over the pieces, relative to max(1, max|φ|).  The piecewise series is
+    within 1e-12 of the closed forms for λ ≤ 640 on r ≤ 3 and λ ≤ 160 on
+    r ≤ 10 (tests).
     """
     L, _ = spectral_shift(model, lam)
     vals, derivs = phi_ode_values(model, [lam], grid.points)
     scale = float(np.max(np.abs(vals)))
-    err = ODE_RTOL * max(scale, 1.0) * 10 + ODE_ATOL
+    pieces = math.ceil(grid.x_max / min(_spps_piece(abs(L)), grid.x_max))
+    err = _EPS * math.cosh(SPPS_PHASE) * pieces * max(scale, 1.0)
     return SphericalFunction(model, lam, L, grid, vals[0], derivs[0],
                              "ode", err, k_used=None)
 
@@ -684,9 +609,9 @@ def phi(model, lam, grid, method="auto"):
     """φ_λ on grid.points by the best available path.
 
     'auto' uses the series when its cancellation floor is below 1e-10 and the
-    ODE integrator otherwise, or when the series cannot be formed on this
-    grid (too many terms, or a coefficient failing its quadrature bound).
-    Both paths agree (tested) where they overlap.
+    piecewise series otherwise, or when the Volterra series cannot be formed
+    on this grid (too many terms, or a coefficient failing its quadrature
+    bound).  Both paths agree (tested) where they overlap.
     """
     if method == "series":
         return phi_series(model, lam, grid)
@@ -704,48 +629,34 @@ def phi(model, lam, grid, method="auto"):
 
 
 # ---------------------------------------------------------------------------
-# batched state evaluation in the L-plane (used by the zero search)
+# the L-plane state and the r-profiles (used by the zero search)
 # ---------------------------------------------------------------------------
 
-# tolerances of the L-plane and r-profile solves (eigen_state_at,
-# eigen_profile)
-STATE_RTOL = 1e-12
-STATE_ATOL = 1e-14
-# eigen_state_at sums the series when the cancellation floor of its batch is
-# at most this, about the error its DOP853 path (STATE_RTOL) leaves there
-STATE_SERIES_FLOOR = 1e-11
-# Under that floor sqrt|L|·r ≤ x = acosh(floor/eps) ≈ 11.4, so the series
-# terms x^(2k)/(2k)! fall below eps from the 29th on; the ∂/∂L rows and
-# Φ = θ Σ a'_{k+1} L^k each need one more level.
-STATE_ORDER = truncation_order(
-    math.acosh(STATE_SERIES_FLOOR / _EPS) ** 2, 1.0, tol=_EPS) + 2
+def _refuse_state_growth(model, L, r_last):
+    """PhiOverflowError when φ or Φ = ∫θφ leaves double range by r_last.
 
-
-def _state_polynomials(model, r):
-    """Coefficients in L of φ, φ_r, ∂φ/∂L, Φ and ∂Φ/∂L at radius r.
-
-    Row i of the (5, K + 1) result holds the coefficient of L^j in column j.
-    One Volterra recursion on make_grid(r) (0.05 panels) gives a_k(r) and
-    a_k'(r), k = 1..K, and a_{k+1}' = (1/θ)∫θ a_k (with a_0 = 1) makes
-    Φ = θ(r) Σ_{k≥0} a_{k+1}'(r) L^k; the ∂/∂L rows are term-wise.  The
-    matrix, not the workspace, is kept in the coefficient cache.
+    φ grows like exp((Re sqrt(L + H²/4) - H/2) r), and Φ like θ ~ e^{Hr}
+    times φ or at least e^{Hr/2}.
     """
-    key = ("state", model.key, r)
+    H = model.H
+    mu = float(np.max(np.sqrt(L + H * H / 4.0).real, initial=0.0))
+    _refuse_growth("Φ = ∫θφ", max(mu - H / 2, 0.0) + H, r_last)
+
+
+def _state_levels(model, r, P):
+    """The series' end values for P equal pieces of [0, r], cached.
+
+    _spps_levels' ends, with the fluxes times θ at the radius θ̂ is
+    relative to, so a piece from b adds φ(b) Σ L^k θC_{k+1} +
+    φ'(b) Σ L^k θE_{k+1} to Φ.  The coefficient cache keeps one
+    (K+1, 3, 2, P) array per (model, r, P).
+    """
+    key = ("state", model.key, r, P)
     out = _COEF_CACHE.get(key)
     if out is None:
-        ws = _CoefWorkspace(model, make_grid(r))
-        K = STATE_ORDER
-        ws.extend(K)
-        a = np.array([level[-1] for level in ws.level_points])
-        da = np.array([level[-1] for level in ws.deriv_points])
-        theta, k = ws.theta_points[-1], np.arange(1, K + 1)
-        out = np.zeros((5, K + 1))
-        out[0, 0] = 1.0
-        out[0, 1:] = a
-        out[1, 1:] = da
-        out[2, :K] = k * a
-        out[3, :K] = theta * da
-        out[4, :K - 1] = theta * k[:-1] * da[1:]
+        out, _, log_ref = _spps_levels(model, r * (np.arange(P + 1) / P),
+                                       Phi=True)
+        out[:, 2] *= np.exp(log_ref)
         out.flags.writeable = False
         out = _COEF_CACHE.put(key, out)
     return out
@@ -754,48 +665,69 @@ def _state_polynomials(model, r):
 def eigen_state_at(model, L_values, r_stop):
     """φ, φ_r, ∂φ/∂L, Φ, ∂Φ/∂L at radius r_stop for a batch of complex L.
 
-    Two routes give the same holomorphic functions of L, which is what the
-    argument-principle zero search differentiates.  When the batch's
-    cancellation floor eps·cosh(sqrt(max|L|)·r_stop) is at most
-    STATE_SERIES_FLOOR, all five are polynomials in L, summed by Horner from
-    coefficients computed once per (model, r_stop) and cached.  Above that
-    floor, or when the coefficients fail their quadrature check, it
-    integrates the eigenfunction ODE (DOP853, STATE_RTOL/STATE_ATOL) with its
-    variational equation (∂/∂L) and the cumulative integral Φ = ∫ θ φ.
+    By the piecewise series: [0, r_stop] is cut into P equal pieces of
+    length at most _spps_piece(max|L|), with P rounded up to a power of two
+    so that the batches of one search share a few level sets, cached per
+    (model, r_stop, P).  Each piece's transfer matrix [[y1, y2], [y1', y2'],
+    [G1, G2]] is a polynomial in L (the last row adds Φ's increment, see
+    _state_levels); the chain passes (φ, φ') and Φ on, and ∂/∂L follows by
+    the product rule through it, the matrices differentiated term-wise.
+    These are holomorphic in L, which is what the argument-principle zero
+    search differentiates.  Raises PhiOverflowError when φ or Φ would leave
+    double range.
     """
     L = np.atleast_1d(np.asarray(L_values, dtype=complex))
     if r_stop <= 0:
         raise ValueError("r_stop must be positive")
-    abs_L = float(np.max(np.abs(L), initial=0.0))
-    if _cancellation_floor(abs_L, r_stop) <= STATE_SERIES_FLOOR:
-        try:
-            coeffs = _state_polynomials(model, float(r_stop))
-        except QuadratureError:
-            pass
-        else:
-            rows = np.zeros((5, L.size), dtype=complex)
-            for c in coeffs.T[::-1]:
-                rows = rows * L + c[:, None]
-            return dict(zip(("phi", "dphi_dr", "dphi_dL", "Phi", "dPhi_dL"),
-                            rows))
-    rows = _eigen_rows(model, L, np.array([r_stop], dtype=float), dL=True,
-                       Phi=True, r_t=min(TAYLOR_RADIUS, r_stop / 2),
-                       rtol=STATE_RTOL, atol=STATE_ATOL, dense=False)
-    u, v, p, q, Phi, Psi = (row[:, 0] for row in rows)
-    return {"phi": u, "dphi_dr": v, "dphi_dL": p, "Phi": Phi, "dPhi_dL": Psi}
+    r = float(r_stop)
+    _refuse_state_growth(model, L, r)
+    M, K = L.size, SPPS_ORDER
+    top = float(np.max(np.abs(L), initial=0.0))
+    n = max(1, math.ceil(r / _spps_piece(top) - 1e-9))
+    P = 1 << (n - 1).bit_length()
+    ends = _state_levels(model, r, P)
+    powers = L[:, None] ** np.arange(K + 1)
+    dpowers = np.zeros_like(powers)
+    dpowers[:, 1:] = powers[:, :-1] * np.arange(1, K + 1)
+    T = (np.stack([powers, dpowers]) @ ends.reshape(K + 1, -1)).reshape(
+        2, M, 3, 2, P)
+    # the chain acts on (φ, φ', ∂φ/∂L, ∂φ'/∂L) by [[T, 0], [∂T/∂L, T]];
+    # rows 2 and 5 of the product are the increments of Φ and ∂Φ/∂L
+    dual = np.zeros((P, M, 6, 4), dtype=complex)
+    dual[..., :3, :2] = T[0].transpose(3, 0, 1, 2)
+    dual[..., 3:, :2] = T[1].transpose(3, 0, 1, 2)
+    dual[..., 3:, 2:] = dual[..., :3, :2]
+    z = np.zeros((M, 4, 1), dtype=complex)
+    z[:, 0] = 1.0
+    Phi = np.zeros((M, 2), dtype=complex)
+    for j in range(P):
+        y = dual[j] @ z
+        Phi += y[:, [2, 5], 0]
+        z = y[:, [0, 1, 3, 4]]
+    u, v, p, q = z[..., 0].T
+    return {"phi": u, "dphi_dr": v, "dphi_dL": p, "Phi": Phi[:, 0],
+            "dPhi_dL": Phi[:, 1]}
 
 
 def eigen_profile(model, L, r_points):
     """Radial profile of (φ, φ_r, Φ) for one complex L at the given radii.
 
-    Used to hunt zeros in r at fixed λ.  r_points need not be distinct;
+    Used to hunt zeros in r at fixed λ.  r_points need not be sorted or
+    distinct: the piecewise series runs once over the distinct radii
+    (_spps_rows, Φ from the flux levels, so L = 0 gives the ball volume) and
     equal radii get equal values.  Returns a dict of complex arrays keyed
-    "phi", "dphi_dr" and "Phi", plus the radii as "r".
+    "phi", "dphi_dr" and "Phi", plus the radii as "r".  Raises
+    PhiOverflowError when φ or Φ would leave double range.
     """
     r = np.asarray(r_points, dtype=float)
-    u, v, Phi = (row[0] for row in _eigen_rows(
-        model, np.array([complex(L)]), r, Phi=True, rtol=STATE_RTOL,
-        atol=STATE_ATOL))
+    distinct, inverse = np.unique(r, return_inverse=True)
+    if distinct.size and distinct[0] < 0:
+        raise ValueError("radii must be nonnegative")
+    L = np.array([complex(L)])
+    if distinct.size:
+        _refuse_state_growth(model, L, distinct[-1])
+    u, v, Phi = (row[0, inverse] for row in _spps_rows(model, L, distinct,
+                                                      Phi=True))
     return {"r": r, "phi": u, "dphi_dr": v, "Phi": Phi}
 
 
@@ -829,7 +761,7 @@ def phi_basis(model, lams, r_points):
     key = (model.key, lams.tobytes(), r_points.tobytes())
     out = _BASIS_CACHE.get(key)
     if out is None:
-        out, _ = phi_ode_values(model, lams, r_points)
+        out, _ = phi_ode_values(model, lams, r_points, derivs=False)
         out.flags.writeable = False
         out = _BASIS_CACHE.put(key, out)
     return out

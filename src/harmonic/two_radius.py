@@ -31,10 +31,9 @@ Certificates are explicitly box-relative: the theorems quantify over all of
 ℂ, a search cannot.
 
 Every state comes from spherical.eigen_state_at, batched over L at one
-radius.  Where the batch's cancellation floor eps·cosh(sqrt(max|L|)·r) is
-at most 1e-11 it sums the Volterra series in L from one coefficient pass
-per (model, radius); elsewhere, as for the default box at r ≳ 1.5 or the
-mean-value boxes at r = 2π, each call is one DOP853 solve.
+radius: a chain of per-piece transfer matrices of the piecewise series,
+polynomials in L whose coefficients are cached per (model, radius, piece
+count).
 
 Zeros in r at fixed L come from one dense profile: Newton runs on the
 quintic Hermite interpolant of its samples, and one exact profile at the
@@ -617,7 +616,7 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
 # ---------------------------------------------------------------------------
 
 def _profile_target(model, L, r_pts, target):
-    """(h, h', h'') of the target along r, from one profile solve.
+    """(h, h', h'') of the target along r, from one eigen_profile call.
 
     The ODE gives the second derivative: φ'' = Lφ - (θ'/θ)φ', whose limit at
     r = 0 is L/(n + 1), and Φ'' = (θφ)' = θ'φ + θφ'.
@@ -648,7 +647,7 @@ def _quintic_newton(h, dh, ddh, x, idx, t0):
     C = ddh[idx + 1] * dx * dx - 2 * a2
     a3, a4, a5 = 10 * A - 4 * B + C / 2, -15 * A + 7 * B - C, 6 * A - 3 * B + C / 2
     t = np.asarray(t0, dtype=float)
-    # rounds cost no ODE solve, so a double zero of h (a triple root of
+    # rounds cost no profile, so a double zero of h (a triple root of
     # Re(h̄ h'), where Newton contracts only by 2/3) gets enough of them
     for _ in range(60):
         p = a0 + t * (a1 + t * (a2 + t * (a3 + t * (a4 + t * a5))))
@@ -669,7 +668,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
     Scans a dense oscillation-resolving profile for minima of |h|² (sign
     changes of Re(h̄ h')) and brackets them.  Newton on Re(h̄ h') then runs
     on the quintic Hermite interpolant of the scan's h, h' and h'', so no
-    further ODE solve is needed to converge; one exact profile at the
+    further profile is needed to converge; one exact profile at the
     converged radii accepts a root when |h| < zero_tol.  Where |h| is large
     enough that the interpolation error exceeds zero_tol, one exact Newton
     step and a second exact profile finish the candidates it left near a

@@ -1,15 +1,12 @@
 """State-evaluation budgets of the zero searches.
 
-eigen_state_at has two routes.  Below its cancellation floor it sums the
-Volterra series in L, whose coefficients at a radius are computed once, so a
-call costs little more than its batch rows.  Above the floor, as in the
-r = 2π mean-value box, each call is one DOP853 solve, whose cost is set by
-its step count, not by its batch rows.  eigen_profile always integrates.
-Either way the number of eigen_state_at / eigen_profile calls counts the
+eigen_state_at sums the piecewise series at one radius: its levels are
+cached per (model, radius, piece count), so a call costs little more than
+its batch rows.  eigen_profile sums the same series over the radii of a
+profile.  The number of eigen_state_at / eigen_profile calls counts the
 rounds of a search.  Each zero is polished once from accurate
 contour-moment seeds; a search that needs more calls than these budgets has
-regressed.
-"""
+regressed."""
 
 import math
 
@@ -24,7 +21,7 @@ E0 = make_euclidean(0)
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Calls of the two ODE entry points the zero search uses."""
+    """Calls of the two state entry points the zero search uses."""
     calls = {"eigen_state_at": 0, "eigen_profile": 0}
     for name in calls:
         real = getattr(two_radius, name)

@@ -278,15 +278,16 @@ def test_phi_ode_values_at_large_lambda(model, exact):
 @pytest.mark.parametrize("model", [
     DR21, make_damek_ricci(4, 3), make_real_hyperbolic(5),
     make_custom("sinh(r)**2", 2)], ids=["DR21", "DR43", "H6", "custom"])
-def test_phi_ode_values_match_the_ode_reference(model):
-    # no closed form: DOP853 (_eigen_rows) is the reference
+def test_phi_ode_values_match_the_ode_reference(model, dop853_rows):
+    # no closed form: DOP853 (built in conftest) is the reference
     r = np.linspace(0.0, 6.0, 241)
     lams = np.linspace(0.0, 40.0, 21)
     vals, derivs = phi_ode_values(model, lams, r)
     L = -(lams * lams + model.H ** 2 / 4)
-    ref, dref = spherical._eigen_rows(model, L, r)
-    assert np.max(np.abs(vals - ref)) < 1e-10
-    assert np.max(np.abs(derivs - dref) / np.maximum(1.0, lams[:, None])) < 1e-10
+    ref = dop853_rows(model, L, r)
+    assert np.max(np.abs(vals - ref["phi"])) < 1e-10
+    assert np.max(np.abs(derivs - ref["dphi_dr"])
+                  / np.maximum(1.0, lams[:, None])) < 1e-10
 
 
 def test_phi_ode_values_requires_sorted_points():
@@ -304,27 +305,13 @@ def test_capital_phi_flat_line():
         assert abs(Phi - math.sin(lam * r) / lam) < 1e-12
 
 
-def test_capital_phi_falls_back_to_the_ode(monkeypatch):
-    # series coefficients failing their quadrature bound make the series
-    # refuse, and Φ must come from the ODE path
+def test_capital_phi_matches_dop853_on_damek_ricci(dop853_rows):
+    # Φ = ∫θφ and ∂Φ/∂L from the flux levels, against the DOP853 reference
     L, r = -1.0 - 0.25j, 2.0
-    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
-    series = eigen_state_at(DR21, [L], r)["Phi"][0]
-
-    def refuse(self, k, *args):
-        raise QuadratureError(f"a_{k} refused")
-
-    monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", refuse)
-    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
-    with pytest.raises(QuadratureError):
-        spherical._state_polynomials(DR21, r)
-    got = eigen_state_at(DR21, [L], r)["Phi"][0]
-    ode = spherical._eigen_rows(
-        DR21, np.array([L]), np.array([r]), dL=True, Phi=True,
-        r_t=min(spherical.TAYLOR_RADIUS, r / 2), rtol=spherical.STATE_RTOL,
-        atol=spherical.STATE_ATOL, dense=False)[4][0, 0]
-    assert got == ode
-    assert abs(got - series) < 1e-9 * abs(series)
+    got = eigen_state_at(DR21, [L], r)
+    ref = dop853_rows(DR21, [L], [r])
+    for key in ("Phi", "dPhi_dL"):
+        assert abs(got[key][0] - ref[key][0, 0]) < 1e-10 * abs(ref[key][0, 0])
     with pytest.raises(ValueError, match="unknown method"):
         phi(E0, 1.0, GRID, method="spline")
 
@@ -359,7 +346,7 @@ def test_eigen_state_requires_positive_radius():
 
 
 def test_eigen_state_below_two_taylor_radii_flat_line():
-    # r_stop < 2e-3 moves the Taylor start in to r_stop / 2
+    # a radius far inside one piece: the first piece's Volterra levels alone
     lam, r = 1.5, 1.5e-3
     out = eigen_state_at(E0, [-lam * lam], r)
     assert abs(out["phi"][0] - math.cos(lam * r)) < 1e-14
@@ -438,7 +425,8 @@ def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
 def test_phi_basis_threads_match_serial(ode_rows):
     r_pts = np.linspace(0.0, 2.0, 33)
     sets = [np.array([0.3, 0.7]) * (1 + i % 4) for i in range(16)]
-    serial = [phi_ode_values(E2, lams, r_pts)[0] for lams in sets]
+    serial = [phi_ode_values(E2, lams, r_pts, derivs=False)[0]
+              for lams in sets]
     got = [None] * len(sets)
 
     def work(i):

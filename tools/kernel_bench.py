@@ -21,6 +21,14 @@ call with its inputs built beforehand:
   phi_rows_sweep   phi_ode_values for 256 rows, λ evenly spaced up to
                    λ_max = 10 / 40 / 160 / 640, at the 600 radial nodes of
                    r ≤ 1.5 (spacing 0.02), keyed by λ_max
+  eigen_state      eigen_state_at for 36 L on a 9 × 4 lattice over the
+                   default box [-60, 5] × [-8, 8]i at r = 0.81 / 1.59 / 2π,
+                   keyed by r, with its coefficient levels cached (a second
+                   call at the same radius) and uncached (an empty
+                   coefficient cache), plus one find_L_zeros(E0, 0.81) from
+                   an empty coefficient cache
+  eigen_profile    eigen_profile of E0 at L = -10 + i on find_r_zeros' scan
+                   of r ≤ 10 (801 radii)
   import_cli       `import harmonic.cli` in a fresh interpreter with
                    PYTHONPATH=src, interpreter start-up included
   build_models     the five built-in models plus H⁶ and DR(4,3)
@@ -45,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from harmonic import pde, spherical, transforms  # noqa: E402
+from harmonic.two_radius import find_L_zeros  # noqa: E402
 from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
                               make_euclidean, make_real_hyperbolic)
 from harmonic.grids import Grid1D, make_grid  # noqa: E402
@@ -54,6 +63,9 @@ from harmonic.profiles import (annulus_bump, gauss_bump,  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEP_LAMBDA_MAX = (10.0, 40.0, 160.0, 640.0)
+STATE_RADII = (0.81, 1.59, 2 * math.pi)
+BOX_L = (np.linspace(-60.0, 5.0, 9)[:, None]
+         + 1j * np.linspace(-8.0, 8.0, 4)[None, :]).ravel()
 
 
 def best_of(fn, repeat, setup=None):
@@ -104,6 +116,18 @@ def main(argv=None):
         spherical._BASIS_CACHE = spherical._LRUCache(
             spherical.BASIS_CACHE_BYTES)
 
+    def empty_coef_cache():
+        spherical._COEF_CACHE = spherical._LRUCache(
+            spherical.COEF_CACHE_BYTES)
+
+    e0 = make_euclidean(0)
+
+    def eigen_state(r):
+        def call():
+            spherical.eigen_state_at(e0, BOX_L, r)
+        return {"cached": best_of(call, repeat, setup=call),
+                "uncached": best_of(call, repeat, setup=empty_coef_cache)}
+
     out = {
         "abel_synthesis": best_of(lambda: transforms.abel(e3, bump), repeat),
         "kg_solve": best_of(lambda: pde.kg_solve(dr.H, a_ann, 5.25), repeat),
@@ -125,6 +149,13 @@ def main(argv=None):
             f"{lam_max:g}": best_of(lambda: spherical.phi_ode_values(
                 e3, np.linspace(0.0, lam_max, 256), sweep_radii), repeat)
             for lam_max in SWEEP_LAMBDA_MAX},
+        "eigen_state": {
+            **{f"{r:.4g}": eigen_state(r) for r in STATE_RADII},
+            "find_L_zeros_E0_0.81": best_of(
+                lambda: find_L_zeros(e0, 0.81), repeat,
+                setup=empty_coef_cache)},
+        "eigen_profile": best_of(lambda: spherical.eigen_profile(
+            e0, -10.0 + 1.0j, np.linspace(0.0, 10.0, 801)), repeat),
         "import_cli": best_of(import_cli, repeat),
         "build_models": best_of(build_models, repeat),
     }
