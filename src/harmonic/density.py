@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -94,8 +93,6 @@ class DensityModel:
     theta_prime: Callable = field(repr=False)
     dlog_theta: Callable = field(repr=False)   # theta'/theta, stable at large r
     log_theta: Callable = field(repr=False)    # log theta, stable at large r
-    c2: float = 0.0               # theta = r^n (1 + c2 r^2 + c4 r^4 + ...)
-    c4: float = 0.0
 
     @property
     def dim(self):
@@ -114,53 +111,29 @@ def unit_sphere_volume(n):
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
-def _series_c2_c4(theta_expr, n):
-    """Taylor data of theta/r^n = 1 + c2 r^2 + c4 r^4 + O(r^6) near 0."""
+def _check_normalized(theta_expr, n):
+    """DensityError unless sympy's series of theta/r^n is 1 + O(r^2) at 0.
+
+    This refuses a constant other than 1 and an r or r^3 term, which can
+    sit below validate_density's numeric test of theta/r^n -> 1.  Where
+    sympy cannot form the series, that numeric test stands alone.
+    """
     import sympy as sp
     r = sp.Symbol("r", positive=True)
     try:
         ser = sp.series(theta_expr / r**n, r, 0, 6).removeO()
         poly = sp.Poly(sp.expand(ser), r)
-        c2 = float(poly.coeff_monomial(r**2))
-        c4 = float(poly.coeff_monomial(r**4))
-        c0 = float(poly.coeff_monomial(1))
-        c1 = float(poly.coeff_monomial(r))
-        c3 = float(poly.coeff_monomial(r**3))
-        if abs(c0 - 1.0) > 1e-12 or abs(c1) > 1e-12 or abs(c3) > 1e-12:
-            raise DensityError(
-                f"density not normalized: theta/r^{n} = {c0} + {c1} r + ... near 0"
-            )
-        return c2, c4
-    except DensityError:
-        raise
+        c0, c1, c3 = (float(poly.coeff_monomial(m)) for m in (1, r, r**3))
     except Exception:
-        # Fall back to a numeric fit through three small radii.
-        f = _vec(sp.lambdify(r, theta_expr / r**n, "numpy"))
-        rs = np.array([0.02, 0.012, 0.006])
-        g = f(rs) - 1.0
-        V = np.vander(rs**2, 3, increasing=True)[:, 1:]  # columns r^2, r^4
-        V = np.column_stack([V, rs**6])
-        c2, c4, _ = np.linalg.lstsq(V, g, rcond=None)[0]
-        return float(c2), float(c4)
+        return
+    if abs(c0 - 1.0) > 1e-12 or abs(c1) > 1e-12 or abs(c3) > 1e-12:
+        raise DensityError(
+            f"density not normalized: theta/r^{n} = {c0} + {c1} r + ... near 0"
+        )
 
 
-def _product_c2_c4(*factors):
-    """Taylor data of Π (1 + a x + b x²)^p, x = r², from (a, b, p) triples.
-
-    Exact rational arithmetic, rounded once at the end, gives the same
-    doubles as the symbolic series of the built-in densities at a fraction
-    of its cost.
-    """
-    c2 = c4 = Fraction(0)
-    for a, b, p in factors:
-        f2 = p * a
-        f4 = p * b + Fraction(p * (p - 1), 2) * a * a
-        c2, c4 = c2 + f2, c4 + f4 + c2 * f2
-    return float(c2), float(c4)
-
-
-def _build(name, key, n, theta, theta_prime, dlog, taylor, log_theta=None,
-           H=None, theta_scalar=None):
+def _build(name, key, n, theta, theta_prime, dlog, log_theta=None, H=None,
+           theta_scalar=None):
     """The model of θ and θ', given as numpy functions of an array r."""
     theta = _vec(theta)
     if theta_scalar is not None:
@@ -172,10 +145,9 @@ def _build(name, key, n, theta, theta_prime, dlog, taylor, log_theta=None,
                 return np.log(_f(r))
     if H is None:
         H = float(dlog(H_LIMIT_RADIUS))
-    c2, c4 = taylor
     return DensityModel(name=name, key=key, n=n, H=H, theta=theta,
                         theta_prime=_vec(theta_prime), dlog_theta=dlog,
-                        log_theta=log_theta, c2=c2, c4=c4)
+                        log_theta=log_theta)
 
 
 def make_euclidean(n):
@@ -207,7 +179,7 @@ def make_euclidean(n):
     return _build(f"euclidean space R^{n+1}", f"euclidean({n})", n,
                   lambda r: r**n, theta_prime,
                   _scalar_first(dlog, lambda r: n / r if n else 0.0),
-                  (0.0, 0.0), log_theta=log_theta, H=0.0,
+                  log_theta=log_theta, H=0.0,
                   theta_scalar=lambda r: r ** n)
 
 
@@ -227,12 +199,10 @@ def make_real_hyperbolic(n):
         out = n * _log_sinh(np.asarray(r, dtype=float))
         return out if np.ndim(r) else float(out)
 
-    # sinh(r)/r = 1 + x/6 + x²/120 + O(x³)
-    taylor = _product_c2_c4((Fraction(1, 6), Fraction(1, 120), n))
     return _build(f"real hyperbolic space H^{n+1}", f"real_hyperbolic({n})", n,
                   lambda r: np.sinh(r)**n,
                   lambda r: n*np.sinh(r)**(n-1)*np.cosh(r),
-                  _scalar_first(dlog, lambda r: n / math.tanh(r)), taylor,
+                  _scalar_first(dlog, lambda r: n / math.tanh(r)),
                   log_theta=log_theta, H=float(n),
                   theta_scalar=lambda r: math.sinh(r) ** n)
 
@@ -276,10 +246,6 @@ def make_damek_ricci(m, k):
             out = 2**(n-1)*k*s**(n+1)*c**(k-1) + out
         return out
 
-    # sinh(r/2)/(r/2) = 1 + x/24 + x²/1920, cosh(r/2) = 1 + x/8 + x²/384
-    taylor = _product_c2_c4((Fraction(1, 24), Fraction(1, 1920), n),
-                            (Fraction(1, 8), Fraction(1, 384), k))
-
     def dlog_scalar(r):
         th = math.tanh(r / 2)
         return (m + k) / (2 * th) + (k / 2) * th
@@ -288,7 +254,7 @@ def make_damek_ricci(m, k):
         return 2**n * math.sinh(r / 2)**n * math.cosh(r / 2)**k
 
     return _build(f"Damek-Ricci space ({m},{k})", f"damek_ricci({m},{k})", n,
-                  theta, theta_prime, _scalar_first(dlog, dlog_scalar), taylor,
+                  theta, theta_prime, _scalar_first(dlog, dlog_scalar),
                   log_theta=log_theta, theta_scalar=theta_scalar)
 
 
@@ -321,8 +287,9 @@ def make_custom(theta_expr, n, validate=True):
     except NameError as exc:
         raise DensityError(
             f"theta uses {exc.name}, which numpy cannot evaluate") from exc
+    _check_normalized(expr, n)
     model = _build(f"custom density {expr}", key, n, funcs[0], funcs[1],
-                   _vec(funcs[2]), _series_c2_c4(expr, n))
+                   _vec(funcs[2]))
     if validate:
         validate_density(model)
     return model

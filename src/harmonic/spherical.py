@@ -4,44 +4,35 @@
 
     φ'' + (θ'/θ) φ' = L φ,      L = -(λ² + H²/4),
 
-and two evaluation paths are maintained:
+and one path evaluates it: the spectral-parameter power series (Kravchenko
+& Porter, Math. Methods Appl. Sci. 33, 2010) taken piece by piece.  The
+radii are cut into pieces of length h ≤ min(3/sqrt(max|L|), 0.5); on each
+piece two fundamental solutions are power series in L from the piece's
+start, with coefficient functions that depend on the model and the pieces
+but not on λ, and (φ, φ') pass from piece to piece by 2×2 transfer
+matrices.  The inner integrals of the recursion are the piece's fluxes, so
+Φ = ∫θφ follows from the same levels without dividing by L.  As
+sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
+eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
+proportion to its size and not to λ_max.  It serves every caller:
+phi_ode_values for real or complex λ, and with it phi, phi_basis (values
+only, for the transforms) and the geometry checks; eigen_state_at for the
+L-plane zero search, at one radius cut into a power-of-two number of equal
+pieces, with ∂/∂L through the transfer chain; eigen_profile for the zeros
+in r, on the distinct radii of a profile.
 
-* a Volterra power series  φ_λ = 1 + Σ_{k≥1} a_k(r) L^k  whose coefficients
-  obey the recursion
+The same series taken over the whole radius, φ_λ = 1 + Σ_{k≥1} a_k(r) L^k,
+is kept as the battery's reference (phi_series, volterra_coefficients).
+Its coefficients obey the recursion
 
-      a_0 = 1,
-      a_{k+1}(r) = ∫_0^r (1/θ(r₂)) ∫_0^{r₂} θ(r₁) a_k(r₁) dr₁ dr₂,
+    a_0 = 1,
+    a_{k+1}(r) = ∫_0^r (1/θ(r₂)) ∫_0^{r₂} θ(r₁) a_k(r₁) dr₁ dr₂,
 
-  with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant).
-  In double precision it carries a cancellation floor of about
-  eps·cosh(sqrt(|L|)·r) over the whole radius;
+with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant),
+which the suite checks; in double precision its sum carries a cancellation
+floor of about eps·cosh(sqrt(|L|)·r) over the whole radius.
 
-* the same spectral-parameter power series (Kravchenko & Porter, Math.
-  Methods Appl. Sci. 33, 2010) taken piece by piece.  The radii are cut
-  into pieces of length h ≤ min(3/sqrt(max|L|), 0.5); on each piece two
-  fundamental solutions are power series in L from the piece's start, with
-  coefficient functions that depend on the model and the pieces but not on
-  λ, and (φ, φ') pass from piece to piece by 2×2 transfer matrices.  The
-  inner integrals of the recursion are the piece's fluxes, so Φ = ∫θφ
-  follows from the same levels without dividing by L.  As sqrt|L|·h ≤ 3,
-  the sums on a piece carry a rounding floor of about eps·cosh 3 whatever
-  λ is, and a batch of rows costs matrix products, in proportion to its
-  size and not to λ_max.
-
-Which path serves which caller:
-
-* `phi` (method 'auto') takes the Volterra series on a grid where its floor
-  is below 1e-10 and its coefficients pass their quadrature bound check;
-  phi_series reports the floor as `error_bound`;
-* everything else takes the piecewise series: phi_ode_values for real or
-  complex λ, and with it phi_basis (values only, for the transforms), phi
-  with method 'ode' (and 'auto' otherwise) and the geometry checks;
-  eigen_state_at for the L-plane zero search, at one radius cut into a
-  power-of-two number of equal pieces, with ∂/∂L through the transfer
-  chain; eigen_profile for the zeros in r, on the distinct radii of a
-  profile.
-
-No ODE is stepped anywhere.  The tests cross-check both paths against the
+No ODE is stepped anywhere.  The tests cross-check both series against the
 closed forms of the flat and real hyperbolic spaces and against a DOP853
 reference built in the tests.
 
@@ -95,12 +86,9 @@ class TruncationError(RuntimeError):
 class _LRUCache:
     """LRU map from keys to values with an nbytes size, byte-capped.
 
-    One instance holds the φ-basis matrices; a second holds the Volterra
-    coefficient workspaces and eigen_state_at's series levels at one
-    radius.  The lock guards lookups, inserts, evictions and
-    size updates only; callers compute outside it.  Two threads that miss on
-    one key both compute, and the second insert returns the first thread's
-    (identical) value.
+    The lock guards lookups, inserts and evictions only; callers compute
+    outside it.  Two threads that miss on one key both compute, and the
+    second insert returns the first thread's (identical) value.
     """
 
     def __init__(self, max_bytes):
@@ -127,24 +115,27 @@ class _LRUCache:
                 return old
             self._entries[key] = value
             self.nbytes += value.nbytes
-            self._evict()
+            while self.nbytes > self.max_bytes:
+                _, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted.nbytes
             return value
 
-    def grew(self, key, added):
-        """Count `added` bytes of growth in place of a cached entry."""
-        with self._lock:
-            if key in self._entries:
-                self.nbytes += added
-                self._evict()
 
-    def _evict(self):
-        while self.nbytes > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self.nbytes -= evicted.nbytes
+# The one cache holds two kinds of entry: φ-basis matrices (phi_basis) and
+# eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per piece
+# (about 0.8 KB).  A datum's rows are looked up again by the 2-3 transform
+# calls that reuse it (abel, then a Klein-Gordon, convolution or inversion of
+# the same profile).  abel on a support-1.5 bump in R³ holds 17 MB of rows,
+# and the calls between two uses of a datum add under 10 MB; this cap keeps
+# a datum alive across them with room for data twice that size, and bounds
+# what stale rows of finished data can pin in memory.  A level set of the
+# default L-box at r = 10 has 32 pieces, 26 KB.
+CACHE_BYTES = 64 * 2**20
+_CACHE = _LRUCache(CACHE_BYTES)
 
 
 # ---------------------------------------------------------------------------
-# Volterra coefficients
+# Volterra coefficients (the battery's reference series)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -160,111 +151,74 @@ class SeriesCoefficients:
     node_derivs: np.ndarray
 
 
-class _CoefWorkspace:
-    """Incremental recursion state so k_max can grow without restart."""
+def _check_bound(grid, k, a):
+    """0 ≤ a_k ≤ r^(2k)/(2k)! at the panel boundaries grid.points.
 
-    def __init__(self, model, grid):
-        self.model = model
-        self.grid = grid
-        self.theta_nodes = model.theta(grid.nodes)
-        if np.any(self.theta_nodes <= 0) or not np.all(np.isfinite(self.theta_nodes)):
-            raise QuadratureError("theta not positive/finite on quadrature nodes")
-        self.theta_points = model.theta(grid.points)
-        # bytes held: θ at nodes and points, log r at points, then two
-        # arrays of each per level
-        self.nbytes = self.theta_nodes.nbytes + 2 * self.theta_points.nbytes
-        self.level_nodes = []    # a_k at nodes
-        self.level_points = []
-        self.deriv_nodes = []
-        self.deriv_points = []
-        with np.errstate(divide="ignore"):
-            self._logr_points = np.log(grid.points)
-
-    def extend(self, k_max):
-        grid, th = self.grid, self.theta_nodes
-        q, n = grid.q, self.model.n
-        while len(self.level_nodes) < k_max:
-            k = len(self.level_nodes) + 1
-            prev = self.level_nodes[-1] if self.level_nodes else np.ones_like(th)
-            f = th * prev
-            inner_nodes = grid.cumulative_at_nodes(f)
-            # θ·a_{k-1} vanishes like r^n at 0: on the first panel integrate
-            # r^n times the interpolant of θ·a_{k-1}/r^n, so that dividing by
-            # θ keeps the relative accuracy at its first nodes
-            inner_nodes[:q] = (grid.first_panel_weighted(n)
-                               @ (f[:q] / grid.nodes[:q] ** n))
-            inner_points = grid.cumulative_at_points(f)
-            d_nodes = inner_nodes / th
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d_points = inner_points / self.theta_points
-            d_points[0] = 0.0     # a_k'(0) = 0: inner integral vanishes like theta
-            a_nodes = grid.cumulative_at_nodes(d_nodes)
-            a_points = grid.cumulative_at_points(d_nodes)
-            self._check_bound(k, a_points)
-            self.level_nodes.append(a_nodes)
-            self.level_points.append(a_points)
-            self.deriv_nodes.append(d_nodes)
-            self.deriv_points.append(d_points)
-            self.nbytes += 2 * (a_nodes.nbytes + a_points.nbytes)
-
-    def _check_bound(self, k, a):
-        """0 ≤ a_k ≤ r^(2k)/(2k)! at the panel boundaries.
-
-        There the running integrals are Gauss sums; at the nodes they
-        integrate the degree q-1 interpolant, whose error (about 1e-5
-        relative for a_12 of a constant θ on 0.05 panels) is no roundoff.
-        A boundary value is a running sum of q-term panel sums of
-        nonnegative terms, so its roundoff stays below q·eps times the
-        level's largest value; the bound holds up to that and 1e-8 relative
-        (and below 1e-250, where subnormal numbers lose their precision).
-        A level that overflowed (inf or nan) fails too.
-        """
-        bound = np.exp(2 * k * self._logr_points - math.lgamma(2 * k + 1))
-        floor = self.grid.q * _EPS * float(np.max(np.abs(a), initial=0.0))
-        slack = 1e-8 * bound + floor + 1e-250
-        if (np.any(a > bound + slack) or np.any(a < -slack)
-                or not np.all(np.isfinite(a))):
-            over = float(np.max(a - bound))
-            under = float(np.min(a))
-            raise QuadratureError(
-                f"coefficient a_{k} violates 0 <= a_k <= r^(2k)/(2k)! "
-                f"(excess {over:.3e}, min {under:.3e}); refine the grid")
-
-    def view(self, k_max):
-        self.extend(k_max)
-        return SeriesCoefficients(
-            model=self.model, grid=self.grid, k_max=k_max,
-            point_values=np.array(self.level_points[:k_max]),
-            node_values=np.array(self.level_nodes[:k_max]),
-            point_derivs=np.array(self.deriv_points[:k_max]),
-            node_derivs=np.array(self.deriv_nodes[:k_max]),
-        )
-
-
-# A workspace holds about 2K·(nodes + points) doubles: 4.6 MB at K = 160 on
-# the suite's r ≤ 10 grid.  The cap keeps the few grids a session reuses;
-# every `phi --rmax` value draws a grid of its own.
-COEF_CACHE_BYTES = 32 * 2**20
-_COEF_CACHE = _LRUCache(COEF_CACHE_BYTES)
-# the workspace grows in place, so concurrent extend() calls would corrupt
-# the recursion state; one lock serializes all access
-_COEF_LOCK = threading.Lock()
+    There the running integrals are Gauss sums; at the nodes they integrate
+    the degree q-1 interpolant, whose error (about 1e-5 relative for a_12
+    of a constant θ on 0.05 panels) is no roundoff.  A boundary value is a
+    running sum of q-term panel sums of nonnegative terms, so its roundoff
+    stays below q·eps times the level's largest value; the bound holds up
+    to that and 1e-8 relative (and below 1e-250, where subnormal numbers
+    lose their precision).  A level that overflowed (inf or nan) fails too.
+    """
+    with np.errstate(divide="ignore"):
+        log_r = np.log(grid.points)
+    bound = np.exp(2 * k * log_r - math.lgamma(2 * k + 1))
+    floor = grid.q * _EPS * float(np.max(np.abs(a), initial=0.0))
+    slack = 1e-8 * bound + floor + 1e-250
+    if (np.any(a > bound + slack) or np.any(a < -slack)
+            or not np.all(np.isfinite(a))):
+        over = float(np.max(a - bound))
+        under = float(np.min(a))
+        raise QuadratureError(
+            f"coefficient a_{k} violates 0 <= a_k <= r^(2k)/(2k)! "
+            f"(excess {over:.3e}, min {under:.3e}); refine the grid")
 
 
 def volterra_coefficients(model, grid, k_max):
-    """Volterra coefficients a_1..a_{k_max} on the grid (cached per model/grid)."""
+    """Volterra coefficients a_1..a_{k_max} on the grid, by the recursion.
+
+    Each level is checked against its bound (_check_bound); a level that
+    fails raises QuadratureError.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    key = (model.key, grid.signature)
-    with _COEF_LOCK:
-        ws = _COEF_CACHE.get(key)
-        if ws is None:
-            ws = _COEF_CACHE.put(key, _CoefWorkspace(model, grid))
-        before = ws.nbytes
-        try:
-            return ws.view(int(k_max))
-        finally:
-            _COEF_CACHE.grew(key, ws.nbytes - before)
+    th = model.theta(grid.nodes)
+    if np.any(th <= 0) or not np.all(np.isfinite(th)):
+        raise QuadratureError("theta not positive/finite on quadrature nodes")
+    th_points = model.theta(grid.points)
+    q, n, K = grid.q, model.n, int(k_max)
+    node_values = np.empty((K, grid.nodes.size))
+    point_values = np.empty((K, grid.points.size))
+    node_derivs = np.empty_like(node_values)
+    point_derivs = np.empty_like(point_values)
+    prev = np.ones_like(th)
+    for k in range(1, K + 1):
+        f = th * prev
+        inner_nodes = grid.cumulative_at_nodes(f)
+        # θ·a_{k-1} vanishes like r^n at 0: on the first panel integrate r^n
+        # times the interpolant of θ·a_{k-1}/r^n, so that dividing by θ
+        # keeps the relative accuracy at its first nodes
+        inner_nodes[:q] = (grid.first_panel_weighted(n)
+                           @ (f[:q] / grid.nodes[:q] ** n))
+        inner_points = grid.cumulative_at_points(f)
+        d_nodes = inner_nodes / th
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_points = inner_points / th_points
+        d_points[0] = 0.0     # a_k'(0) = 0: inner integral vanishes like theta
+        prev = grid.cumulative_at_nodes(d_nodes)
+        a_points = grid.cumulative_at_points(d_nodes)
+        _check_bound(grid, k, a_points)
+        node_values[k - 1] = prev
+        point_values[k - 1] = a_points
+        node_derivs[k - 1] = d_nodes
+        point_derivs[k - 1] = d_points
+    return SeriesCoefficients(model=model, grid=grid, k_max=K,
+                              point_values=point_values,
+                              node_values=node_values,
+                              point_derivs=point_derivs,
+                              node_derivs=node_derivs)
 
 
 def truncation_order(abs_L, r_max, tol=SERIES_TOL, k_cap=SERIES_K_CAP):
@@ -301,9 +255,7 @@ class SphericalFunction:
     grid: Grid1D
     values: np.ndarray
     derivative_values: np.ndarray
-    method: str
     error_bound: float
-    k_used: int | None = None
 
     def __call__(self, r):
         """Cubic-spline evaluation between the stored samples."""
@@ -369,15 +321,13 @@ def phi_series(model, lam, grid):
         P = grid.points.size
         ones = np.ones(P) if real_input else np.ones(P, complex)
         zeros = np.zeros_like(ones)
-        return SphericalFunction(model, lam, L, grid, ones, zeros,
-                                 "series", 0.0, k_used=0)
+        return SphericalFunction(model, lam, L, grid, ones, zeros, 0.0)
     coeffs = volterra_coefficients(model, grid, K)
     vals, mx1 = _series_sum(coeffs.point_values, L, real_input)
     derivs, mx2 = _series_sum(coeffs.point_derivs, L, real_input)
     derivs = derivs - 1.0   # derivative series has no constant term
     err = _EPS * max(mx1, mx2, 1.0) + SERIES_TOL
-    return SphericalFunction(model, lam, L, grid, vals, derivs,
-                             "series", float(err), k_used=K)
+    return SphericalFunction(model, lam, L, grid, vals, derivs, float(err))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +533,8 @@ def phi_ode_values(model, lams, r_points, *, derivs=True):
     return rows[0], (rows[1] if derivs else None)
 
 
-def _phi_ode(model, lam, grid):
-    """φ_λ on grid.points via phi_ode_values (method 'ode').
+def phi(model, lam, grid):
+    """φ_λ on grid.points by the piecewise series (phi_ode_values).
 
     error_bound is the series floor: eps·cosh(SPPS_PHASE) per piece, summed
     over the pieces, relative to max(1, max|φ|).  The piecewise series is
@@ -596,36 +546,7 @@ def _phi_ode(model, lam, grid):
     scale = float(np.max(np.abs(vals)))
     pieces = math.ceil(grid.x_max / min(_spps_piece(abs(L)), grid.x_max))
     err = _EPS * math.cosh(SPPS_PHASE) * pieces * max(scale, 1.0)
-    return SphericalFunction(model, lam, L, grid, vals[0], derivs[0],
-                             "ode", err, k_used=None)
-
-
-def _cancellation_floor(abs_L, r):
-    """eps·cosh(sqrt|L|·r): the double-precision floor of the series sum."""
-    return _EPS * math.cosh(min(math.sqrt(abs_L) * r, 700.0))
-
-
-def phi(model, lam, grid, method="auto"):
-    """φ_λ on grid.points by the best available path.
-
-    'auto' uses the series when its cancellation floor is below 1e-10 and the
-    piecewise series otherwise, or when the Volterra series cannot be formed
-    on this grid (too many terms, or a coefficient failing its quadrature
-    bound).  Both paths agree (tested) where they overlap.
-    """
-    if method == "series":
-        return phi_series(model, lam, grid)
-    if method == "ode":
-        return _phi_ode(model, lam, grid)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    L, _ = spectral_shift(model, lam)
-    if _cancellation_floor(abs(L), grid.x_max) < 1e-10:
-        try:
-            return phi_series(model, lam, grid)
-        except (TruncationError, QuadratureError):
-            pass
-    return _phi_ode(model, lam, grid)
+    return SphericalFunction(model, lam, L, grid, vals[0], derivs[0], err)
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +569,17 @@ def _state_levels(model, r, P):
 
     _spps_levels' ends, with the fluxes times θ at the radius θ̂ is
     relative to, so a piece from b adds φ(b) Σ L^k θC_{k+1} +
-    φ'(b) Σ L^k θE_{k+1} to Φ.  The coefficient cache keeps one
-    (K+1, 3, 2, P) array per (model, r, P).
+    φ'(b) Σ L^k θE_{k+1} to Φ.  The cache keeps one (K+1, 3, 2, P) array
+    per (model, r, P).
     """
     key = ("state", model.key, r, P)
-    out = _COEF_CACHE.get(key)
+    out = _CACHE.get(key)
     if out is None:
         out, _, log_ref = _spps_levels(model, r * (np.arange(P + 1) / P),
                                        Phi=True)
         out[:, 2] *= np.exp(log_ref)
         out.flags.writeable = False
-        out = _COEF_CACHE.put(key, out)
+        out = _CACHE.put(key, out)
     return out
 
 
@@ -735,34 +656,22 @@ def eigen_profile(model, L, r_points):
 # cached real-λ bases for the transform machinery
 # ---------------------------------------------------------------------------
 
-# A datum's rows are looked up again by the 2-3 transform calls that reuse
-# it (abel, then a Klein-Gordon, convolution or inversion of the same
-# profile).  abel on a support-1.5 bump in R³ holds 17 MB of rows, and the
-# calls between two uses of a datum add under 10 MB; this cap keeps a datum
-# alive across them with room for data twice that size, and bounds what
-# stale rows of finished data can pin in memory.
-BASIS_CACHE_BYTES = 64 * 2**20
-
-
-_BASIS_CACHE = _LRUCache(BASIS_CACHE_BYTES)
-
-
 def phi_basis(model, lams, r_points):
     """Matrix φ_{λ_j}(r_i), shape (len(lams), len(r_points)), cached.
 
     The cache makes repeated transform calls against the same λ-nodes and
     radial nodes cheap (one phi_ode_values call in total).  It is a
-    thread-safe LRU capped at BASIS_CACHE_BYTES; the rows are computed
+    thread-safe LRU capped at CACHE_BYTES; the rows are computed
     outside its lock.  Returned matrices are shared between callers and
     read-only.
     """
     lams = np.asarray(lams, dtype=float)
     r_points = np.asarray(r_points, dtype=float)
     key = (model.key, lams.tobytes(), r_points.tobytes())
-    out = _BASIS_CACHE.get(key)
+    out = _CACHE.get(key)
     if out is None:
         out, _ = phi_ode_values(model, lams, r_points, derivs=False)
         out.flags.writeable = False
-        out = _BASIS_CACHE.put(key, out)
+        out = _CACHE.put(key, out)
     return out
 

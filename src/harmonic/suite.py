@@ -156,9 +156,10 @@ def _paths_agree(ctx):
     worst = 0.0
     for lam in (0.5, 1.0, 2.0, 1 + 0.5j):
         a = phi_series(_model("dr21"), lam, grid).values
-        b = phi(_model("dr21"), lam, grid, method="ode").values
+        b = phi(_model("dr21"), lam, grid).values
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 1e-8, "series vs ODE evaluation on Damek-Ricci(2,1)"
+    return (worst, 1e-8,
+            "Volterra series vs piecewise series on Damek-Ricci(2,1)")
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ def ode_rows(monkeypatch):
         return real(model, lams, r_points, **kw)
 
     monkeypatch.setattr(spherical, "phi_ode_values", counted)
-    monkeypatch.setattr(spherical, "_BASIS_CACHE",
-                        spherical._LRUCache(spherical.BASIS_CACHE_BYTES))
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
     return rows
 
 
@@ -43,15 +43,19 @@ def _dop853_rows(model, L, radii):
     started from φ ≈ 1 + A r² + B r⁴ (θ = r^n (1 + c2 r² + ...)), whose
     dropped r⁶ term is below 2e-15 relative there; Φ(r0) and Ψ(r0) are
     8-node Gauss-Legendre sums.  Radii up to r0 take the start polynomial.
+    c2 is read off θ at ε = 1e-2, (θ(ε)/ε^n - 1)/ε²; its error of about
+    c4·ε² moves the B·r0⁴ term by less than 1e-12.
     """
     L = np.asarray(L, dtype=complex)
     radii = np.asarray(radii, dtype=float)
     M, n = L.size, model.n
     r0 = min(1e-3, 0.01 / math.sqrt(max(float(np.max(np.abs(L))), 1e-300)))
+    eps = 1e-2
+    c2 = (model.theta(eps) / eps**n - 1.0) / eps**2
     A = L / (2.0 * (n + 1))
-    B = A * (L - 4.0 * model.c2) / (4.0 * (n + 3))
+    B = A * (L - 4.0 * c2) / (4.0 * (n + 3))
     A_L = 1.0 / (2.0 * (n + 1))
-    B_L = (A_L * (L - 4.0 * model.c2) + A) / (4.0 * (n + 3))
+    B_L = (A_L * (L - 4.0 * c2) + A) / (4.0 * (n + 3))
 
     def start(r):
         r = np.asarray(r, dtype=float)[None, :]

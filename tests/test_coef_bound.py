@@ -23,11 +23,6 @@ SPACINGS = [0.01, 0.02, 0.05, 0.1]
 K = 40
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache(monkeypatch):
-    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
-
-
 @pytest.mark.parametrize("r", RADII)
 @pytest.mark.parametrize("spacing", SPACINGS)
 def test_valid_grids_pass_the_bound_check(r, spacing):
@@ -43,25 +38,25 @@ def test_valid_grids_pass_the_bound_check(r, spacing):
 def test_corrupted_level_still_raises(monkeypatch, r, spacing, level):
     # θ = 1 attains the bound, a_k = r^{2k}/(2k)!, so a level 1e-6 too
     # large must be refused
-    real = spherical._CoefWorkspace._check_bound
+    real = spherical._check_bound
 
-    def corrupted(self, k, a):
-        return real(self, k, a * (1 + 1e-6) if k == level else a)
+    def corrupted(grid, k, a):
+        return real(grid, k, a * (1 + 1e-6) if k == level else a)
 
-    monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", corrupted)
+    monkeypatch.setattr(spherical, "_check_bound", corrupted)
     with pytest.raises(QuadratureError, match=f"a_{level} violates"):
         volterra_coefficients(E0, make_grid(r, spacing=spacing), level)
 
 
 def test_overflowed_level_raises(monkeypatch):
-    real = spherical._CoefWorkspace._check_bound
+    real = spherical._check_bound
 
-    def overflowed(self, k, a):
+    def overflowed(grid, k, a):
         a = a.copy()
         a[-1] = np.nan if k == 2 else a[-1]
-        return real(self, k, a)
+        return real(grid, k, a)
 
-    monkeypatch.setattr(spherical._CoefWorkspace, "_check_bound", overflowed)
+    monkeypatch.setattr(spherical, "_check_bound", overflowed)
     with pytest.raises(QuadratureError, match="a_2 violates"):
         volterra_coefficients(MODELS[2], make_grid(1.0, spacing=0.05), 3)
 
@@ -76,6 +71,6 @@ def test_high_dimension_series_matches_ode(model, r_max):
     grid = make_grid(r_max, spacing=0.05)
     for lam in (0.5, 1.0 + 0.3j, 3.0):
         series = spherical.phi_series(model, lam, grid)
-        ode = spherical.phi(model, lam, grid, method="ode")
+        ode = spherical.phi(model, lam, grid)
         scale = max(1.0, float(np.max(np.abs(ode.values))))
         assert np.max(np.abs(series.values - ode.values)) < 1e-9 * scale

@@ -5,8 +5,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
-from harmonic.density import (DensityError, _series_c2_c4, builtin_models,
-                              make_custom, make_damek_ricci, make_euclidean,
+from harmonic.density import (DensityError, builtin_models, make_custom,
+                              make_damek_ricci, make_euclidean,
                               make_real_hyperbolic, unit_sphere_volume,
                               validate_density)
 
@@ -38,32 +38,12 @@ def test_unit_sphere_volume_values():
 
 
 def test_small_r_expansion_coefficients():
-    # theta/r^n = 1 + c2 r^2 + c4 r^4 + O(r^6); probe with a tiny radius
+    # theta/r^n = 1 + c2 r^2 + O(r^4): no offset and no r term, so the
+    # deviation from 1 falls 100-fold from r = 1e-2 to 1e-3
     for model in builtin_models():
-        r = 1e-2
-        ratio = model.theta(r) / r**model.n
-        expect = 1 + model.c2 * r**2 + model.c4 * r**4
-        assert ratio == pytest.approx(expect, abs=5e-13)
-    assert make_real_hyperbolic(2).c2 == pytest.approx(1 / 3, rel=1e-12)
-    assert make_euclidean(5).c2 == 0.0
-
-
-def test_closed_form_taylor_data_matches_symbolic_series():
-    # the built-ins take c2, c4 from exact rational closed forms; the sympy
-    # series (kept for custom densities) must give the very same doubles
-    r = sp.Symbol("r", positive=True)
-    for n in range(1, 8):
-        model = make_real_hyperbolic(n)
-        assert (model.c2, model.c4) == _series_c2_c4(sp.sinh(r)**n, n)
-    for m in range(1, 8):
-        for k in range(5):
-            n = m + k
-            expr = 2**n * sp.sinh(r / 2)**n * sp.cosh(r / 2)**k
-            model = make_damek_ricci(m, k)
-            assert (model.c2, model.c4) == _series_c2_c4(expr, n)
-    for n in range(4):
-        assert (make_euclidean(n).c2, make_euclidean(n).c4) == \
-            _series_c2_c4(r**n, n)
+        d1, d2 = (model.theta(r) / r**model.n - 1.0 for r in (1e-2, 1e-3))
+        assert abs(d1) < 1e-3
+        assert d2 == pytest.approx(d1 / 100, rel=1e-3, abs=1e-13)
 
 
 def test_closed_form_theta_matches_lambdify_bit_for_bit():
@@ -111,7 +91,6 @@ def test_make_custom_matches_builtin():
     r = np.linspace(0.05, 6, 23)
     assert np.allclose(custom.theta(r), ref.theta(r), rtol=1e-12)
     assert custom.H == pytest.approx(2.0, abs=1e-6)
-    assert custom.c2 == pytest.approx(1 / 3, rel=1e-9)
 
 
 def test_make_custom_rejects_bad_densities():
@@ -121,6 +100,10 @@ def test_make_custom_rejects_bad_densities():
         make_custom("r**2 * (1 - r**2/4)", 2)   # negative past r = 2
     with pytest.raises(DensityError):
         make_custom("r**2 * exp(-r)", 2)        # theta'/theta -> -1 < 0
+    # theta/r^2 - 1 = r/100 is 1e-5 at r = 1e-3, inside validate_density's
+    # 1e-4; only the symbolic series sees the r term
+    with pytest.raises(DensityError, match="not normalized"):
+        make_custom("r**2*(1 + r/100)", 2)
 
 
 def test_validate_density_passes_builtins():

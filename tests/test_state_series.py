@@ -118,10 +118,10 @@ def test_eigen_profile_matches_dop853(dop853_rows, model):
 def test_state_levels_are_shared_by_the_batches_of_a_search(monkeypatch):
     # piece counts are powers of two, so a search's batches (box boundary,
     # Newton rounds, residuals) meet only a few level sets at its radius
-    monkeypatch.setattr(spherical, "_COEF_CACHE", spherical._LRUCache(2**30))
+    monkeypatch.setattr(spherical, "_CACHE", spherical._LRUCache(2**30))
     zs = find_L_zeros(E0, 0.81, "sphere")
     assert len(zs.zeros) == 2
-    counts = [key[3] for key in spherical._COEF_CACHE._entries
+    counts = [key[3] for key in spherical._CACHE._entries
               if key[0] == "state"]
     assert 1 <= len(counts) <= 2
     assert all(p & (p - 1) == 0 for p in counts)

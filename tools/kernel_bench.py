@@ -23,18 +23,28 @@ call with its inputs built beforehand:
                    r ≤ 1.5 (spacing 0.02), keyed by λ_max
   eigen_state      eigen_state_at for 36 L on a 9 × 4 lattice over the
                    default box [-60, 5] × [-8, 8]i at r = 0.81 / 1.59 / 2π,
-                   keyed by r, with its coefficient levels cached (a second
-                   call at the same radius) and uncached (an empty
-                   coefficient cache), plus one find_L_zeros(E0, 0.81) from
-                   an empty coefficient cache
+                   keyed by r, with its series levels cached (a second call
+                   at the same radius) and uncached (an empty cache), plus
+                   one find_L_zeros(E0, 0.81) from an empty cache
   eigen_profile    eigen_profile of E0 at L = -10 + i on find_r_zeros' scan
                    of r ≤ 10 (801 radii)
+  phi_grid         phi on a fresh make_grid(rmax, spacing=0.05), as the
+                   `phi` command calls it, for PHI_DRAWS draws per model of
+                   λ ∈ [0.2, 1.5] (plus i·[0.1, 0.6] on E3) and
+                   rmax ∈ [4, 10], from empty caches; keyed by model, the
+                   best of --repeat of the model's whole sweep
   import_cli       `import harmonic.cli` in a fresh interpreter with
                    PYTHONPATH=src, interpreter start-up included
   build_models     the five built-in models plus H⁶ and DR(4,3)
 
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
-this file against each one's src on the same machine, back to back.
+this file against each one's src on the same machine, back to back:
+
+    PYTHONPATH=<checkout>/src python tools/kernel_bench.py
+
+"Empty caches" replaces whichever of spherical's byte-capped caches the
+checkout defines, so the file runs against checkouts from before the φ-basis
+cache and the coefficient cache were merged.
 """
 
 import argparse
@@ -42,6 +52,7 @@ import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -64,6 +75,10 @@ from harmonic.profiles import (annulus_bump, gauss_bump,  # noqa: E402
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEP_LAMBDA_MAX = (10.0, 40.0, 160.0, 640.0)
 STATE_RADII = (0.81, 1.59, 2 * math.pi)
+PHI_DRAWS = 8
+# the byte-capped caches of spherical, with their caps, in any checkout
+CACHES = (("_CACHE", "CACHE_BYTES"), ("_BASIS_CACHE", "BASIS_CACHE_BYTES"),
+          ("_COEF_CACHE", "COEF_CACHE_BYTES"))
 BOX_L = (np.linspace(-60.0, 5.0, 9)[:, None]
          + 1j * np.linspace(-8.0, 8.0, 4)[None, :]).ravel()
 
@@ -77,6 +92,32 @@ def best_of(fn, repeat, setup=None):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def empty_caches():
+    for name, cap in CACHES:
+        if hasattr(spherical, name):
+            setattr(spherical, name,
+                    spherical._LRUCache(getattr(spherical, cap)))
+
+
+def phi_draws(model, complex_lambda):
+    """PHI_DRAWS (λ, rmax) pairs, drawn like the `phi` requests of the
+    spectral workload's low-λ regime."""
+    rng = random.Random(model.key)
+    out = []
+    for _ in range(PHI_DRAWS):
+        lam = rng.uniform(0.2, 1.5)
+        if complex_lambda:
+            lam = complex(lam, rng.uniform(0.1, 0.6))
+        out.append((lam, rng.uniform(4.0, 10.0)))
+    return out
+
+
+def phi_grid(model, draws):
+    for lam, rmax in draws:
+        empty_caches()
+        spherical.phi(model, lam, make_grid(rmax, spacing=0.05))
 
 
 def import_cli():
@@ -112,21 +153,17 @@ def main(argv=None):
     r_nodes = transforms.EvenFunction.from_profile(bump).grid.nodes
     sweep_radii = make_grid(1.5, spacing=0.02).nodes
 
-    def empty_basis_cache():
-        spherical._BASIS_CACHE = spherical._LRUCache(
-            spherical.BASIS_CACHE_BYTES)
-
-    def empty_coef_cache():
-        spherical._COEF_CACHE = spherical._LRUCache(
-            spherical.COEF_CACHE_BYTES)
-
     e0 = make_euclidean(0)
 
     def eigen_state(r):
         def call():
             spherical.eigen_state_at(e0, BOX_L, r)
         return {"cached": best_of(call, repeat, setup=call),
-                "uncached": best_of(call, repeat, setup=empty_coef_cache)}
+                "uncached": best_of(call, repeat, setup=empty_caches)}
+
+    phi_models = {"E3": (e3, phi_draws(e3, True)),
+                  "H3": (h3, phi_draws(h3, False)),
+                  "DR21": (dr, phi_draws(dr, False))}
 
     out = {
         "abel_synthesis": best_of(lambda: transforms.abel(e3, bump), repeat),
@@ -138,13 +175,13 @@ def main(argv=None):
                            nodes_per_panel=wave.grid.q).values_at_nodes(
                                wave.u), repeat),
         "phi_basis": best_of(lambda: spherical.phi_basis(e3, lams, r_nodes),
-                             repeat, setup=empty_basis_cache),
+                             repeat, setup=empty_caches),
         "abel_inverse_h3_gauss": best_of(
             lambda: transforms.abel_inverse(h3, a_h3_gauss), repeat,
-            setup=empty_basis_cache),
+            setup=empty_caches),
         "abel_inverse_e3_smooth": best_of(
             lambda: transforms.abel_inverse(e3, a_e3_smooth), repeat,
-            setup=empty_basis_cache),
+            setup=empty_caches),
         "phi_rows_sweep": {
             f"{lam_max:g}": best_of(lambda: spherical.phi_ode_values(
                 e3, np.linspace(0.0, lam_max, 256), sweep_radii), repeat)
@@ -153,9 +190,11 @@ def main(argv=None):
             **{f"{r:.4g}": eigen_state(r) for r in STATE_RADII},
             "find_L_zeros_E0_0.81": best_of(
                 lambda: find_L_zeros(e0, 0.81), repeat,
-                setup=empty_coef_cache)},
+                setup=empty_caches)},
         "eigen_profile": best_of(lambda: spherical.eigen_profile(
             e0, -10.0 + 1.0j, np.linspace(0.0, 10.0, 801)), repeat),
+        "phi_grid": {key: best_of(lambda: phi_grid(model, draws), repeat)
+                     for key, (model, draws) in phi_models.items()},
         "import_cli": best_of(import_cli, repeat),
         "build_models": best_of(build_models, repeat),
     }
