@@ -66,10 +66,10 @@ def _vec(f):
 def _scalar_first(vec_fn, scalar_fn):
     """vec_fn with a math-module path for a single float radius.
 
-    The eigenfunction ODE evaluates the density at one radius per step,
-    where numpy's per-call overhead outweighs the arithmetic.  Values the
-    math module refuses (r = 0, overflow) fall back to vec_fn, so both
-    paths agree everywhere.
+    A few callers evaluate the density at one radius: make_damek_ricci's
+    H limit and cheeger_chain_report.  For a float there numpy's per-call
+    overhead outweighs the arithmetic.  Values the math module refuses
+    (r = 0, overflow) fall back to vec_fn, so both paths agree everywhere.
     """
     def f(r):
         if isinstance(r, float):

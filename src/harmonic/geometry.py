@@ -11,7 +11,9 @@ Point conventions: plane points are (x, y) rows; hyperbolic points live on
 the upper hyperboloid t² - x² - y² = 1 in Minkowski 3-space as (t, x, y)
 rows.  The hyperbolic distance uses the difference-vector form
 d = 2 asinh(|x - y|_L / 2), which stays accurate for nearby points where
-arcosh of the Lorentz product loses half the digits.
+arcosh of the Lorentz product loses half the digits.  The arithmetic runs
+on the component arrays x[..., i]: a numpy reduction or broadcast over an
+embedding axis of length 2 or 3 costs several times the arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ QUAD_ORDER = 256
 
 
 def _lorentz(u, v):
-    return np.sum(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0]
+    return (u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+            - u[..., 0] * v[..., 0])
 
 
 def _frame(x):
@@ -80,9 +83,12 @@ class ExplicitSpace:
     def distance(self, x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
+        d0 = x[..., 0] - y[..., 0]
+        d1 = x[..., 1] - y[..., 1]
         if self.tag == "plane":
-            return np.linalg.norm(x - y, axis=-1)
-        q = _lorentz(x - y, x - y)
+            return np.sqrt(d0 * d0 + d1 * d1)
+        d2 = x[..., 2] - y[..., 2]
+        q = d1 * d1 + d2 * d2 - d0 * d0
         return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
 
     def sphere_param(self, x, r, phi):
@@ -97,12 +103,15 @@ class ExplicitSpace:
         # runs on its own argument's shape, once per distinct value
         r = np.asarray(r, float)
         phi = np.asarray(phi, float)
+        cos, sin = np.cos(phi), np.sin(phi)
         if self.tag == "plane":
-            heading = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-            return x + r[..., None] * heading
+            return np.stack([x[..., 0] + r * cos, x[..., 1] + r * sin],
+                            axis=-1)
         e1, e2 = _frame(x)
-        heading = np.cos(phi)[..., None] * e1 + np.sin(phi)[..., None] * e2
-        return np.cosh(r)[..., None] * x + np.sinh(r)[..., None] * heading
+        cosh, sinh = np.cosh(r), np.sinh(r)
+        return np.stack([cosh * x[..., i]
+                         + sinh * (cos * e1[..., i] + sin * e2[..., i])
+                         for i in range(3)], axis=-1)
 
     def circumference(self, r):
         r = np.asarray(r, float)
@@ -128,11 +137,13 @@ def space_by_tag(tag):
 
 
 def _eval_points(f, pts):
-    """Apply a point function to an (..., d) stack of points."""
+    """Apply a vectorized point function to an (..., d) stack of points."""
     flat = pts.reshape(-1, pts.shape[-1])
     vals = np.asarray(f(flat), float)
     if vals.shape != (flat.shape[0],):
-        vals = np.array([float(f(p)) for p in flat])
+        raise ValueError(
+            "f must map an (N, d) stack of points to N values; for "
+            f"N = {flat.shape[0]} it returned shape {vals.shape}")
     return vals.reshape(pts.shape[:-1])
 
 
@@ -273,7 +284,10 @@ def idempotence_check(space, f):
 
     def pf(pts):
         d = np.asarray(space.distance(space.origin, pts), float)
-        return project(space, f, d.ravel()).reshape(d.shape)
+        # the points of one circle share their distance up to rounding, so
+        # πf needs one projector row per distinct distance, not per point
+        dist, where = np.unique(d.ravel(), return_inverse=True)
+        return project(space, f, dist)[where].reshape(d.shape)
 
     once = project(space, f, radii)
     twice = project(space, pf, radii)

@@ -96,6 +96,7 @@ RERUNS = {
     "cheeger": ["cheeger", "--model", "damek-ricci", "--m", "4", "--k", "3",
                 "--rmax", "30"],
     "geo-check": ["geo-check", "--space", "h2"],
+    "geo-check-plane": ["geo-check", "--space", "plane"],
 }
 
 

@@ -36,6 +36,11 @@ call with its inputs built beforehand:
   import_cli       `import harmonic.cli` in a fresh interpreter with
                    PYTHONPATH=src, interpreter start-up included
   build_models     the five built-in models plus H⁶ and DR(4,3)
+  geometry         distance and sphere_param of the hyperbolic plane on a
+                   (2, 256, 256, 3) stack of circle points, built as one
+                   pass of projector_convolution_check builds it (distance
+                   from the bump centre of `geo-check`, as bump_patch
+                   takes it), and one `harmonic geo-check` per space
 
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
 this file against each one's src on the same machine, back to back:
@@ -55,6 +60,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -63,7 +69,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from harmonic import pde, spherical, transforms  # noqa: E402
+from harmonic import cli, geometry, pde, spherical, transforms  # noqa: E402
 from harmonic.two_radius import find_L_zeros  # noqa: E402
 from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
                               make_euclidean, make_real_hyperbolic)
@@ -128,6 +134,30 @@ def import_cli():
 
 def build_models():
     return builtin_models() + [make_real_hyperbolic(5), make_damek_ricci(4, 3)]
+
+
+def geometry_entry(repeat):
+    h2 = geometry.make_hyperbolic_plane()
+    x0 = h2.origin
+    psi = np.arange(geometry.QUAD_ORDER) * (2.0 * math.pi
+                                            / geometry.QUAD_ORDER)
+    ys = h2.sphere_param(x0, 1.1, psi)
+    zs = h2.sphere_param(ys[:1], 1.0, psi)
+    centers = np.stack([ys, np.broadcast_to(x0, ys.shape)])[..., None, :]
+    radii = np.stack([np.full(psi.shape, 1.0),
+                      h2.distance(x0, zs)])[..., None]
+    pts = h2.sphere_param(centers, radii, psi)
+    bump_center = h2.sphere_param(x0, 0.7, 0.4)
+    out = {"sphere_param_h2": best_of(
+               lambda: h2.sphere_param(centers, radii, psi), repeat),
+           "distance_h2": best_of(lambda: h2.distance(bump_center, pts),
+                                  repeat)}
+    with tempfile.TemporaryDirectory() as tmp:
+        report = str(Path(tmp) / "geo.json")
+        for tag in ("plane", "h2"):
+            out[f"geo_check_{tag}"] = best_of(lambda: cli.main(
+                ["geo-check", "--space", tag, "--out", report]), repeat)
+    return out
 
 
 def main(argv=None):
@@ -197,6 +227,7 @@ def main(argv=None):
                      for key, (model, draws) in phi_models.items()},
         "import_cli": best_of(import_cli, repeat),
         "build_models": best_of(build_models, repeat),
+        "geometry": geometry_entry(repeat),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
               "sizes": {"abel_lambda_nodes": int(lams.size),
