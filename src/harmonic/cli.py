@@ -10,6 +10,7 @@ output bytes exactly.  JSON reports validate against the shipped schema
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -482,7 +483,9 @@ def _cmd_suite(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built at the first main call and then reused."""
     p = argparse.ArgumentParser(
         prog="harmonic",
         description="Numerical workbench for noncompact harmonic spaces "

@@ -18,8 +18,8 @@ even cubic spline through them (flat at 0), evaluated at the nodes
 directly; the dense interpolation matrix is built only when asked for.
 make_grid builds grids of equal panels only, so node p·q + j is the panel
 edge x_p plus the offset of node j in the first panel; the cosine synthesis
-in transforms factors through that and refuses grids without it (a Grid1D
-built from other points).
+and the line fold in transforms factor through that and refuse grids
+without it (a Grid1D built from other points).
 """
 
 from __future__ import annotations

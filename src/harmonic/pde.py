@@ -119,16 +119,16 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
     support is exactly supp(g) + [-t, t].  The slope and velocity come from
     the same formula differentiated analytically; info carries the velocity
     samples and the conserved energy ∫ v_s² + v_t² + (H²/4) v² ds.
-    Pass s_max to put solutions at different times on a common grid.
+    The output grid is g's lattice grid (EvenFunction.lattice_grid) over
+    [0, s_max], s_max = supp(g) + t + 0.5 unless given, and s_max rounds
+    up to a whole number of its panels.  Pass s_max to put solutions at
+    different times on a common grid.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     t = float(t)
     support = g.support + t
-    if s_max is None:
-        s_max = support + 0.5
-    sgrid = make_grid(s_max, spacing=min(
-        0.02, 2.0 * float(g.grid.points[1] - g.grid.points[0])))
+    sgrid = g.lattice_grid(support + 0.5 if s_max is None else s_max)
     quarter = H * H / 4.0
 
     # for H = 0 the kernel vanishes identically and v is the d'Alembert mean
@@ -142,10 +142,15 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
         weights = qgrid.node_weights[:, None] * np.column_stack([w_here,
                                                                  wt_here])
         edge = kg_kernel(H, t, t)
+        # (fold of g against W and W_t, fold of g' against W) at the points,
+        # then at the nodes
+        folds = list(zip(g.fold(sgrid, sig, weights),
+                         g.fold(sgrid, sig, weights[:, 0], slope=True)))
     else:
         edge = 0.0
+        folds = [None, None]
 
-    def assemble(points):
+    def assemble(points, fold):
         gm = g(points - t)
         gp = g(points + t)
         dm = g.derivative(points - t)
@@ -154,14 +159,14 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
         vs = 0.5 * (dm + dp)
         vt = 0.5 * (dp - dm) + edge * (gm + gp)
         if smoothing:
-            folded, dfold = g.fold(points, sig, weights, slope=True)
+            folded, dfold = fold
             v = v + folded[:, 0]
             vt = vt + folded[:, 1]
-            vs = vs + dfold[:, 0]
+            vs = vs + dfold
         return v, vs, vt
 
-    vp, vsp, vtp = assemble(sgrid.points)
-    vn, vsn, vtn = assemble(sgrid.nodes)
+    vp, vsp, vtp = assemble(sgrid.points, folds[0])
+    vn, vsn, vtn = assemble(sgrid.nodes, folds[1])
     energy = 2.0 * float(sgrid.integrate(vsn**2 + vtn**2 + quarter * vn**2))
     info = {"H": H, "t": t, "energy": energy,
             "vt_values": vtp, "vt_node_values": vtn}

@@ -26,8 +26,12 @@ matrix products of the point matrices with the small (λ × q) offset
 matrices; cosine_transform factors the same way.  Both need a grid of equal
 panels, which every make_grid grid is.  Line functions are folded against
 quadrature weights (line_convolve here, the Klein-Gordon kernel in
-pde.kg_solve) by EvenFunction.fold, which evaluates the stored spline only
-at the pairs that fall inside its grid, block by block.
+pde.kg_solve) by EvenFunction.fold, onto a grid laid on the knot lattice of
+the folded spline (lattice_grid: panels of r knot intervals).  For the grid
+points, and for each in-panel node offset, every shift ±σ lands at one
+offset inside a knot interval for all x, so the fold is a strided
+correlation of the binned weights with the spline's power coefficients,
+one FFT product per node class, not a spline evaluation per (x, σ) pair.
 
 abel's cutoff in λ is either the caller's lambda_max, used as given, or the
 tail rule: grow λ_max until |F f| on the top tenth of [0, λ_max] is at most
@@ -49,6 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile
@@ -58,8 +63,6 @@ DEFAULT_SPACING = 0.02
 # abel's tail rule, see _sample_until_decayed
 TAIL_TOL = 1e-11
 LAMBDA_CAP_FACTOR = 10.0
-# pairs per block of EvenFunction.fold: 0.5 MB per temporary array
-_FOLD_PAIRS = 2**16
 
 
 class AccuracyError(RuntimeError):
@@ -138,43 +141,115 @@ class EvenFunction:
         out = self._at(self._slope_spline, np.abs(s1)) * np.sign(s1)
         return out[0] if s.ndim == 0 else out
 
-    def fold(self, x, sigma, weights, slope=False):
-        """Σ_k (g(x - σ_k) + g(x + σ_k)) weights[k] at each x, and of g'.
+    def lattice_grid(self, x_max):
+        """The output grid of a fold reaching at least x_max.
 
-        x ascending, weights (K,) or (K, m) for the K entries of sigma; the
-        result has the shape (x.size,) + weights.shape[1:].
-        With slope=True the same fold of g' follows as a second result.
-        For each ±σ_k the x with |x ± σ_k| inside the grid form one index
-        range.  σ is taken in blocks of about _FOLD_PAIRS / x.size nodes,
-        and each block evaluates value (and slope) on the rectangle of x
-        its ranges span only, then sums it against the block's weights.
+        Its panels are r knot intervals of this function's grid wide,
+        r = max(1, round(DEFAULT_SPACING / h)) for knot spacing h, and its
+        x_max is the requested one rounded up to a whole number of panels
+        (at least 16).
         """
-        x = np.asarray(x, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
+        h = _panel_width(self.grid, "fold")
+        r = max(1, round(DEFAULT_SPACING / h))
+        n = max(16, math.ceil(x_max / (r * h) - 1e-9))
+        return make_grid(n * r * h, n_panels=n)
+
+    def fold(self, grid, sigma, weights, slope=False):
+        """Σ_k (g(x - σ_k) + g(x + σ_k)) weights[k] at grid.points and nodes.
+
+        weights is (K,) or (K, m) for the K entries of sigma; returns the
+        fold at grid.points and at grid.nodes, each of shape
+        (n,) + weights.shape[1:] for its n abscissae.  slope=True folds g'
+        instead of g.
+        grid must lie on the knot lattice of this function's grid (equal
+        panels of h): equal panels r·h wide, as lattice_grid builds.  Then
+        for the points, and for each in-panel node offset, every shift ±σ_k
+        lands at one offset d_k inside a knot interval for all x, and the
+        fold is Σ_m Σ_i K_m[i] E_m[i + p·r]: K_m bins w_k (d_k/h)^m by the
+        interval of the shift, E_m holds the spline's power coefficients,
+        extended evenly (oddly for g') over [-X, X] and zero beyond, and
+        the correlation is one FFT product per offset class.  A shift onto
+        ±X exactly still reads the spline, as g does; beyond it, zero.
+        """
+        h = _panel_width(self.grid, "fold")
+        width = _panel_width(grid, "fold")
+        r = round(width / h)
+        if r < 1 or abs(width - r * h) > 1e-12 * width:
+            raise ValueError(
+                f"fold needs output panels a whole number of knot intervals "
+                f"(h = {h:.6g}) wide, got {width:.6g}; build the grid with "
+                "lattice_grid")
+        coef, edge = self._slope_lattice if slope else self._lattice
+        n_cells = coef.shape[1]                  # 2N intervals over [-X, X]
         w = np.asarray(weights, dtype=float)
-        n, x_max = x.size, self.grid.x_max
-        splines = ((self._spline, self._slope_spline) if slope
-                   else (self._spline,))
-        sums = [np.zeros((n,) + w.shape[1:]) for _ in splines]
-        block = max(1, _FOLD_PAIRS // max(n, 1))
-        for shift in (-sigma, sigma):
-            # one index of slack each side against rounding at the edges;
-            # _at zeroes the pairs that land beyond the grid
-            lo = np.searchsorted(x, -x_max - shift) - 1
-            hi = np.searchsorted(x, x_max - shift, side="right") + 1
-            for k in range(0, sigma.size, block):
-                a = max(0, int(lo[k:k + block].min()))
-                b = min(n, int(hi[k:k + block].max()))
-                if b <= a:
-                    continue
-                z = x[a:b] + shift[k:k + block, None]
-                az = np.abs(z)
-                vals = [self._at(spl, az) for spl in splines]
-                if slope:
-                    vals[1] *= np.sign(z)
-                for total, v in zip(sums, vals):
-                    total[a:b] += v.T @ w[k:k + block]
-        return tuple(sums) if slope else sums[0]
+        w2 = np.concatenate([w, w]).reshape(2 * w.shape[0], -1)
+        offsets = np.concatenate([[0.0], grid.nodes[:grid.q]])
+        sigma = np.asarray(sigma, dtype=float)
+        u = (np.concatenate([-sigma, sigma])[None, :] + offsets[:, None]
+             + self.grid.x_max) / h
+        # a shift within rounding of a knot lands on it
+        n = np.rint(u)
+        on_knot = np.abs(u - n) <= 8 * np.finfo(float).eps * np.abs(u)
+        n = np.where(on_knot, n, np.floor(u))
+        d = np.where(on_knot, 0.0, u - n)
+        lo = int(n.min())
+        span = int(n.max()) - lo + 1
+        rows = (np.arange(offsets.size)[:, None] * span + (n - lo)).astype(
+            np.intp).ravel()
+        size = offsets.size * span
+
+        def binned(vals):
+            return np.stack([np.bincount(rows, (vals * col).ravel(),
+                                         minlength=size)
+                             for col in w2.T], axis=-1).reshape(
+                                 offsets.size, span, -1)
+
+        length = sp_fft.next_fast_len(n_cells + span, real=True)
+        spec = sum(np.conj(sp_fft.rfft(binned(d**m), length, axis=1))
+                   * sp_fft.rfft(e, length)[None, :, None]
+                   for m, e in enumerate(coef))
+        corr = sp_fft.irfft(spec, length, axis=1)
+        # j = lo + p·r indexes the correlation; it vanishes off the overlap
+        n_out = grid.n_panels + 1
+        j = lo + r * np.arange(n_out)
+        reach = (j > -span) & (j < n_cells)
+        out = np.where(reach[None, :, None], corr[:, j % length], 0.0)
+        # shifts onto +X exactly read the spline's end value
+        knot = binned(on_knot.astype(float))
+        at_edge = n_cells - lo - r * np.arange(n_out)
+        hit = (at_edge >= 0) & (at_edge < span)
+        out[:, hit] += edge * knot[:, at_edge[hit]]
+        shape = (-1,) + w.shape[1:]
+        at_points = out[0].reshape(shape)
+        at_nodes = out[1:, :-1].transpose(1, 0, 2).reshape(shape)
+        return at_points, at_nodes
+
+    @cached_property
+    def _lattice(self):
+        return _lattice_coefficients(self._spline, self.grid, odd=False)
+
+    @cached_property
+    def _slope_lattice(self):
+        return _lattice_coefficients(self._slope_spline, self.grid, odd=True)
+
+
+def _lattice_coefficients(spline, grid, odd):
+    """(E, edge): power coefficients of a spline on the knot intervals of [-X, X].
+
+    E[m, i] is the coefficient of (d/h)^m at offset d into interval i of the
+    2N intervals of width h from -X, for the even (odd=True: odd) extension
+    of the spline on grid's N equal panels; edge is the spline's value at X.
+    """
+    deg = spline.c.shape[0] - 1
+    h = _panel_width(grid, "fold")
+    right = spline.c[::-1] * (h ** np.arange(deg + 1))[:, None]
+    # on the mirror image of an interval the polynomial is P(1 - t), and
+    # P(1 - t) = Σ_l t^l (-1)^l Σ_m binom(m, l) C_m
+    flip = np.array([[(-1) ** l * math.comb(m, l) for m in range(deg + 1)]
+                     for l in range(deg + 1)], dtype=float)
+    left = (-1.0 if odd else 1.0) * (flip @ right)[:, ::-1]
+    return (np.concatenate([left, right], axis=1),
+            float(spline(grid.x_max)))
 
 
 @dataclass
@@ -325,19 +400,26 @@ def _sample_until_decayed(sample, abscissae, width, lam0):
         target *= 1.6
 
 
+def _panel_width(grid, what):
+    """Panel width of a grid of equal panels; any other grid is refused.
+
+    make_grid's grids qualify (their panel widths agree to a few ulps of
+    x_max).
+    """
+    if np.ptp(np.diff(grid.points)) > 16 * np.finfo(float).eps * grid.x_max:
+        raise ValueError(f"{what} needs equal panels; build the grid with "
+                         "make_grid")
+    return grid.x_max / grid.n_panels
+
+
 def _panel_frame(grid):
     """(panel edges, in-panel node offsets) of a grid with equal panels.
 
     Node p·q + j lies at edges[p] + offsets[j], so cos and sin of λ times
     every node follow from those at the P edges and the q offsets by the
-    angle-addition formula.  make_grid's grids qualify (their panel
-    widths agree to a few ulps of x_max); any other grid is refused.
+    angle-addition formula.
     """
-    widths = np.diff(grid.points)
-    if np.ptp(widths) > 16 * np.finfo(float).eps * grid.x_max:
-        raise ValueError(
-            "the cosine synthesis needs equal panels; build the grid with "
-            "make_grid")
+    _panel_width(grid, "the cosine synthesis")
     return grid.points[:-1], grid.nodes[:grid.q]
 
 
@@ -455,14 +537,16 @@ def abel_inverse(model, g):
 # ---------------------------------------------------------------------------
 
 def line_convolve(g1, g2):
-    """(g1 ⋆ g2)(s) = ∫ g1(σ) g2(s - σ) dσ for even g1, g2."""
+    """(g1 ⋆ g2)(s) = ∫ g1(σ) g2(s - σ) dσ for even g1, g2.
+
+    The output grid is g2's lattice grid over [0, supp g1 + supp g2].
+    """
     S = g1.support + g2.support
-    out_grid = make_grid(S, spacing=DEFAULT_SPACING)
-    sig = g1.grid.nodes
-    w1 = g1.grid.node_weights * g1.node_values()
-    return EvenFunction(grid=out_grid,
-                        values=g2.fold(out_grid.points, sig, w1), support=S,
-                        exact_node_values=g2.fold(out_grid.nodes, sig, w1))
+    out_grid = g2.lattice_grid(S)
+    values, node_values = g2.fold(out_grid, g1.grid.nodes,
+                                  g1.grid.node_weights * g1.node_values())
+    return EvenFunction(grid=out_grid, values=values, support=S,
+                        exact_node_values=node_values)
 
 
 def radial_convolve(model, f, g):

@@ -1,5 +1,6 @@
 """CLI documents: schema-valid JSON, also when a command is refused."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -128,6 +129,21 @@ def test_rerun_is_byte_identical_and_schema_valid(tmp_path, argv):
     for path in outputs:
         doc = _validate(path)
         assert doc["manifest"]["command"] == argv[0]
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    for name in ("a.csv", "b.csv"):
+        argv = ["fourier", "--count", "3", "--out", str(tmp_path / name)]
+        assert cli.main(argv) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("model_flags", [

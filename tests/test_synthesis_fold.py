@@ -1,11 +1,11 @@
 """Cosine synthesis and the line fold against their dense reference formulas.
 
 abel and cosine_transform factor cos/sin of λ times each quadrature node
-through the panel edges and the in-panel offsets; EvenFunction.fold
-evaluates only the (x, σ) pairs inside the grid, from splines built once.
-The references below are the dense formulas those replace: np.cos of the
-full (nodes × λ) outer product, and masked spline evaluations on full
-(points × σ) arrays with a matrix-vector sum.
+through the panel edges and the in-panel offsets; EvenFunction.fold sums
+the spline's power coefficients on its knot lattice by one correlation per
+node class.  The references below are the dense formulas those replace:
+np.cos of the full (nodes × λ) outer product, and masked spline evaluations
+on full (points × σ) arrays with a matrix-vector sum.
 """
 
 import math
@@ -25,8 +25,8 @@ E3 = make_euclidean(2)
 DR21 = make_damek_ricci(2, 1)
 
 
-def _gauss_line(w, S, deriv=False):
-    g = make_grid(S, spacing=0.02)
+def _gauss_line(w, S, deriv=False, spacing=0.02):
+    g = make_grid(S, spacing=spacing)
 
     def f(s):
         return np.exp(-s**2 / (2 * w * w))
@@ -122,10 +122,18 @@ def _dense_slope(g, s):
     return _dense_at(g, s, g.values, deriv=True) * np.sign(s)
 
 
+def _lattice(g, x_max):
+    """The fold's output grid: panels of r knot intervals h of g, r =
+    max(1, round(0.02 / h)), x_max rounded up to a whole number of them."""
+    h = g.grid.x_max / g.grid.n_panels
+    r = max(1, round(0.02 / h))
+    n = max(16, math.ceil(x_max / (r * h) - 1e-9))
+    return make_grid(n * r * h, n_panels=n)
+
+
 def _dense_kg(H, g, t):
     """kg_solve's (v, v_s, v_t, energy) from dense (points × σ) folds."""
-    s_spacing = min(0.02, 2.0 * float(g.grid.points[1] - g.grid.points[0]))
-    sgrid = make_grid(g.support + t + 0.5, spacing=s_spacing)
+    sgrid = _lattice(g, g.support + t + 0.5)
     qgrid = make_grid(t, spacing=0.03)
     sig = qgrid.nodes
     w_here, wt_here = _kg_series(H, t, sig, want_dt=True)
@@ -147,21 +155,30 @@ def _dense_kg(H, g, t):
     v, vs, vt = assemble(sgrid.points)
     vn, vsn, vtn = assemble(sgrid.nodes)
     energy = 2.0 * float(sgrid.integrate(vsn**2 + vtn**2 + H * H / 4 * vn**2))
-    return v, vs, vt, vn, energy
+    return sgrid, v, vs, vt, vn, energy
 
 
 def _rel(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("case", ["deriv_values", "spline_slope", "abel"])
+# t = 1.37 puts supp g + t + 0.5 between two lattice points; a knot spacing
+# of 0.0137 gives r = 1 and output panels of one knot interval
+@pytest.mark.parametrize("case", ["deriv_values", "spline_slope", "abel",
+                                  "off_lattice_t", "spacing_0137"])
 def test_kg_solve_fold_matches_dense_reference(case):
     if case == "abel":
         H, g, t = DR21.H, abel(DR21, annulus_bump(0.9, 0.2)), 2.5
+    elif case == "off_lattice_t":
+        H, g, t = 2.0, _gauss_line(0.5, 3.0, deriv=True), 1.37
+    elif case == "spacing_0137":
+        H, g, t = 2.0, _gauss_line(0.5, 3.0, spacing=0.0137), 1.5
     else:
         H, g, t = 2.0, _gauss_line(0.5, 3.0, deriv=case == "deriv_values"), 1.5
     v = kg_solve(H, g, t)
-    ref_v, ref_vs, ref_vt, ref_vn, ref_e = _dense_kg(H, g, t)
+    sgrid, ref_v, ref_vs, ref_vt, ref_vn, ref_e = _dense_kg(H, g, t)
+    assert np.array_equal(v.grid.points, sgrid.points)
+    assert v.grid.x_max >= g.support + t + 0.5
     assert _rel(v.values, ref_v) <= 1e-14
     assert _rel(v.deriv_values, ref_vs) <= 1e-14
     assert _rel(v.info["vt_values"], ref_vt) <= 1e-14
@@ -169,21 +186,33 @@ def test_kg_solve_fold_matches_dense_reference(case):
     assert abs(v.info["energy"] - ref_e) <= 1e-14 * ref_e
 
 
+def test_kg_solve_rounds_s_max_up_to_the_lattice():
+    g = _gauss_line(0.5, 3.0)
+    v = kg_solve(2.0, g, 1.5, s_max=7.013)
+    assert np.array_equal(v.grid.points, _lattice(g, 7.013).points)
+    assert v.grid.n_panels == 351 and v.grid.x_max >= 7.013
+
+
 def test_line_convolve_fold_matches_dense_reference():
-    g1, g2 = _gauss_line(0.35, 2.6), _gauss_line(0.45, 3.4)
-    conv = line_convolve(g1, g2)
-    sig = g1.grid.nodes
-    w1 = g1.grid.node_weights * g1.node_values()
-    for x, got in ((conv.grid.points, conv.values),
-                   (conv.grid.nodes, conv.exact_node_values)):
-        ref = (_dense_value(g2, x[:, None] - sig)
-               + _dense_value(g2, x[:, None] + sig)) @ w1
-        assert _rel(got, ref) <= 1e-14
+    # 2.61 + 3.4 = 6.01 lies between two lattice points of spacing 0.02
+    for S1 in (2.6, 2.61):
+        g1, g2 = _gauss_line(0.35, S1), _gauss_line(0.45, 3.4)
+        conv = line_convolve(g1, g2)
+        assert np.array_equal(conv.grid.points,
+                              _lattice(g2, S1 + 3.4).points)
+        sig = g1.grid.nodes
+        w1 = g1.grid.node_weights * g1.node_values()
+        for x, got in ((conv.grid.points, conv.values),
+                       (conv.grid.nodes, conv.exact_node_values)):
+            ref = (_dense_value(g2, x[:, None] - sig)
+                   + _dense_value(g2, x[:, None] + sig)) @ w1
+            assert _rel(got, ref) <= 1e-14
 
 
 def test_fold_edges_and_scalars():
-    # a Gaussian cut at two widths is far from zero at x_max
-    g = _gauss_line(0.5, 1.0)
+    # a Gaussian cut at two widths is far from zero at x_max; knots at
+    # multiples of 1/40 put the lattice on dyadic points
+    g = _gauss_line(0.5, 1.0, spacing=1.0 / 40)
     x_max = g.grid.x_max
     assert x_max == 1.0
     probe = np.array([0.0, 0.3, x_max, x_max + 1e-12, 1.7, -x_max])
@@ -195,14 +224,43 @@ def test_fold_edges_and_scalars():
     assert abs(g(0.3) - _dense_value(g, np.array([0.3]))[0]) <= 1e-15
     assert abs(g.derivative(-0.3)
                - _dense_slope(g, np.array([-0.3]))[0]) <= 1e-15
-    # x ± σ lands exactly on x_max (0.25 + 0.75, 0.5 + 0.5) and beyond it
+    # x ± σ lands exactly on ±x_max (0.25 + 0.75, 0.5 + 0.5, 0.25 - 1.25)
+    # and beyond it; the lattice grid holds every x below among its points
+    grid = g.lattice_grid(4.0)
+    assert grid.x_max == 4.0 and grid.n_panels == 160
     x = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 4.0])
-    sig = np.array([0.25, 0.5, 0.75, 2.5])
-    w = np.array([0.3, -0.2, 0.5, 0.7])
-    vals, slopes = g.fold(x, sig, w, slope=True)
-    ref = (_dense_value(g, x[:, None] - sig)
-           + _dense_value(g, x[:, None] + sig)) @ w
-    dref = (_dense_slope(g, x[:, None] - sig)
-            + _dense_slope(g, x[:, None] + sig)) @ w
-    assert _rel(vals, ref) <= 1e-14 and _rel(slopes, dref) <= 1e-14
+    at_x = np.searchsorted(grid.points, x)
+    assert np.array_equal(grid.points[at_x], x)
+    sig = np.array([0.25, 0.5, 0.75, 1.25, 2.5])
+    w = np.array([0.3, -0.2, 0.5, 0.4, 0.7])
+    (vals, node_vals), (slopes, node_slopes) = (
+        g.fold(grid, sig, w), g.fold(grid, sig, w, slope=True))
+    for pts, got, dgot in ((grid.points, vals, slopes),
+                           (grid.nodes, node_vals, node_slopes)):
+        ref = (_dense_value(g, pts[:, None] - sig)
+               + _dense_value(g, pts[:, None] + sig)) @ w
+        dref = (_dense_slope(g, pts[:, None] - sig)
+                + _dense_slope(g, pts[:, None] + sig)) @ w
+        assert _rel(got, ref) <= 1e-14 and _rel(dgot, dref) <= 1e-14
+    # the pairs onto ±x_max read the spline there
+    one, _ = g.fold(grid, [0.75], [1.0])
+    assert abs(one[at_x[1]] - (g(0.5) + g(1.0))) <= 1e-15
+    one, _ = g.fold(grid, [1.25], [1.0])
+    assert abs(one[at_x[1]] - g(1.0)) <= 1e-15 and g(1.0) != 0.0
     assert vals[-1] == 0.0  # every pair of x = 4 lies beyond the grid
+
+
+def test_fold_refuses_off_lattice_grids_and_unequal_panels():
+    g = _gauss_line(0.5, 3.0)
+    sig, w = np.array([0.1, 0.2]), np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="lattice_grid"):
+        g.fold(make_grid(4.0, spacing=0.03), sig, w)
+    with pytest.raises(ValueError, match="lattice_grid"):
+        g.fold(make_grid(4.013, n_panels=200), sig, w)
+    uneven = Grid1D(points=3.0 * (np.arange(41) / 40) ** 2)
+    bent = EvenFunction(grid=uneven, values=np.exp(-uneven.points**2),
+                        support=3.0)
+    for call in (lambda: bent.lattice_grid(4.0),
+                 lambda: bent.fold(g.lattice_grid(4.0), sig, w)):
+        with pytest.raises(ValueError, match="equal panels.*make_grid"):
+            call()
