@@ -15,11 +15,13 @@ Built-in families:
     damek_ricci(m, k)   θ = 2^{m+k} sinh^{m+k}(r/2) cosh^k(r/2)
 
 For Damek-Ricci models H is *computed* as the large-r limit of θ'/θ; the
-analytic value m/2 + k is only used as a cross-check in the tests.  The
-built-ins evaluate θ and θ' from numpy closed forms.  Custom densities are
-accepted as sympy expressions in r and validated against the normalization,
-positivity, and monotonicity requirements at load time; sympy is imported
-only then, so a process that uses the built-ins never loads it.
+analytic value m/2 + k is only used as a cross-check in the tests.  A model
+carries three functions of r: θ, θ'/θ and log θ, each one numpy path for
+scalars and arrays alike; the built-ins evaluate them from numpy closed
+forms.  Custom densities are accepted as sympy expressions in r and
+validated against the normalization, positivity, and monotonicity
+requirements at load time; sympy is imported only then, so a process that
+uses the built-ins never loads it.
 """
 
 from __future__ import annotations
@@ -63,24 +65,6 @@ def _vec(f):
     return g
 
 
-def _scalar_first(vec_fn, scalar_fn):
-    """vec_fn with a math-module path for a single float radius.
-
-    A few callers evaluate the density at one radius: make_damek_ricci's
-    H limit and cheeger_chain_report.  For a float there numpy's per-call
-    overhead outweighs the arithmetic.  Values the math module refuses
-    (r = 0, overflow) fall back to vec_fn, so both paths agree everywhere.
-    """
-    def f(r):
-        if isinstance(r, float):
-            try:
-                return scalar_fn(r)
-            except (ArithmeticError, ValueError):
-                pass
-        return vec_fn(r)
-    return f
-
-
 @dataclass(frozen=True, eq=False)
 class DensityModel:
     """A harmonic space given by its radial density θ."""
@@ -90,7 +74,6 @@ class DensityModel:
     n: int                        # sphere dimension; manifold dimension n+1
     H: float                      # lim theta'/theta
     theta: Callable = field(repr=False)
-    theta_prime: Callable = field(repr=False)
     dlog_theta: Callable = field(repr=False)   # theta'/theta, stable at large r
     log_theta: Callable = field(repr=False)    # log theta, stable at large r
 
@@ -132,12 +115,9 @@ def _check_normalized(theta_expr, n):
         )
 
 
-def _build(name, key, n, theta, theta_prime, dlog, log_theta=None, H=None,
-           theta_scalar=None):
-    """The model of θ and θ', given as numpy functions of an array r."""
+def _build(name, key, n, theta, dlog, log_theta=None, H=None):
+    """The model of θ and θ'/θ, given as numpy functions of an array r."""
     theta = _vec(theta)
-    if theta_scalar is not None:
-        theta = _scalar_first(theta, theta_scalar)
     if log_theta is None:
         raw_theta = theta
         def log_theta(r, _f=raw_theta):
@@ -146,8 +126,7 @@ def _build(name, key, n, theta, theta_prime, dlog, log_theta=None, H=None,
     if H is None:
         H = float(dlog(H_LIMIT_RADIUS))
     return DensityModel(name=name, key=key, n=n, H=H, theta=theta,
-                        theta_prime=_vec(theta_prime), dlog_theta=dlog,
-                        log_theta=log_theta)
+                        dlog_theta=dlog, log_theta=log_theta)
 
 
 def make_euclidean(n):
@@ -172,15 +151,10 @@ def make_euclidean(n):
             out = n * np.log(r)
         return out if r.ndim else float(out)
 
-    # each closed form in the operation order sympy's lambdify prints, so
-    # the values are those of the symbolic θ = r^n to the last bit; θ' at
-    # n = 0 is the constant 0, since 0*r**-1 would be nan at r = 0
-    theta_prime = (lambda r: 0) if n == 0 else (lambda r: n*r**(n-1))
+    # θ in the operation order sympy's lambdify prints, so its values are
+    # those of the symbolic θ = r^n to the last bit
     return _build(f"euclidean space R^{n+1}", f"euclidean({n})", n,
-                  lambda r: r**n, theta_prime,
-                  _scalar_first(dlog, lambda r: n / r if n else 0.0),
-                  log_theta=log_theta, H=0.0,
-                  theta_scalar=lambda r: r ** n)
+                  lambda r: r**n, dlog, log_theta=log_theta, H=0.0)
 
 
 def make_real_hyperbolic(n):
@@ -200,11 +174,8 @@ def make_real_hyperbolic(n):
         return out if np.ndim(r) else float(out)
 
     return _build(f"real hyperbolic space H^{n+1}", f"real_hyperbolic({n})", n,
-                  lambda r: np.sinh(r)**n,
-                  lambda r: n*np.sinh(r)**(n-1)*np.cosh(r),
-                  _scalar_first(dlog, lambda r: n / math.tanh(r)),
-                  log_theta=log_theta, H=float(n),
-                  theta_scalar=lambda r: math.sinh(r) ** n)
+                  lambda r: np.sinh(r)**n, dlog, log_theta=log_theta,
+                  H=float(n))
 
 
 def make_damek_ricci(m, k):
@@ -237,25 +208,8 @@ def make_damek_ricci(m, k):
         s, c = np.sinh(0.5*r), np.cosh(0.5*r)
         return 2**n*s**n*c**k
 
-    def theta_prime(r):
-        s, c = np.sinh(0.5*r), np.cosh(0.5*r)
-        out = 2**(n-1)*n*s**(n-1)*c**(k+1)
-        if k:
-            # absent at k = 0, as in sympy's print: 0·s^(n+1) would be nan
-            # where s^(n+1) overflows
-            out = 2**(n-1)*k*s**(n+1)*c**(k-1) + out
-        return out
-
-    def dlog_scalar(r):
-        th = math.tanh(r / 2)
-        return (m + k) / (2 * th) + (k / 2) * th
-
-    def theta_scalar(r):
-        return 2**n * math.sinh(r / 2)**n * math.cosh(r / 2)**k
-
     return _build(f"Damek-Ricci space ({m},{k})", f"damek_ricci({m},{k})", n,
-                  theta, theta_prime, _scalar_first(dlog, dlog_scalar),
-                  log_theta=log_theta, theta_scalar=theta_scalar)
+                  theta, dlog, log_theta=log_theta)
 
 
 def make_custom(theta_expr, n, validate=True):
@@ -275,9 +229,8 @@ def make_custom(theta_expr, n, validate=True):
         raise DensityError(f"theta expression has unknown symbols {free}")
     n = int(n)
     key = f"custom({sp.srepr(expr)},n={n})"
-    dexpr = sp.diff(expr, r)
-    dlog_expr = sp.simplify(dexpr / expr)
-    funcs = [sp.lambdify(r, e, "numpy") for e in (expr, dexpr, dlog_expr)]
+    dlog_expr = sp.simplify(sp.diff(expr, r) / expr)
+    funcs = [sp.lambdify(r, e, "numpy") for e in (expr, dlog_expr)]
     # lambdify prints a function numpy lacks by its bare name, which fails
     # only when called
     try:
@@ -288,8 +241,7 @@ def make_custom(theta_expr, n, validate=True):
         raise DensityError(
             f"theta uses {exc.name}, which numpy cannot evaluate") from exc
     _check_normalized(expr, n)
-    model = _build(f"custom density {expr}", key, n, funcs[0], funcs[1],
-                   _vec(funcs[2]))
+    model = _build(f"custom density {expr}", key, n, funcs[0], _vec(funcs[1]))
     if validate:
         validate_density(model)
     return model

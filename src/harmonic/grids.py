@@ -122,13 +122,6 @@ class Grid1D:
             self._cache["weights"] = weights.ravel()
         return self._cache["nodes"], self._cache["weights"]
 
-    @property
-    def signature(self):
-        """Hashable identity used as a cache key by other modules."""
-        if "sig" not in self._cache:
-            self._cache["sig"] = (self.points.tobytes(), self.q)
-        return self._cache["sig"]
-
     # -- integration -----------------------------------------------------
 
     def integrate(self, node_values):

@@ -146,9 +146,7 @@ class SeriesCoefficients:
     grid: Grid1D
     k_max: int
     point_values: np.ndarray    # (K, P) a_k at grid.points, k = 1..K
-    node_values: np.ndarray     # (K, Nq) a_k at quadrature nodes
     point_derivs: np.ndarray    # (K, P) a_k'
-    node_derivs: np.ndarray
 
 
 def _check_bound(grid, k, a):
@@ -189,9 +187,7 @@ def volterra_coefficients(model, grid, k_max):
         raise QuadratureError("theta not positive/finite on quadrature nodes")
     th_points = model.theta(grid.points)
     q, n, K = grid.q, model.n, int(k_max)
-    node_values = np.empty((K, grid.nodes.size))
     point_values = np.empty((K, grid.points.size))
-    node_derivs = np.empty_like(node_values)
     point_derivs = np.empty_like(point_values)
     prev = np.ones_like(th)
     for k in range(1, K + 1):
@@ -210,15 +206,11 @@ def volterra_coefficients(model, grid, k_max):
         prev = grid.cumulative_at_nodes(d_nodes)
         a_points = grid.cumulative_at_points(d_nodes)
         _check_bound(grid, k, a_points)
-        node_values[k - 1] = prev
         point_values[k - 1] = a_points
-        node_derivs[k - 1] = d_nodes
         point_derivs[k - 1] = d_points
     return SeriesCoefficients(model=model, grid=grid, k_max=K,
                               point_values=point_values,
-                              node_values=node_values,
-                              point_derivs=point_derivs,
-                              node_derivs=node_derivs)
+                              point_derivs=point_derivs)
 
 
 def truncation_order(abs_L, r_max, tol=SERIES_TOL, k_cap=SERIES_K_CAP):

@@ -54,6 +54,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy.interpolate import CubicSpline
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile
@@ -88,8 +89,9 @@ class EvenFunction:
     knows them exactly, so integrals of the function do not pay spline
     error.  Between the samples the function is the even cubic spline
     through them, built once per object (values must not be changed in place
-    after the first call); its slope is the spline through deriv_values when
-    given, else the value spline's derivative.
+    after the first call); its slope is the odd cubic spline through
+    deriv_values (second derivative 0 at x = 0) when given, else the value
+    spline's derivative.
     """
 
     grid: Grid1D
@@ -117,7 +119,8 @@ class EvenFunction:
     def _slope_spline(self):
         if self.deriv_values is None:
             return self._spline.derivative()
-        return self.grid.spline(self.deriv_values)
+        return CubicSpline(self.grid.points, self.deriv_values,
+                           bc_type=((2, 0.0), "not-a-knot"))
 
     def _at(self, spline, a):
         """spline at abscissae a >= 0, zero beyond the grid."""

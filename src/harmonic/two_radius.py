@@ -4,9 +4,15 @@
 zero hunting happens in the L-plane: each zero appears once instead of as a
 ±λ pair.  Three target functions matter:
 
-    sphere   φ_L(r)        (sphere integrals of eigenfunctions)
-    mvp      φ_L(r) - 1    (sphere mean value property)
-    ball     Φ_L(r)        (ball integrals; Φ = ∫ θ φ)
+    sphere   φ_L(r)             (sphere integrals of eigenfunctions)
+    mvp      (φ_L(r) - 1)/L     (sphere mean value property)
+    ball     Φ_L(r)             (ball integrals; Φ = ∫ θ φ)
+
+φ_L(r) - 1 vanishes at L = 0 for every radius (φ ≡ 1 there), the harmonic
+case the theorem excludes.  By the Volterra series φ_L(r) = 1 + Σ_k a_k(r) L^k
+(k ≥ 1), whose first coefficient a_1(r) = ∫_0^r θ(s)⁻¹ ∫_0^s θ(u) du ds is
+positive, (φ_L(r) - 1)/L is entire and equals a_1(r) > 0 at L = 0: it has
+exactly the other zeros, so no target needs a point excluded from its count.
 
 A pair of radii certifies the corresponding two-radius theorem when the two
 zero sets share no point.  Zeros are counted by the argument principle on
@@ -38,11 +44,6 @@ count).
 Zeros in r at fixed L come from one dense profile: Newton runs on the
 quintic Hermite interpolant of its samples, and one exact profile at the
 converged radii accepts them.
-
-The mvp target vanishes identically at L = 0 (φ ≡ 1 there) for every
-radius; that zero is the harmonic case the theorem excludes, so a punctured
-disk |L| ≤ 1e-6 is removed from every mvp count.  Its winding is measured on
-a circle sampled in the same batch as the enclosing box boundary.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from numpy.polynomial.legendre import leggauss
 from .spherical import eigen_profile, eigen_state_at
 
 TARGETS = ("sphere", "mvp", "ball")
-MVP_PUNCTURE = 1e-6
 DEFAULT_ZERO_TOL = 1e-9
 SEPARATION = 1e-6
 # relative radius within which found zeros are one (noisy multiple) zero
@@ -99,6 +99,7 @@ class WindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class LZero:
+    """A zero of the target; residual is |t| there (|(φ - 1)/L| for mvp)."""
     L: complex
     multiplicity: int
     residual: float
@@ -138,12 +139,20 @@ def _check_target(target):
 
 
 def _target_values(model, L_values, r, target):
-    """(t(L), dt/dL) arrays for the chosen target at radius r."""
-    st = eigen_state_at(model, np.asarray(L_values, dtype=complex), r)
+    """(t(L), dt/dL) arrays for the chosen target at radius r.
+
+    The mvp target t = (φ - 1)/L has dt/dL = (dφ/dL - t)/L; a sample at
+    L = 0 exactly is nan (0/0), which boundary_winding refuses.
+    """
+    L = np.asarray(L_values, dtype=complex)
+    st = eigen_state_at(model, L, r)
     if target == "ball":
         return st["Phi"], st["dPhi_dL"]
-    vals = st["phi"] - 1.0 if target == "mvp" else st["phi"]
-    return vals, st["dphi_dL"]
+    if target == "sphere":
+        return st["phi"], st["dphi_dL"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (st["phi"] - 1.0) / L
+        return t, (st["dphi_dL"] - t) / L
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +182,6 @@ def _box_path(lo, hi, n_side):
         pts.append(a + half * (1.0 + x))
         wts.append(half * w)
     return np.concatenate(pts), np.concatenate(wts)
-
-
-def _circle_path(center, radius, n):
-    ang = 2 * np.pi * np.arange(n) / n
-    return center + radius * np.exp(1j * ang)
 
 
 def _winding_of_samples(t):
@@ -213,12 +217,11 @@ class BoxCount:
     centroid: complex
 
 
-def _moment_seeds(pts, wts, t, dt, w, lo, hi, origin_w):
+def _moment_seeds(pts, wts, t, dt, w, lo, hi):
     """Seeds and centroid of the w zeros in [lo, hi] from boundary moments.
 
     Power sums s_p = (1/2πi) ∮ u^p t'/t dL in the box-scaled variable
-    u = (L - c)/ρ, by the boundary rule (nodes pts, weights wts); the
-    punctured mvp origin (origin_w zeros at L = 0) is subtracted.  Newton's
+    u = (L - c)/ρ, by the boundary rule (nodes pts, weights wts).  Newton's
     identities give the elementary symmetric functions, whose polynomial
     has the w zeros as roots.
     """
@@ -228,8 +231,7 @@ def _moment_seeds(pts, wts, t, dt, w, lo, hi, origin_w):
     rho = abs(hi - lo) / 2
     u = (pts - c) / rho
     f = wts * dt / t / (2j * math.pi)
-    u0 = -c / rho
-    s = [complex(np.sum(f * u ** p)) - origin_w * u0 ** p
+    s = [complex(np.sum(f * u ** p))
          for p in range(1, (w if w <= MAX_SEEDED else 1) + 1)]
     centroid = c + rho * s[0] / w
     if w > MAX_SEEDED:
@@ -245,50 +247,39 @@ def _moment_seeds(pts, wts, t, dt, w, lo, hi, origin_w):
 def boundary_winding(model, r, target, lo, hi):
     """Argument-principle zero count inside the box [lo, hi], with seeds.
 
-    For mvp, when the box encloses L = 0, the winding of the puncture circle
-    |L| = MVP_PUNCTURE is measured in the same batch and subtracted.
     Returns a BoxCount.  Raises WindingError when a zero lies on (within a
-    fraction of a sample gap of) the boundary, with that gap, or when the
-    phase refuses to stabilize; callers nudge the box and retry.
+    fraction of a sample gap of) the boundary, with that gap, when a sample
+    is not finite (the mvp target at L = 0 exactly), or when the phase
+    refuses to stabilize; callers nudge the box and retry.
     """
     _check_target(target)
     # the phase turns about r·sqrt|L| along an edge; mid-edge, Gauss-Legendre
     # nodes lie π/2 times farther apart than equispaced ones
     n_side = int(max(32, 1.1 * r * math.sqrt(max(abs(lo), abs(hi))) + 13))
-    n_circle = 64 if target == "mvp" and _box_contains(lo, hi, 0j) else 0
     while True:
         pts, wts = _box_path(lo, hi, n_side)
-        circle = _circle_path(0.0, MVP_PUNCTURE, n_circle)
-        t_all, dt_all = _target_values(model, np.concatenate([pts, circle]),
-                                       r, target)
-        t, dt = t_all[:pts.size], dt_all[:pts.size]
+        t, dt = _target_values(model, pts, r, target)
         # |t/t'| is the distance to the nearest zero over its multiplicity m,
         # at most gap/(2m) for a zero on an edge: an even-order zero there
         # leaves the phase unchanged, so the count cannot see it
         gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
                          np.abs(pts - np.roll(pts, 1)))
-        hit = np.abs(t) < ZERO_FLOOR * max(1.0, float(np.max(np.abs(t))))
+        a = np.abs(t)
+        # written so that a nan sample (mvp at L = 0) is a hit too
+        hit = ~(a >= ZERO_FLOOR * max(1.0, float(np.nanmax(a))))
         if hit.any():
             raise WindingError("boundary sample hits a zero",
                                gap=float(np.max(gap[hit])))
-        near = 3.0 * np.abs(t) < gap * np.abs(dt)
+        near = 3.0 * a < gap * np.abs(dt)
         if near.any():
             raise WindingError("a zero lies on the boundary",
                                gap=float(np.max(gap[near])))
         w, _ = _winding_of_samples(t)
-        w0 = 0
-        if n_circle:
-            w0, _ = _winding_of_samples(t_all[pts.size:])
-        if w is not None and w0 is not None:
-            return _moment_seeds(pts, wts, t, dt, w - w0, lo, hi, w0)
-        if w is None:
-            if n_side >= 2048:
-                raise WindingError("phase did not stabilize at 2048 samples/side")
-            n_side *= 2
-        if w0 is None:
-            if n_circle >= 1024:
-                raise WindingError("puncture circle winding unstable")
-            n_circle *= 2
+        if w is not None:
+            return _moment_seeds(pts, wts, t, dt, w, lo, hi)
+        if n_side >= 2048:
+            raise WindingError("phase did not stabilize at 2048 samples/side")
+        n_side *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +390,8 @@ def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
     a simple zero is the second (close simple zeros also give close seeds).
     At the subdivision floor the centroid as one zero of multiplicity w is
     the last.  One lock-step Newton batch runs them all and ends as soon as
-    one is verified: every point has its residual below zero_tol, lies in
-    the box and off the mvp puncture, no two points are one zero, and the
+    one is verified: every point has its residual below zero_tol and lies in
+    the box, no two points are one zero, and the
     tight box around every multiple zero recounts to its multiplicity
     (w separated simple zeros can fake a small residual at their centroid).
     A multiple zero is returned at that recount's moment centroid, which is
@@ -422,14 +413,11 @@ def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
     members = [m for h in hyps for m in h]
     bounds = np.cumsum([0] + [len(h) for h in hyps])
 
-    def usable(z, pad=0.0):
-        return (_box_contains(lo, hi, z, pad=pad)
-                and not (target == "mvp" and abs(z) <= MVP_PUNCTURE))
-
     def verified(z, res, mults):
         centroid = at_floor and len(z) == 1
         pad = max(2 * size, 1e-5 * (1 + abs(z[0]))) if centroid else 0.0
-        if any(res > zero_tol) or not all(usable(v, pad) for v in z) \
+        if any(res > zero_tol) \
+                or not all(_box_contains(lo, hi, v, pad) for v in z) \
                 or any(_same_zero(z[i], z[j])
                        for i in range(len(z)) for j in range(i)):
             return None
@@ -541,8 +529,8 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
     counted and searched the same way.  Each zero is polished once; one
     final batch measures every residual and snaps near-real zeros onto
     the real axis when that does not hurt it.  Results closer than a
-    multiple zero's noise cluster are merged and re-polished.  For mvp the
-    identically-vanishing point L = 0 is excluded by a punctured disk.
+    multiple zero's noise cluster are merged and re-polished.  The residual
+    of a zero is its |t|; for mvp that is |(φ - 1)/L|.
     """
     _check_target(target)
     lo, hi = complex(box[0]), complex(box[1])
@@ -619,17 +607,21 @@ def _profile_target(model, L, r_pts, target):
     """(h, h', h'') of the target along r, from one eigen_profile call.
 
     The ODE gives the second derivative: φ'' = Lφ - (θ'/θ)φ', whose limit at
-    r = 0 is L/(n + 1), and Φ'' = (θφ)' = θ'φ + θφ'.
+    r = 0 is L/(n + 1), and Φ'' = (θφ)' = θ((θ'/θ)φ + φ'), whose limit is
+    θ'(0): 1 for n = 1 and 0 otherwise (θ ~ rⁿ with no r^(n+1) term).
     """
     prof = eigen_profile(model, L, r_pts)
     r, u, v = prof["r"], prof["phi"], prof["dphi_dr"]
+    inner = r > 0
+    dlog = model.dlog_theta(r[inner])
     if target == "ball":
         th = model.theta(r)
-        return prof["Phi"], th * u, model.theta_prime(r) * u + th * v
+        ddh = np.full(r.shape, float(model.n == 1), dtype=complex)
+        ddh[inner] = th[inner] * (dlog * u[inner] + v[inner])
+        return prof["Phi"], th * u, ddh
     h = u - 1.0 if target == "mvp" else u
-    inner = r > 0
     ddh = np.full(r.shape, L / (model.n + 1), dtype=complex)
-    ddh[inner] = L * u[inner] - model.dlog_theta(r[inner]) * v[inner]
+    ddh[inner] = L * u[inner] - dlog * v[inner]
     return h, v, ddh
 
 

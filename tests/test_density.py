@@ -47,8 +47,8 @@ def test_small_r_expansion_coefficients():
 
 
 def test_closed_form_theta_matches_lambdify_bit_for_bit():
-    # the built-ins evaluate θ and θ' without sympy; each closed form keeps
-    # the operation order lambdify prints, so the doubles are the same
+    # the built-ins evaluate θ without sympy; each closed form keeps the
+    # operation order lambdify prints, so the doubles are the same
     r = sp.Symbol("r", positive=True)
     x = np.linspace(0, 30, 3001)
     cases = [(make_euclidean(n), r**n) for n in range(8)]
@@ -57,10 +57,8 @@ def test_closed_form_theta_matches_lambdify_bit_for_bit():
                2**(m + k) * sp.sinh(r / 2)**(m + k) * sp.cosh(r / 2)**k)
               for m in range(1, 8) for k in range(5)]
     for model, expr in cases:
-        for got, ref in ((model.theta, expr),
-                         (model.theta_prime, sp.diff(expr, r))):
-            want = np.broadcast_to(sp.lambdify(r, ref, "numpy")(x), x.shape)
-            assert np.array_equal(got(x), want), (model.key, ref)
+        want = np.broadcast_to(sp.lambdify(r, expr, "numpy")(x), x.shape)
+        assert np.array_equal(model.theta(x), want), (model.key, expr)
 
 
 def test_mean_curvature_limit_converges():

@@ -94,16 +94,6 @@ def test_make_grid_spacing_and_minimum():
     assert make_grid(0.1, spacing=0.05).n_panels == 16
 
 
-def test_signature_identity():
-    a = make_grid(2.0, n_panels=16)
-    b = make_grid(2.0, n_panels=16)
-    c = make_grid(2.0, n_panels=16, nodes_per_panel=10)
-    d = make_grid(2.0, n_panels=17)
-    assert a.signature == b.signature
-    assert a.signature != c.signature
-    assert a.signature != d.signature
-
-
 def test_even_spline_has_flat_center():
     g = make_grid(3.0, n_panels=30)
     vals = np.cosh(g.points)  # even profile, nonzero curvature at 0

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from harmonic import transforms
 from harmonic.density import make_damek_ricci, make_euclidean
@@ -101,12 +102,17 @@ def test_cosine_transform_refuses_unequal_panels():
 
 # -- the fold -----------------------------------------------------------------
 
-def _dense_at(g, a, data, deriv=False):
-    """Masked spline evaluation of data at |a|, zero beyond the grid."""
+def _dense_at(g, a, data, deriv=False, odd=False):
+    """Masked spline evaluation of data at |a|, zero beyond the grid.
+
+    The spline through data is even (flat at 0), or odd (no curvature at 0)
+    for slope samples.
+    """
     a = np.abs(np.asarray(a, dtype=float))
     out = np.zeros(a.shape)
     inside = a <= g.grid.x_max
-    spl = g.grid.spline(data)
+    spl = CubicSpline(g.grid.points, data, bc_type=((2, 0.0), "not-a-knot")) \
+        if odd else g.grid.spline(data)
     out[inside] = (spl.derivative() if deriv else spl)(a[inside])
     return out
 
@@ -118,7 +124,7 @@ def _dense_value(g, s):
 def _dense_slope(g, s):
     s = np.asarray(s, dtype=float)
     if g.deriv_values is not None:
-        return _dense_at(g, s, g.deriv_values) * np.sign(s)
+        return _dense_at(g, s, g.deriv_values, odd=True) * np.sign(s)
     return _dense_at(g, s, g.values, deriv=True) * np.sign(s)
 
 

@@ -54,6 +54,20 @@ def test_even_line_function_symmetry():
     assert np.max(np.abs(g.derivative(s) - expect)) < 1e-6
 
 
+@pytest.mark.parametrize("case", ["gauss_line", "abel"])
+def test_slope_spline_is_odd_at_the_origin(case):
+    # the spline through the odd slope samples has no curvature at 0, so
+    # inside the first knot interval it keeps the accuracy it has elsewhere
+    if case == "gauss_line":
+        g, s = transforms.gauss_line(0.8, 6.0), np.array([0.005, -0.005, 1.5])
+        exact = -2 * s / 0.64 * np.exp(-(s / 0.8) ** 2)
+    else:
+        f = gauss_bump(0.4)
+        g, s = abel(E2, f), np.array([0.004, -0.004, 0.7])
+        exact = -2 * math.pi * s * f.f(s)     # A f(s) = 2π ∫_s f(r) r dr
+    assert np.max(np.abs(g.derivative(s) - exact)) < 5e-9
+
+
 def test_transforms_reject_raw_callables():
     with pytest.raises(TypeError, match="EvenFunction or RadialProfile"):
         spherical_fourier(E2, lambda r: np.exp(-r), [1.0])

@@ -6,14 +6,18 @@ property fails exactly off the 2*pi lattice.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.optimize import brentq
 
 from harmonic import two_radius
-from harmonic.density import make_euclidean, make_real_hyperbolic
+from harmonic.density import (make_damek_ricci, make_euclidean,
+                              make_real_hyperbolic)
+from harmonic.spherical import eigen_profile
 from harmonic.two_radius import (WindingError, bad_radii, certify_pair,
                                  find_L_zeros, find_r_zeros,
                                  mvp_counterexample_demo)
@@ -92,8 +96,8 @@ def test_many_zeros_in_one_box_are_split_apart():
 
 
 def test_mean_value_zeros_are_double():
-    # cos(sqrt(-L) r) - 1 has double zeros at the 2*pi lattice; the trivial
-    # L = 0 zero is excluded by the puncture.
+    # cos(sqrt(-L) r) - 1 has double zeros at the 2*pi lattice; the searched
+    # target (cos(sqrt(-L) r) - 1)/L has no zero at L = 0.
     zs = find_L_zeros(E0, 1.0, target="mvp", box=(-50 - 5j, 5 + 5j))
     assert zs.winding_total == 2
     assert len(zs.zeros) == 1
@@ -101,6 +105,58 @@ def test_mean_value_zeros_are_double():
     assert z.multiplicity == 2
     assert abs(z.L - (-4 * math.pi**2)) < 1e-6  # double zero: sqrt accuracy
     assert all(abs(z.L) > 1.0 for z in zs.zeros)
+
+
+@pytest.mark.parametrize("box, expect", [
+    ((-3 - 3j, 1e-7 + 3j), [-1.0]),
+    ((-45 - 3j, -1e-9 + 1j), [-36.0, -25.0, -16.0, -9.0, -4.0, -1.0])],
+    ids=["edge_right_of_0", "edge_left_of_0"])
+def test_mvp_box_with_an_edge_next_to_the_origin_is_searched_as_requested(
+        box, expect):
+    # at r = 2π the target (cos(2π sqrt(-L)) - 1)/L has double zeros at
+    # L = -k² and equals r²/2 at L = 0, so an edge there is no zero's edge
+    zs = find_L_zeros(E0, 2 * math.pi, target="mvp", box=box)
+    assert zs.box == box
+    assert zs.winding_total == 2 * len(expect)
+    assert [z.multiplicity for z in zs.zeros] == [2] * len(expect)
+    assert np.max(np.abs(np.sort(zs.values().real) - expect)) < 1e-6
+    t, _ = two_radius._target_values(E0, [1e-9, 1e-9j], 2 * math.pi, "mvp")
+    assert np.allclose(t, 2 * math.pi**2, rtol=1e-6)
+
+
+def test_mvp_sample_on_the_origin_nudges_the_box_without_warnings():
+    # 35 nodes per edge put the top edge's midpoint on L = 0 exactly, where
+    # (φ - 1)/L is 0/0; that sample is refused and the box nudged
+    box = (-0.05 - 1j, 0.05 + 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t, _ = two_radius._target_values(E0, [0j], 20.0, "mvp")
+        zs = find_L_zeros(E0, 20.0, target="mvp", box=box)
+    assert np.isnan(t[0])
+    assert zs.box != box and zs.box[0].real < -0.05 and zs.box[1].real > 0.05
+    assert zs.winding_total == 0 and zs.zeros == []
+
+
+@pytest.mark.parametrize("model, expr", [
+    (make_euclidean(1), "r"), (E2, "r**2"),
+    (make_real_hyperbolic(1), "sinh(r)"), (H2, "sinh(r)**2"),
+    (make_damek_ricci(2, 1), "8*sinh(r/2)**3*cosh(r/2)")],
+    ids=["E1", "E2", "H2", "H3", "DR21"])
+def test_ball_second_derivative_is_theta_prime_phi_plus_theta_phi_prime(
+        model, expr):
+    # Φ'' = θ'φ + θφ', with θ' from sympy; at r = 0 it is θ'(0), which is 1
+    # for n = 1 (E1, H2) and 0 otherwise
+    r = sp.Symbol("r", positive=True)
+    theta_prime = sp.lambdify(r, sp.diff(sp.sympify(expr, locals={"r": r}),
+                                         r), "numpy")
+    radii = np.array([0.0, 1e-3, 0.4, 1.3, 3.7])
+    L = -7.5 + 2.0j
+    prof = eigen_profile(model, L, radii)
+    _, _, ddh = two_radius._profile_target(model, L, radii, "ball")
+    a = np.broadcast_to(theta_prime(radii), radii.shape) * prof["phi"]
+    b = model.theta(radii) * prof["dphi_dr"]
+    assert ddh[0] == (1.0 if model.n == 1 else 0.0)
+    assert np.all(np.abs(ddh - (a + b)) <= 1e-14 * (np.abs(a) + np.abs(b)))
 
 
 def test_find_L_zeros_box_guard():

@@ -28,6 +28,9 @@ call with its inputs built beforehand:
                    one find_L_zeros(E0, 0.81) from an empty cache
   eigen_profile    eigen_profile of E0 at L = -10 + i on find_r_zeros' scan
                    of r ≤ 10 (801 radii)
+  mvp_box          find_L_zeros(E0, r, "mvp") from an empty cache, keyed by
+                   r: r = 2π on [-3, 1] × [-3, 3]i, which holds L = 0, and
+                   r = 1 on [-50, 5] × [-5, 5]i
   phi_grid         phi on a fresh make_grid(rmax, spacing=0.05), as the
                    `phi` command calls it, for PHI_DRAWS draws per model of
                    λ ∈ [0.2, 1.5] (plus i·[0.1, 0.6] on E3) and
@@ -223,6 +226,11 @@ def main(argv=None):
                 setup=empty_caches)},
         "eigen_profile": best_of(lambda: spherical.eigen_profile(
             e0, -10.0 + 1.0j, np.linspace(0.0, 10.0, 801)), repeat),
+        "mvp_box": {
+            key: best_of(lambda: find_L_zeros(e0, r, "mvp", box=box), repeat,
+                         setup=empty_caches)
+            for key, r, box in (("2pi", 2 * math.pi, (-3 - 3j, 1 + 3j)),
+                                ("1", 1.0, (-50 - 5j, 5 + 5j)))},
         "phi_grid": {key: best_of(lambda: phi_grid(model, draws), repeat)
                      for key, (model, draws) in phi_models.items()},
         "import_cli": best_of(import_cli, repeat),
