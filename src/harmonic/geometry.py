@@ -156,12 +156,33 @@ def _angles(n):
     return np.arange(n) * (2.0 * np.pi / n)
 
 
+def _circle_means(space, f, centers, radii, angles):
+    """Means of f over the circles S_radii(centers) at the given angles.
+
+    centers is a (..., d) stack of points (or one point) and radii broadcasts
+    against its stack shape; the result has the common shape.  f is
+    evaluated on whole circles of about 2¹⁴ points at a time, so the point
+    stack of many circles is never built whole; each circle's points and
+    mean are computed as for that circle alone.
+    """
+    centers = np.asarray(centers, float)
+    radii = np.asarray(radii, float)
+    shape = np.broadcast_shapes(centers.shape[:-1], radii.shape)
+    centers = np.broadcast_to(centers, shape + centers.shape[-1:]).reshape(
+        -1, centers.shape[-1])
+    radii = np.broadcast_to(radii, shape).ravel()
+    out = np.empty(radii.size)
+    step = max(1, 2**14 // angles.size)
+    for lo in range(0, radii.size, step):
+        s = slice(lo, lo + step)
+        pts = space.sphere_param(centers[s, None, :], radii[s, None], angles)
+        out[s] = np.mean(_eval_points(f, pts), axis=-1)
+    return out.reshape(shape)
+
+
 def project(space, f, radii):
     """Radial profile of the projector πf about the origin, at many radii."""
-    radii = np.asarray(radii, float)
-    pts = space.sphere_param(space.origin, radii[:, None],
-                             _angles(QUAD_ORDER)[None, :])
-    return np.mean(_eval_points(f, pts), axis=-1)
+    return _circle_means(space, f, space.origin, radii, _angles(QUAD_ORDER))
 
 
 def bump_patch(space, center, width):
@@ -231,18 +252,14 @@ def projector_convolution_check(space, r, f, y_radii=None,
     # circle S_s(x0); right side: circle integral of πf over S_r(y) for the
     # one y on the ray (angle 0), where πf(z) is the mean of f over the
     # circle about x0 of radius d(x0, z).  Both sides need Q circle means per
-    # radius s, so one batch of (2, Q) circles of Q points serves both; one
-    # radius per pass keeps the point stack at (2, Q, Q).
+    # radius s: one batch of (2, S, Q) circles of Q points serves both.
     ys = space.sphere_param(x0, y_radii[:, None], psi)
     zs = space.sphere_param(ys[:, :1], r, psi)
-    means = np.empty((2, y_radii.size))
-    for s in range(y_radii.size):
-        centers = np.stack([ys[s], np.broadcast_to(x0, ys[s].shape)])
-        radii = np.stack([np.full(psi.shape, float(r)),
-                          space.distance(x0, zs[s])])
-        pts = space.sphere_param(centers[..., None, :], radii[..., None], psi)
-        means[:, s] = np.mean(np.mean(_eval_points(f, pts), axis=-1), axis=-1)
-    lhs, rhs = circ * means
+    centers = np.stack([ys, np.broadcast_to(x0, ys.shape)])
+    radii = np.stack([np.full(ys.shape[:-1], float(r)),
+                      space.distance(x0, zs)])
+    lhs, rhs = circ * np.mean(_circle_means(space, f, centers, radii, psi),
+                              axis=-1)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -264,12 +281,9 @@ def projector_selfadjoint_check(space, f, g, domain_radius):
     inner_order = QUAD_ORDER + QUAD_ORDER // 2
     outer = _angles(QUAD_ORDER)
     inner = _angles(inner_order) + np.pi / inner_order
-    pts_out = space.sphere_param(x0, s[:, None], outer[None, :])
-    pts_in = space.sphere_param(x0, s[:, None], inner[None, :])
-    fbar = np.mean(_eval_points(f, pts_out), axis=-1)
-    gbar = np.mean(_eval_points(g, pts_out), axis=-1)
-    pf = np.mean(_eval_points(f, pts_in), axis=-1)
-    pg = np.mean(_eval_points(g, pts_in), axis=-1)
+    fbar, gbar, pf, pg = (_circle_means(space, h, x0, s, angles)
+                          for h, angles in ((f, outer), (g, outer),
+                                            (f, inner), (g, inner)))
 
     theta = space.density.theta(s)
     two_pi = 2.0 * np.pi

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile, smooth_bump
@@ -30,7 +30,8 @@ _SERIES_MAX_TERMS = 600
 # Gauss-Legendre nodes per cell of the wave grid.  Its samples are read
 # through the cubic spline, one piece per cell, so spline × θφ_λ is smooth
 # within a cell: 4 nodes give F f within 1e-14 of its peak (against 16, on
-# wave_to_kg's H3 data for λ <= 150); 8 would only double the φ-basis radii.
+# wave_to_kg's H3 data for λ <= 150); 8 would only double the radii
+# the transform sums.
 FD_NODES_PER_CELL = 4
 # a wave slice's numerical support ends at its last sample above this
 # fraction of the slice's peak
@@ -366,6 +367,21 @@ class BoundaryLeakError(RuntimeError):
         self.required_r_max = required_r_max
 
 
+def _tridiagonal_solver(dl, d, du):
+    """x ↦ A⁻¹x for the tridiagonal A with sub-, main and super-diagonals
+    dl, d, du: factored once by LAPACK ?gttrf (LU with partial pivoting,
+    the elimination solve_banded's ?gtsv performs), substituted by ?gttrs.
+    Raises LinAlgError when a pivot is exactly zero (A singular).
+    """
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (d,))
+    *lu, info = gttrf(dl, d, du)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal factorization failed (?gttrf info "
+                          f"{info}): the matrix is singular")
+
+    return lambda b: gttrs(*lu, b)[0]
+
+
 def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
                       n_samples=9):
     """Crank-Nicolson trajectory of k_t = k_rr + (θ'/θ) k_r from a bump.
@@ -398,13 +414,6 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     upper = flux[1:] / denom           # coefficient of k[i+1]
     diag = -(flux[:-1] + flux[1:]) / denom
 
-    def banded_lhs(c):
-        ab = np.zeros((3, m_cells))
-        ab[0, 1:] = -c * upper[:-1]
-        ab[1, :] = 1.0 - c * diag
-        ab[2, :-1] = -c * lower[1:]
-        return ab
-
     def rhs_mul(c, k):
         out = (1.0 + c * diag) * k
         out[:-1] += c * upper[:-1] * k[1:]
@@ -422,9 +431,11 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     n_steps = max(4, int(math.ceil(t_final / dt - 1e-9)))
     dt_eff = t_final / n_steps
     # schedule: two Rannacher steps as backward-Euler halves, then CN;
-    # both use the same left-hand matrix I - (dt_eff/2) D
+    # both use the same left-hand matrix I - (dt_eff/2) D, factored once
     schedule = [("be", 0.5 * dt_eff)] * 4 + [("cn", dt_eff)] * (n_steps - 2)
-    lhs = banded_lhs(0.5 * dt_eff)
+    c = 0.5 * dt_eff
+    lhs_solve = _tridiagonal_solver(-c * lower[1:], 1.0 - c * diag,
+                                    -c * upper[:-1])
 
     times = np.cumsum([s[1] for s in schedule])
     sample_times = np.linspace(0.0, t_final, n_samples)
@@ -434,10 +445,7 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
 
     states = [HeatState(0.0, grid, k.copy(), bump_width, mass_of(k))]
     for j, (kind, step) in enumerate(schedule):
-        if kind == "be":
-            k = solve_banded((1, 1), lhs, k)
-        else:
-            k = solve_banded((1, 1), lhs, rhs_mul(0.5 * dt_eff, k))
+        k = lhs_solve(k if kind == "be" else rhs_mul(c, k))
         if j in record:
             states.append(HeatState(float(times[j]), grid, k.copy(),
                                     bump_width, mass_of(k)))

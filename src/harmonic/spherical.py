@@ -15,11 +15,12 @@ matrices.  The inner integrals of the recursion are the piece's fluxes, so
 sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
 eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
 proportion to its size and not to λ_max.  It serves every caller:
-phi_ode_values for real or complex λ, and with it phi, phi_basis (values
-only, for the transforms) and the geometry checks; eigen_state_at for the
-L-plane zero search, at one radius cut into a power-of-two number of equal
-pieces, with ∂/∂L through the transfer chain; eigen_profile for the zeros
-in r, on the distinct radii of a profile.
+phi_ode_values for real or complex λ, and with it phi, phi_basis (the
+values abel_inverse scans, or their weighted sums, which the spherical
+transform contracts into the levels) and the geometry checks;
+eigen_state_at for the L-plane zero search, at one radius cut into a
+power-of-two number of equal pieces, with ∂/∂L through the transfer chain;
+eigen_profile for the zeros in r, on the distinct radii of a profile.
 
 The same series taken over the whole radius, φ_λ = 1 + Σ_{k≥1} a_k(r) L^k,
 is kept as the battery's reference (phi_series, volterra_coefficients).
@@ -121,15 +122,18 @@ class _LRUCache:
             return value
 
 
-# The one cache holds two kinds of entry: φ-basis matrices (phi_basis) and
-# eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per piece
-# (about 0.8 KB).  A datum's rows are looked up again by the 2-3 transform
-# calls that reuse it (abel, then a Klein-Gordon, convolution or inversion of
-# the same profile).  abel on a support-1.5 bump in R³ holds 17 MB of rows,
-# and the calls between two uses of a datum add under 10 MB; this cap keeps
-# a datum alive across them with room for data twice that size, and bounds
-# what stale rows of finished data can pin in memory.  A level set of the
-# default L-box at r = 10 has 32 pieces, 26 KB.
+# The one cache holds three kinds of entry:
+# - F f vectors (phi_basis with weights), one double per λ-node: 11 KB for the
+#   1,384 nodes of abel on a support-1.5 bump in R³.  A datum's vector is
+#   looked up again by the 2-3 transform calls that reuse it (abel, then a
+#   Klein-Gordon, convolution or inversion of the same profile);
+# - abel_inverse's scan rows (phi_basis without weights), λ-scan × radii:
+#   2.0-2.6 MB for the support-2 convolutions of H3 and R³;
+# - eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per
+#   piece (about 0.8 KB); a level set of the default L-box at r = 10 has 32
+#   pieces, 26 KB.
+# No transform holds a λ × r matrix of φ, so the cap mostly bounds what the
+# scan rows of finished inversions can pin in memory.
 CACHE_BYTES = 64 * 2**20
 _CACHE = _LRUCache(CACHE_BYTES)
 
@@ -404,39 +408,27 @@ def _spps_levels(model, edges, Phi=False):
     return ends, slopes, log_ref[:, 0]
 
 
-def _spps_rows(model, L, radii, derivs=True, Phi=False):
-    """φ[, φ_r][, Φ = ∫θφ] at sorted radii for a batch of L, by the series.
+def _spps_frame(model, L, radii, Phi=False):
+    """The pieces of the series for a batch of L, and the radii in them.
 
     Pieces: the first [0, h] and then equal pieces of length
-    h = min(_spps_piece(max|L|), r_last) up to the last radius, so every
-    later piece [b, b + h] keeps b ≥ h away from the singular θ'/θ ~ n/r.
-    (φ, φ') pass from piece to piece by the 2×2 transfer matrices
-    [[y1, y2], [y1', y2']] at the piece ends; a radius in piece p gets
-    φ(b_p) y1(r) + φ'(b_p) y2(r), and Φ(b_p) plus θ_p times
-    φ(b_p) Σ L^k C_{k+1}(r) + φ'(b_p) Σ L^k E_{k+1}(r), θ_p being θ where
-    θ̂ = 1.  Values map the
-    node slopes A_k', B_k' to the radii by their running integral; φ_r and
-    Φ interpolate node values, so derivs=False maps and sums half the
-    levels of φ and φ_r.  Each piece's sums carry a rounding floor of about
-    eps·cosh(SPPS_PHASE).  Returns the rows in that order, each
-    (len(L), len(radii)).
+    h = min(_spps_piece(max|L|), r_last) up to the last radius (which must be
+    positive), so every later piece [b, b + h] keeps b ≥ h away from the
+    singular θ'/θ ~ n/r.  Returns (ends, slopes, log_ref, powers, i0, cut,
+    V, value_map): _spps_levels' data, the powers L^k, k = 0..K, and the
+    radii: radii[:i0] are 0, piece p holds r = radii[i0:][cut[p]:cut[p+1]],
+    V is legvander at their places tloc on the reference panel [-1, 1], and
+    value_map maps a piece's node slopes A_k', B_k' to A_k, B_k at its radii
+    by their running integral.
     """
-    M, K, D = L.size, SPPS_ORDER, SPPS_NODES
-    rows = [np.ones((M, radii.size), dtype=L.dtype)]
-    rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
-    r_last = float(radii[-1]) if radii.size else 0.0
-    if r_last == 0.0:
-        return rows
+    K, D = SPPS_ORDER, SPPS_NODES
+    r_last = float(radii[-1])
     h = min(_spps_piece(float(np.max(np.abs(L), initial=0.0))), r_last)
     P = max(1, math.ceil(r_last / h - 1e-9))
     edges = h * np.arange(P + 1.0)
     edges[-1] = r_last
     ends, slopes, log_ref = _spps_levels(model, edges, Phi)
-    if Phi:
-        theta_ref = np.exp(log_ref)
     powers = L[:, None] ** np.arange(K + 1)
-    # φ(0) = 1, φ'(0) = 0 and Φ(0) = 0 hold as set; piece p holds the radii
-    # r[cut[p]:cut[p+1]], each at tloc on the reference panel [-1, 1]
     i0 = np.searchsorted(radii, 0.0, side="right")
     r = radii[i0:]
     cut = np.concatenate([[0], np.searchsorted(r, edges[1:-1]), [r.size]])
@@ -445,9 +437,37 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
     tloc = (r - edges[piece]) / half[piece] - 1.0
     V = legvander(tloc, D)
     _, _, coef_mat, _ = _tables(D)
-    # maps from a piece's node values to the radii: the running integral
-    # (A', B' to y1, y2) and the interpolant (to y1', y2' and the fluxes)
     value_map = (_legendre_partials(tloc, V) @ coef_mat) * half[piece, None]
+    return ends, slopes, log_ref, powers, i0, cut, V, value_map
+
+
+def _spps_rows(model, L, radii, derivs=True, Phi=False):
+    """φ[, φ_r][, Φ = ∫θφ] at sorted radii for a batch of L, by the series.
+
+    The pieces are _spps_frame's.  (φ, φ') pass from piece to piece by the
+    2×2 transfer matrices [[y1, y2], [y1', y2']] at the piece ends; a radius
+    in piece p gets φ(b_p) y1(r) + φ'(b_p) y2(r), and Φ(b_p) plus θ_p times
+    φ(b_p) Σ L^k C_{k+1}(r) + φ'(b_p) Σ L^k E_{k+1}(r), θ_p being θ where
+    θ̂ = 1.  Values map the node slopes A_k', B_k' to the radii by their
+    running integral; φ_r and Φ interpolate node values, so derivs=False
+    maps and sums half the levels of φ and φ_r.  Each piece's sums carry a
+    rounding floor of about eps·cosh(SPPS_PHASE).  Returns the rows in that
+    order, each (len(L), len(radii)).
+    """
+    M, K, D = L.size, SPPS_ORDER, SPPS_NODES
+    rows = [np.ones((M, radii.size), dtype=L.dtype)]
+    rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
+    if not radii.size or radii[-1] == 0.0:
+        return rows
+    ends, slopes, log_ref, powers, i0, cut, V, value_map = _spps_frame(
+        model, L, radii, Phi)
+    P = cut.size - 1
+    if Phi:
+        theta_ref = np.exp(log_ref)
+    # φ(0) = 1, φ'(0) = 0 and Φ(0) = 0 hold as set.  Maps from a piece's
+    # node values to the radii: the running integral (A', B' to y1, y2) and
+    # the interpolant (to y1', y2' and the fluxes)
+    _, _, coef_mat, _ = _tables(D)
     node_map = V[:, :D] @ coef_mat if derivs or Phi else None
     maps = np.stack([value_map, node_map]) if derivs else value_map[None]
     groups = 1 + derivs + Phi
@@ -486,6 +506,53 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
     return rows
 
 
+def _spps_contract(model, L, radii, weights):
+    """Σ_i weights_i φ(radii_i) for a batch of L, without forming the rows.
+
+    The series is linear in its node data, so each piece's weights are
+    summed into its levels before any L enters: Σ_{r∈p} w_r A_k(r) and
+    Σ_{r∈p} w_r B_k(r) come from the weighted sum of the value map's rows
+    (segment sums over the sorted radii) through the node slopes, plus
+    Σ_{r∈p} w_r for A_0 = 1.  One product with the powers of L gives each
+    piece's (Y1, Y2), and the sum gathers φ(b_p) Y1 + φ'(b_p) Y2 along the
+    transfer chain of _spps_rows.  The work in L is O(len(L)·P·K) for P
+    pieces, against O(len(L)·len(radii)·K) for the rows.  Returns shape
+    (len(L),).
+    """
+    M, K, D = L.size, SPPS_ORDER, SPPS_NODES
+    if not radii.size or radii[-1] == 0.0:
+        return np.full(M, np.sum(weights), dtype=L.dtype)
+    ends, slopes, _, powers, i0, cut, _, value_map = _spps_frame(
+        model, L, radii)
+    P = cut.size - 1
+    w = weights[i0:]
+    out = np.full(M, np.sum(weights[:i0]), dtype=L.dtype)    # φ(0) = 1
+    filled = np.diff(cut) > 0
+    sums = np.zeros((P, D + 1))
+    sums[filled] = np.add.reduceat(
+        np.column_stack([w[:, None] * value_map, w]), cut[:-1][filled],
+        axis=0)
+    # (K+1, 2, P): Σ_r w_r (A_k(r), B_k(r)) per piece, A_0 = 1 included
+    lev = np.einsum("pkjd,pd->kjp", slopes[0], sums[:, :D])
+    lev[0, 0] += sums[:, D]
+    block = max(1, SPPS_BLOCK_BYTES // (6 * out.itemsize * M))
+    u, du = np.ones(M, dtype=L.dtype), np.zeros(M, dtype=L.dtype)
+    for lo in range(0, P, block):
+        s = slice(lo, min(lo + block, P))
+        n = s.stop - s.start
+        # the transfer matrices and the (Y1, Y2) of n pieces, one product
+        y = powers @ np.concatenate([ends[..., s].reshape(K + 1, -1),
+                                     lev[..., s].reshape(K + 1, -1)], axis=1)
+        transfer = y[:, :4 * n].reshape(M, 2, 2, n)
+        Y = y[:, 4 * n:].reshape(M, 2, n)
+        for j in range(n):
+            out += u * Y[:, 0, j] + du * Y[:, 1, j]
+            t = transfer[..., j]
+            u, du = (t[:, 0, 0] * u + t[:, 0, 1] * du,
+                     t[:, 1, 0] * u + t[:, 1, 1] * du)
+    return out
+
+
 def _refuse_growth(what, rate, r_last):
     """PhiOverflowError when exp(rate·r_last) leaves double range."""
     if rate > 0 and rate * r_last > LOG_RANGE:
@@ -494,16 +561,21 @@ def _refuse_growth(what, rate, r_last):
             f"beyond r = {LOG_RANGE / rate:.6g}, the largest usable radius")
 
 
-def phi_ode_values(model, lams, r_points, *, derivs=True):
+def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
     """φ_λ and φ_λ' at the radii for a batch of λ, by a piecewise series.
 
     Returns (values, derivatives) with shape (len(lams), len(r_points));
     with derivs=False the derivatives are not formed and come back as None
-    (phi_basis).  r_points must be sorted ascending.  No ODE is stepped:
-    the coefficient functions of the piecewise spectral-parameter power
-    series depend on the model and the pieces only, so rows cost ∝ their
-    count, not λ_max (see _spps_rows).  Raises PhiOverflowError, naming the
-    largest usable radius, when some φ_λ would overflow before the last one.
+    (phi_basis).  With weights (one per radius, derivs=False) it returns
+    only the contraction Σ_i weights_i φ_λ(r_i), shape (len(lams),),
+    summed into the series levels before λ enters (_spps_contract): its
+    cost in λ is ∝ the number of pieces, not of radii, and no row is
+    formed.
+    r_points must be sorted ascending.  No ODE is stepped: the coefficient
+    functions of the piecewise spectral-parameter power series depend on
+    the model and the pieces only, so rows cost ∝ their count, not λ_max
+    (see _spps_rows).  Raises PhiOverflowError, naming the largest usable
+    radius, when some φ_λ would overflow before the last one.
     """
     lams = np.atleast_1d(np.asarray(lams))
     real_input = not np.iscomplexobj(lams) or np.all(lams.imag == 0)
@@ -516,11 +588,18 @@ def phi_ode_values(model, lams, r_points, *, derivs=True):
         raise ValueError("r_points must be a sorted 1-d array")
     if r_points.size and r_points[0] < 0:
         raise ValueError("radii must be nonnegative")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if derivs or weights.shape != r_points.shape:
+            raise ValueError("weights need derivs=False and one weight per "
+                             "radius")
     # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
     # sums meet an overflow
     if r_points.size:
         rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
         _refuse_growth("φ_λ", rate, r_points[-1])
+    if weights is not None:
+        return _spps_contract(model, L, r_points, weights)
     rows = _spps_rows(model, L, r_points, derivs=derivs)
     return rows[0], (rows[1] if derivs else None)
 
@@ -648,22 +727,31 @@ def eigen_profile(model, L, r_points):
 # cached real-λ bases for the transform machinery
 # ---------------------------------------------------------------------------
 
-def phi_basis(model, lams, r_points):
+def phi_basis(model, lams, r_points, weights=None):
     """Matrix φ_{λ_j}(r_i), shape (len(lams), len(r_points)), cached.
 
-    The cache makes repeated transform calls against the same λ-nodes and
-    radial nodes cheap (one phi_ode_values call in total).  It is a
-    thread-safe LRU capped at CACHE_BYTES; the rows are computed
-    outside its lock.  Returned matrices are shared between callers and
-    read-only.
+    With weights (one per radius) the cached value is the vector
+    Σ_i weights_i φ_{λ_j}(r_i), shape (len(lams),), contracted inside the
+    series (phi_ode_values) without forming the matrix; the transforms ask
+    for that.  The cache makes repeated transform calls against the same
+    λ-nodes, radial nodes and weights cheap (one phi_ode_values call in
+    total).  It is a thread-safe LRU capped at CACHE_BYTES; the values are
+    computed outside its lock.  Returned arrays are shared between callers
+    and read-only.
     """
     lams = np.asarray(lams, dtype=float)
     r_points = np.asarray(r_points, dtype=float)
     key = (model.key, lams.tobytes(), r_points.tobytes())
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        key += (weights.tobytes(),)
     out = _CACHE.get(key)
     if out is None:
-        out, _ = phi_ode_values(model, lams, r_points, derivs=False)
+        if weights is None:
+            out, _ = phi_ode_values(model, lams, r_points, derivs=False)
+        else:
+            out = phi_ode_values(model, lams, r_points, derivs=False,
+                                 weights=weights)
         out.flags.writeable = False
         out = _CACHE.put(key, out)
     return out
-

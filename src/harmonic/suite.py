@@ -14,7 +14,6 @@ import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from . import asymptotics, geometry, pde, profiles, transforms, two_radius
@@ -121,7 +120,9 @@ def _phi_oracle(key, lam, r):
         out[nz] = np.sin(lam * r[nz]) / (lam * np.sinh(r[nz]))
         return out
     if key == "dr21":
-        # Jacobi function 2F1(Q/2 + iλ, Q/2 - iλ; (m+k+1)/2; -sinh²(r/2))
+        # Jacobi function 2F1(Q/2 + iλ, Q/2 - iλ; (m+k+1)/2; -sinh²(r/2));
+        # mpmath loads here only, so no other command imports it
+        import mpmath
         m, k = 2, 1
         Q = m / 2 + k
         return np.array([complex(mpmath.hyp2f1(

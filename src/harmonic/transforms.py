@@ -289,15 +289,21 @@ def _as_radial(f):
 # ---------------------------------------------------------------------------
 
 def spherical_fourier(model, f, lambdas):
-    """F f on a grid of real λ ≥ 0.  f must be compactly supported."""
+    """F f on a grid of real λ ≥ 0.  f must be compactly supported.
+
+    The quadrature weights times θ f at f's grid nodes are contracted into
+    the series (phi_basis with weights), so no λ × r matrix of φ_λ(r) is
+    formed; the F f vector is cached for the 2-3 transform calls that reuse
+    the datum.
+    """
     f = _as_radial(f)
     if not np.isfinite(f.support):
         raise ValueError("spherical_fourier needs compact support")
     lambdas = np.asarray(lambdas, dtype=float)
     nodes = f.grid.nodes
     weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
-    basis = phi_basis(model, lambdas, nodes)
-    vals = model.sphere_const * (basis @ weighted)
+    vals = model.sphere_const * phi_basis(model, lambdas, nodes,
+                                          weights=weighted)
     return SpectralSamples(lambdas=lambdas, values=vals)
 
 
@@ -309,9 +315,10 @@ def abel(model, f, s_max=None, lambda_max=None):
     laid from 0: λ_max is always a whole number of panels (at least 16).
     Without lambda_max, λ_max starts at the conventional 40/R, rounded up to
     a panel edge, and is extended by _sample_until_decayed's tail rule; an
-    extension evaluates F f on the added panels only, so every φ-basis row
-    is computed once (and cached, see phi_basis); rows cost ∝ their count,
-    not λ_max (phi_ode_values).  A given lambda_max is a
+    extension evaluates F f on the added panels only, so every λ-node is
+    summed once (and its F f cached, see phi_basis); the cost per λ-node is
+    ∝ the series pieces, not the radial nodes, nor λ_max
+    (phi_ode_values).  A given lambda_max is a
     fixed cutoff, rounded up to a panel edge, neither extended nor refused,
     for callers that pin it themselves (identity checks, samples whose
     spectrum flattens into noise).  info["lambda_max"] is the rounded cutoff

@@ -1,4 +1,6 @@
 """The built-in models never load sympy; only a custom density does.
+mpmath, which only the suite's DR ₂F₁ oracle uses, stays unloaded at the same
+stages.
 
 Each check runs in a fresh interpreter with PYTHONPATH=src, because the
 test session itself imports sympy as an oracle.
@@ -16,23 +18,31 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = r"""
 import json, sys
-loaded = {}
+loaded, mp_loaded = {}, {}
+
+def mark(stage):
+    loaded[stage] = "sympy" in sys.modules
+    mp_loaded[stage] = "mpmath" in sys.modules
+
 import harmonic.cli as cli
-loaded["import harmonic.cli"] = "sympy" in sys.modules
+mark("import harmonic.cli")
 from harmonic.density import (builtin_models, make_custom, make_damek_ricci,
                               make_real_hyperbolic)
 builtin_models()
-loaded["builtin_models()"] = "sympy" in sys.modules
+mark("builtin_models()")
 make_real_hyperbolic(5)
 make_damek_ricci(4, 3)
-loaded["H6 and DR(4,3)"] = "sympy" in sys.modules
+mark("H6 and DR(4,3)")
 rc = cli.main(["phi", "--model", "damek-ricci", "--lambda", "1.3,0.2",
                "--rmax", "3", "--out", sys.argv[1]])
-loaded["cli phi"] = "sympy" in sys.modules
+mark("cli phi")
 custom = make_custom("sinh(r)**2", 2)
-print(json.dumps({"loaded": loaded, "rc": rc, "custom_H": custom.H,
+print(json.dumps({"loaded": loaded, "mpmath_loaded": mp_loaded, "rc": rc,
+                  "custom_H": custom.H,
                   "custom_loaded": "sympy" in sys.modules}))
 """
+STAGES = ["import harmonic.cli", "builtin_models()", "H6 and DR(4,3)",
+          "cli phi"]
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +56,14 @@ def cold_run(tmp_path_factory):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("stage", ["import harmonic.cli", "builtin_models()",
-                                   "H6 and DR(4,3)", "cli phi"])
+@pytest.mark.parametrize("stage", STAGES)
 def test_builtin_path_leaves_sympy_unloaded(cold_run, stage):
     assert cold_run["loaded"][stage] is False
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_builtin_path_leaves_mpmath_unloaded(cold_run, stage):
+    assert cold_run["mpmath_loaded"][stage] is False
 
 
 def test_builtin_cli_command_succeeds_without_sympy(cold_run):

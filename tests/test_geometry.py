@@ -40,6 +40,29 @@ def test_projector_convolution_check_matches_circle_loop(tag):
     assert abs(got - ref) <= 1e-13
 
 
+@pytest.mark.parametrize("tag", ["plane", "h2"])
+def test_circle_means_equal_the_unblocked_mean(tag):
+    space = geometry.space_by_tag(tag)
+    psi = geometry._angles(256)
+    # 2¹⁴ points are 64 circles of 256: three blocks, the last one ragged
+    n = 150
+    centers = space.sphere_param(space.origin, np.linspace(0.1, 1.0, n),
+                                 np.linspace(0.0, 6.0, n))
+    radii = np.linspace(0.2, 1.5, n)
+    f = geometry.bump_patch(space, space.sphere_param(space.origin, 0.5, 1.0),
+                            1.2)
+    pts = space.sphere_param(centers[:, None, :], radii[:, None], psi)
+    want = np.mean(geometry._eval_points(f, pts), axis=-1)
+    got = geometry._circle_means(space, f, centers, radii, psi)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
+    # one centre broadcast against a stack of radii, as project uses it
+    pts = space.sphere_param(space.origin, radii[:, None], psi)
+    assert np.array_equal(
+        geometry._circle_means(space, f, space.origin, radii, psi),
+        np.mean(geometry._eval_points(f, pts), axis=-1))
+
+
 def test_sphere_param_takes_a_stack_of_centres():
     space = geometry.make_hyperbolic_plane()
     centers = space.sphere_param(space.origin, np.array([0.5, 1.2]), 0.3)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.special import j1
 
-from harmonic.density import make_euclidean, make_real_hyperbolic
+from harmonic.density import (make_damek_ricci, make_euclidean,
+                              make_real_hyperbolic)
 from harmonic import pde
 from harmonic.grids import make_grid
 from harmonic.pde import (BoundaryLeakError, heat_identity_check,
@@ -187,6 +189,31 @@ def test_heat_stays_nonnegative_and_spreads():
     assert np.all(k1.k >= -1e-12)
     # peak decays as mass spreads outward
     assert np.max(k1.k) < 0.5 * np.max(k0.k)
+
+
+@pytest.mark.parametrize("model", [E2, make_real_hyperbolic(3),
+                                   make_damek_ricci(2, 1)],
+                         ids=["E3", "H4", "DR21"])
+def test_heat_trajectory_equals_the_solve_banded_steps(monkeypatch, model):
+    got = radial_heat_solve(model, 0.5, 0.3)
+
+    def banded(dl, d, du):
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        return lambda b: solve_banded((1, 1), ab, b)
+
+    # the reference re-factors the matrix at every step, as solve_banded does
+    monkeypatch.setattr(pde, "_tridiagonal_solver", banded)
+    want = radial_heat_solve(model, 0.5, 0.3)
+    assert len(got) == len(want) == 9
+    for a, b in zip(got, want):
+        assert a.t == b.t and a.mass == b.mass
+        assert np.array_equal(a.k, b.k)
+
+
+def test_tridiagonal_solver_refuses_a_singular_matrix():
+    with pytest.raises(LinAlgError, match="singular"):
+        pde._tridiagonal_solver(np.ones(3), np.zeros(4), np.zeros(3))
 
 
 def test_heat_guards():

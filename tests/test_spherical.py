@@ -411,15 +411,17 @@ def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
     assert big.shape == (8, 64) and cache.nbytes <= cache.max_bytes
 
 
-def test_phi_basis_threads_match_serial(ode_rows):
+def _threads_match_serial(weights=None):
     r_pts = np.linspace(0.0, 2.0, 33)
     sets = [np.array([0.3, 0.7]) * (1 + i % 4) for i in range(16)]
     serial = [phi_ode_values(E2, lams, r_pts, derivs=False)[0]
+              if weights is None else
+              phi_ode_values(E2, lams, r_pts, derivs=False, weights=weights)
               for lams in sets]
     got = [None] * len(sets)
 
     def work(i):
-        got[i] = phi_basis(E2, sets[i], r_pts)
+        got[i] = phi_basis(E2, sets[i], r_pts, weights=weights)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -439,6 +441,54 @@ def test_phi_basis_threads_match_serial(ode_rows):
     # four distinct keys; a lost update would break the byte count
     assert len(cache._entries) == 4
     assert cache.nbytes == sum(v.nbytes for v in cache._entries.values())
+
+
+def test_phi_basis_threads_match_serial(ode_rows):
+    _threads_match_serial()
+
+
+def test_phi_basis_weights_threads_match_serial(ode_rows):
+    _threads_match_serial(weights=np.linspace(0.5, 1.5, 33))
+
+
+def _radii_across_pieces(model, lam_max):
+    """Radii at 0, on piece edges and inside pieces, with piece 3 empty."""
+    top = lam_max**2 + model.H**2 / 4
+    h = spherical._spps_piece(top)
+    inside = h * (np.arange(11)[:, None] + np.array([0.13, 0.5, 0.91]))
+    inside = inside[np.arange(11) != 3].ravel()
+    edges = h * np.array([1.0, 2.0, 5.0, 10.0])
+    inside = inside[inside < 10.3 * h]
+    return np.sort(np.concatenate([[0.0, 0.0], edges, inside, [10.3 * h]]))
+
+
+@pytest.mark.parametrize("model", [E0, E2, H3, make_real_hyperbolic(5), DR21],
+                         ids=lambda m: m.key)
+def test_weighted_sums_equal_the_rows_product(model):
+    lams = np.linspace(0.0, 40.0, 97)
+    r = _radii_across_pieces(model, 40.0)
+    w = np.random.default_rng(7).uniform(0.5, 1.5, r.size)
+    rows, _ = phi_ode_values(model, lams, r, derivs=False)
+    got = phi_ode_values(model, lams, r, derivs=False, weights=w)
+    assert got.shape == lams.shape
+    want = rows @ w
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # complex λ, and radii all at 0
+    lam = np.array([1.0 + 0.5j, 3.0 - 0.2j])
+    rows, _ = phi_ode_values(model, lam, r, derivs=False)
+    got = phi_ode_values(model, lam, r, derivs=False, weights=w)
+    assert np.max(np.abs(got - rows @ w)) <= 1e-14 * np.max(np.abs(rows @ w))
+    got = phi_ode_values(model, lams, np.zeros(3), derivs=False,
+                         weights=np.array([1.0, 2.0, 0.5]))
+    assert np.array_equal(got, np.full(lams.size, 3.5))
+
+
+def test_weights_need_values_only_and_one_per_radius():
+    r = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="weights"):
+        phi_ode_values(E2, [1.0], r, weights=np.ones(5))
+    with pytest.raises(ValueError, match="weights"):
+        phi_ode_values(E2, [1.0], r, derivs=False, weights=np.ones(4))
 
 
 # -- structural properties ---------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from harmonic import transforms
+from harmonic import spherical, transforms
 from harmonic.density import (make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
@@ -78,6 +78,32 @@ def test_fourier_requires_compact_support():
     f = EvenFunction(grid=g, values=np.exp(-g.points), support=np.inf)
     with pytest.raises(ValueError, match="compact support"):
         spherical_fourier(E2, f, [1.0])
+
+
+# -- the contracted transform -------------------------------------------------
+
+@pytest.mark.parametrize("model", [E0, E2, H3, H6, make_damek_ricci(2, 1)],
+                         ids=lambda m: m.key)
+def test_spherical_fourier_equals_the_basis_product(model):
+    f = EvenFunction.from_profile(annulus_bump(0.8, 0.3))
+    lams = np.linspace(0.0, 60.0, 241)
+    nodes = f.grid.nodes
+    weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
+    want = model.sphere_const * (spherical.phi_basis(model, lams, nodes)
+                                 @ weighted)
+    got = spherical_fourier(model, f, lams).values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_abel_caches_no_basis_matrix(monkeypatch):
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    af = abel(E2, smooth_bump(1.5))
+    entries = list(spherical._CACHE._entries.values())
+    # one F f vector per λ_max round, and no λ × r matrix behind them
+    assert len(entries) > 1
+    assert all(v.ndim == 1 for v in entries)
+    assert sum(v.size for v in entries) == af.info["n_lambda_nodes"]
 
 
 # -- closed-form oracles ------------------------------------------------------

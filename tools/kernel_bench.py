@@ -14,6 +14,13 @@ call with its inputs built beforehand:
                    on a fresh copy of the grid each time
   phi_basis        the φ-basis of E3 for abel's λ-nodes up to 275 at the
                    radial nodes of smooth_bump(1.5), from an empty cache
+  spherical_fourier  F f from an empty cache, keyed by shape: "e3_round" is
+                   smooth_bump(1.5) on E3 at the λ-nodes of abel's last λ_max
+                   round for it, "wave_slice" the last slice of the H3
+                   wave above at the λ-nodes wave_to_kg_check's abel takes
+                   for it (q0's λ_max, s_max = support + 0.5)
+  heat_solve       radial_heat_solve(H3, 1.0, 0.3), the trajectory a
+                   heat-check of t = 1 computes
   abel_inverse_h3_gauss    abel_inverse of A(gauss_bump(0.4)) on H3, from
                            an empty φ-basis cache
   abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
@@ -183,7 +190,25 @@ def main(argv=None):
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
     n_panels = round(a_bump.info["lambda_max"] / width)
     lams = Grid1D(points=width * np.arange(n_panels + 1)).nodes
-    r_nodes = transforms.EvenFunction.from_profile(bump).grid.nodes
+    bump_datum = transforms.EvenFunction.from_profile(bump)
+    r_nodes = bump_datum.grid.nodes
+    # abel's last round for the bump: its cache holds one entry per round,
+    # keyed by the round's λ-nodes
+    empty_caches()
+    transforms.abel(e3, bump)
+    round_lams = max((np.frombuffer(key[1])
+                      for key in spherical._CACHE._entries
+                      if key[0] == e3.key), key=len)
+    # a wave slice as wave_to_kg_check hands it to abel, its node values
+    # taken beforehand
+    slice_width = math.pi / (2.0 * max(wave.support + 1.0, 1.0))
+    slice_lams = Grid1D(points=slice_width * np.arange(max(16, math.ceil(
+        transforms.abel(h3, gauss_bump(0.42)).info["lambda_max"]
+        / slice_width)) + 1)).nodes
+    fw = transforms.EvenFunction(grid=wave.grid, values=wave.u,
+                                 support=min(wave.support + 0.1,
+                                             wave.grid.x_max))
+    fw.exact_node_values = fw.node_values()
     sweep_radii = make_grid(1.5, spacing=0.02).nodes
 
     e0 = make_euclidean(0)
@@ -209,6 +234,14 @@ def main(argv=None):
                                wave.u), repeat),
         "phi_basis": best_of(lambda: spherical.phi_basis(e3, lams, r_nodes),
                              repeat, setup=empty_caches),
+        "spherical_fourier": {
+            key: best_of(lambda: transforms.spherical_fourier(model, f, lam),
+                         repeat, setup=empty_caches)
+            for key, model, f, lam in (("e3_round", e3, bump_datum,
+                                        round_lams),
+                                       ("wave_slice", h3, fw, slice_lams))},
+        "heat_solve": best_of(lambda: pde.radial_heat_solve(h3, 1.0, 0.3),
+                              repeat),
         "abel_inverse_h3_gauss": best_of(
             lambda: transforms.abel_inverse(h3, a_h3_gauss), repeat,
             setup=empty_caches),
@@ -240,6 +273,9 @@ def main(argv=None):
     report = {"unit": "s", "repeat": repeat, "best": out,
               "sizes": {"abel_lambda_nodes": int(lams.size),
                         "phi_basis_radii": int(r_nodes.size),
+                        "e3_round_lambda_nodes": int(round_lams.size),
+                        "wave_slice_lambda_nodes": int(slice_lams.size),
+                        "wave_slice_radii": int(fw.grid.nodes.size),
                         "sweep_radii": int(sweep_radii.size),
                         "fd_grid_nodes": int(wave.grid.nodes.size)},
               "python": platform.python_version(),
