@@ -9,9 +9,9 @@ l'Hospital refinement of the previous one:
 
 This module samples all three stages, estimates the Dirichlet bottom
 eigenvalue λ₀(B_R) of the radial Sturm-Liouville problem (whose R → ∞ limit
-is H²/4), and assembles a consolidated report.  λ₀(B_R) is the ground value
-of a finite-volume discretization, found by LAPACK bisection and
-Richardson-extrapolated over mesh halvings until its O(h⁴) update settles.
+is H²/4), and assembles a consolidated report.  λ₀(B_R) comes from the
+series engine: it is λ₁² + H²/4 at the first zero λ₁ of λ ↦ φ_λ(R), found
+on a λ-scan of φ_λ(R) as abel_inverse finds its Dirichlet zeros.
 h itself is an infimum over all compact domains and is not computable from θ
 alone; the report labels the equality h = H as proved but unverified by this
 artifact.
@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from .grids import make_grid
+from .spherical import phi_ode_values
+from .transforms import _WINDOW, _scan_roots
 
 __all__ = [
     "GrowthReport",
@@ -45,11 +46,6 @@ __all__ = [
 GROWTH_R_CAP = 60.0
 # panel width of the ball-volume quadrature
 GROWTH_SPACING = 0.01
-# λ₀(B_R): cell width of the coarsest mesh, the relative size of the O(h⁴)
-# update at which a value is accepted, and the halvings allowed to get there
-LAMBDA0_SPACING = 0.02
-LAMBDA0_REL_TOL = 1e-7
-LAMBDA0_MAX_REFINE = 4
 # cheeger_chain_report's tolerances: θ'/θ(r_max) against H (relative to
 # 1 + H), log vol B_r / r against H, and λ₀ against H²/4 (relative)
 MU_TOL = 1e-8
@@ -187,49 +183,22 @@ def volume_growth(model, r_list):
 # Dirichlet bottom eigenvalue on B_R
 # ---------------------------------------------------------------------------
 
-def _dirichlet_bottom(model, R, n_cells):
-    """Lowest eigenvalue of -(θu')' = μθu, u'(0)=0, u(R)=0 on n_cells cells.
-
-    Finite-volume cells centered at (i+1/2)h; the flux through r=0 vanishes
-    (Neumann), the wall condition enters through a ghost cell mirrored with
-    opposite sign.  Conjugating by diag(√(θ_c h)) symmetrizes the pencil;
-    the conjugated entries are ratios of θ at points h/2 apart, so they are
-    built from log θ differences and never overflow.  The symmetric
-    tridiagonal matrix goes to LAPACK bisection (Barth-Martin-Wilkinson,
-    `stebz`): index 0 by Sturm count is the ground state.
-    """
-    h = R / n_cells
-    centers = (np.arange(n_cells) + 0.5) * h
-    faces = np.arange(1, n_cells + 1) * h     # interior + wall faces
-    lt_c = model.log_theta(centers)
-    lt_f = model.log_theta(faces)
-
-    # ratios θ(face)/θ(center) on each side of every interior face
-    left = np.exp(lt_f[:-1] - lt_c[:-1])      # face i+1 over center i
-    right = np.exp(lt_f[:-1] - lt_c[1:])      # face i+1 over center i+1
-
-    diag = np.zeros(n_cells)
-    diag[:-1] += left
-    diag[1:] += right
-    diag[-1] += 2.0 * np.exp(lt_f[-1] - lt_c[-1])   # Dirichlet ghost
-    off = -np.sqrt(left * right)
-    # a positive tol bisects to full precision; tol <= 0 would stop at
-    # eps·‖T‖, up to 1e-10 relative on fine meshes
-    mu = eigh_tridiagonal(diag / h**2, off / h**2, eigvals_only=True,
-                          select="i", select_range=(0, 0), tol=1e-300)
-    return float(mu[0])
-
-
 def lambda0_estimate(model, R_list):
-    """Dirichlet ground value of the radial problem on B_R for each R.
+    """Dirichlet ground value λ₀(B_R) of the radial problem for each R.
 
-    The finite-volume value has error c·h² + O(h⁴).  Each halving of the mesh
-    is Richardson-extrapolated once, R₁ = μ(h/2) + (μ(h/2) - μ(h))/3, which
-    leaves O(h⁴); the value is accepted when the next level's update
-    (R₁ₖ - R₁ₖ₋₁)/15 is below LAMBDA0_REL_TOL, and returned with that
-    update applied.  That takes two halvings on every built-in model; a
-    value not settled within LAMBDA0_MAX_REFINE halvings raises.  Returns
-    a GrowthReport fragment.
+    λ₀(B_R) = λ₁² + H²/4, where λ₁ is the first zero of λ ↦ φ_λ(R)
+    (Koornwinder 1984): φ_{λ₁}, regular at 0 and zero at the wall, is the
+    radial ground state.  One series call (phi_ode_values) samples φ_λ(R)
+    at λ = kπ/(8R), k = 0 … n + 8, and the first sign change is bisected on
+    the scan's windowed interpolant (_scan_roots, as in abel_inverse).  At
+    half abel_inverse's step π/(4R) this places λ₁ to about 1e-13
+    relative on the built-in models.  n = 32 covers λR ≤ 4π; a ball whose
+    λ₁R lies beyond that is rescanned with n doubled.
+
+    The first sign change is λ₁ because φ₀(R) > 0.  θ'/θ ≥ H
+    (validate_density) gives McKean's inequality ∫θu'² ≥ (H²/4)∫θu² on
+    B_R, so no Dirichlet value of any ball reaches H²/4; a zero of φ₀ at
+    ρ ≤ R would make H²/4 one of B_ρ.  Returns a GrowthReport fragment.
     """
     Rs = sorted(float(R) for R in np.atleast_1d(np.asarray(R_list, float)))
     if not Rs or Rs[0] <= 0:
@@ -240,24 +209,16 @@ def lambda0_estimate(model, R_list):
 
     pairs = []
     for R in Rs:
-        n_cells = max(64, int(math.ceil(R / LAMBDA0_SPACING)))
-        coarse = _dirichlet_bottom(model, R, n_cells)
-        prev = None
-        for _ in range(LAMBDA0_MAX_REFINE):
-            n_cells *= 2
-            fine = _dirichlet_bottom(model, R, n_cells)
-            rich = fine + (fine - coarse) / 3.0
-            coarse = fine
-            if prev is not None:
-                update = (rich - prev) / 15.0
-                if abs(update) <= LAMBDA0_REL_TOL * (1.0 + abs(rich)):
-                    pairs.append((R, rich + update))
-                    break
-            prev = rich
-        else:
-            raise RuntimeError(
-                f"λ₀(B_{R:g}) did not converge within {LAMBDA0_MAX_REFINE} "
-                "mesh refinements")
+        step, n = math.pi / (8.0 * R), 32
+        while True:
+            lams = step * np.arange(n + _WINDOW // 2 + 1)
+            edge, _ = phi_ode_values(model, lams, [R], derivs=False)
+            left, _, t = _scan_roots(edge[:, 0], n)
+            if left.size:
+                break
+            n *= 2
+        lam1 = step * (left[0] + t[0])
+        pairs.append((R, float(lam1 * lam1 + model.H**2 / 4.0)))
     return GrowthReport(
         model=model.name,
         H=model.H,

@@ -207,7 +207,7 @@ def _weighted_running(x, width, q, n):
     u = s/x_j integrates u^n p(x_j u) exactly.
     """
     _, _, coef_mat, _ = _tables(q)
-    u, w = leggauss((n + q) // 2 + 1)
+    u, w, _, _ = _tables((n + q) // 2 + 1)
     u, w = (u + 1) / 2, w / 2
     basis = legvander(2 * x[:, None] * u / width - 1, q - 1) @ coef_mat
     return x[:, None] ** (n + 1) * np.einsum("m,jmi->ji", w * u ** n, basis)

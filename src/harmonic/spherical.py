@@ -273,7 +273,7 @@ def spectral_shift(model, lam):
     return L, real_input
 
 
-def _series_sum(coeff_arrays, L, real_input, extra_log=None):
+def _series_sum(coeff_arrays, L, real_input):
     """Sum 1 + Σ a_k L^k with per-term log-magnitude scaling.
 
     coeff_arrays is (K, P) of nonnegative a_k samples.  Returns (values,
@@ -288,8 +288,6 @@ def _series_sum(coeff_arrays, L, real_input, extra_log=None):
     absL = abs(L)
     with np.errstate(divide="ignore"):
         loga = np.log(np.maximum(coeff_arrays, 0.0))
-        if extra_log is not None:
-            loga = loga + extra_log
     if absL > 0:
         logmag = loga + (k * math.log(absL))[:, None]
     else:

@@ -719,7 +719,9 @@ def bad_radii(model, r1, variant="sphere", box=(-60 - 8j, 5 + 8j), r_max=10.0,
     """Radii r2 whose zero set shares a point with that of r1 (in the box).
 
     Union over the L-zeros of the r1 target of the r-zero sets of the same
-    target function; sorted and deduplicated at 1e-8.
+    target function, sorted.  Radii closer than SEPARATION are one radius,
+    as in find_r_zeros: a double r-zero (the mvp target touching 0) is
+    located only to about 2e-8, so two L-zeros can return it apart.
     """
     zs = find_L_zeros(model, r1, target=variant, box=box, zero_tol=zero_tol)
     collected = []
@@ -729,7 +731,7 @@ def bad_radii(model, r1, variant="sphere", box=(-60 - 8j, 5 + 8j), r_max=10.0,
     collected.sort()
     out = []
     for rr in collected:
-        if not out or rr - out[-1] > 1e-8:
+        if not out or rr - out[-1] >= SEPARATION:
             out.append(rr)
     return out
 

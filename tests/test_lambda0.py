@@ -1,10 +1,9 @@
-"""Dirichlet bottom values where the h² stop rule could not converge.
+"""Dirichlet bottom values on DR(4,3) and H⁶ against pinned shooting values.
 
-The finite-volume value converges like h², so an update test on it needs
-about seven mesh halvings to reach 1e-7.  Extrapolated once per halving the
-error is O(h⁴), and two halvings suffice.  The pinned values agree to ten
-digits with an independent shooting solve: the first real zero of
-L ↦ φ_L(R) below -H²/4, from the eigenfunction ODE.
+lambda0_estimate takes λ₀(B_R) = λ₁² + H²/4 from the first zero λ₁ of
+λ ↦ φ_λ(R) on the series engine's λ-scan.  The pinned values come from an
+independent shooting solve: the first real zero of L ↦ φ_L(R) below -H²/4,
+from the eigenfunction ODE, to ten digits.
 """
 
 import pytest

@@ -209,6 +209,20 @@ def test_bad_radii_generic_r1_are_complete():
     assert np.max(np.abs(np.asarray(got) - oracle)) < 1e-9
 
 
+def test_bad_radii_merges_radii_closer_than_the_separation(monkeypatch):
+    # a double r-zero is located only to about 2e-8, so two L-zeros can
+    # return the same radius that far apart; find_r_zeros treats r-zeros
+    # closer than SEPARATION as one, and so does bad_radii
+    shifts = iter([0.0, 2e-8])
+
+    def r_zeros(model, L, r_max, target, zero_tol):
+        return [2 * math.pi + next(shifts)]
+
+    monkeypatch.setattr(two_radius, "find_r_zeros", r_zeros)
+    got = bad_radii(E0, 1.0, box=(-30 - 8j, 5 + 8j))
+    assert got == [2 * math.pi]
+
+
 def test_certify_rejects_odd_ratio():
     cert = certify_pair(E0, 1.0, 3.0, box=(-30 - 8j, 5 + 8j))
     assert cert.verdict == "common-zero-found"

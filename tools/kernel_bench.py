@@ -46,6 +46,8 @@ call with its inputs built beforehand:
   import_cli       `import harmonic.cli` in a fresh interpreter with
                    PYTHONPATH=src, interpreter start-up included
   build_models     the five built-in models plus H⁶ and DR(4,3)
+  lambda0          lambda0_estimate at R = 20, 30, 40, the radii of
+                   `cheeger --rmax 40`, keyed by model (H3, DR21, DR43)
   geometry         distance and sphere_param of the hyperbolic plane on a
                    (2, 256, 256, 3) stack of circle points, built as one
                    pass of projector_convolution_check builds it (distance
@@ -79,7 +81,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from harmonic import cli, geometry, pde, spherical, transforms  # noqa: E402
+from harmonic import (asymptotics, cli, geometry, pde,  # noqa: E402
+                      spherical, transforms)
 from harmonic.two_radius import find_L_zeros  # noqa: E402
 from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
                               make_euclidean, make_real_hyperbolic)
@@ -268,6 +271,10 @@ def main(argv=None):
                      for key, (model, draws) in phi_models.items()},
         "import_cli": best_of(import_cli, repeat),
         "build_models": best_of(build_models, repeat),
+        "lambda0": {key: best_of(lambda: asymptotics.lambda0_estimate(
+                        model, (20.0, 30.0, 40.0)), repeat)
+                    for key, model in (("H3", h3), ("DR21", dr),
+                                       ("DR43", make_damek_ricci(4, 3)))},
         "geometry": geometry_entry(repeat),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
