@@ -35,12 +35,8 @@ class CLIError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _float_str(x):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """17 significant digits; nan, inf and -inf print as those words."""
+    return f"{float(x):.17g}"
 
 
 def _canon(obj, indent=None, level=0):
@@ -105,10 +101,12 @@ def _write_json(doc, out):
 
 
 def _write_csv(manifest, columns, rows, out):
+    """CSV with a manifest line; each value printed as _float_str prints it."""
+    fmt = ",".join(["%.17g"] * len(columns))
     lines = ["# manifest: " + _canon(manifest),
              "# columns: " + ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_float_str(v) for v in row))
+    lines += [fmt % tuple(row)
+              for row in np.asarray(list(rows), dtype=float).tolist()]
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -15,9 +15,9 @@ matrices.  The inner integrals of the recursion are the piece's fluxes, so
 sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
 eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
 proportion to its size and not to λ_max.  It serves every caller:
-phi_ode_values for real or complex λ, and with it phi, phi_basis (the
-values abel_inverse scans, or their weighted sums, which the spherical
-transform contracts into the levels) and the geometry checks;
+phi_ode_values for real or complex λ (the rows abel_inverse scans), and
+with it phi, phi_basis (the weighted sums that the spherical transform
+contracts into the levels) and the geometry checks;
 eigen_state_at for the L-plane zero search, at one radius cut into a
 power-of-two number of equal pieces, with ∂/∂L through the transfer chain;
 eigen_profile for the zeros in r, on the distinct radii of a profile.
@@ -122,18 +122,19 @@ class _LRUCache:
             return value
 
 
-# The one cache holds three kinds of entry:
-# - F f vectors (phi_basis with weights), one double per λ-node: 11 KB for the
-#   1,384 nodes of abel on a support-1.5 bump in R³.  A datum's vector is
-#   looked up again by the 2-3 transform calls that reuse it (abel, then a
+# The one cache holds two kinds of entry:
+# - F f vectors (phi_basis), one double per λ-node: 11 KB for the 1,384
+#   nodes of abel on a support-1.5 bump in R³.  A datum's vector is looked
+#   up again by the 2-3 transform calls that reuse it (abel, then a
 #   Klein-Gordon, convolution or inversion of the same profile);
-# - abel_inverse's scan rows (phi_basis without weights), λ-scan × radii:
-#   2.0-2.6 MB for the support-2 convolutions of H3 and R³;
 # - eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per
 #   piece (about 0.8 KB); a level set of the default L-box at r = 10 has 32
 #   pieces, 26 KB.
-# No transform holds a λ × r matrix of φ, so the cap mostly bounds what the
-# scan rows of finished inversions can pin in memory.
+# abel_inverse's λ-scans (λ-scan × radii, 2.0-2.6 MB for the support-2
+# convolutions of H3 and R³) are not cached: in a benchmark run of the
+# spectral mix they drew 0 hits in 9 lookups while holding 12.9 of the
+# cache's 13.0 MB.  No entry is a λ × r matrix, so the cap is a guard, far
+# above what a run holds.
 CACHE_BYTES = 64 * 2**20
 _CACHE = _LRUCache(CACHE_BYTES)
 
@@ -412,14 +413,12 @@ def _spps_frame(model, L, radii, Phi=False):
     Pieces: the first [0, h] and then equal pieces of length
     h = min(_spps_piece(max|L|), r_last) up to the last radius (which must be
     positive), so every later piece [b, b + h] keeps b ≥ h away from the
-    singular θ'/θ ~ n/r.  Returns (ends, slopes, log_ref, powers, i0, cut,
-    V, value_map): _spps_levels' data, the powers L^k, k = 0..K, and the
-    radii: radii[:i0] are 0, piece p holds r = radii[i0:][cut[p]:cut[p+1]],
-    V is legvander at their places tloc on the reference panel [-1, 1], and
-    value_map maps a piece's node slopes A_k', B_k' to A_k, B_k at its radii
-    by their running integral.
+    singular θ'/θ ~ n/r.  Returns (ends, slopes, log_ref, powers, i0, edges,
+    cut): _spps_levels' data, the powers L^k, k = 0..K, the piece edges and
+    the radii: radii[:i0] are 0, and piece p holds
+    r = radii[i0:][cut[p]:cut[p+1]] (_spps_maps gives their tables).
     """
-    K, D = SPPS_ORDER, SPPS_NODES
+    K = SPPS_ORDER
     r_last = float(radii[-1])
     h = min(_spps_piece(float(np.max(np.abs(L), initial=0.0))), r_last)
     P = max(1, math.ceil(r_last / h - 1e-9))
@@ -428,15 +427,28 @@ def _spps_frame(model, L, radii, Phi=False):
     ends, slopes, log_ref = _spps_levels(model, edges, Phi)
     powers = L[:, None] ** np.arange(K + 1)
     i0 = np.searchsorted(radii, 0.0, side="right")
-    r = radii[i0:]
-    cut = np.concatenate([[0], np.searchsorted(r, edges[1:-1]), [r.size]])
-    half = np.diff(edges) / 2
-    piece = np.repeat(np.arange(P), np.diff(cut))
-    tloc = (r - edges[piece]) / half[piece] - 1.0
+    cut = np.concatenate([[0], np.searchsorted(radii[i0:], edges[1:-1]),
+                          [radii.size - i0]])
+    return ends, slopes, log_ref, powers, i0, edges, cut
+
+
+def _spps_maps(edges, r, cut, p0, p1):
+    """Per-radius tables of the radii in pieces p0..p1-1 of _spps_frame.
+
+    For r[cut[p0]:cut[p1]] returns (V, value_map): V is legvander at their
+    places tloc on the reference panel [-1, 1], and value_map maps a piece's
+    node slopes A_k', B_k' to A_k, B_k at its radii by their running
+    integral.  Both are (radii × D+1) and (radii × D) doubles, so callers
+    over many radii build them a block of pieces at a time.
+    """
+    D = SPPS_NODES
+    half = np.diff(edges[p0:p1 + 1]) / 2
+    piece = np.repeat(np.arange(p1 - p0), np.diff(cut[p0:p1 + 1]))
+    tloc = (r[cut[p0]:cut[p1]] - edges[p0:p1][piece]) / half[piece] - 1.0
     V = legvander(tloc, D)
     _, _, coef_mat, _ = _tables(D)
     value_map = (_legendre_partials(tloc, V) @ coef_mat) * half[piece, None]
-    return ends, slopes, log_ref, powers, i0, cut, V, value_map
+    return V, value_map
 
 
 def _spps_rows(model, L, radii, derivs=True, Phi=False):
@@ -457,9 +469,10 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
     rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
     if not radii.size or radii[-1] == 0.0:
         return rows
-    ends, slopes, log_ref, powers, i0, cut, V, value_map = _spps_frame(
+    ends, slopes, log_ref, powers, i0, edges, cut = _spps_frame(
         model, L, radii, Phi)
     P = cut.size - 1
+    V, value_map = _spps_maps(edges, radii[i0:], cut, 0, P)
     if Phi:
         theta_ref = np.exp(log_ref)
     # φ(0) = 1, φ'(0) = 0 and Φ(0) = 0 hold as set.  Maps from a piece's
@@ -511,25 +524,38 @@ def _spps_contract(model, L, radii, weights):
     summed into its levels before any L enters: Σ_{r∈p} w_r A_k(r) and
     Σ_{r∈p} w_r B_k(r) come from the weighted sum of the value map's rows
     (segment sums over the sorted radii) through the node slopes, plus
-    Σ_{r∈p} w_r for A_0 = 1.  One product with the powers of L gives each
-    piece's (Y1, Y2), and the sum gathers φ(b_p) Y1 + φ'(b_p) Y2 along the
-    transfer chain of _spps_rows.  The work in L is O(len(L)·P·K) for P
-    pieces, against O(len(L)·len(radii)·K) for the rows.  Returns shape
-    (len(L),).
+    Σ_{r∈p} w_r for A_0 = 1.  The value maps are built and summed for one
+    block of whole pieces at a time, the block's tables together about
+    SPPS_BLOCK_BYTES (a piece holding more radii is a block alone), so the
+    per-radius memory does not grow with the radii.  One product with the
+    powers of L gives each piece's (Y1, Y2), and the sum gathers
+    φ(b_p) Y1 + φ'(b_p) Y2 along the transfer chain of _spps_rows.  The
+    work in L is O(len(L)·P·K) for P pieces, against
+    O(len(L)·len(radii)·K) for the rows.  Returns shape (len(L),).
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
     if not radii.size or radii[-1] == 0.0:
         return np.full(M, np.sum(weights), dtype=L.dtype)
-    ends, slopes, _, powers, i0, cut, _, value_map = _spps_frame(
-        model, L, radii)
+    ends, slopes, _, powers, i0, edges, cut = _spps_frame(model, L, radii)
     P = cut.size - 1
-    w = weights[i0:]
+    r, w = radii[i0:], weights[i0:]
     out = np.full(M, np.sum(weights[:i0]), dtype=L.dtype)    # φ(0) = 1
-    filled = np.diff(cut) > 0
+    # Σ_r w_r (value_map row, 1) per piece; about four (radii × D+1)
+    # tables are alive at once while a block is summed
     sums = np.zeros((P, D + 1))
-    sums[filled] = np.add.reduceat(
-        np.column_stack([w[:, None] * value_map, w]), cut[:-1][filled],
-        axis=0)
+    per_block = max(1, SPPS_BLOCK_BYTES // (4 * w.itemsize * (D + 1)))
+    p0 = 0
+    while p0 < P:
+        p1 = max(p0 + 1, int(np.searchsorted(cut, cut[p0] + per_block,
+                                             side="right")) - 1)
+        filled = np.diff(cut[p0:p1 + 1]) > 0
+        if filled.any():
+            _, value_map = _spps_maps(edges, r, cut, p0, p1)
+            seg = slice(cut[p0], cut[p1])
+            sums[p0:p1][filled] = np.add.reduceat(
+                np.column_stack([w[seg, None] * value_map, w[seg]]),
+                cut[p0:p1][filled] - cut[p0], axis=0)
+        p0 = p1
     # (K+1, 2, P): Σ_r w_r (A_k(r), B_k(r)) per piece, A_0 = 1 included
     lev = np.einsum("pkjd,pd->kjp", slopes[0], sums[:, :D])
     lev[0, 0] += sums[:, D]
@@ -564,11 +590,11 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
 
     Returns (values, derivatives) with shape (len(lams), len(r_points));
     with derivs=False the derivatives are not formed and come back as None
-    (phi_basis).  With weights (one per radius, derivs=False) it returns
-    only the contraction Σ_i weights_i φ_λ(r_i), shape (len(lams),),
-    summed into the series levels before λ enters (_spps_contract): its
-    cost in λ is ∝ the number of pieces, not of radii, and no row is
-    formed.
+    (abel_inverse's scan).  With weights (one per radius, derivs=False) it
+    returns only the contraction Σ_i weights_i φ_λ(r_i), shape
+    (len(lams),), summed into the series levels before λ enters
+    (_spps_contract): its cost in λ is ∝ the number of pieces, not of
+    radii, and no row is formed.
     r_points must be sorted ascending.  No ODE is stepped: the coefficient
     functions of the piecewise spectral-parameter power series depend on
     the model and the pieces only, so rows cost ∝ their count, not λ_max
@@ -722,34 +748,28 @@ def eigen_profile(model, L, r_points):
 
 
 # ---------------------------------------------------------------------------
-# cached real-λ bases for the transform machinery
+# cached weighted sums for the transform machinery
 # ---------------------------------------------------------------------------
 
-def phi_basis(model, lams, r_points, weights=None):
-    """Matrix φ_{λ_j}(r_i), shape (len(lams), len(r_points)), cached.
+def phi_basis(model, lams, r_points, weights):
+    """Σ_i weights_i φ_{λ_j}(r_i), shape (len(lams),), cached.
 
-    With weights (one per radius) the cached value is the vector
-    Σ_i weights_i φ_{λ_j}(r_i), shape (len(lams),), contracted inside the
-    series (phi_ode_values) without forming the matrix; the transforms ask
-    for that.  The cache makes repeated transform calls against the same
-    λ-nodes, radial nodes and weights cheap (one phi_ode_values call in
-    total).  It is a thread-safe LRU capped at CACHE_BYTES; the values are
+    One weight per radius.  The contraction happens inside the series
+    (phi_ode_values with weights), so no λ × r matrix is formed; the
+    spherical transform asks for it, and the 2-3 transform calls that reuse
+    a datum find its vector cached (one phi_ode_values call in total).  The
+    cache is a thread-safe LRU capped at CACHE_BYTES; the values are
     computed outside its lock.  Returned arrays are shared between callers
-    and read-only.
+    and read-only.  Rows of φ are not cached: phi_ode_values gives them.
     """
     lams = np.asarray(lams, dtype=float)
     r_points = np.asarray(r_points, dtype=float)
-    key = (model.key, lams.tobytes(), r_points.tobytes())
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        key += (weights.tobytes(),)
+    weights = np.asarray(weights, dtype=float)
+    key = (model.key, lams.tobytes(), r_points.tobytes(), weights.tobytes())
     out = _CACHE.get(key)
     if out is None:
-        if weights is None:
-            out, _ = phi_ode_values(model, lams, r_points, derivs=False)
-        else:
-            out = phi_ode_values(model, lams, r_points, derivs=False,
-                                 weights=weights)
+        out = phi_ode_values(model, lams, r_points, derivs=False,
+                             weights=weights)
         out.flags.writeable = False
         out = _CACHE.put(key, out)
     return out

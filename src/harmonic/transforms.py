@@ -19,19 +19,21 @@ same kind of object: an even function of one variable, stored on [0, X].
 One container, EvenFunction, holds them all, radial data on X and line
 functions alike.
 
-The synthesis takes cos and sin of λ·s at the grid points only.  At the
-quadrature nodes, s = a_p + b_j (panel edge plus in-panel offset) and
-cos λ(a + b) = cos λa cos λb - sin λa sin λb, so the node values are two
-matrix products of the point matrices with the small (λ × q) offset
-matrices; cosine_transform factors the same way.  Both need a grid of equal
-panels, which every make_grid grid is.  Line functions are folded against
-quadrature weights (line_convolve here, the Klein-Gordon kernel in
-pde.kg_solve) by EvenFunction.fold, onto a grid laid on the knot lattice of
-the folded spline (lattice_grid: panels of r knot intervals).  For the grid
-points, and for each in-panel node offset, every shift ±σ lands at one
-offset inside a knot interval for all x, so the fold is a strided
-correlation of the binned weights with the spline's power coefficients,
-one FFT product per node class, not a spline evaluation per (x, σ) pair.
+The synthesis takes cos and sin on (s × panels) and (s × q) arrays only.
+Both grids have equal panels (every make_grid grid does), so a node is a
+panel edge plus an in-panel offset, λ = e + o and s = a_p + b_j, and
+cos λ(a + b) = cos λa cos λb - sin λa sin λb builds the rest: the rows at
+the grid points from the λ-edges and λ-offsets, one block of points at a
+time, and the node values as two matrix products of those rows with the
+small (λ × q) offset matrices.  cosine_transform factors the same way.
+Line functions are folded against quadrature weights (line_convolve here,
+the Klein-Gordon kernel in pde.kg_solve) by EvenFunction.fold, onto a grid
+laid on the knot lattice of the folded spline (lattice_grid: panels of r
+knot intervals).  For the grid points, and for each in-panel node offset,
+every shift ±σ lands at one offset inside a knot interval for all x, so
+the fold is a strided correlation of the binned weights with the spline's
+power coefficients, one FFT product per node class, not a spline
+evaluation per (x, σ) pair.
 
 abel's cutoff in λ is either the caller's lambda_max, used as given, or the
 tail rule: grow λ_max until |F f| on the top tenth of [0, λ_max] is at most
@@ -58,7 +60,7 @@ from scipy.interpolate import CubicSpline
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile
-from .spherical import phi_basis
+from .spherical import SPPS_BLOCK_BYTES, phi_basis, phi_ode_values
 
 DEFAULT_SPACING = 0.02
 # abel's tail rule, see _sample_until_decayed
@@ -292,7 +294,7 @@ def spherical_fourier(model, f, lambdas):
     """F f on a grid of real λ ≥ 0.  f must be compactly supported.
 
     The quadrature weights times θ f at f's grid nodes are contracted into
-    the series (phi_basis with weights), so no λ × r matrix of φ_λ(r) is
+    the series (phi_basis), so no λ × r matrix of φ_λ(r) is
     formed; the F f vector is cached for the 2-3 transform calls that reuse
     the datum.
     """
@@ -318,7 +320,10 @@ def abel(model, f, s_max=None, lambda_max=None):
     extension evaluates F f on the added panels only, so every λ-node is
     summed once (and its F f cached, see phi_basis); the cost per λ-node is
     ∝ the series pieces, not the radial nodes, nor λ_max
-    (phi_ode_values).  A given lambda_max is a
+    (phi_ode_values).  The synthesis over λ (_cosine_synthesis) forms no
+    s × λ table whole, only blocks of rows of about SPPS_BLOCK_BYTES, and
+    its output is not cached: only the F f vectors are, which every call on
+    the datum looks up.  A given lambda_max is a
     fixed cutoff, rounded up to a panel edge, neither extended nor refused,
     for callers that pin it themselves (identity checks, samples whose
     spectrum flattens into noise).  info["lambda_max"] is the rounded cutoff
@@ -350,24 +355,53 @@ def abel(model, f, s_max=None, lambda_max=None):
         tail_ratio = tail / peak
 
     sgrid = make_grid(s_max, spacing=0.01)
-    lnodes = lgrid.nodes
-    wF = lgrid.node_weights * Ff
-    phase = np.outer(sgrid.points, lnodes)
-    cosp = np.cos(phase)
-    sinp = np.sin(phase)
-    vals = (cosp @ wF) / math.pi
-    dvals = -(sinp @ (wF * lnodes)) / math.pi
-    d2vals = -(cosp @ (wF * lnodes**2)) / math.pi
-    # node p·q + j = edge p + offset j, and the edges are the first P points:
-    # cos λ(a + b) = cos λa cos λb - sin λa sin λb reuses cosp and sinp
-    inner = np.outer(lnodes, _panel_frame(sgrid)[1])
-    node_vals = ((cosp[:-1] * wF) @ np.cos(inner)
-                 - (sinp[:-1] * wF) @ np.sin(inner)).ravel() / math.pi
+    vals, dvals, d2vals, node_vals = _cosine_synthesis(sgrid, lgrid, Ff)
     info = {"lambda_max": lgrid.x_max, "tail_ratio": tail_ratio,
-            "n_lambda_nodes": lnodes.size, "d2_values": d2vals}
+            "n_lambda_nodes": lgrid.nodes.size, "d2_values": d2vals}
     return EvenFunction(grid=sgrid, values=vals, support=min(R, s_max),
                         deriv_values=dvals, exact_node_values=node_vals,
                         info=info)
+
+
+def _cosine_synthesis(sgrid, lgrid, Ff):
+    """(1/π) ∫ F f(λ) cos(λs) dλ and its first two s-derivatives.
+
+    The λ-integral is lgrid's quadrature; returns the synthesis, its slope
+    and its second derivative at sgrid.points, and the synthesis at
+    sgrid.nodes.  Both grids have equal panels, so cos and sin are taken on
+    (s × panels) and (s × q) arrays only: λ-node = edge e + offset o gives
+    cos s(e + o) = cos se cos so - sin se sin so for the rows at the points,
+    and node p·q + j = point p + offset b_j gives the node values from those
+    rows and the (λ × q) matrices cos λb, sin λb.  The rows are formed for
+    one block of points at a time, each row pair about SPPS_BLOCK_BYTES.
+    """
+    lnodes = lgrid.nodes
+    wF = lgrid.node_weights * Ff
+    wF1, wF2 = wF * lnodes, wF * lnodes**2
+    edges, offsets = _panel_frame(lgrid)
+    inner = np.outer(lnodes, _panel_frame(sgrid)[1])
+    cos_in, sin_in = np.cos(inner), np.sin(inner)
+    s = sgrid.points
+    n_nodes = s.size - 1
+    vals, dvals, d2vals = np.empty(s.size), np.empty(s.size), np.empty(s.size)
+    node_vals = np.empty((n_nodes, inner.shape[1]))
+    block = max(1, SPPS_BLOCK_BYTES // (2 * lnodes.itemsize * lnodes.size))
+    for lo in range(0, s.size, block):
+        rows = slice(lo, min(lo + block, s.size))
+        a, b = np.outer(s[rows], edges), np.outer(s[rows], offsets)
+        ce, se = np.cos(a)[:, :, None], np.sin(a)[:, :, None]
+        co, so = np.cos(b)[:, None], np.sin(b)[:, None]
+        cosp = (ce * co - se * so).reshape(ce.shape[0], -1)
+        sinp = (se * co + ce * so).reshape(ce.shape[0], -1)
+        vals[rows] = (cosp @ wF) / math.pi
+        dvals[rows] = -(sinp @ wF1) / math.pi
+        d2vals[rows] = -(cosp @ wF2) / math.pi
+        # every point but the last is a panel edge of sgrid
+        n = min(rows.stop, n_nodes) - lo
+        cosp *= wF
+        sinp *= wF
+        node_vals[lo:lo + n] = cosp[:n] @ cos_in - sinp[:n] @ sin_in
+    return vals, dvals, d2vals, node_vals.ravel() / math.pi
 
 
 def _tail_and_peak(x, vals, lam):
@@ -508,13 +542,15 @@ def abel_inverse(model, g):
     serves.  The sum runs to the λ_max at which abel's tail rule stops on ĝ
     (refusing, like abel, when ĝ does not decay).
 
-    One φ-basis solve serves it: λ is scanned at spacing π/(4S) at the
-    output grid's points and nodes, of which S is the last.  In λ, φ_λ(r) is
-    even and entire of exponential type r ≤ S, so _WINDOW-point
+    One phi_ode_values call serves it: λ is scanned at spacing π/(4S) at
+    the output grid's points and nodes, of which S is the last.  In λ,
+    φ_λ(r) is even and entire of exponential type r ≤ S, so _WINDOW-point
     interpolation on the scan (mirrored through λ = 0) gives the zeros of
     φ_λ(S) and the rows φ_{λ_j}(r), within about 4e-8 of φ's size near
     r = S and far closer inside; the norms come from the grid's
-    Gauss-Legendre rule.  info holds the λ_j ("lambdas"), the norms
+    Gauss-Legendre rule.  The scan is a transient, dropped once the rows
+    are interpolated: no later call asks for the same λ-scan at the same
+    radii, so it is not cached.  info holds the λ_j ("lambdas"), the norms
     ∫_0^S θ φ_{λ_j}² ("norms") and the cutoff ("lambda_max").
     """
     S = g.support
@@ -525,13 +561,15 @@ def abel_inverse(model, g):
     rgrid = make_grid(S, spacing=DEFAULT_SPACING)
     radii, where = np.unique(np.concatenate([rgrid.points, rgrid.nodes]),
                              return_inverse=True)
-    scan = phi_basis(model, step * np.arange(n + _WINDOW // 2 + 1), radii)
+    scan, _ = phi_ode_values(model, step * np.arange(n + _WINDOW // 2 + 1),
+                             radii, derivs=False)
     left, window, t = _scan_roots(scan[:, -1], n)
     lambdas = step * (left + t)
     interp = np.zeros((left.size, scan.shape[0]))
     np.add.at(interp, (np.arange(left.size)[:, None], window),
               _lagrange_weights(t))
     rows = (interp @ scan)[:, where]
+    del scan
     n_pts = rgrid.points.size
     at_points, at_nodes = rows[:, :n_pts], rows[:, n_pts:]
     norms = at_nodes ** 2 @ (rgrid.node_weights * model.theta(rgrid.nodes))

@@ -384,44 +384,47 @@ def test_eigen_profile_repeated_radii_give_equal_rows():
 def test_phi_basis_values_and_shape():
     r_pts = np.linspace(0.0, 4.0, 17)
     lams = np.array([0.6, 1.9])
-    mat = phi_basis(E0, lams, r_pts)
-    assert mat.shape == (2, 17)
-    assert np.max(np.abs(mat - np.cos(lams[:, None] * r_pts[None, :]))) < 1e-9
-    assert phi_basis(E0, lams, r_pts) is mat  # cached identity
+    w = np.linspace(0.5, 1.5, 17)
+    vec = phi_basis(E0, lams, r_pts, w)
+    assert vec.shape == (2,)
+    exact = np.cos(lams[:, None] * r_pts[None, :]) @ w
+    assert np.max(np.abs(vec - exact)) < 1e-9
+    assert phi_basis(E0, lams, r_pts, w) is vec  # cached identity
+    assert not vec.flags.writeable
 
 
 def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
     rows = ode_rows
     r_pts = np.linspace(0.0, 3.0, 64)
-    one = 2 * r_pts.size * 8     # bytes of a 2-row float matrix
+    w = np.ones(64)
+    one = 2 * 8                  # bytes of a 2-entry float vector
     monkeypatch.setattr(spherical, "_CACHE",
                         spherical._LRUCache(3 * one + one // 2))
     cache = spherical._CACHE
     sets = [np.array([0.5, 1.0]) + i for i in range(6)]
     for lams in sets:
-        phi_basis(E0, lams, r_pts)
+        phi_basis(E0, lams, r_pts, w)
         assert cache.nbytes <= cache.max_bytes
     assert len(rows) == 6 and cache.nbytes == 3 * one
-    phi_basis(E0, sets[-1], r_pts)      # most recent: still cached
+    phi_basis(E0, sets[-1], r_pts, w)   # most recent: still cached
     assert len(rows) == 6
-    phi_basis(E0, sets[0], r_pts)       # least recent: evicted, recomputed
+    phi_basis(E0, sets[0], r_pts, w)    # least recent: evicted, recomputed
     assert len(rows) == 7 and cache.nbytes <= cache.max_bytes
-    # a matrix larger than the whole cap is returned but not stored
-    big = phi_basis(E0, np.linspace(0.0, 3.0, 8), r_pts)
-    assert big.shape == (8, 64) and cache.nbytes <= cache.max_bytes
+    # a vector larger than the whole cap is returned but not stored
+    big = phi_basis(E0, np.linspace(0.0, 3.0, 8), r_pts, w)
+    assert big.shape == (8,) and cache.nbytes <= cache.max_bytes
 
 
-def _threads_match_serial(weights=None):
+def test_phi_basis_weights_threads_match_serial(ode_rows):
     r_pts = np.linspace(0.0, 2.0, 33)
+    weights = np.linspace(0.5, 1.5, 33)
     sets = [np.array([0.3, 0.7]) * (1 + i % 4) for i in range(16)]
-    serial = [phi_ode_values(E2, lams, r_pts, derivs=False)[0]
-              if weights is None else
-              phi_ode_values(E2, lams, r_pts, derivs=False, weights=weights)
+    serial = [phi_ode_values(E2, lams, r_pts, derivs=False, weights=weights)
               for lams in sets]
     got = [None] * len(sets)
 
     def work(i):
-        got[i] = phi_basis(E2, sets[i], r_pts, weights=weights)
+        got[i] = phi_basis(E2, sets[i], r_pts, weights)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -443,14 +446,6 @@ def _threads_match_serial(weights=None):
     assert cache.nbytes == sum(v.nbytes for v in cache._entries.values())
 
 
-def test_phi_basis_threads_match_serial(ode_rows):
-    _threads_match_serial()
-
-
-def test_phi_basis_weights_threads_match_serial(ode_rows):
-    _threads_match_serial(weights=np.linspace(0.5, 1.5, 33))
-
-
 def _radii_across_pieces(model, lam_max):
     """Radii at 0, on piece edges and inside pieces, with piece 3 empty."""
     top = lam_max**2 + model.H**2 / 4
@@ -460,6 +455,19 @@ def _radii_across_pieces(model, lam_max):
     edges = h * np.array([1.0, 2.0, 5.0, 10.0])
     inside = inside[inside < 10.3 * h]
     return np.sort(np.concatenate([[0.0, 0.0], edges, inside, [10.3 * h]]))
+
+
+def _radii_across_blocks(model, lam_max):
+    """Radii over 30 pieces: 240 in most, none in pieces 4-6 and 17, and
+    3,000 in piece 20, more than one of _spps_contract's table blocks
+    (about 2,000 radii) holds; 9,720 radii in all."""
+    top = lam_max**2 + model.H**2 / 4
+    h = spherical._spps_piece(top)
+    counts = np.full(30, 240)
+    counts[[4, 5, 6, 17]] = 0
+    counts[20] = 3000
+    r = [h * (p + (np.arange(c) + 0.5) / c) for p, c in enumerate(counts)]
+    return np.concatenate(r)
 
 
 @pytest.mark.parametrize("model", [E0, E2, H3, make_real_hyperbolic(5), DR21],
@@ -481,6 +489,13 @@ def test_weighted_sums_equal_the_rows_product(model):
     got = phi_ode_values(model, lams, np.zeros(3), derivs=False,
                          weights=np.array([1.0, 2.0, 0.5]))
     assert np.array_equal(got, np.full(lams.size, 3.5))
+    # radii over several table blocks, with empty pieces between them
+    r = _radii_across_blocks(model, 40.0)
+    w = np.random.default_rng(8).uniform(0.5, 1.5, r.size)
+    rows, _ = phi_ode_values(model, lams, r, derivs=False)
+    got = phi_ode_values(model, lams, r, derivs=False, weights=w)
+    want = rows @ w
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_weights_need_values_only_and_one_per_radius():

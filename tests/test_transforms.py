@@ -1,12 +1,13 @@
 """Transform layer: spherical Fourier, Abel, convolution, line functions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from harmonic import spherical, transforms
+from harmonic import pde, spherical, transforms
 from harmonic.density import (make_damek_ricci, make_euclidean,
                               make_real_hyperbolic)
 from harmonic.grids import make_grid
@@ -89,8 +90,8 @@ def test_spherical_fourier_equals_the_basis_product(model):
     lams = np.linspace(0.0, 60.0, 241)
     nodes = f.grid.nodes
     weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
-    want = model.sphere_const * (spherical.phi_basis(model, lams, nodes)
-                                 @ weighted)
+    rows, _ = spherical.phi_ode_values(model, lams, nodes, derivs=False)
+    want = model.sphere_const * (rows @ weighted)
     got = spherical_fourier(model, f, lams).values
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -104,6 +105,50 @@ def test_abel_caches_no_basis_matrix(monkeypatch):
     assert len(entries) > 1
     assert all(v.ndim == 1 for v in entries)
     assert sum(v.size for v in entries) == af.info["n_lambda_nodes"]
+
+
+def test_abel_inverse_adds_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    g = abel(H3, gauss_bump(0.42))
+    before = list(spherical._CACHE._entries)
+    abel_inverse(H3, g)
+    # its λ-scan is never looked up again, so it is dropped after use
+    assert list(spherical._CACHE._entries) == before
+
+
+# -- peak memory --------------------------------------------------------------
+
+def _traced_peak(fn):
+    """Peak bytes that fn allocates while it runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_abel_synthesis_stays_within_a_few_blocks(monkeypatch):
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    f = smooth_bump(1.5)
+    af = abel(E2, f)                  # F f cached: the synthesis alone
+    # whole s × λ tables of cos and sin would take more than the bound
+    table = af.info["n_lambda_nodes"] * af.grid.points.size * 8
+    assert 2 * table > 6 * 2**20
+    assert _traced_peak(lambda: abel(E2, f)) <= 6 * 2**20
+
+
+def test_spherical_fourier_stays_within_a_few_blocks(monkeypatch):
+    # the H⁶ heat state of `heat-check --t 0.8`: 12,200 radial nodes
+    state = pde.radial_heat_solve(H6, 0.8, 0.3, n_samples=2)[-1]
+    f = pde._cells_to_radial(state)
+    assert f.grid.nodes.size == 12200
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    lams = np.linspace(0.0, 2.0, 9)
+    assert _traced_peak(lambda: spherical_fourier(H6, f, lams)) <= 6 * 2**20
 
 
 # -- closed-form oracles ------------------------------------------------------

@@ -5,15 +5,16 @@
 Each entry is the best of --repeat wall-clock timings, in seconds, of one
 call with its inputs built beforehand:
 
-  abel_synthesis   abel(E3, smooth_bump(1.5)) with the φ-basis cached, so
+  abel_synthesis   abel(E3, smooth_bump(1.5)) with its F f cached, so
                    it times the cosine synthesis (λ_max ≈ 275)
   kg_solve         kg_solve on A(annulus_bump(0.9, 0.2)) over DR(2,1), t = 5.25
   line_convolve    A(smooth_bump(1.5)) ⋆ A(gauss_bump(0.4)) on E3
   values_at_nodes  node values of a wave solution on radial_wave_solve's
                    finite-difference grid (H3, gauss_bump(0.42), T = 1.25),
                    on a fresh copy of the grid each time
-  phi_basis        the φ-basis of E3 for abel's λ-nodes up to 275 at the
-                   radial nodes of smooth_bump(1.5), from an empty cache
+  phi_rows         the rows φ_λ(r) of E3 (phi_ode_values, values only) for
+                   abel's λ-nodes up to 275 at the radial nodes of
+                   smooth_bump(1.5)
   spherical_fourier  F f from an empty cache, keyed by shape: "e3_round" is
                    smooth_bump(1.5) on E3 at the λ-nodes of abel's last λ_max
                    round for it, "wave_slice" the last slice of the H3
@@ -54,6 +55,17 @@ call with its inputs built beforehand:
                    from the bump centre of `geo-check`, as bump_patch
                    takes it), and one `harmonic geo-check` per space
 
+A separate "peak_alloc" object gives the tracemalloc peak, in MiB, of one
+call each (deterministic, so taken once):
+
+  abel_e3          abel(E3, smooth_bump(1.5)) with its F f cached
+  spherical_fourier_heat_h6  spherical_fourier at 9 λ in [0, 2] of the H⁶
+                   heat state that `heat-check --model hyperbolic --n 5
+                   --t 0.8` transforms (12,200 radial nodes), from an empty
+                   cache
+  abel_inverse_h3  abel_inverse(H3, abel(H3, gauss_bump(0.42))), with the
+                   bytes it adds to the cache as "abel_inverse_h3_cached"
+
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
 this file against each one's src on the same machine, back to back:
 
@@ -74,6 +86,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -111,6 +124,38 @@ def best_of(fn, repeat, setup=None):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def traced_peak(fn):
+    """tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def peak_alloc(e3, h3):
+    bump = smooth_bump(1.5)
+    empty_caches()
+    transforms.abel(e3, bump)
+    out = {"abel_e3": traced_peak(lambda: transforms.abel(e3, bump))}
+    h6 = make_real_hyperbolic(5)
+    state = pde.radial_heat_solve(h6, 0.8, 0.3, n_samples=2)[-1]
+    heat = pde._cells_to_radial(state)
+    empty_caches()
+    out["spherical_fourier_heat_h6"] = traced_peak(
+        lambda: transforms.spherical_fourier(h6, heat,
+                                             np.linspace(0.0, 2.0, 9)))
+    empty_caches()
+    g = transforms.abel(h3, gauss_bump(0.42))
+    before = spherical._CACHE.nbytes
+    out["abel_inverse_h3"] = traced_peak(
+        lambda: transforms.abel_inverse(h3, g))
+    out["abel_inverse_h3_cached"] = (spherical._CACHE.nbytes
+                                     - before) / 2**20
+    return out
 
 
 def empty_caches():
@@ -235,8 +280,8 @@ def main(argv=None):
             lambda: Grid1D(points=wave.grid.points,
                            nodes_per_panel=wave.grid.q).values_at_nodes(
                                wave.u), repeat),
-        "phi_basis": best_of(lambda: spherical.phi_basis(e3, lams, r_nodes),
-                             repeat, setup=empty_caches),
+        "phi_rows": best_of(lambda: spherical.phi_ode_values(
+            e3, lams, r_nodes, derivs=False), repeat),
         "spherical_fourier": {
             key: best_of(lambda: transforms.spherical_fourier(model, f, lam),
                          repeat, setup=empty_caches)
@@ -278,8 +323,9 @@ def main(argv=None):
         "geometry": geometry_entry(repeat),
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
+              "peak_alloc": {"unit": "MiB", **peak_alloc(e3, h3)},
               "sizes": {"abel_lambda_nodes": int(lams.size),
-                        "phi_basis_radii": int(r_nodes.size),
+                        "phi_rows_radii": int(r_nodes.size),
                         "e3_round_lambda_nodes": int(round_lams.size),
                         "wave_slice_lambda_nodes": int(slice_lams.size),
                         "wave_slice_radii": int(fw.grid.nodes.size),
