@@ -415,6 +415,37 @@ def test_phi_basis_cache_evicts_to_its_byte_cap(monkeypatch, ode_rows):
     assert big.shape == (8,) and cache.nbytes <= cache.max_bytes
 
 
+def test_phi_basis_threads_match_serial(ode_rows):
+    # one λ set, four weight vectors: the weights alone tell the keys apart
+    r_pts = np.linspace(0.0, 2.0, 33)
+    lams = np.array([0.3, 0.7])
+    ws = [np.linspace(0.5, 1.5, 33) * (1 + i % 4) for i in range(16)]
+    serial = [phi_ode_values(E2, lams, r_pts, derivs=False, weights=w)
+              for w in ws]
+    got = [None] * len(ws)
+
+    def work(i):
+        got[i] = phi_basis(E2, lams, r_pts, ws[i])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(ws))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, serial):
+        assert np.array_equal(a, b)
+    cache = spherical._CACHE
+    assert len(cache._entries) == 4
+    assert cache.nbytes == sum(v.nbytes for v in cache._entries.values())
+
+
 def test_phi_basis_weights_threads_match_serial(ode_rows):
     r_pts = np.linspace(0.0, 2.0, 33)
     weights = np.linspace(0.5, 1.5, 33)
