@@ -404,7 +404,7 @@ def _mvp_certify(ctx):
         return float("inf"), 1e-6, f"unexpected verdict {cert.verdict}"
     err = min(abs(z - (-1.0)) for z in cert.common)
     return err, 1e-6, ("2π and 4π share the mean-value zero L = -1 "
-                       "(double zero: located only to sqrt of the residual)")
+                       "(double zero: its Hankel pencil value)")
 
 
 # ---------------------------------------------------------------------------

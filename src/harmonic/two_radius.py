@@ -19,20 +19,24 @@ zero sets share no point.  Zeros are counted by the argument principle on
 box boundaries sampled at Gauss-Legendre nodes along each edge.  The
 state carries dφ/dL and dΦ/dL, so the same boundary samples also give the
 contour moments s_p = (1/2πi) ∮ L^p t'/t dL, the power sums of the zeros
-inside (Delves & Lyness, Math. Comp. 21, 1967).  The edge rules converge
-geometrically unless a zero nears the boundary, and a box with a zero on its
-boundary is refused.  For a box holding w ≤ 4 zeros,
-Newton's identities turn s_1..s_w into a polynomial whose roots seed Newton.
-Roots that coincide relative to the box are one multiple zero, started once
-with their summed multiplicity (Kravanja & Van Barel, *Computing the Zeros
-of Analytic Functions*, LNM 1727, 2000).  All starts of a box are polished
-together in one lock-step batch (one eigen_state_at call per round), and
-each zero is polished once: a simple zero stops as soon as quadratic
-convergence puts its next step under the floor, a multiple zero at about
-1e-7, and the moment centroid of its tight box, which must recount its
-multiplicity, locates it.
-A box where no hypothesis is verified is split in two and each half is
-searched the same way.  One last batch measures every residual.
+inside, each counted with its multiplicity (Delves & Lyness, Math. Comp.
+21, 1967).  The edge rules converge geometrically unless a zero nears the
+boundary, and a box with a zero on its boundary is refused.  For a box
+holding w ≤ MAX_PENCIL zeros, the moments s_0 … s_{2w-1} form one Hankel
+pencil: the rank of [s_{i+j}] is the number of distinct zeros, the pencil's
+eigenvalues are those zeros, and a Vandermonde solve gives their
+multiplicities ν (Kravanja & Van Barel, *Computing the Zeros of Analytic
+Functions*, LNM 1727, 2000; ZEAL, Comput. Phys. Commun. 124, 2000).  A box
+is solved when every ν is within NU_TOL of an integer and every simple zero
+polishes, in one lock-step Newton batch (one eigen_state_at call per
+round), inside the box next to its pencil value.  A multiple zero, where
+Newton would stall at the m-th root of the state's noise, keeps its pencil
+value, whose residual the batch's first round checks: simple zeros closer
+than the rank cut resolves merge into one pencil zero at their centroid,
+where the residual is not small.  A box that fails, or that holds a
+multiple zero, is solved once more from twice the samples per edge; a box
+that fails again is split in two and each half is searched the same way.
+One last batch measures every residual.
 Certificates are explicitly box-relative: the theorems quantify over all of
 ℂ, a search cannot.
 
@@ -60,21 +64,26 @@ from .spherical import eigen_profile, eigen_state_at
 TARGETS = ("sphere", "mvp", "ball")
 DEFAULT_ZERO_TOL = 1e-9
 SEPARATION = 1e-6
-# relative radius within which found zeros are one (noisy multiple) zero
-CLUSTER = 1e-5
-# boxes with at most this many zeros are solved from their moment seeds
-MAX_SEEDED = 4
-# seeds closer than this fraction of the box half-diagonal are one multiple
-# zero (quadrature error splits an m-fold zero by about its m-th root)
-GROUP = 0.05
-# Newton stops a simple zero at this relative step, a multiple zero (located
-# only to the square root of the state's noise) at the second
+# boxes with at most this many zeros are solved from one Hankel pencil: the
+# least singular value of w distinct zeros' [s_{i+j}] falls 10-50x per zero,
+# to 1e-7..1e-8 of the largest at w = 7-8 and 3e-9 at w = 9, below RANK_TOL
+MAX_PENCIL = 7
+# singular values of [s_{i+j}] above this fraction of the largest count the
+# distinct zeros; a double zero's second one is quadrature noise, at most
+# 4e-10 at the winding's samples per edge and 1e-15 at twice as many
+RANK_TOL = 1e-8
+# a pencil is accepted when every ν is this close to an integer: solved
+# boxes read at most 1e-4, and failing ones 2e-3..0.45 at the winding's
+# samples per edge
+NU_TOL = 1e-3
+# Newton stops a simple zero at this relative step
 SIMPLE_STEP = 1e-14
-MULTIPLE_STEP = 1e-7
 # a boundary sample with |t| below this fraction of max(1, max |t|) is a zero
 ZERO_FLOOR = 1e-11
 # find_L_zeros refuses a box holding more zeros than this
 MAX_ZEROS = 64
+# boundary samples per edge stop doubling here
+MAX_SIDE = 2048
 # subdivision stops at boxes this small relative to 1 + |center|
 RESOLVE = 1e-4
 # find_r_zeros searches r in [R_MIN, r_max]
@@ -186,99 +195,108 @@ def _box_path(lo, hi, n_side):
 
 def _winding_of_samples(t):
     """Winding number of a closed sample loop; None if sampling is too coarse."""
-    ratios = np.roll(t, -1) / t
-    steps = np.angle(ratios)
+    steps = np.angle(np.roll(t, -1) / t)
     if np.max(np.abs(steps)) > 0.45 * math.pi:
-        return None, 0.0
+        return None
     total = float(np.sum(steps)) / (2 * math.pi)
     w = round(total)
-    if abs(total - w) > 0.05:
-        return None, total
-    return w, total
+    return w if abs(total - w) <= 0.05 else None
 
 
-def _box_contains(lo, hi, z, pad=0.0):
-    return (lo.real - pad <= z.real <= hi.real + pad
-            and lo.imag - pad <= z.imag <= hi.imag + pad)
+def _box_contains(lo, hi, z):
+    return lo.real <= z.real <= hi.real and lo.imag <= z.imag <= hi.imag
 
 
 @dataclass(frozen=True)
 class BoxCount:
-    """Zeros inside a box: their number and Newton starts from the moments.
+    """Zeros inside a box: their number and the box's Hankel pencil.
 
-    `seeds` holds one estimate per zero when 1 ≤ winding ≤ MAX_SEEDED (empty
-    otherwise); `centroid` is their mean (the box center when there are
-    none).  Both carry the quadrature error of the boundary moments, which
-    falls geometrically with the samples per edge but grows as a zero
+    `zeros` holds the distinct zeros the pencil finds and `nu` their
+    multiplicities as computed (complex, near integers when the moments
+    are accurate) when 1 ≤ winding ≤ MAX_PENCIL; both are empty otherwise.
+    They carry the quadrature error of the boundary moments, which falls
+    geometrically with the `n_side` samples per edge but grows as a zero
     nears the boundary.
     """
     winding: int
-    seeds: np.ndarray
-    centroid: complex
+    zeros: np.ndarray
+    nu: np.ndarray
+    n_side: int
 
 
-def _moment_seeds(pts, wts, t, dt, w, lo, hi):
-    """Seeds and centroid of the w zeros in [lo, hi] from boundary moments.
+def _hankel_pencil(pts, wts, t, dt, w, lo, hi):
+    """(distinct zeros, multiplicities ν) of the w zeros in [lo, hi].
 
-    Power sums s_p = (1/2πi) ∮ u^p t'/t dL in the box-scaled variable
-    u = (L - c)/ρ, by the boundary rule (nodes pts, weights wts).  Newton's
-    identities give the elementary symmetric functions, whose polynomial
-    has the w zeros as roots.
+    Power sums s_p = (1/2πi) ∮ u^p t'/t dL = Σ_k ν_k u_k^p, p < 2w, in the
+    box-scaled variable u = (L - c)/ρ, by the boundary rule (nodes pts,
+    weights wts).  H0 = [s_{i+j}] (w × w) has the rank n of the distinct
+    zeros, counted as its singular values above RANK_TOL σ₁.  With H0 cut
+    to U Σ V* of rank n, the eigenvalues of U* H1 V Σ⁻¹, H1 = [s_{i+j+1}],
+    are the u_k, and the Vandermonde system Σ_k ν_k u_k^p = s_p (p < n)
+    gives ν.
     """
-    c = (lo + hi) / 2
-    if w <= 0:
-        return BoxCount(w, np.zeros(0, dtype=complex), c)
-    rho = abs(hi - lo) / 2
-    u = (pts - c) / rho
+    c, rho = (lo + hi) / 2, abs(hi - lo) / 2
     f = wts * dt / t / (2j * math.pi)
-    s = [complex(np.sum(f * u ** p))
-         for p in range(1, (w if w <= MAX_SEEDED else 1) + 1)]
-    centroid = c + rho * s[0] / w
-    if w > MAX_SEEDED:
-        return BoxCount(w, np.zeros(0, dtype=complex), centroid)
-    e = [1.0]
-    for n in range(1, w + 1):
-        e.append(sum((-1) ** (i - 1) * e[n - i] * s[i - 1]
-                     for i in range(1, n + 1)) / n)
-    roots = np.roots([(-1) ** n * e[n] for n in range(w + 1)])
-    return BoxCount(w, c + rho * roots, centroid)
+    s = f @ np.vander((pts - c) / rho, 2 * w, increasing=True)
+    ij = np.add.outer(np.arange(w), np.arange(w))
+    U, sig, Vh = np.linalg.svd(s[ij])
+    n = int(np.sum(sig > RANK_TOL * sig[0]))
+    u = np.linalg.eigvals(U[:, :n].conj().T @ s[ij + 1] @ Vh[:n].conj().T
+                          / sig[:n])
+    nu = np.linalg.solve(np.vander(u, n, increasing=True).T, s[:n])
+    return c + rho * u, nu
+
+
+def _count_box(model, r, target, lo, hi, n_side):
+    """BoxCount of [lo, hi] from n_side samples per edge, or None when the
+    winding has not settled; raises WindingError as boundary_winding."""
+    pts, wts = _box_path(lo, hi, n_side)
+    t, dt = _target_values(model, pts, r, target)
+    # |t/t'| is the distance to the nearest zero over its multiplicity m,
+    # at most gap/(2m) for a zero on an edge: an even-order zero there
+    # leaves the phase unchanged, so the count cannot see it
+    gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
+                     np.abs(pts - np.roll(pts, 1)))
+    a = np.abs(t)
+    # written so that a nan sample (mvp at L = 0) is a hit too
+    hit = ~(a >= ZERO_FLOOR * max(1.0, float(np.nanmax(a))))
+    if hit.any():
+        raise WindingError("boundary sample hits a zero",
+                           gap=float(np.max(gap[hit])))
+    near = 3.0 * a < gap * np.abs(dt)
+    if near.any():
+        raise WindingError("a zero lies on the boundary",
+                           gap=float(np.max(gap[near])))
+    w = _winding_of_samples(t)
+    if w is None:
+        return None
+    none = np.zeros(0, dtype=complex)
+    zeros, nu = (_hankel_pencil(pts, wts, t, dt, w, lo, hi)
+                 if 1 <= w <= MAX_PENCIL else (none, none))
+    return BoxCount(w, zeros, nu, n_side)
 
 
 def boundary_winding(model, r, target, lo, hi):
-    """Argument-principle zero count inside the box [lo, hi], with seeds.
+    """Argument-principle zero count inside the box [lo, hi], with its pencil.
 
-    Returns a BoxCount.  Raises WindingError when a zero lies on (within a
-    fraction of a sample gap of) the boundary, with that gap, when a sample
-    is not finite (the mvp target at L = 0 exactly), or when the phase
-    refuses to stabilize; callers nudge the box and retry.
+    Returns a BoxCount, from enough samples per edge for the phase turn
+    along an edge, doubled until the winding settles.  Raises WindingError
+    when a zero lies on (within a fraction of a sample gap of) the boundary,
+    with that gap, when a sample is not finite (the mvp target at L = 0
+    exactly), or when the phase refuses to stabilize; callers nudge the box
+    and retry.
     """
     _check_target(target)
     # the phase turns about r·sqrt|L| along an edge; mid-edge, Gauss-Legendre
     # nodes lie π/2 times farther apart than equispaced ones
     n_side = int(max(32, 1.1 * r * math.sqrt(max(abs(lo), abs(hi))) + 13))
     while True:
-        pts, wts = _box_path(lo, hi, n_side)
-        t, dt = _target_values(model, pts, r, target)
-        # |t/t'| is the distance to the nearest zero over its multiplicity m,
-        # at most gap/(2m) for a zero on an edge: an even-order zero there
-        # leaves the phase unchanged, so the count cannot see it
-        gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
-                         np.abs(pts - np.roll(pts, 1)))
-        a = np.abs(t)
-        # written so that a nan sample (mvp at L = 0) is a hit too
-        hit = ~(a >= ZERO_FLOOR * max(1.0, float(np.nanmax(a))))
-        if hit.any():
-            raise WindingError("boundary sample hits a zero",
-                               gap=float(np.max(gap[hit])))
-        near = 3.0 * a < gap * np.abs(dt)
-        if near.any():
-            raise WindingError("a zero lies on the boundary",
-                               gap=float(np.max(gap[near])))
-        w, _ = _winding_of_samples(t)
-        if w is not None:
-            return _moment_seeds(pts, wts, t, dt, w, lo, hi)
-        if n_side >= 2048:
-            raise WindingError("phase did not stabilize at 2048 samples/side")
+        count = _count_box(model, r, target, lo, hi, n_side)
+        if count is not None:
+            return count
+        if n_side >= MAX_SIDE:
+            raise WindingError(
+                f"phase did not stabilize at {MAX_SIDE} samples/side")
         n_side *= 2
 
 
@@ -286,168 +304,104 @@ def boundary_winding(model, r, target, lo, hi):
 # lock-step polishing and subdivision
 # ---------------------------------------------------------------------------
 
-def _newton_rounds(model, r, target, starts, mults, max_iter=40, escape=None):
-    """Lock-step Schroeder-modified Newton: quadratic even at multiplicity > 1.
+def _newton_polish(model, r, target, starts, escape, max_iter=40):
+    """Lock-step Newton on simple zeros: (points, residuals, converged).
 
-    Each round evaluates the state once for all iterates still running and
-    yields (points, resid, done): per iterate, its answer so far, that
-    answer's residual, and whether the iterate has stopped.  A running
-    iterate's answer is its evaluated point of least |t|.  An iterate
-    converges when its step falls below SIMPLE_STEP (1 + |L|), or
-    MULTIPLE_STEP (1 + |L|) at multiplicity > 1, or, for a simple zero, when
-    quadratic convergence puts its next step (about s³/s_prev²) below that
-    floor; its answer is then the point after that step, and the residual of
-    a point not evaluated is predicted by the same law.  A multiple zero's
-    iterate also stops, at its least-residual point, on the first step that
-    does not shrink: the state's noise drives it from there.  Every iterate
-    stops when dt/dL vanishes, when it leaves an `escape` radius around its
-    start, or when its steps grew twice after the third round, so a
-    hopeless start is cheap.  The yielded arrays are updated in place by
-    later rounds.
+    Each round evaluates the state once for all iterates still running.  An
+    iterate converges when its step falls below SIMPLE_STEP (1 + |L|), or
+    when quadratic convergence puts its next step (about s³/s_prev²) below
+    that floor; its point is then the one after that step, and the residual
+    of a point not evaluated is predicted by the same law.  An iterate stops
+    unconverged, at its evaluated point of least |t|, when dt/dL vanishes,
+    when it moves farther than its `escape` from its start, when its steps
+    grew twice after the third round, or after max_iter rounds.  An
+    iterate whose escape is 0 is only evaluated: it stays at its start,
+    converged, with its |t| there as its residual.
     """
     start = np.array(starts, dtype=complex)
-    mult = np.asarray(mults, dtype=float)
-    tol = np.where(mult > 1, MULTIPLE_STEP, SIMPLE_STEP)
     z = start.copy()
     points = start.copy()
     resid = np.full(z.size, np.inf)
     prev = np.full(z.size, np.inf)
     grew = np.zeros(z.size, dtype=int)
     done = np.zeros(z.size, dtype=bool)
+    converged = np.zeros(z.size, dtype=bool)
     for i in range(max_iter):
         act = np.flatnonzero(~done)
         if act.size == 0:
-            return
+            break
         t, dt = _target_values(model, z[act], r, target)
         a = np.abs(t)
         better = a < resid[act]
         points[act[better]] = z[act[better]]
         resid[act[better]] = a[better]
         flat = dt == 0
-        step = np.where(flat, 0.0, mult[act] * t / np.where(flat, 1.0, dt))
+        hold = escape[act] == 0
+        step = np.where(flat | hold, 0.0, t / np.where(flat, 1.0, dt))
         z[act] -= step
         s = np.abs(step)
-        floor = tol[act] * (1.0 + np.abs(z[act]))
+        floor = SIMPLE_STEP * (1.0 + np.abs(z[act]))
         p = prev[act]
-        quad = ((mult[act] == 1) & np.isfinite(p) & (s < p)
-                & (s ** 3 <= floor * p * p))
-        conv = ~flat & ((s <= floor) | quad)
+        quad = np.isfinite(p) & (s < p) & (s ** 3 <= floor * p * p)
+        conv = hold | (~flat & ((s <= floor) | quad))
         points[act[conv]] = z[act[conv]]
         resid[act[conv]] = np.where(quad, a * (s / p) ** 2, a)[conv]
+        converged[act[conv]] = True
         grow = s >= p
-        stop = flat | conv | ((mult[act] > 1) & grow)
-        if escape is not None:
-            stop |= np.abs(z[act] - start[act]) > escape
         grew[act] = np.where(grow, grew[act] + 1, 0)
+        stop = flat | conv | (np.abs(z[act] - start[act]) > escape[act])
         stop |= grow & (grew[act] >= 2) & (i >= 3)
         prev[act] = s
         done[act[stop]] = True
-        if i == max_iter - 1:
-            done[:] = True
-        yield points, resid, done
+    return points, resid, converged
 
 
-def _newton_polish(model, r, target, starts, mults):
-    """Polished points and their residuals for a batch of Newton starts."""
-    points = np.array(starts, dtype=complex)
-    resid = np.full(points.size, np.inf)
-    for points, resid, _ in _newton_rounds(model, r, target, starts, mults):
-        pass
-    return points, resid
+def _multiplicities(nu):
+    """ν rounded to integers ≥ 1, or None if some ν is not within NU_TOL."""
+    m = np.rint(nu.real).astype(int)
+    if nu.size == 0 or np.any(m < 1) or np.max(np.abs(nu - m)) > NU_TOL:
+        return None
+    return m
 
 
-def _same_zero(a, b):
-    """Points closer than a multiple zero's noise cluster are one zero."""
-    return abs(a - b) <= CLUSTER * (1.0 + abs(b))
+def _solve_box(model, r, target, lo, hi, count, zero_tol):
+    """[(L, multiplicity), ...] of the box from its pencil, or None.
 
-
-def _group_seeds(seeds, rho):
-    """(start, multiplicity) per group of seeds closer than GROUP·rho.
-
-    Each seed joins the first group whose mean lies within reach, so an
-    m-fold zero split by quadrature error becomes one start of
-    multiplicity m at the mean of its seeds.
+    A pencil is accepted when its ν are integers within NU_TOL and every
+    zero has its residual below zero_tol inside the box.  Its simple zeros
+    polish first, and each Newton iterate must converge within a quarter of
+    the distance from its start to the nearest other pencil zero, so two
+    starts cannot land on one zero.  A multiple zero keeps its pencil value
+    from twice the winding's samples per edge: with the rank cut at the
+    distinct zeros it carries the moments' quadrature error linearly, not
+    as its m-th root.  Its residual, taken in the Newton batch's first
+    round, rejects simple zeros closer than the rank cut resolves, which
+    the pencil merges at their centroid with |t| about |t''|δ²/8 there.
+    A pencil that fails, or that holds a multiple zero, is replaced once by
+    the pencil at twice the samples.
     """
-    groups: list[list[complex]] = []
-    for v in seeds:
-        near = next((g for g in groups
-                     if abs(v - sum(g) / len(g)) <= GROUP * rho), None)
-        if near is None:
-            groups.append([complex(v)])
-        else:
-            near.append(complex(v))
-    return [(sum(g) / len(g), len(g)) for g in groups]
-
-
-def _polish_box(model, r, target, lo, hi, count, zero_tol, at_floor):
-    """Zeros of the box from its moment seeds, or None if none is verified.
-
-    A hypothesis is a list of (start, multiplicity) whose multiplicities
-    sum to w.  The first groups the seeds: seeds closer than GROUP times the
-    box half-diagonal are one zero of multiplicity their number, started at
-    their mean, so an m-fold zero gets one quadratic Schroeder iterate
-    instead of m linear Newton ones.  When that merged seeds, every seed as
-    a simple zero is the second (close simple zeros also give close seeds).
-    At the subdivision floor the centroid as one zero of multiplicity w is
-    the last.  One lock-step Newton batch runs them all and ends as soon as
-    one is verified: every point has its residual below zero_tol and lies in
-    the box, no two points are one zero, and the
-    tight box around every multiple zero recounts to its multiplicity
-    (w separated simple zeros can fake a small residual at their centroid).
-    A multiple zero is returned at that recount's moment centroid, which is
-    far closer than the Newton iterate, stalled at the m-th root of the
-    state's noise.  At the floor the centroid needs no recount but may sit
-    just outside the box.
-    """
-    w = count.winding
-    size = abs(hi - lo)
-    hyps = []
-    if count.seeds.size:
-        groups = _group_seeds(count.seeds, size / 2)
-        hyps.append(groups)
-        if len(groups) < w:
-            hyps.append([(complex(v), 1) for v in count.seeds])
-    # a single group of all the seeds already is the centroid hypothesis
-    if at_floor and not (hyps and len(hyps[0]) == 1):
-        hyps.append([(count.centroid, w)])
-    members = [m for h in hyps for m in h]
-    bounds = np.cumsum([0] + [len(h) for h in hyps])
-
-    def verified(z, res, mults):
-        centroid = at_floor and len(z) == 1
-        pad = max(2 * size, 1e-5 * (1 + abs(z[0]))) if centroid else 0.0
-        if any(res > zero_tol) \
-                or not all(_box_contains(lo, hi, v, pad) for v in z) \
-                or any(_same_zero(z[i], z[j])
-                       for i in range(len(z)) for j in range(i)):
-            return None
-        out = []
-        for v, m in zip(z, mults):
-            if m > 1 and not centroid:
-                h = 1e-5 * (1 + abs(v))
-                try:
-                    tight = boundary_winding(model, r, target, v - h - 1j * h,
-                                             v + h + 1j * h)
-                except WindingError:
-                    return None
-                if tight.winding != m:
-                    return None
-                v = tight.centroid
-            out.append((complex(v), m))
-        return out
-
-    pending = list(range(len(hyps)))
-    for z, res, done in _newton_rounds(
-            model, r, target, [v for v, _ in members],
-            [m for _, m in members], escape=max(3.0 * size, 1e-3)):
-        for k in [k for k in pending if done[bounds[k]:bounds[k + 1]].all()]:
-            pending.remove(k)
-            a, b = bounds[k], bounds[k + 1]
-            found = verified(z[a:b], res[a:b], [m for _, m in hyps[k]])
-            if found is not None:
-                return found
-        if not pending:
-            break
+    for retry in (False, True):
+        if retry:
+            if count.n_side >= MAX_SIDE:
+                return None
+            try:
+                again = _count_box(model, r, target, lo, hi, 2 * count.n_side)
+            except WindingError:
+                return None
+            if again is None or again.winding != count.winding:
+                return None
+            count = again
+        mult = _multiplicities(count.nu)
+        if mult is None or (not retry and np.any(mult > 1)):
+            continue
+        dist = np.abs(count.zeros[:, None] - count.zeros[None, :])
+        np.fill_diagonal(dist, np.inf)
+        escape = np.where(mult == 1,
+                          np.minimum(dist.min(axis=1) / 4, abs(hi - lo)), 0.0)
+        z, resid, conv = _newton_polish(model, r, target, count.zeros, escape)
+        if conv.all() and np.all(resid <= zero_tol) \
+                and all(_box_contains(lo, hi, v) for v in z):
+            return [(complex(v), int(m)) for v, m in zip(z, mult)]
     return None
 
 
@@ -458,17 +412,13 @@ def _subdivide(model, r, target, lo, hi, count, zero_tol, depth=0):
         return []
     if w < 0:
         raise WindingError(f"negative winding {w}: boundary unstable")
-    size = abs(hi - lo)
-    center = (lo + hi) / 2
-    at_floor = size <= RESOLVE * (1.0 + abs(center)) or depth >= 48
-    if w <= MAX_SEEDED or at_floor:
-        found = _polish_box(model, r, target, lo, hi, count, zero_tol,
-                            at_floor)
+    if w <= MAX_PENCIL:
+        found = _solve_box(model, r, target, lo, hi, count, zero_tol)
         if found is not None:
             return found
-        if at_floor:
-            raise WindingError(
-                f"polish from {count.centroid:.6g} failed in box {lo}..{hi}")
+    if abs(hi - lo) <= RESOLVE * (1.0 + abs((lo + hi) / 2)) or depth >= 48:
+        raise WindingError(
+            f"{w} zeros in box {lo}..{hi} unresolved at the subdivision floor")
     wide = (hi.real - lo.real) >= (hi.imag - lo.imag)
     last_err = None
     for frac in _SPLIT_FRACTIONS:
@@ -518,19 +468,18 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
                  zero_tol=DEFAULT_ZERO_TOL):
     """All zeros of the target function inside the L-plane box.
 
-    Counts the zeros in the box by the argument principle and seeds Newton
-    from the contour moments of the same boundary samples.  A box with at
-    most MAX_SEEDED zeros groups coinciding seeds into multiple zeros and
-    polishes the groups, and if a group merged seeds also the plain seeds,
-    together in one lock-step Newton batch, on the analytic dφ/dL carried in
-    the state.  It accepts distinct zeros inside it whose multiple
-    members' tight boxes recount to their multiplicities.  A box with more
-    zeros, or where no hypothesis holds, is split in two, and each half is
-    counted and searched the same way.  Each zero is polished once; one
-    final batch measures every residual and snaps near-real zeros onto
-    the real axis when that does not hurt it.  Results closer than a
-    multiple zero's noise cluster are merged and re-polished.  The residual
-    of a zero is its |t|; for mvp that is |(φ - 1)/L|.
+    Counts the zeros in the box by the argument principle and reads the
+    distinct zeros and their multiplicities from the Hankel pencil of the
+    contour moments of the same boundary samples.  A box with at most
+    MAX_PENCIL zeros whose multiplicities come out as integers polishes its
+    simple zeros in one lock-step Newton batch, on the analytic dφ/dL
+    carried in the state, and keeps the pencil value of its multiple zeros,
+    taken from twice the samples per edge.  A box with more zeros, or whose
+    pencil fails at both sample counts, is split in two, and each half is
+    counted and searched the same way.  One final batch measures every
+    residual and snaps near-real zeros onto the real axis when that does
+    not hurt it.  The residual of a zero is its |t|; for mvp that is
+    |(φ - 1)/L|.
     """
     _check_target(target)
     lo, hi = complex(box[0]), complex(box[1])
@@ -559,40 +508,16 @@ def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
             f"{total.winding} zeros counted in the box, above the limit of "
             f"{MAX_ZEROS}; search a smaller box")
 
-    found = _subdivide(model, r, target, corner_lo, corner_hi, total,
-                       zero_tol)
-    # Points closer than a multiple zero's noise cluster are one zero (two
-    # boxes at the subdivision floor may both report it): they are merged,
-    # and only such a merged cluster is polished again, with its summed
-    # multiplicity.
-    found.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-    merged: list[list] = []
-    for z, mlt in found:
-        if merged and _same_zero(merged[-1][0], z):
-            tot_m = merged[-1][1] + mlt
-            merged[-1][0] = (merged[-1][0] * merged[-1][1] + z * mlt) / tot_m
-            merged[-1][1] = tot_m
-            merged[-1][2].append(z)
-        else:
-            merged.append([z, mlt, [z]])
-
-    def candidates(z, mlt, members):
-        cand = list(members)
-        if len(members) > 1:
-            (z_p,), _ = _newton_polish(model, r, target, [z], [mlt])
-            cand.append(z)
-            if abs(z_p - z) <= 1e-4 * (1.0 + abs(z)):
-                cand.append(z_p)
-        # snap conjugate-symmetric results onto the real axis when that does
-        # not hurt the residual
-        cand.extend(complex(c.real) for c in list(cand)
-                    if abs(c.imag) <= 1e-5 * (1.0 + abs(c)))
-        return cand
-
-    picks = _least_residual(model, r, target,
-                            [candidates(*m) for m in merged])
-    zeros = [LZero(L=L, multiplicity=int(m[1]), residual=res)
-             for (L, res), m in zip(picks, merged)]
+    found = sorted(_subdivide(model, r, target, corner_lo, corner_hi, total,
+                              zero_tol),
+                   key=lambda zm: (zm[0].real, zm[0].imag))
+    # snap conjugate-symmetric results onto the real axis when that does not
+    # hurt the residual
+    picks = _least_residual(model, r, target, [
+        [z] + ([complex(z.real)] if abs(z.imag) <= 1e-5 * (1.0 + abs(z))
+               else []) for z, _ in found])
+    zeros = [LZero(L=L, multiplicity=m, residual=res)
+             for (L, res), (_, m) in zip(picks, found)]
     return ZeroSet(model=model, target=target, radius=r,
                    box=(corner_lo, corner_hi), zeros=zeros,
                    winding_total=int(total.winding),
@@ -769,8 +694,9 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
         return certificate("no-common-zero-in-box", mjr)
 
     dist = np.abs(a[:, None] - b[None, :])
-    # multiple zeros are located only to ~sqrt(noise), so candidate pairing
-    # must be looser than the final separation verdict
+    # the two radii's searches locate a shared zero from different boxes and
+    # samples, so candidate pairing is looser than the final separation
+    # verdict
     attempt = np.maximum(SEPARATION, 1e-4 * (1.0 + np.abs(a)[:, None]))
     i, j = np.nonzero(dist <= attempt)
     # of each close pair, the member of smaller joint residual is a common

@@ -10,6 +10,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 import sympy as sp
 from scipy.optimize import brentq
@@ -86,8 +87,9 @@ def test_zeros_match_closed_forms(model, target, r):
 
 
 def test_many_zeros_in_one_box_are_split_apart():
-    # seven zeros are more than one box solves from its moment seeds, so
-    # the box is split
+    # seven distinct zeros are as many as one pencil takes; at the winding's
+    # 38 samples per edge their ν read 0.45 off integers, so the box is
+    # solved from twice the samples or, failing that, split
     zs = find_L_zeros(E0, 3.0, box=DEFAULT_BOX)
     expect = -(np.arange(1, 15, 2) * math.pi / 6) ** 2
     assert zs.winding_total == 7
@@ -103,7 +105,8 @@ def test_mean_value_zeros_are_double():
     assert len(zs.zeros) == 1
     z = zs.zeros[0]
     assert z.multiplicity == 2
-    assert abs(z.L - (-4 * math.pi**2)) < 1e-6  # double zero: sqrt accuracy
+    # a double zero keeps its pencil value, 1.4e-14 off
+    assert abs(z.L - (-4 * math.pi**2)) < 1.4e-12
     assert all(abs(z.L) > 1.0 for z in zs.zeros)
 
 
@@ -119,9 +122,87 @@ def test_mvp_box_with_an_edge_next_to_the_origin_is_searched_as_requested(
     assert zs.box == box
     assert zs.winding_total == 2 * len(expect)
     assert [z.multiplicity for z in zs.zeros] == [2] * len(expect)
-    assert np.max(np.abs(np.sort(zs.values().real) - expect)) < 1e-6
+    # pencil values of the double zeros: 2.6e-15 and 5.7e-14 off
+    assert np.max(np.abs(np.sort(zs.values().real) - expect)) < 5.7e-12
     t, _ = two_radius._target_values(E0, [1e-9, 1e-9j], 2 * math.pi, "mvp")
     assert np.allclose(t, 2 * math.pi**2, rtol=1e-6)
+
+
+def _polynomial_pencil(roots, n_side):
+    """Winding and pencil of the box (-2, 2) × (-1.5, 1.5)i on exact samples
+    of the polynomial with these roots and of its derivative."""
+    lo, hi = -2 - 1.5j, 2 + 1.5j
+    coef = P.polyfromroots(roots)
+    pts, wts = two_radius._box_path(lo, hi, n_side)
+    t, dt = P.polyval(pts, coef), P.polyval(pts, P.polyder(coef))
+    w = two_radius._winding_of_samples(t)
+    return (w, *two_radius._hankel_pencil(pts, wts, t, dt, len(roots),
+                                           lo, hi))
+
+
+def test_pencil_of_a_polynomial_gives_its_zeros_and_multiplicities():
+    # (L - a)²(L - b)(L - c): rank 3 and ν = (2, 1, 1), no ODE involved
+    a, b, c = 0.3 + 0.2j, -1.1 + 0.5j, 0.9 - 0.7j
+    w, zeros, nu = _polynomial_pencil([a, a, b, c], 32)
+    assert w == 4 and zeros.size == 3
+    order = [int(np.argmin(np.abs(zeros - v))) for v in (a, b, c)]
+    assert np.max(np.abs(zeros[order] - [a, b, c])) < 1e-12
+    assert np.max(np.abs(nu[order] - [2, 1, 1])) < 1e-9
+    assert list(two_radius._multiplicities(nu[order])) == [2, 1, 1]
+
+
+def test_pencil_with_too_few_samples_for_the_box_is_rejected():
+    # b lies 0.15 below the top edge: at 24 samples per edge the winding
+    # settles, yet ν is 0.013 off integers; twice the samples resolve it
+    a, b, c = 0.3 + 0.2j, -1.1 + 1.35j, 0.9 - 0.7j
+    w, zeros, nu = _polynomial_pencil([a, a, b, c], 24)
+    assert w == 4
+    assert np.max(np.abs(nu - np.rint(nu.real))) > 5 * two_radius.NU_TOL
+    assert two_radius._multiplicities(nu) is None
+    w, zeros, nu = _polynomial_pencil([a, a, b, c], 48)
+    assert sorted(two_radius._multiplicities(nu)) == [1, 1, 2]
+
+
+def test_simple_zeros_closer_than_the_rank_cut_are_not_a_double_zero(
+        monkeypatch):
+    # a and a + 1e-4 are simple zeros; in the test box (δ/ρ)² = 1.6e-9 is
+    # below RANK_TOL, so the pencil merges them into one zero at their
+    # centroid with ν = 2, as it would a double zero
+    a, b, c = 0.3 + 0.2j, -1.1 + 0.5j, 0.9 - 0.7j
+    roots = [a, a + 1e-4, b, c]
+    w, zeros, nu = _polynomial_pencil(roots, 32)
+    assert w == 4 and zeros.size == 3
+    k = int(np.argmin(np.abs(zeros - a)))
+    assert abs(zeros[k] - (a + 0.5e-4)) < 1e-8  # δ², the rank cut's error
+    assert abs(nu[k] - 2) < two_radius.NU_TOL
+    # |t| there is about 4e-9, above zero_tol: the merged zero is rejected
+    # and the search splits the box until the pencil tells the pair apart
+    coef = P.polyfromroots(roots)
+    dcoef = P.polyder(coef)
+
+    def polynomial(model, L, r, target):
+        L = np.asarray(L, dtype=complex)
+        return P.polyval(L, coef), P.polyval(L, dcoef)
+
+    monkeypatch.setattr(two_radius, "_target_values", polynomial)
+    zs = find_L_zeros(None, 1.0, box=(-2 - 1.5j, 2 + 1.5j))
+    assert zs.winding_total == 4
+    assert [z.multiplicity for z in zs.zeros] == [1, 1, 1, 1]
+    assert np.max(np.abs(zs.values() - [b, a, a + 1e-4, c])) < 1e-12
+
+
+def test_newton_starts_on_both_sides_of_a_double_zero_do_not_converge():
+    # a pencil that split the double zero L = -1 (r = 2π, mvp) would start
+    # two simple Newton iterates about it: both head for the one zero and
+    # leave their quarter-separation reach, so neither counts as converged
+    starts = [-1 - 1e-4, -1 + 1e-4]
+    _, _, conv = two_radius._newton_polish(
+        E0, 2 * math.pi, "mvp", starts, np.full(2, 0.5e-4))
+    assert not conv.any()
+    # with no reach, an iterate converges within the zero's noise of -1
+    points, _, conv = two_radius._newton_polish(
+        E0, 2 * math.pi, "mvp", starts, np.full(2, np.inf))
+    assert conv.any() and np.max(np.abs(points[conv] + 1)) < 1e-6
 
 
 def test_mvp_sample_on_the_origin_nudges_the_box_without_warnings():

@@ -33,7 +33,10 @@ call with its inputs built beforehand:
                    default box [-60, 5] × [-8, 8]i at r = 0.81 / 1.59 / 2π,
                    keyed by r, with its series levels cached (a second call
                    at the same radius) and uncached (an empty cache), plus
-                   one find_L_zeros(E0, 0.81) from an empty cache
+                   one find_L_zeros(E0, 0.81) and one find_L_zeros(E0, 3)
+                   (seven zeros in the default box, whose first pencil is
+                   rejected and solved again from twice the samples) from
+                   an empty cache
   eigen_profile    eigen_profile of E0 at L = -10 + i on find_r_zeros' scan
                    of r ≤ 10 (801 radii)
   mvp_box          find_L_zeros(E0, r, "mvp") from an empty cache, keyed by
@@ -66,6 +69,11 @@ call each (deterministic, so taken once):
   abel_inverse_h3  abel_inverse(H3, abel(H3, gauss_bump(0.42))), with the
                    bytes it adds to the cache as "abel_inverse_h3_cached"
 
+A "state_calls" object gives, for the find_L_zeros calls of the
+"eigen_state" and "mvp_box" entries, the eigen_state_at calls and L-points
+one search takes (deterministic, so taken once), counted by a wrapper around
+the eigen_state_at that two_radius calls.
+
 One BLAS thread, as in perfbench/run.py.  Compare two commits by running
 this file against each one's src on the same machine, back to back:
 
@@ -96,6 +104,7 @@ import numpy as np  # noqa: E402
 
 from harmonic import (asymptotics, cli, geometry, pde,  # noqa: E402
                       spherical, transforms)
+from harmonic import two_radius  # noqa: E402
 from harmonic.two_radius import find_L_zeros  # noqa: E402
 from harmonic.density import (builtin_models, make_damek_ricci,  # noqa: E402
                               make_euclidean, make_real_hyperbolic)
@@ -113,6 +122,11 @@ CACHES = (("_CACHE", "CACHE_BYTES"), ("_BASIS_CACHE", "BASIS_CACHE_BYTES"),
           ("_COEF_CACHE", "COEF_CACHE_BYTES"))
 BOX_L = (np.linspace(-60.0, 5.0, 9)[:, None]
          + 1j * np.linspace(-8.0, 8.0, 4)[None, :]).ravel()
+# radii of the default-box find_L_zeros(E0, r) entries
+FIND_RADII = (0.81, 3.0)
+# the mvp_box searches, keyed as in the report: (r, box)
+MVP_BOXES = {"2pi": (2 * math.pi, (-3 - 3j, 1 + 3j)),
+             "1": (1.0, (-50 - 5j, 5 + 5j))}
 
 
 def best_of(fn, repeat, setup=None):
@@ -156,6 +170,24 @@ def peak_alloc(e3, h3):
     out["abel_inverse_h3_cached"] = (spherical._CACHE.nbytes
                                      - before) / 2**20
     return out
+
+
+def state_calls(fn):
+    """eigen_state_at calls and L-points of one fn() in two_radius."""
+    real = two_radius.eigen_state_at
+    count = {"calls": 0, "L_points": 0}
+
+    def counted(model, L_values, r):
+        count["calls"] += 1
+        count["L_points"] += int(np.size(L_values))
+        return real(model, L_values, r)
+
+    two_radius.eigen_state_at = counted
+    try:
+        fn()
+    finally:
+        two_radius.eigen_state_at = real
+    return count
 
 
 def empty_caches():
@@ -302,16 +334,15 @@ def main(argv=None):
             for lam_max in SWEEP_LAMBDA_MAX},
         "eigen_state": {
             **{f"{r:.4g}": eigen_state(r) for r in STATE_RADII},
-            "find_L_zeros_E0_0.81": best_of(
-                lambda: find_L_zeros(e0, 0.81), repeat,
-                setup=empty_caches)},
+            **{f"find_L_zeros_E0_{r:g}": best_of(
+                lambda: find_L_zeros(e0, r), repeat, setup=empty_caches)
+               for r in FIND_RADII}},
         "eigen_profile": best_of(lambda: spherical.eigen_profile(
             e0, -10.0 + 1.0j, np.linspace(0.0, 10.0, 801)), repeat),
         "mvp_box": {
             key: best_of(lambda: find_L_zeros(e0, r, "mvp", box=box), repeat,
                          setup=empty_caches)
-            for key, r, box in (("2pi", 2 * math.pi, (-3 - 3j, 1 + 3j)),
-                                ("1", 1.0, (-50 - 5j, 5 + 5j)))},
+            for key, (r, box) in MVP_BOXES.items()},
         "phi_grid": {key: best_of(lambda: phi_grid(model, draws), repeat)
                      for key, (model, draws) in phi_models.items()},
         "import_cli": best_of(import_cli, repeat),
@@ -324,6 +355,12 @@ def main(argv=None):
     }
     report = {"unit": "s", "repeat": repeat, "best": out,
               "peak_alloc": {"unit": "MiB", **peak_alloc(e3, h3)},
+              "state_calls": {
+                  **{f"find_L_zeros_E0_{r:g}": state_calls(
+                      lambda: find_L_zeros(e0, r)) for r in FIND_RADII},
+                  **{f"mvp_box_{key}": state_calls(
+                      lambda: find_L_zeros(e0, r, "mvp", box=box))
+                     for key, (r, box) in MVP_BOXES.items()}},
               "sizes": {"abel_lambda_nodes": int(lams.size),
                         "phi_rows_radii": int(r_nodes.size),
                         "e3_round_lambda_nodes": int(round_lams.size),
