@@ -303,10 +303,17 @@ def _cmd_abel(args):
     return 0
 
 
+def _lambda_grid(args):
+    """--count equally spaced λ on [0, --lambda-max]."""
+    if args.count < 1:
+        raise CLIError(f"--count must be at least 1, got {args.count}")
+    return np.linspace(0.0, args.lambda_max, args.count)
+
+
 def _cmd_fourier(args):
     model = _resolve_model(args)
     prof = _resolve_profile(args)
-    lams = np.linspace(0.0, args.lambda_max, args.count)
+    lams = _lambda_grid(args)
     params = {"profile": args.profile, "width": args.width,
               "center": args.center, "lambda_max": args.lambda_max,
               "count": args.count}
@@ -368,7 +375,7 @@ def _cmd_heat(args):
 def _cmd_heat_check(args):
     model = _resolve_model(args)
     tol = args.tol if args.tol is not None else 1e-3
-    lams = np.linspace(0.0, args.lambda_max, args.count)
+    lams = _lambda_grid(args)
     params = {"t": args.t, "lambda_max": args.lambda_max, "count": args.count}
     mani = _manifest("heat-check", args, model, params, {"rel_tol": tol})
     measured = pde.heat_identity_check(model, args.t, lams)
@@ -387,6 +394,9 @@ def _cmd_cheeger(args):
     params = {"rmax": args.rmax}
     mani = _manifest("cheeger", args, model, params)
     csv_path = str(Path(args.out).with_suffix(".csv")) if args.out else None
+    if csv_path == args.out:
+        raise CLIError(f"--out {args.out!r} is where the CSV goes; give the "
+                       "JSON report another suffix")
     if csv_path:
         mani["outputs"] = [args.out, csv_path]
     rep = asymptotics.cheeger_chain_report(model, r_max=args.rmax)

@@ -16,10 +16,11 @@ node set.
 Values at the nodes of data given at the panel boundaries come from the
 even cubic spline through them (flat at 0), evaluated at the nodes
 directly; the dense interpolation matrix is built only when asked for.
-make_grid builds grids of equal panels only, so node p·q + j is the panel
-edge x_p plus the offset of node j in the first panel; the cosine synthesis
-and the line fold in transforms factor through that and refuse grids
-without it (a Grid1D built from other points).
+Slope data get the odd spline; every spline in the package is built here.
+A Grid1D has equal panels of width h by construction (it refuses any other
+partition), so node p·q + j is the panel edge x_p plus the offset of node j
+in the first panel; the cosine synthesis and the line fold in transforms
+factor through that.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _tables(q):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Panel partition of [0, x_max] with per-panel Gauss-Legendre nodes."""
+    """Equal-panel partition of [0, x_max], per-panel Gauss-Legendre nodes."""
 
     points: np.ndarray          # (N+1,) increasing, points[0] == 0
     nodes_per_panel: int = DEFAULT_NODES_PER_PANEL
@@ -85,6 +86,10 @@ class Grid1D:
             raise ValueError("grid points must be strictly increasing")
         if pts.size - 1 < 16:
             raise ValueError("grid must have at least 16 panels")
+        # make_grid's panel widths agree to a few ulps of x_max
+        if np.ptp(np.diff(pts)) > 16 * np.finfo(float).eps * pts[-1]:
+            raise ValueError("grid needs equal panels; build it with "
+                             "make_grid")
         object.__setattr__(self, "points", pts)
 
     # -- basic geometry -------------------------------------------------
@@ -96,6 +101,11 @@ class Grid1D:
     @property
     def n_panels(self):
         return self.points.size - 1
+
+    @property
+    def h(self):
+        """Panel width."""
+        return self.x_max / self.n_panels
 
     @property
     def q(self):
@@ -197,6 +207,11 @@ class Grid1D:
         """Cubic spline through point_values, flat at 0 (even data)."""
         return CubicSpline(self.points, point_values,
                            bc_type=((1, 0.0), "not-a-knot"))
+
+    def odd_spline(self, point_values):
+        """Cubic spline through point_values, no curvature at 0 (odd data)."""
+        return CubicSpline(self.points, point_values,
+                           bc_type=((2, 0.0), "not-a-knot"))
 
 
 def _weighted_running(x, width, q, n):

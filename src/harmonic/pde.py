@@ -9,19 +9,20 @@ plus a smoothing kernel W(t, s) that is entire in t² - s².
 The checks in this module tie the flows together: the line picture of the
 radial wave flow solves Klein-Gordon, the transform intertwines the radial
 Laplacian with d²/ds² - H²/4, and the heat flow acts spectrally as the
-multiplier e^{-(λ² + H²/4) t}.
+multiplier e^{-(λ² + H²/4) t}, checked on the heat scheme's own cells: at
+φ_{±iH/2} ≡ 1 their quadrature of F k is the mass the scheme conserves.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile, smooth_bump
-from .transforms import EvenFunction, _as_radial, abel, spherical_fourier
+from .spherical import phi_ode_values
+from .transforms import EvenFunction, _as_radial, abel
 
 # the kernel series alternates; beyond H*t = 40 it cancels away more
 # digits than double precision has to spare
@@ -215,8 +216,10 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
 
     The origin is handled by the even-extension ghost point together with
     the removable-singularity form (n+1) w_rr of the radial Laplacian at
-    r = 0.  Refuses when dt violates the CFL bound 0.5 dr, or when the unit
-    light cone from supp(q0) would touch the artificial wall at r_max.
+    r = 0.  It ends at t = T in ⌈T/dt⌉ equal steps of at most dt (none at
+    T = 0); dr defaults to 2.5 dt.  Refuses when dt violates the CFL bound
+    0.5 dr, or when the unit light cone from supp(q0) would touch the
+    artificial wall at r_max.
     """
     fn, support = _radial_data(q0)
     dt = float(dt)
@@ -251,9 +254,10 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
         out[-1] = 0.0           # Dirichlet wall, never reached by the cone
         return out
 
+    n_steps = max(1, math.ceil(T / dt - 1e-9)) if T > 0 else 0
+    dt = T / n_steps if n_steps else dt
     w_prev = np.asarray(fn(r), dtype=float)
     w_cur = w_prev + 0.5 * dt * dt * apply_lap(w_prev)
-    n_steps = max(1, int(math.ceil(T / dt - 1e-9)))
     sample_steps = sorted({int(round(x))
                            for x in np.linspace(0.0, n_steps, n_samples)})
     states = []
@@ -267,7 +271,7 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
         if m in wanted:
             u_t = (w_next - w_prev) * (0.5 / dt)
             states.append(WaveState(
-                m * dt, grid, w_cur.copy(), u_t, model,
+                T if m == n_steps else m * dt, grid, w_cur.copy(), u_t, model,
                 _numerical_support(w_cur, r)))
         w_prev, w_cur = w_cur, w_next
     return states
@@ -344,19 +348,12 @@ def wave_to_kg_check(model, q0, T, dt=0.002):
 
 @dataclass(frozen=True)
 class HeatState:
-    """Cell-centered heat profile at one time."""
+    """Cell-centred heat profile at one time; k[i] lives at r[i]."""
 
     t: float
-    grid: Grid1D
+    r: np.ndarray
     k: np.ndarray
-    bump_width: float
     mass: float
-
-    @property
-    def r(self):
-        """Cell centers; k[i] lives at r[i]."""
-        p = self.grid.points
-        return 0.5 * (p[:-1] + p[1:])
 
 
 class BoundaryLeakError(RuntimeError):
@@ -443,12 +440,12 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     for st_t in sample_times[1:]:
         record.add(int(np.argmin(np.abs(times - st_t))))
 
-    states = [HeatState(0.0, grid, k.copy(), bump_width, mass_of(k))]
+    states = [HeatState(0.0, centers, k.copy(), mass_of(k))]
     for j, (kind, step) in enumerate(schedule):
         k = lhs_solve(k if kind == "be" else rhs_mul(c, k))
         if j in record:
-            states.append(HeatState(float(times[j]), grid, k.copy(),
-                                    bump_width, mass_of(k)))
+            states.append(HeatState(float(times[j]), centers, k.copy(),
+                                    mass_of(k)))
 
     tail = model.sphere_const * float(np.sum(theta_c[-3:] * k[-3:])) * dr
     if tail > LEAK_TOL:
@@ -459,32 +456,31 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     return states
 
 
-def _cells_to_radial(state):
-    """Radial container over the heat grid, interpolating cell centers."""
-    rc = state.r
-    xs = np.concatenate([-rc[::-1], rc])
-    ys = np.concatenate([state.k[::-1], state.k])
-    spl = CubicSpline(xs, ys)
-    g = state.grid
-    return EvenFunction(grid=g, values=spl(g.points), support=g.x_max,
-                        exact_node_values=spl(g.nodes))
+def _cell_transform(model, state, lambdas, dr):
+    """ω Σ_i θ(r_i) k_i φ_λ(r_i) Δr over the cells of dr: F k by the
+    scheme's own quadrature, whose weights also sum to the state's mass."""
+    weights = model.sphere_const * model.theta(state.r) * dr * state.k
+    return phi_ode_values(model, lambdas, state.r, derivs=False,
+                          weights=weights)
 
 
 def heat_identity_check(model, t, lambdas, dr=0.01):
     """Max relative gap between the heat flow and its spectral multiplier.
 
     Evolving a bump b of width 0.3 for time t multiplies its transform
-    pointwise: F(k(t))(λ) = e^{-(λ² + H²/4) t} F(b)(λ).  Both transforms use
-    the same cell data, so the discretization of b cancels in the ratio.  λ
-    values where |F b| <= MULTIPLIER_GUARD are refused (the quotient would
-    amplify noise).
+    pointwise: F(k(t))(λ) = e^{-(λ² + H²/4) t} F(b)(λ).  Both states are
+    transformed by the scheme's own quadrature (_cell_transform, nothing
+    interpolated or cached), so the discretization of b cancels in the
+    ratio.  At L = 0 (λ = ±iH/2, φ ≡ 1) that sum is the mass, which the
+    flux form conserves to roundoff, so there the ratio is e^0 = 1 exactly;
+    elsewhere it carries the scheme's O(dr²) error.  λ values where
+    |F b| <= MULTIPLIER_GUARD are refused (the quotient would amplify
+    noise).
     """
     lambdas = np.asarray(lambdas, dtype=float)
     states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
-    f_end = spherical_fourier(model, _cells_to_radial(states[-1]),
-                              lambdas).values
-    f_start = spherical_fourier(model, _cells_to_radial(states[0]),
-                                lambdas).values
+    f_start, f_end = (_cell_transform(model, st, lambdas, dr)
+                      for st in (states[0], states[-1]))
     weak = np.abs(f_start) <= MULTIPLIER_GUARD
     if np.any(weak):
         ok = lambdas[~weak]

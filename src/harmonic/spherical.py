@@ -467,7 +467,7 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
     rows = [np.ones((M, radii.size), dtype=L.dtype)]
     rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
-    if not radii.size or radii[-1] == 0.0:
+    if not (M and radii.size) or radii[-1] == 0.0:
         return rows
     ends, slopes, log_ref, powers, i0, edges, cut = _spps_frame(
         model, L, radii, Phi)
@@ -534,7 +534,7 @@ def _spps_contract(model, L, radii, weights):
     O(len(L)·len(radii)·K) for the rows.  Returns shape (len(L),).
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
-    if not radii.size or radii[-1] == 0.0:
+    if not (M and radii.size) or radii[-1] == 0.0:
         return np.full(M, np.sum(weights), dtype=L.dtype)
     ends, slopes, _, powers, i0, edges, cut = _spps_frame(model, L, radii)
     P = cut.size - 1
@@ -594,7 +594,7 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
     returns only the contraction Σ_i weights_i φ_λ(r_i), shape
     (len(lams),), summed into the series levels before λ enters
     (_spps_contract): its cost in λ is ∝ the number of pieces, not of
-    radii, and no row is formed.
+    radii, and no row is formed.  No λ gives empty results.
     r_points must be sorted ascending.  No ODE is stepped: the coefficient
     functions of the piecewise spectral-parameter power series depend on
     the model and the pieces only, so rows cost ∝ their count, not λ_max

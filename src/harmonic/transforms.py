@@ -20,8 +20,8 @@ One container, EvenFunction, holds them all, radial data on X and line
 functions alike.
 
 The synthesis takes cos and sin on (s × panels) and (s × q) arrays only.
-Both grids have equal panels (every make_grid grid does), so a node is a
-panel edge plus an in-panel offset, λ = e + o and s = a_p + b_j, and
+Both grids have equal panels (every Grid1D does), so a node is a panel
+edge plus an in-panel offset, λ = e + o and s = a_p + b_j, and
 cos λ(a + b) = cos λa cos λb - sin λa sin λb builds the rest: the rows at
 the grid points from the λ-edges and λ-offsets, one block of points at a
 time, and the node values as two matrix products of those rows with the
@@ -56,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.interpolate import CubicSpline
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile
@@ -121,8 +120,7 @@ class EvenFunction:
     def _slope_spline(self):
         if self.deriv_values is None:
             return self._spline.derivative()
-        return CubicSpline(self.grid.points, self.deriv_values,
-                           bc_type=((2, 0.0), "not-a-knot"))
+        return self.grid.odd_spline(self.deriv_values)
 
     def _at(self, spline, a):
         """spline at abscissae a >= 0, zero beyond the grid."""
@@ -154,7 +152,7 @@ class EvenFunction:
         x_max is the requested one rounded up to a whole number of panels
         (at least 16).
         """
-        h = _panel_width(self.grid, "fold")
+        h = self.grid.h
         r = max(1, round(DEFAULT_SPACING / h))
         n = max(16, math.ceil(x_max / (r * h) - 1e-9))
         return make_grid(n * r * h, n_panels=n)
@@ -166,8 +164,8 @@ class EvenFunction:
         fold at grid.points and at grid.nodes, each of shape
         (n,) + weights.shape[1:] for its n abscissae.  slope=True folds g'
         instead of g.
-        grid must lie on the knot lattice of this function's grid (equal
-        panels of h): equal panels r·h wide, as lattice_grid builds.  Then
+        grid must lie on the knot lattice of this function's grid (panels
+        of h): panels r·h wide, as lattice_grid builds.  Then
         for the points, and for each in-panel node offset, every shift ±σ_k
         lands at one offset d_k inside a knot interval for all x, and the
         fold is Σ_m Σ_i K_m[i] E_m[i + p·r]: K_m bins w_k (d_k/h)^m by the
@@ -176,8 +174,7 @@ class EvenFunction:
         the correlation is one FFT product per offset class.  A shift onto
         ±X exactly still reads the spline, as g does; beyond it, zero.
         """
-        h = _panel_width(self.grid, "fold")
-        width = _panel_width(grid, "fold")
+        h, width = self.grid.h, grid.h
         r = round(width / h)
         if r < 1 or abs(width - r * h) > 1e-12 * width:
             raise ValueError(
@@ -246,7 +243,7 @@ def _lattice_coefficients(spline, grid, odd):
     of the spline on grid's N equal panels; edge is the spline's value at X.
     """
     deg = spline.c.shape[0] - 1
-    h = _panel_width(grid, "fold")
+    h = grid.h
     right = spline.c[::-1] * (h ** np.arange(deg + 1))[:, None]
     # on the mirror image of an interval the polynomial is P(1 - t), and
     # P(1 - t) = Σ_l t^l (-1)^l Σ_m binom(m, l) C_m
@@ -378,8 +375,8 @@ def _cosine_synthesis(sgrid, lgrid, Ff):
     lnodes = lgrid.nodes
     wF = lgrid.node_weights * Ff
     wF1, wF2 = wF * lnodes, wF * lnodes**2
-    edges, offsets = _panel_frame(lgrid)
-    inner = np.outer(lnodes, _panel_frame(sgrid)[1])
+    edges, offsets = lgrid.points[:-1], lgrid.nodes[:lgrid.q]
+    inner = np.outer(lnodes, sgrid.nodes[:sgrid.q])
     cos_in, sin_in = np.cos(inner), np.sin(inner)
     s = sgrid.points
     n_nodes = s.size - 1
@@ -444,39 +441,16 @@ def _sample_until_decayed(sample, abscissae, width, lam0):
         target *= 1.6
 
 
-def _panel_width(grid, what):
-    """Panel width of a grid of equal panels; any other grid is refused.
-
-    make_grid's grids qualify (their panel widths agree to a few ulps of
-    x_max).
-    """
-    if np.ptp(np.diff(grid.points)) > 16 * np.finfo(float).eps * grid.x_max:
-        raise ValueError(f"{what} needs equal panels; build the grid with "
-                         "make_grid")
-    return grid.x_max / grid.n_panels
-
-
-def _panel_frame(grid):
-    """(panel edges, in-panel node offsets) of a grid with equal panels.
-
-    Node p·q + j lies at edges[p] + offsets[j], so cos and sin of λ times
-    every node follow from those at the P edges and the q offsets by the
-    angle-addition formula.
-    """
-    _panel_width(grid, "the cosine synthesis")
-    return grid.points[:-1], grid.nodes[:grid.q]
-
-
 def cosine_transform(g, lambdas):
     """ĝ(λ) = 2 ∫_0^S g(s) cos(λ s) ds for an even line function.
 
     The quadrature sum over the nodes factors by panel: with node = a_p + b_j,
     ĝ(λ) = 2 Σ_p [cos λa_p C_p(λ) - sin λa_p S_p(λ)], C_p = Σ_j w_pj cos λb_j
     and S_p likewise, so cos and sin are taken on (λ × panels) and
-    (λ × q) arrays instead of (λ × nodes).  g's grid needs equal panels.
+    (λ × q) arrays instead of (λ × nodes).
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    edges, offsets = _panel_frame(g.grid)
+    edges, offsets = g.grid.points[:-1], g.grid.nodes[:g.grid.q]
     w = (g.grid.node_weights * g.node_values()).reshape(edges.size, -1)
     outer = np.outer(lambdas, edges)
     inner = np.outer(lambdas, offsets)

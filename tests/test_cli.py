@@ -55,6 +55,28 @@ def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
     assert doc["manifest"]["parameters"] == {}
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("command", ["fourier", "heat-check"])
+def test_lambda_count_below_one_is_refused(tmp_path, command, count):
+    rc, doc = _run(tmp_path, [command, "--count", count])
+    assert rc == 1
+    assert doc["error"]["type"] == "CLIError"
+    assert "--count" in doc["error"]["message"]
+
+
+def test_cheeger_refuses_an_out_that_is_its_own_csv(tmp_path):
+    # the CSV would overwrite the JSON report
+    out = tmp_path / "rep.csv"
+    rc = cli.main(["cheeger", "--model", "hyperbolic", "--n", "2",
+                   "--rmax", "20", "--out", str(out)])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == [out]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["error"]["type"] == "CLIError"
+    assert "--out" in doc["error"]["message"]
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--seed"])
 def test_phi_refuses_flags_it_does_not_read(flag):
     with pytest.raises(SystemExit) as exc:

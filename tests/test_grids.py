@@ -81,6 +81,8 @@ def test_grid_construction_guards():
         Grid1D(points=np.linspace(0.0, 1.0, 10))
     with pytest.raises(ValueError, match="at least one panel"):
         Grid1D(points=np.array([0.0]))
+    with pytest.raises(ValueError, match="equal panels.*make_grid"):
+        Grid1D(points=2.0 * (np.arange(41) / 40) ** 2)
 
 
 def test_make_grid_guards():
@@ -90,6 +92,7 @@ def test_make_grid_guards():
 
 def test_make_grid_spacing_and_minimum():
     assert make_grid(10.0, spacing=0.05).n_panels == 200
+    assert make_grid(10.0, spacing=0.05).h == 10.0 / 200
     # tiny domain still gets the 16-panel floor
     assert make_grid(0.1, spacing=0.05).n_panels == 16
 

@@ -16,7 +16,7 @@ from harmonic.pde import (BoundaryLeakError, heat_identity_check,
                           radial_heat_solve, radial_wave_solve,
                           support_growth_slope, wave_to_kg_check)
 from harmonic.profiles import gauss_bump, smooth_bump
-from harmonic.transforms import EvenFunction
+from harmonic.transforms import EvenFunction, spherical_fourier
 
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
@@ -145,6 +145,14 @@ def test_wave_guards():
         radial_wave_solve(E2, np.cos, 1.0, 0.004)
 
 
+@pytest.mark.parametrize("T", [0.0, 1.83207])
+def test_wave_ends_at_T(T):
+    # 1.83207 is not a multiple of dt: the steps shrink to T/459
+    states = radial_wave_solve(E2, gauss_bump(0.5), T, 0.004, n_samples=3)
+    assert states[-1].t == T
+    assert len(states) == (1 if T == 0 else 3)
+
+
 def test_support_slope_needs_samples():
     states = radial_wave_solve(E2, gauss_bump(0.5), 0.3, 0.004, n_samples=3)
     with pytest.raises(ValueError, match="not enough samples"):
@@ -227,6 +235,36 @@ def test_heat_leak_error_reports_needed_domain():
     with pytest.raises(BoundaryLeakError) as exc:
         radial_heat_solve(E2, 1.0, 0.3, r_max=2.0)
     assert exc.value.required_r_max > 2.0
+
+
+@pytest.mark.parametrize("model", [E2, H3, make_damek_ricci(2, 1)],
+                         ids=["E3", "H3", "DR21"])
+def test_cell_transform_of_the_initial_state(model):
+    # the cells' midpoint sum of F b against its Gauss quadrature, both over
+    # the cell mass of the bump b that radial_heat_solve divides by
+    lams = np.linspace(0.0, 2.0, 9)
+    bump = smooth_bump(0.3)
+    gaps = []
+    for dr in (0.02, 0.01):
+        state = radial_heat_solve(model, 0.5, 0.3, dr=dr, n_samples=2)[0]
+        mass0 = model.sphere_const * np.sum(model.theta(state.r)
+                                            * bump.f(state.r)) * dr
+        want = spherical_fourier(model, bump, lams).values / mass0
+        gaps.append(np.max(np.abs(pde._cell_transform(model, state, lams,
+                                                      dr) - want)))
+    # measured 2.6e-5-5.5e-5 at dr = 0.02 and 8.5e-7-1.24e-6 at dr = 0.01,
+    # 21-31 times smaller: at least second order
+    assert gaps[1] <= gaps[0] / 4 and gaps[1] < 3e-6
+
+
+@pytest.mark.parametrize("model", [E2, H3, make_damek_ricci(2, 1)],
+                         ids=["E3", "H3", "DR21"])
+def test_cell_transform_at_L_zero_is_the_mass(model):
+    # φ_{iH/2} ≡ 1, so the scheme's quadrature of F k is its conserved mass
+    lam = np.array([0.5j * model.H])
+    for st in radial_heat_solve(model, 0.5, 0.3):
+        got = pde._cell_transform(model, st, lam, 0.01)
+        assert abs(got[0] - st.mass) < 1e-13
 
 
 def test_heat_multiplier_flat_space():

@@ -286,6 +286,16 @@ def test_phi_ode_values_requires_sorted_points():
         phi_ode_values(E2, [1.0], np.array([1.0, 0.5, 2.0]))
 
 
+def test_phi_ode_values_of_no_lambda_are_empty():
+    r = np.linspace(0.0, 3.0, 7)
+    vals, ders = phi_ode_values(H3, [], r)
+    assert vals.shape == ders.shape == (0, 7)
+    vals, ders = phi_ode_values(H3, np.array([]), r, derivs=False)
+    assert vals.shape == (0, 7) and ders is None
+    sums = phi_ode_values(H3, [], r, derivs=False, weights=np.ones(7))
+    assert sums.shape == (0,)
+
+
 # -- integrated eigenfunction ----------------------------------------------
 
 def test_capital_phi_flat_line():

@@ -93,13 +93,6 @@ def test_cosine_transform_matches_the_dense_formula(case, bump_abel):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_cosine_transform_refuses_unequal_panels():
-    g = Grid1D(points=2.0 * (np.arange(41) / 40) ** 2)
-    line = EvenFunction(grid=g, values=np.exp(-g.points**2), support=2.0)
-    with pytest.raises(ValueError, match="make_grid"):
-        cosine_transform(line, [0.0, 1.0])
-
-
 # -- the fold -----------------------------------------------------------------
 
 def _dense_at(g, a, data, deriv=False, odd=False):
@@ -256,17 +249,10 @@ def test_fold_edges_and_scalars():
     assert vals[-1] == 0.0  # every pair of x = 4 lies beyond the grid
 
 
-def test_fold_refuses_off_lattice_grids_and_unequal_panels():
+def test_fold_refuses_off_lattice_grids():
     g = _gauss_line(0.5, 3.0)
     sig, w = np.array([0.1, 0.2]), np.array([1.0, 1.0])
     with pytest.raises(ValueError, match="lattice_grid"):
         g.fold(make_grid(4.0, spacing=0.03), sig, w)
     with pytest.raises(ValueError, match="lattice_grid"):
         g.fold(make_grid(4.013, n_panels=200), sig, w)
-    uneven = Grid1D(points=3.0 * (np.arange(41) / 40) ** 2)
-    bent = EvenFunction(grid=uneven, values=np.exp(-uneven.points**2),
-                        support=3.0)
-    for call in (lambda: bent.lattice_grid(4.0),
-                 lambda: bent.fold(g.lattice_grid(4.0), sig, w)):
-        with pytest.raises(ValueError, match="equal panels.*make_grid"):
-            call()

@@ -22,6 +22,9 @@ call with its inputs built beforehand:
                    for it (q0's λ_max, s_max = support + 0.5)
   heat_solve       radial_heat_solve(H3, 1.0, 0.3), the trajectory a
                    heat-check of t = 1 computes
+  heat_identity_check  heat_identity_check(H⁶, 0.8, 9 λ in [0, 2]), as
+                   `heat-check --model hyperbolic --n 5 --t 0.8` calls it,
+                   from an empty cache
   abel_inverse_h3_gauss    abel_inverse of A(gauss_bump(0.4)) on H3, from
                            an empty φ-basis cache
   abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
@@ -62,10 +65,10 @@ A separate "peak_alloc" object gives the tracemalloc peak, in MiB, of one
 call each (deterministic, so taken once):
 
   abel_e3          abel(E3, smooth_bump(1.5)) with its F f cached
-  spherical_fourier_heat_h6  spherical_fourier at 9 λ in [0, 2] of the H⁶
-                   heat state that `heat-check --model hyperbolic --n 5
-                   --t 0.8` transforms (12,200 radial nodes), from an empty
-                   cache
+  spherical_fourier_heat_h6  spherical_fourier at 9 λ in [0, 2] of a heat
+                   profile e^{-r²/3.2} on the 1,525 cells of dr = 0.01
+                   that `heat-check --model hyperbolic --n 5 --t 0.8`
+                   takes (12,200 radial nodes), from an empty cache
   abel_inverse_h3  abel_inverse(H3, abel(H3, gauss_bump(0.42))), with the
                    bytes it adds to the cache as "abel_inverse_h3_cached"
 
@@ -156,8 +159,10 @@ def peak_alloc(e3, h3):
     transforms.abel(e3, bump)
     out = {"abel_e3": traced_peak(lambda: transforms.abel(e3, bump))}
     h6 = make_real_hyperbolic(5)
-    state = pde.radial_heat_solve(h6, 0.8, 0.3, n_samples=2)[-1]
-    heat = pde._cells_to_radial(state)
+    grid = make_grid(15.25, n_panels=1525)
+    heat = transforms.EvenFunction(
+        grid=grid, values=np.exp(-grid.points**2 / 3.2), support=grid.x_max,
+        exact_node_values=np.exp(-grid.nodes**2 / 3.2))
     empty_caches()
     out["spherical_fourier_heat_h6"] = traced_peak(
         lambda: transforms.spherical_fourier(h6, heat,
@@ -291,7 +296,7 @@ def main(argv=None):
     fw.exact_node_values = fw.node_values()
     sweep_radii = make_grid(1.5, spacing=0.02).nodes
 
-    e0 = make_euclidean(0)
+    e0, h6 = make_euclidean(0), make_real_hyperbolic(5)
 
     def eigen_state(r):
         def call():
@@ -322,6 +327,10 @@ def main(argv=None):
                                        ("wave_slice", h3, fw, slice_lams))},
         "heat_solve": best_of(lambda: pde.radial_heat_solve(h3, 1.0, 0.3),
                               repeat),
+        "heat_identity_check": best_of(
+            lambda: pde.heat_identity_check(h6, 0.8,
+                                            np.linspace(0.0, 2.0, 9)),
+            repeat, setup=empty_caches),
         "abel_inverse_h3_gauss": best_of(
             lambda: transforms.abel_inverse(h3, a_h3_gauss), repeat,
             setup=empty_caches),
