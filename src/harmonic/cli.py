@@ -393,10 +393,10 @@ def _cmd_cheeger(args):
     model = _resolve_model(args)
     params = {"rmax": args.rmax}
     mani = _manifest("cheeger", args, model, params)
-    csv_path = str(Path(args.out).with_suffix(".csv")) if args.out else None
-    if csv_path == args.out:
+    if args.out and Path(args.out).suffix == ".csv":
         raise CLIError(f"--out {args.out!r} is where the CSV goes; give the "
                        "JSON report another suffix")
+    csv_path = str(Path(args.out).with_suffix(".csv")) if args.out else None
     if csv_path:
         mani["outputs"] = [args.out, csv_path]
     rep = asymptotics.cheeger_chain_report(model, r_max=args.rmax)

@@ -456,9 +456,10 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     return states
 
 
-def _cell_transform(model, state, lambdas, dr):
-    """ω Σ_i θ(r_i) k_i φ_λ(r_i) Δr over the cells of dr: F k by the
+def _cell_transform(model, state, lambdas):
+    """ω Σ_i θ(r_i) k_i φ_λ(r_i) Δr over the state's cells: F k by the
     scheme's own quadrature, whose weights also sum to the state's mass."""
+    dr = state.r[1] - state.r[0]
     weights = model.sphere_const * model.theta(state.r) * dr * state.k
     return phi_ode_values(model, lambdas, state.r, derivs=False,
                           weights=weights)
@@ -479,7 +480,7 @@ def heat_identity_check(model, t, lambdas, dr=0.01):
     """
     lambdas = np.asarray(lambdas, dtype=float)
     states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
-    f_start, f_end = (_cell_transform(model, st, lambdas, dr)
+    f_start, f_end = (_cell_transform(model, st, lambdas)
                       for st in (states[0], states[-1]))
     weak = np.abs(f_start) <= MULTIPLIER_GUARD
     if np.any(weak):

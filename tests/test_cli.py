@@ -64,17 +64,27 @@ def test_lambda_count_below_one_is_refused(tmp_path, command, count):
     assert "--count" in doc["error"]["message"]
 
 
-def test_cheeger_refuses_an_out_that_is_its_own_csv(tmp_path):
-    # the CSV would overwrite the JSON report
+CHEEGER_H2 = ["cheeger", "--model", "hyperbolic", "--n", "2", "--rmax", "20"]
+
+
+@pytest.mark.parametrize("spelling", ["rep.csv", "./rep.csv"])
+def test_cheeger_refuses_an_out_that_is_its_own_csv(tmp_path, spelling):
+    # the CSV would overwrite the JSON report, however the path is spelled
     out = tmp_path / "rep.csv"
-    rc = cli.main(["cheeger", "--model", "hyperbolic", "--n", "2",
-                   "--rmax", "20", "--out", str(out)])
+    rc = cli.main(CHEEGER_H2 + ["--out", f"{tmp_path}/{spelling}"])
     assert rc == 1
     assert list(tmp_path.iterdir()) == [out]
     doc = json.loads(out.read_text(encoding="utf-8"))
     jsonschema.validate(doc, SCHEMA)
     assert doc["error"]["type"] == "CLIError"
     assert "--out" in doc["error"]["message"]
+
+
+def test_cheeger_without_out_prints_its_report(capsys):
+    assert cli.main(CHEEGER_H2) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["kind"] == "cheeger-report"
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--seed"])

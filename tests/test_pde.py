@@ -250,8 +250,8 @@ def test_cell_transform_of_the_initial_state(model):
         mass0 = model.sphere_const * np.sum(model.theta(state.r)
                                             * bump.f(state.r)) * dr
         want = spherical_fourier(model, bump, lams).values / mass0
-        gaps.append(np.max(np.abs(pde._cell_transform(model, state, lams,
-                                                      dr) - want)))
+        gaps.append(np.max(np.abs(pde._cell_transform(model, state, lams)
+                                  - want)))
     # measured 2.6e-5-5.5e-5 at dr = 0.02 and 8.5e-7-1.24e-6 at dr = 0.01,
     # 21-31 times smaller: at least second order
     assert gaps[1] <= gaps[0] / 4 and gaps[1] < 3e-6
@@ -263,7 +263,7 @@ def test_cell_transform_at_L_zero_is_the_mass(model):
     # φ_{iH/2} ≡ 1, so the scheme's quadrature of F k is its conserved mass
     lam = np.array([0.5j * model.H])
     for st in radial_heat_solve(model, 0.5, 0.3):
-        got = pde._cell_transform(model, st, lam, 0.01)
+        got = pde._cell_transform(model, st, lam)
         assert abs(got[0] - st.mass) < 1e-13
 
 
