@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -155,9 +156,20 @@ def _add_seed_flag(sp):
                     help="seed for randomized checks")
 
 
-def _add_tol_flag(sp):
-    sp.add_argument("--tol", type=float, default=None,
-                    help="override the command's default tolerance")
+def _add_tol_flag(sp, default, what):
+    sp.add_argument("--tol", type=float, default=default,
+                    help=f"{what} (default {default:g})")
+
+
+def _add_zero_flags(sp):
+    """The flags of the L-plane zero commands, defaulted as two_radius is."""
+    _add_model_flags(sp)
+    _add_out_flag(sp)
+    _add_tol_flag(sp, two_radius.DEFAULT_ZERO_TOL, "zero residual tolerance")
+    sp.add_argument("--target", default="sphere", choices=two_radius.TARGETS)
+    sp.add_argument("--box", metavar="a,b,c,d", default=",".join(
+        f"{v:g}" for z in two_radius.DEFAULT_BOX for v in (z.real, z.imag)),
+        help="search box corners re_lo,im_lo,re_hi,im_hi")
 
 
 def _resolve_model(args):
@@ -237,14 +249,19 @@ def _cmd_phi(args):
     return 0
 
 
-def _cmd_zeros(args):
+def _zero_prologue(command, args, params):
+    """(model, box, manifest) of an L-plane zero command."""
     model = _resolve_model(args)
     box = _parse_box(args.box)
-    tol = args.tol if args.tol is not None else 1e-10
-    params = {"r": args.r, "target": args.target, "box": [box[0], box[1]]}
-    mani = _manifest("zeros", args, model, params, {"zero_tol": tol})
+    params.update(target=args.target, box=list(box))
+    return model, box, _manifest(command, args, model, params,
+                                 {"zero_tol": args.tol})
+
+
+def _cmd_zeros(args):
+    model, box, mani = _zero_prologue("zeros", args, {"r": args.r})
     zs = two_radius.find_L_zeros(model, args.r, target=args.target, box=box,
-                                 zero_tol=tol)
+                                 zero_tol=args.tol)
     result = {"count": len(zs.zeros), "winding_total": int(zs.winding_total),
               "zeros": [{"L": z.L, "multiplicity": int(z.multiplicity),
                          "residual": float(z.residual)} for z in zs.zeros]}
@@ -254,14 +271,10 @@ def _cmd_zeros(args):
 
 
 def _cmd_bad_radii(args):
-    model = _resolve_model(args)
-    box = _parse_box(args.box)
-    tol = args.tol if args.tol is not None else 1e-10
-    params = {"r1": args.r1, "rmax": args.rmax, "target": args.target,
-              "box": [box[0], box[1]]}
-    mani = _manifest("bad-radii", args, model, params, {"zero_tol": tol})
+    model, box, mani = _zero_prologue("bad-radii", args,
+                                      {"r1": args.r1, "rmax": args.rmax})
     radii = two_radius.bad_radii(model, args.r1, args.target, box=box,
-                                 r_max=args.rmax, zero_tol=tol)
+                                 r_max=args.rmax, zero_tol=args.tol)
     result = {"count": len(radii), "radii": [float(r) for r in radii]}
     _write_json({"kind": "bad-radii", "manifest": mani, "result": result},
                 args.out)
@@ -274,14 +287,11 @@ _CONCLUSION = {"common-zero-found": "rejected",
 
 
 def _cmd_certify(args):
-    model = _resolve_model(args)
-    box = _parse_box(args.box)
-    tol = args.tol if args.tol is not None else 1e-10
-    params = {"r1": args.r1, "r2": args.r2, "target": args.target,
-              "box": [box[0], box[1]]}
-    mani = _manifest("certify", args, model, params, {"zero_tol": tol})
+    model, box, mani = _zero_prologue("certify", args,
+                                      {"r1": args.r1, "r2": args.r2})
     cert = two_radius.certify_pair(model, args.r1, args.r2,
-                                   variant=args.target, box=box, zero_tol=tol)
+                                   target=args.target, box=box,
+                                   zero_tol=args.tol)
     result = {"verdict": _CONCLUSION[cert.verdict],
               "zero_search": cert.verdict,
               "witness": cert.witness,
@@ -374,13 +384,13 @@ def _cmd_heat(args):
 
 def _cmd_heat_check(args):
     model = _resolve_model(args)
-    tol = args.tol if args.tol is not None else 1e-3
     lams = _lambda_grid(args)
     params = {"t": args.t, "lambda_max": args.lambda_max, "count": args.count}
-    mani = _manifest("heat-check", args, model, params, {"rel_tol": tol})
+    mani = _manifest("heat-check", args, model, params,
+                     {"rel_tol": args.tol})
     measured = pde.heat_identity_check(model, args.t, lams)
-    passed = bool(measured <= tol)
-    result = {"max_rel_err": float(measured), "rel_tol": tol,
+    passed = bool(measured <= args.tol)
+    result = {"max_rel_err": float(measured), "rel_tol": args.tol,
               "passed": passed,
               "detail": "spectral ratio of evolved vs initial heat data "
                         "against exp(-(lambda^2+H^2/4)t)"}
@@ -408,8 +418,7 @@ def _cmd_cheeger(args):
         "sphere_ratio": [[float(r), float(v)] for r, v in rep.sphere_ratio],
         "lambda0_estimates": [[float(r), float(v)]
                               for r, v in rep.lambda0_estimates],
-        "verdicts": [{"name": v.name, "status": v.status, "detail": v.detail}
-                     for v in rep.verdicts],
+        "verdicts": [asdict(v) for v in rep.verdicts],
         "ok": bool(rep.ok),
     }
     _write_json({"kind": "cheeger-report", "manifest": mani,
@@ -433,26 +442,24 @@ def _cmd_geo_check(args):
     g = geometry.bump_patch(
         space, space.sphere_param(space.origin, 1.3,
                                   rng.uniform(0.0, 2 * math.pi)), 1.0)
-    checks = [
-        ("displacement_identity",
-         geometry.displacement_identity_check(space, lam, x,
-                                              np.linspace(0.3, 2.0, 5)),
-         1e-6),
-        ("projector_commutes",
-         geometry.projector_convolution_check(space, 1.0, f), 1e-6),
-        ("projector_selfadjoint",
-         geometry.projector_selfadjoint_check(space, f, g, 3.4), 1e-6),
-        ("projector_idempotent", geometry.idempotence_check(space, f), 1e-10),
-    ]
+    checks = {
+        "displacement_identity": geometry.displacement_identity_check(
+            space, lam, x, np.linspace(0.3, 2.0, 5)),
+        "projector_commutes":
+            geometry.projector_convolution_check(space, 1.0, f),
+        "projector_selfadjoint":
+            geometry.projector_selfadjoint_check(space, f, g, 3.4),
+        "projector_idempotent": geometry.idempotence_check(space, f),
+    }
     params = {"space": args.space}
     mani = _manifest("geo-check", args, None, params)
-    ok = all(m <= b for _, m, b in checks)
-    result = {"checks": [{"name": n, "measured": float(m), "bound": b,
-                          "passed": bool(m <= b)} for n, m, b in checks],
-              "ok": ok}
+    rows = [{"name": n, "measured": float(m), "bound": geometry.BOUNDS[n],
+             "passed": bool(m <= geometry.BOUNDS[n])}
+            for n, m in checks.items()]
+    result = {"checks": rows, "ok": all(row["passed"] for row in rows)}
     _write_json({"kind": "geo-check", "manifest": mani, "result": result},
                 args.out)
-    return 0 if ok else 1
+    return 0 if result["ok"] else 1
 
 
 def _cmd_suite(args):
@@ -509,38 +516,22 @@ def _build_parser():
 
     sp = sub.add_parser("zeros", help="eigenvalue-plane zeros of a radius "
                                       "functional (JSON)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
-    _add_tol_flag(sp)
+    _add_zero_flags(sp)
     sp.add_argument("--r", type=float, default=1.0)
-    sp.add_argument("--target", default="sphere",
-                    choices=["sphere", "ball", "mvp"])
-    sp.add_argument("--box", default="-60,-8,5,8", metavar="a,b,c,d",
-                    help="search box corners re_lo,im_lo,re_hi,im_hi")
     sp.set_defaults(fn=_cmd_zeros)
 
     sp = sub.add_parser("bad-radii", help="second radii sharing a zero with "
                                           "r1 (JSON)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
-    _add_tol_flag(sp)
+    _add_zero_flags(sp)
     sp.add_argument("--r1", type=float, default=1.0)
     sp.add_argument("--rmax", type=float, default=10.0)
-    sp.add_argument("--target", default="sphere",
-                    choices=["sphere", "ball", "mvp"])
-    sp.add_argument("--box", default="-60,-8,5,8", metavar="a,b,c,d")
     sp.set_defaults(fn=_cmd_bad_radii)
 
     sp = sub.add_parser("certify", help="two-radius disjointness certificate "
                                         "(JSON)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
-    _add_tol_flag(sp)
+    _add_zero_flags(sp)
     sp.add_argument("--r1", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
-    sp.add_argument("--target", default="sphere",
-                    choices=["sphere", "ball", "mvp"])
-    sp.add_argument("--box", default="-60,-8,5,8", metavar="a,b,c,d")
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("abel", help="Abel transform of a radial bump (CSV)")
@@ -597,17 +588,17 @@ def _build_parser():
                                            "(JSON; exit 1 on failure)")
     _add_model_flags(sp)
     _add_out_flag(sp)
-    _add_tol_flag(sp)
-    sp.add_argument("--t", type=float, default=0.5)
-    sp.add_argument("--lambda-max", type=float, default=2.0)
-    sp.add_argument("--count", type=int, default=9)
+    _add_tol_flag(sp, pde.HEAT_REL_TOL, "relative tolerance")
+    sp.add_argument("--t", type=float, default=pde.HEAT_T)
+    sp.add_argument("--lambda-max", type=float, default=pde.HEAT_LAMBDAS[-1])
+    sp.add_argument("--count", type=int, default=len(pde.HEAT_LAMBDAS))
     sp.set_defaults(fn=_cmd_heat_check)
 
     sp = sub.add_parser("cheeger", help="growth chain and spectral bottom "
                                         "report (JSON + CSV)")
     _add_model_flags(sp)
     _add_out_flag(sp)
-    sp.add_argument("--rmax", type=float, default=40.0)
+    sp.add_argument("--rmax", type=float, default=asymptotics.CHEEGER_R_MAX)
     sp.set_defaults(fn=_cmd_cheeger)
 
     sp = sub.add_parser("geo-check", help="non-radial identities on an "

@@ -43,6 +43,9 @@ __all__ = [
 MIN_QUAD_ORDER = 64
 # points per circle of the projector π and of the checks' circle means
 QUAD_ORDER = 256
+# each identity's bound, in `geo-check` and the suite, on both spaces
+BOUNDS = {"displacement_identity": 1e-8, "projector_commutes": 1e-6,
+          "projector_selfadjoint": 1e-6, "projector_idempotent": 1e-10}
 
 
 def _lorentz(u, v):

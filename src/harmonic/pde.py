@@ -41,6 +41,11 @@ SUPPORT_FLOOR = 3e-4
 LEAK_TOL = 1e-10
 # heat_identity_check refuses λ where |F bump| is at most this
 MULTIPLIER_GUARD = 1e-3
+# the heat statement `heat-check` and the suite judge: at t = HEAT_T and on
+# HEAT_LAMBDAS the multiplier identity holds to HEAT_REL_TOL, relative
+HEAT_T = 0.5
+HEAT_LAMBDAS = tuple(np.linspace(0.0, 2.0, 9).tolist())
+HEAT_REL_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +353,17 @@ def wave_to_kg_check(model, q0, T, dt=0.002):
 
 @dataclass(frozen=True)
 class HeatState:
-    """Cell-centred heat profile at one time; k[i] lives at r[i]."""
+    """Cell-centred heat profile at one time: k[i] lives at r[i], in the
+    cell of weight w[i] = ω θ(r_i) Δr, so the mass is Σ w k."""
 
     t: float
     r: np.ndarray
+    w: np.ndarray
     k: np.ndarray
-    mass: float
+
+    @property
+    def mass(self):
+        return float(np.sum(self.w * self.k))
 
 
 class BoundaryLeakError(RuntimeError):
@@ -417,13 +427,9 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
         out[1:] += c * lower[1:] * k[:-1]
         return out
 
-    prof = smooth_bump(bump_width)
-    k = np.asarray(prof.f(centers), dtype=float)
-    mass0 = model.sphere_const * float(np.sum(theta_c * k)) * dr
-    k /= mass0
-
-    def mass_of(kv):
-        return model.sphere_const * float(np.sum(theta_c * kv)) * dr
+    weights = model.sphere_const * theta_c * dr
+    bump = np.asarray(smooth_bump(bump_width).f(centers), dtype=float)
+    k = bump / float(np.sum(weights * bump))
 
     n_steps = max(4, int(math.ceil(t_final / dt - 1e-9)))
     dt_eff = t_final / n_steps
@@ -440,14 +446,14 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     for st_t in sample_times[1:]:
         record.add(int(np.argmin(np.abs(times - st_t))))
 
-    states = [HeatState(0.0, centers, k.copy(), mass_of(k))]
+    states = [HeatState(0.0, centers, weights, k.copy())]
     for j, (kind, step) in enumerate(schedule):
         k = lhs_solve(k if kind == "be" else rhs_mul(c, k))
         if j in record:
-            states.append(HeatState(float(times[j]), centers, k.copy(),
-                                    mass_of(k)))
+            states.append(HeatState(float(times[j]), centers, weights,
+                                    k.copy()))
 
-    tail = model.sphere_const * float(np.sum(theta_c[-3:] * k[-3:])) * dr
+    tail = float(np.sum(weights[-3:] * k[-3:]))
     if tail > LEAK_TOL:
         needed = max(bump_width + 1.6 * spread, 1.5 * grid.x_max)
         raise BoundaryLeakError(
@@ -457,15 +463,13 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
 
 
 def _cell_transform(model, state, lambdas):
-    """ω Σ_i θ(r_i) k_i φ_λ(r_i) Δr over the state's cells: F k by the
-    scheme's own quadrature, whose weights also sum to the state's mass."""
-    dr = state.r[1] - state.r[0]
-    weights = model.sphere_const * model.theta(state.r) * dr * state.k
+    """Σ_i w_i k_i φ_λ(r_i) over the state's cells: F k by the scheme's own
+    quadrature, whose weights also sum to the state's mass."""
     return phi_ode_values(model, lambdas, state.r, derivs=False,
-                          weights=weights)
+                          weights=state.w * state.k)
 
 
-def heat_identity_check(model, t, lambdas, dr=0.01):
+def heat_identity_check(model, t=HEAT_T, lambdas=HEAT_LAMBDAS, dr=0.01):
     """Max relative gap between the heat flow and its spectral multiplier.
 
     Evolving a bump b of width 0.3 for time t multiplies its transform
@@ -476,9 +480,11 @@ def heat_identity_check(model, t, lambdas, dr=0.01):
     flux form conserves to roundoff, so there the ratio is e^0 = 1 exactly;
     elsewhere it carries the scheme's O(dr²) error.  λ values where
     |F b| <= MULTIPLIER_GUARD are refused (the quotient would amplify
-    noise).
+    noise), as is an empty λ grid.
     """
     lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size == 0:
+        raise ValueError("the λ grid is empty; give at least one λ")
     states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
     f_start, f_end = (_cell_transform(model, st, lambdas)
                       for st in (states[0], states[-1]))

@@ -2,8 +2,13 @@
 
 Each check is one verifiable statement with a measured number and a bound;
 the CLI `suite` subcommand and the acceptance tests both run this registry,
-so the command-line verdict and the test suite cannot drift apart.  Checks
-are independent and run one after another, in registration order.
+so the command-line verdict and the test suite cannot drift apart.  Where a
+verdict command judges the same statement, the check reads its number, its
+bound or its inputs from the one place the command does: the growth-chain
+checks (criterion 10) are the verdicts of `cheeger`'s report, the geometry
+checks (criterion 11) use `geo-check`'s bounds, and the heat checks
+(criteria 9 and 12) `heat-check`'s t, λ grid and tolerance.  Checks are
+independent and run one after another, in registration order.
 """
 
 from __future__ import annotations
@@ -399,7 +404,7 @@ def _mvp_demo(ctx):
 @_check("mvp_certify_2pi_4pi", 8, quick=False)
 def _mvp_certify(ctx):
     cert = two_radius.certify_pair(_model("e0"), 2 * math.pi, 4 * math.pi,
-                                   variant="mvp", box=(-3 - 3j, 1 + 3j))
+                                   target="mvp", box=(-3 - 3j, 1 + 3j))
     if cert.verdict != "common-zero-found":
         return float("inf"), 1e-6, f"unexpected verdict {cert.verdict}"
     err = min(abs(z - (-1.0)) for z in cert.common)
@@ -413,9 +418,9 @@ def _mvp_certify(ctx):
 
 def _heat_identity_check(key):
     def fn(ctx):
-        err = pde.heat_identity_check(_model(key), 0.5,
-                                      np.linspace(0.0, 2.0, 9))
-        return err, 1e-3, "F k_t / F k_0 vs exp(-(λ²+H²/4)t) at t = 0.5"
+        err = pde.heat_identity_check(_model(key))
+        return err, pde.HEAT_REL_TOL, \
+            f"F k_t / F k_0 vs exp(-(λ²+H²/4)t) at t = {pde.HEAT_T:g}"
     return fn
 
 
@@ -435,36 +440,19 @@ def _heat_mass(ctx):
 # criterion 10: growth chain and spectral bottom
 # ---------------------------------------------------------------------------
 
-def _growth_rate_check(key):
+def _chain_check(key, verdict):
     def fn(ctx):
-        rep = _cheeger(key)
-        err = abs(rep.mu_final - rep.H)
-        return err, 1e-8, f"θ'/θ(40) = {rep.mu_final!r} vs H = {rep.H!r}"
-    return fn
-
-
-def _volume_ratio_check(key):
-    def fn(ctx):
-        rep = _cheeger(key)
-        r, v = rep.mu_estimates[-1]
-        return abs(v - rep.H), 0.05, f"log vol B_r / r at r = {r:g} is {v:.6g}"
-    return fn
-
-
-def _lambda0_check(key):
-    def fn(ctx):
-        rep = _cheeger(key)
-        target = rep.H**2 / 4.0
-        rel = abs(rep.lambda0_extrapolated / target - 1.0)
-        return rel, 0.02, (f"extrapolated λ₀ = {rep.lambda0_extrapolated:.8g}"
-                           f" vs H²/4 = {target:.8g}")
+        v, = (v for v in _cheeger(key).verdicts if v.name == verdict)
+        return v.measured, v.bound, v.detail
     return fn
 
 
 for _key in ("h3", "dr21", "dr11"):
-    _check(f"growth_rate_{_key}", 10)(_growth_rate_check(_key))
-    _check(f"volume_ratio_{_key}", 10)(_volume_ratio_check(_key))
-    _check(f"spectral_bottom_{_key}", 10)(_lambda0_check(_key))
+    for _stem, _verdict in (
+            ("growth_rate", "growth_rate_matches_H"),
+            ("volume_ratio", "log_volume_ratio_near_H"),
+            ("spectral_bottom", "spectral_bottom_matches_quarter_H_squared")):
+        _check(f"{_stem}_{_key}", 10)(_chain_check(_key, _verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +464,8 @@ def _disp_plane(ctx):
     pl = geometry.make_plane()
     res = geometry.displacement_identity_check(
         pl, 1.0, np.array([1.5, 0.7]), np.linspace(0.2, 3.0, 8))
-    return res, 1e-8, "circle averages of the shifted eigenfunction (λ = 1)"
+    return res, geometry.BOUNDS["displacement_identity"], \
+        "circle averages of the shifted eigenfunction (λ = 1)"
 
 
 @_check("displacement_identity_h2", 11)
@@ -484,7 +473,8 @@ def _disp_h2(ctx):
     h2 = geometry.make_hyperbolic_plane()
     x = h2.sphere_param(h2.origin, 1.0, 0.0)
     res = geometry.displacement_identity_check(h2, 1.0, x, np.array([1.0]))
-    return res, 1e-6, "hyperbolic displacement identity at |x| = 1, r = 1"
+    return res, geometry.BOUNDS["displacement_identity"], \
+        "hyperbolic displacement identity at |x| = 1, r = 1"
 
 
 @_check("projector_commutes_plane", 11)
@@ -492,7 +482,8 @@ def _commute_plane(ctx):
     pl = geometry.make_plane()
     res = geometry.projector_convolution_check(
         pl, 1.0, lambda p: np.exp(p[:, 0]))
-    return res, 1e-6, "π(T_r * f) = T_r * (π f) for f = eˣ at r = 1"
+    return res, geometry.BOUNDS["projector_commutes"], \
+        "π(T_r * f) = T_r * (π f) for f = eˣ at r = 1"
 
 
 @_check("projector_commutes_h2", 11)
@@ -500,7 +491,8 @@ def _commute_h2(ctx):
     h2 = geometry.make_hyperbolic_plane()
     f = geometry.bump_patch(h2, h2.sphere_param(h2.origin, 0.7, 0.4), 1.1)
     res = geometry.projector_convolution_check(h2, 1.0, f)
-    return res, 1e-6, "projector/translation commutation on H²"
+    return res, geometry.BOUNDS["projector_commutes"], \
+        "projector/translation commutation on H²"
 
 
 @_check("projector_selfadjoint", 11)
@@ -512,7 +504,8 @@ def _selfadjoint(ctx):
     f = geometry.bump_patch(pl, c1, 1.0)
     g = geometry.bump_patch(pl, c2, 1.2)
     res = geometry.projector_selfadjoint_check(pl, f, g, 3.2)
-    return res, 1e-6, "⟨πf, g⟩ = ⟨f, πg⟩ for random off-center bumps"
+    return res, geometry.BOUNDS["projector_selfadjoint"], \
+        "⟨πf, g⟩ = ⟨f, πg⟩ for random off-center bumps"
 
 
 @_check("projector_idempotent", 11)
@@ -522,7 +515,8 @@ def _idempotent(ctx):
     r1 = geometry.idempotence_check(pl, lambda p: np.exp(p[:, 0]))
     fh = geometry.bump_patch(h2, h2.sphere_param(h2.origin, 0.7, 0.4), 1.1)
     r2 = geometry.idempotence_check(h2, fh)
-    return max(r1, r2), 1e-10, "π² = π on both explicit spaces"
+    return max(r1, r2), geometry.BOUNDS["projector_idempotent"], \
+        "π² = π on both explicit spaces"
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +557,8 @@ _check("wave_order_e2", 12)(_wave_order_check("e2"))
 
 @_check("heat_order", 12)
 def _heat_order(ctx):
-    lams = np.linspace(0.0, 2.0, 9)
-    coarse = pde.heat_identity_check(_model("e0"), 0.5, lams, dr=0.02)
-    fine = pde.heat_identity_check(_model("e0"), 0.5, lams, dr=0.01)
+    coarse = pde.heat_identity_check(_model("e0"), dr=0.02)
+    fine = pde.heat_identity_check(_model("e0"), dr=0.01)
     return coarse / fine, 3.5, (
         f"multiplier-identity error {coarse:.3e} → {fine:.3e} "
         "under mesh halving"), ">="

@@ -62,7 +62,8 @@ from numpy.polynomial.legendre import leggauss
 from .spherical import eigen_profile, eigen_state_at
 
 TARGETS = ("sphere", "mvp", "ball")
-DEFAULT_ZERO_TOL = 1e-9
+DEFAULT_BOX = (-60 - 8j, 5 + 8j)
+DEFAULT_ZERO_TOL = 1e-10
 SEPARATION = 1e-6
 # boxes with at most this many zeros are solved from one Hankel pencil: the
 # least singular value of w distinct zeros' [s_{i+j}] falls 10-50x per zero,
@@ -131,7 +132,7 @@ class ZeroSet:
 @dataclass
 class RadiusCertificate:
     model: object
-    variant: str
+    target: str
     r1: float
     r2: float
     box: tuple[complex, complex]
@@ -464,7 +465,7 @@ def _least_residual(model, r, target, groups):
     return out
 
 
-def find_L_zeros(model, r, target="sphere", box=(-60 - 8j, 5 + 8j),
+def find_L_zeros(model, r, target="sphere", box=DEFAULT_BOX,
                  zero_tol=DEFAULT_ZERO_TOL):
     """All zeros of the target function inside the L-plane box.
 
@@ -586,10 +587,11 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
     changes of Re(h̄ h')) and brackets them.  Newton on Re(h̄ h') then runs
     on the quintic Hermite interpolant of the scan's h, h' and h'', so no
     further profile is needed to converge; one exact profile at the
-    converged radii accepts a root when |h| < zero_tol.  Where |h| is large
-    enough that the interpolation error exceeds zero_tol, one exact Newton
-    step and a second exact profile finish the candidates it left near a
-    zero.
+    converged radii accepts a root when |h| < zero_tol times the profile's
+    local scale, the larger of 1 and |h| summed over the bracket's ends.
+    Where |h| is large enough that the interpolation error exceeds
+    zero_tol, one exact Newton step and a second exact profile finish the
+    candidates it left near a zero.
     """
     _check_target(target)
     if r_max > 50:
@@ -617,15 +619,19 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
     # the interpolation error grows with |h| (Φ grows like e^{Hr/2}): a
     # candidate left within it of a zero gets one exact Newton step on
     # Re(h̄ h') and one more exact check
-    near = (np.abs(h_f) >= zero_tol) \
-        & (np.abs(h_f) <= 1e-8 * (np.abs(h[idx]) + np.abs(h[idx + 1])))
+    scale = np.abs(h[idx]) + np.abs(h[idx + 1])
+    near = (np.abs(h_f) >= zero_tol) & (np.abs(h_f) <= 1e-8 * scale)
     if np.any(near):
         q = np.real(np.conj(h_f) * dh_f)[near]
         dq = (np.abs(dh_f) ** 2 + np.real(np.conj(h_f) * ddh_f))[near]
         cand[near] = np.clip(cand[near] - q / np.where(dq == 0, 1.0, dq),
                              R_MIN, r_max)
         h_f[near] = _profile_target(model, L, cand[near], target)[0]
-    roots = sorted(float(c) for c, hv in zip(cand, h_f) if abs(hv) < zero_tol)
+    # so does the roundoff of h: at r = 19.8 on H³'s ball target, |h| is
+    # 1e-8 at a zero located to 1e-15, so a root is judged on the local scale
+    tol = zero_tol * np.maximum(1.0, scale)
+    roots = sorted(float(c) for c, hv, tv in zip(cand, h_f, tol)
+                   if abs(hv) < tv)
     out = []
     for rt in roots:
         if out and rt - out[-1] < SEPARATION:
@@ -639,7 +645,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
 # bad radii and certification
 # ---------------------------------------------------------------------------
 
-def bad_radii(model, r1, variant="sphere", box=(-60 - 8j, 5 + 8j), r_max=10.0,
+def bad_radii(model, r1, target="sphere", box=DEFAULT_BOX, r_max=10.0,
               zero_tol=DEFAULT_ZERO_TOL):
     """Radii r2 whose zero set shares a point with that of r1 (in the box).
 
@@ -648,10 +654,10 @@ def bad_radii(model, r1, variant="sphere", box=(-60 - 8j, 5 + 8j), r_max=10.0,
     as in find_r_zeros: a double r-zero (the mvp target touching 0) is
     located only to about 2e-8, so two L-zeros can return it apart.
     """
-    zs = find_L_zeros(model, r1, target=variant, box=box, zero_tol=zero_tol)
+    zs = find_L_zeros(model, r1, target=target, box=box, zero_tol=zero_tol)
     collected = []
     for z in zs.zeros:
-        collected.extend(find_r_zeros(model, z.L, r_max, target=variant,
+        collected.extend(find_r_zeros(model, z.L, r_max, target=target,
                                       zero_tol=max(zero_tol, 1e-9)))
     collected.sort()
     out = []
@@ -661,7 +667,7 @@ def bad_radii(model, r1, variant="sphere", box=(-60 - 8j, 5 + 8j), r_max=10.0,
     return out
 
 
-def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
+def certify_pair(model, r1, r2, target="sphere", box=DEFAULT_BOX,
                  zero_tol=DEFAULT_ZERO_TOL):
     """Certify that the r1 and r2 zero sets are disjoint inside the box.
 
@@ -669,14 +675,13 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
     common-zero-found (joint witness with both residuals < zero_tol), or
     inconclusive.  The certificate only covers the searched box.
     """
-    _check_target(variant)
     r1, r2 = float(r1), float(r2)
-    z1 = find_L_zeros(model, r1, target=variant, box=box, zero_tol=zero_tol)
-    z2 = find_L_zeros(model, r2, target=variant, box=box, zero_tol=zero_tol)
+    z1 = find_L_zeros(model, r1, target=target, box=box, zero_tol=zero_tol)
+    z2 = find_L_zeros(model, r2, target=target, box=box, zero_tol=zero_tol)
     a, b = z1.values(), z2.values()
 
     def certificate(verdict, mjr, common=()):
-        return RadiusCertificate(model=model, variant=variant, r1=r1, r2=r2,
+        return RadiusCertificate(model=model, target=target, r1=r1, r2=r2,
                                  box=z1.box, verdict=verdict,
                                  witness=common[0] if common else None,
                                  min_joint_residual=mjr, common=list(common))
@@ -686,8 +691,8 @@ def certify_pair(model, r1, r2, variant="sphere", box=(-60 - 8j, 5 + 8j),
     pts = np.concatenate([a, b])
     joint = np.zeros(0)
     if pts.size:
-        t1, _ = _target_values(model, pts, r1, variant)
-        t2, _ = _target_values(model, pts, r2, variant)
+        t1, _ = _target_values(model, pts, r1, target)
+        t2, _ = _target_values(model, pts, r2, target)
         joint = np.maximum(np.abs(t1), np.abs(t2))
     mjr = float(np.min(joint, initial=math.inf))
     if a.size == 0 or b.size == 0:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import harmonic
-from harmonic import cli
+from harmonic import asymptotics, cli
 from harmonic.density import make_real_hyperbolic
 from harmonic.spherical import PhiOverflowError, phi_ode_values
 
@@ -85,6 +85,28 @@ def test_cheeger_without_out_prints_its_report(capsys):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, SCHEMA)
     assert doc["kind"] == "cheeger-report"
+
+
+@pytest.mark.parametrize("n", [0, 2], ids=["E0", "E2"])
+def test_cheeger_on_flat_space_judges_the_polynomial_scales(tmp_path, n):
+    # H = 0: θ'/θ and log vol B_r / r fall like 1/r and log r / r, and λ₀ = 0
+    rc, doc = _run(tmp_path, ["cheeger", "--model", "euclidean",
+                              "--n", str(n)])
+    assert rc == 0
+    r_max = cli._build_parser().parse_args(["cheeger"]).rmax
+    verdicts = {v["name"]: v for v in doc["result"]["verdicts"]}
+    bounds = {"growth_rate_matches_H": (n + 1) / r_max + asymptotics.MU_TOL,
+              "log_volume_ratio_near_H":
+                  (n + 1) * (np.log(r_max) + 1) / r_max,
+              "spectral_bottom_matches_quarter_H_squared":
+                  asymptotics.FLAT_LAMBDA0_TOL}
+    for name, bound in bounds.items():
+        v = verdicts[name]
+        assert v["status"] == "pass"
+        assert v["bound"] == pytest.approx(bound, rel=1e-15)
+        assert 0.0 <= v["measured"] <= v["bound"]
+        assert "H = 0" in v["detail"]
+    assert verdicts["cheeger_constant_equals_H"]["measured"] is None
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--seed"])

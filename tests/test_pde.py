@@ -275,3 +275,8 @@ def test_heat_multiplier_flat_space():
 def test_heat_multiplier_guard_underflow():
     with pytest.raises(ValueError, match="shrink"):
         heat_identity_check(E2, 0.5, np.array([0.0, 60.0]))
+
+
+def test_heat_multiplier_refuses_an_empty_lambda_grid():
+    with pytest.raises(ValueError, match="λ grid is empty"):
+        heat_identity_check(E2, 0.5, [])

@@ -26,7 +26,7 @@ from harmonic.two_radius import (WindingError, bad_radii, certify_pair,
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
 H2 = make_real_hyperbolic(2)
-DEFAULT_BOX = (-60 - 8j, 5 + 8j)
+DEFAULT_BOX = two_radius.DEFAULT_BOX
 
 
 def _tan_root(k, c):
@@ -258,6 +258,29 @@ def test_find_r_zeros_odd_integers():
     L = -(math.pi / 2) ** 2
     zeros = find_r_zeros(E0, L, 10.0)
     assert np.max(np.abs(np.asarray(zeros) - [1, 3, 5, 7, 9])) < 1e-10
+
+
+def test_far_ball_zeros_are_judged_on_the_local_scale(monkeypatch):
+    # Φ_L on H³ grows like e^r between its zeros: about 1.6e5 near r = 19.8,
+    # where a zero located to 1e-15 in r still leaves |Φ| near 1e-8.  Every
+    # sign change of a dense scan is returned, each from its own bracket,
+    # and the far ones pass through the exact Newton step (a third profile)
+    calls = []
+    profile = two_radius._profile_target
+
+    def counted(*args):
+        calls.append(1)
+        return profile(*args)
+
+    monkeypatch.setattr(two_radius, "_profile_target", counted)
+    got = np.array(bad_radii(H2, 0.73, "ball", r_max=20.0))
+    assert len(calls) == 3
+    (L,) = find_L_zeros(H2, 0.73, target="ball").values()
+    r = np.linspace(0.0, 20.0, 20012)
+    Phi = eigen_profile(H2, L, r)["Phi"].real
+    i = np.flatnonzero((Phi[:-1] * Phi[1:] < 0) & (r[1:] > two_radius.R_MIN))
+    assert len(got) == i.size == 38
+    assert np.all((r[i] < got) & (got < r[i + 1]))
 
 
 def test_find_r_zeros_radius_guard():
