@@ -362,6 +362,11 @@ def _cmd_wave(args):
 
 def _cmd_kg(args):
     model = _resolve_model(args)
+    for flag, x in (("--width", args.width), ("--smax0", args.smax0)):
+        if not (math.isfinite(x) and x > 0):
+            raise CLIError(f"{flag} must be finite and positive, got {x:g}")
+    if not math.isfinite(args.t):
+        raise CLIError(f"--t must be finite, got {args.t:g}")
     g = transforms.gauss_line(args.width, args.smax0)
     params = {"width": args.width, "t": args.t, "smax0": args.smax0}
     mani = _manifest("kg", args, model, params)

@@ -4,7 +4,8 @@ Three solvers share the radial Laplacian Δw = w'' + (θ'/θ) w'.  The wave
 flow is advanced by an explicit leapfrog scheme, the heat flow implicitly
 on the flux form (so the discrete mass is conserved exactly), and the
 Klein-Gordon problem on the line is assembled from the d'Alembert average
-plus a smoothing kernel W(t, s) that is entire in t² - s².
+plus a smoothing kernel W(t, s) = t c ₀F₁(;2; c (t² - s²)), c = -H²/16,
+evaluated in closed form by scipy.special.hyp0f1.
 
 The checks in this module tie the flows together: the line picture of the
 radial wave flow solves Klein-Gordon, the transform intertwines the radial
@@ -18,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.special import hyp0f1
 
 from .grids import Grid1D, make_grid
 from .profiles import RadialProfile, smooth_bump
 from .spherical import phi_ode_values
 from .transforms import EvenFunction, _as_radial, abel
 
-# the kernel series alternates; beyond H*t = 40 it cancels away more
-# digits than double precision has to spare
-KG_HT_CAP = 40.0
-_SERIES_MAX_TERMS = 600
 # Gauss-Legendre nodes per cell of the wave grid.  Its samples are read
 # through the cubic spline, one piece per cell, so spline × θφ_λ is smooth
 # within a cell: 4 nodes give F f within 1e-14 of its peak (against 16, on
@@ -52,67 +50,33 @@ HEAT_REL_TOL = 1e-3
 # Klein-Gordon smoothing kernel
 # ---------------------------------------------------------------------------
 
-def _check_kg_args(H, t):
+def _kg_kernels(H, t, s):
+    """W(t, s) and W_t(t, s) of the Klein-Gordon propagator in closed form.
+
+    With c = -H²/16 and u = t² - s²: W = t c ₀F₁(;2;cu) and, since
+    d/dz ₀F₁(;2;z) = ₀F₁(;3;z)/2, W_t = c ₀F₁(;2;cu) + t²c² ₀F₁(;3;cu).
+    """
     if H < 0:
         raise ValueError("H must be nonnegative")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if H * t > KG_HT_CAP:
-        raise ValueError(
-            f"H*t = {H * t:.4g} exceeds the supported range {KG_HT_CAP:g}: "
-            "the kernel series loses too many digits to cancellation there")
-
-
-def _kg_series(H, t, s, want_dt):
-    """Partial sums S0 = Σ c^{k+1} u^k / (k!(k+1)!) and S1 = dS0/du.
-
-    u = t² - s², c = -H²/16.  W = t S0 and W_t = S0 + 2t² S1.  Terms are
-    accumulated until they fall below 1e-16 of the running sum.
-    """
-    _check_kg_args(H, t)
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
     if np.any(np.abs(s) > t * (1.0 + 1e-12) + 1e-12):
         raise ValueError("kernel is only defined on |s| <= t")
-    u = np.maximum(t * t - s * s, 0.0)
     c = -(H * H) / 16.0
-    term = np.full_like(u, c)
-    s0 = term.copy()
-    s1 = None
-    dterm = None
-    if want_dt:
-        dterm = np.full_like(u, c * c / 2.0)
-        s1 = dterm.copy()
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term * (c / (k * (k + 1))) * u
-        s0 += term
-        done = float(np.max(np.abs(term))) <= 1e-16 * max(
-            float(np.max(np.abs(s0))), 1e-30)
-        if want_dt:
-            dterm = dterm * (c / (k * (k + 2))) * u
-            s1 += dterm
-            done = done and float(np.max(np.abs(dterm))) <= 1e-16 * max(
-                float(np.max(np.abs(s1))), 1e-30)
-        if done:
-            break
-    else:
-        raise RuntimeError("kernel series failed to converge")
-    w = t * s0
-    wt = (s0 + 2.0 * t * t * s1) if want_dt else None
-    if scalar:
-        return float(w[0]), (float(wt[0]) if want_dt else None)
-    return w, wt
+    cu = c * np.maximum(t * t - s * s, 0.0)
+    f2 = hyp0f1(2.0, cu)
+    return t * c * f2, c * f2 + (t * c) ** 2 * hyp0f1(3.0, cu)
 
 
 def kg_kernel(H, t, s):
     """Smoothing kernel W(t, s) of the Klein-Gordon propagator.
 
-    W(t, s) = t Σ_k (-H²/16)^{k+1} (t² - s²)^k / (k! (k+1)!), even in s,
-    with W(t, t) = -H² t / 16 on the light cone.
+    W(t, s) = ½ ∂_t J₀((H/2)√(t² - s²)) = t c ₀F₁(;2; c (t² - s²)) with
+    c = -H²/16, even in s, with W(t, t) = -H² t / 16 on the light cone
+    (₀F₁(;2;0) = 1).
     """
-    w, _ = _kg_series(H, t, s, want_dt=False)
-    return w
+    return _kg_kernels(H, t, s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +109,7 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
         # which matters when callers difference solutions across times
         qgrid = make_grid(t, n_panels=sigma_panels, spacing=0.03)
         sig = qgrid.nodes
-        w_here, wt_here = _kg_series(H, t, sig, want_dt=True)
+        w_here, wt_here = _kg_kernels(H, t, sig)
         weights = qgrid.node_weights[:, None] * np.column_stack([w_here,
                                                                  wt_here])
         edge = kg_kernel(H, t, t)

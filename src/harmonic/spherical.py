@@ -277,26 +277,18 @@ def spectral_shift(model, lam):
 def _series_sum(coeff_arrays, L, real_input):
     """Sum 1 + Σ a_k L^k with per-term log-magnitude scaling.
 
-    coeff_arrays is (K, P) of nonnegative a_k samples.  Returns (values,
-    max_term) where max_term is the largest term magnitude (the cancellation
-    floor is eps times that).
+    coeff_arrays is (K, P) of nonnegative a_k samples, K >= 1, and L != 0
+    (phi_series answers L = 0 itself).  Returns (values, max_term) where
+    max_term is the largest term magnitude (the cancellation floor is eps
+    times that).
     """
-    K, P = coeff_arrays.shape
-    if K == 0:
-        vals = np.ones(P)
-        return (vals if real_input else vals.astype(complex)), 1.0
-    k = np.arange(1, K + 1)
-    absL = abs(L)
+    k = np.arange(1, coeff_arrays.shape[0] + 1)
     with np.errstate(divide="ignore"):
         loga = np.log(np.maximum(coeff_arrays, 0.0))
-    if absL > 0:
-        logmag = loga + (k * math.log(absL))[:, None]
-    else:
-        logmag = np.full_like(loga, -np.inf)
-    mag = np.exp(logmag)
+    mag = np.exp(loga + (k * math.log(abs(L)))[:, None])
     max_term = float(np.max(mag, initial=0.0))
     if real_input:
-        sign = np.sign(L) ** k if L != 0 else np.zeros(K)
+        sign = np.sign(L) ** k
         vals = 1.0 + np.sum(mag * sign[:, None], axis=0)
     else:
         phase = np.exp(1j * k * np.angle(L))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import harmonic
-from harmonic import asymptotics, cli
+from harmonic import asymptotics, cli, suite
 from harmonic.density import make_real_hyperbolic
 from harmonic.spherical import PhiOverflowError, phi_ode_values
 
@@ -62,6 +62,28 @@ def test_lambda_count_below_one_is_refused(tmp_path, command, count):
     assert rc == 1
     assert doc["error"]["type"] == "CLIError"
     assert "--count" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--width", "0"), ("--width", "-0.5"), ("--width", "nan"),
+    ("--width", "inf"), ("--smax0", "0"), ("--smax0", "nan"),
+    ("--t", "nan"), ("--t", "inf")])
+def test_kg_refuses_a_bad_flag_by_name(tmp_path, flag, value):
+    rc, doc = _run(tmp_path, ["kg", f"{flag}={value}"])
+    assert rc == 1
+    assert doc["error"]["type"] == "CLIError"
+    assert doc["error"]["message"].startswith(f"{flag} must be finite")
+
+
+def test_kg_runs_past_h_times_t_of_40(tmp_path):
+    # H⁶ has H = 5, so t = 9 puts H*t at 45
+    out = tmp_path / "kg.csv"
+    assert cli.main(["kg", "--model", "hyperbolic", "--n", "5", "--t", "9",
+                     "--out", str(out)]) == 0
+    doc = _validate(out)
+    assert doc["manifest"]["parameters"]["t"] == 9
+    rows = np.loadtxt(out, delimiter=",", comments="#")
+    assert rows.shape[1] == 4 and np.all(np.isfinite(rows))
 
 
 CHEEGER_H2 = ["cheeger", "--model", "hyperbolic", "--n", "2", "--rmax", "20"]
@@ -130,7 +152,8 @@ def test_overflow_guard_names_the_largest_usable_radius():
     assert np.all(np.isfinite(vals))
 
 
-# one small invocation per subcommand except `suite`
+# one small invocation per subcommand except `suite`, and the annulus
+# profile once
 RERUNS = {
     "phi": ["phi", "--model", "damek-ricci", "--lambda", "1.3,0.2",
             "--rmax", "3"],
@@ -141,6 +164,8 @@ RERUNS = {
                 "--box=-12,-2,2,2"],
     "abel": ["abel", "--model", "hyperbolic", "--profile", "gauss",
              "--width", "0.5"],
+    "abel-annulus": ["abel", "--model", "damek-ricci", "--profile",
+                     "annulus", "--center", "0.9", "--width", "0.2"],
     "fourier": ["fourier", "--model", "damek-ricci", "--count", "9"],
     "convolve": ["convolve", "--model", "hyperbolic"],
     "wave": ["wave", "--model", "hyperbolic", "--t", "0.5", "--dt", "0.01",
@@ -183,6 +208,29 @@ def test_rerun_is_byte_identical_and_schema_valid(tmp_path, argv):
     for path in outputs:
         doc = _validate(path)
         assert doc["manifest"]["command"] == argv[0]
+
+
+def _stub_check(name, measured):
+    return suite._Check(name, 1, True,
+                        lambda ctx: (measured, 1.0, f"reads {measured}"))
+
+
+def test_suite_command_reports_each_check(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "suite.json"
+    passing = _stub_check("stub_pass", 0.5)
+    failing = _stub_check("stub_fail", 2.0)
+    monkeypatch.setattr(suite, "_REGISTRY", [passing, failing])
+    assert cli.main(["suite", "--out", str(out)]) == 1
+    doc = _validate(out)
+    assert doc["kind"] == "suite-report"
+    assert doc["result"]["total"] == 2
+    assert doc["result"]["passed_count"] == 1
+    marks = [line.split()[0] for line in capsys.readouterr().err.splitlines()
+             if line.startswith(("PASS", "FAIL"))]
+    assert marks == ["PASS", "FAIL"]
+    monkeypatch.setattr(suite, "_REGISTRY", [passing])
+    assert cli.main(["suite", "--out", str(out)]) == 0
+    assert _validate(out)["result"]["passed_count"] == 1
 
 
 def test_main_calls_share_one_parser(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
-"""Evolution machinery: kernel series, line evolution, wave and heat flows."""
+"""Evolution machinery: the Klein-Gordon kernel, line evolution, wave and
+heat flows."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, solve_banded
@@ -16,7 +18,7 @@ from harmonic.pde import (BoundaryLeakError, heat_identity_check,
                           radial_heat_solve, radial_wave_solve,
                           support_growth_slope, wave_to_kg_check)
 from harmonic.profiles import gauss_bump, smooth_bump
-from harmonic.transforms import EvenFunction, spherical_fourier
+from harmonic.transforms import EvenFunction, gauss_line, spherical_fourier
 
 E0 = make_euclidean(0)
 E2 = make_euclidean(2)
@@ -63,15 +65,32 @@ def test_kernel_domain_guards():
         kg_kernel(1.0, -1.0, 0.0)
     with pytest.raises(ValueError, match=r"\|s\| <= t"):
         kg_kernel(1.0, 1.0, 1.5)
-    with pytest.raises(ValueError, match="exceeds the supported range"):
-        kg_kernel(5.0, 9.0, 0.0)
+
+
+@pytest.mark.parametrize("H, t", [(1.3, 2.0), (2.0, 10.0), (3.5, 10.0),
+                                  (5.0, 9.0), (4.0, 30.0)],
+                         ids=["Ht2.6", "Ht20", "Ht35", "Ht45", "Ht120"])
+def test_kernels_match_hyp0f1_at_30_digits(H, t):
+    # at large H*t the power series of W alternates and cancels; the
+    # closed form must keep its digits there
+    s = np.linspace(0.0, t, 41)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(-(H * H) / 16.0)
+        u = [c * (mpmath.mpf(t) ** 2 - mpmath.mpf(x) ** 2) for x in s]
+        ref_w = np.array([float(t * c * mpmath.hyp0f1(2, z)) for z in u])
+        ref_wt = np.array([float(c * mpmath.hyp0f1(2, z)
+                                 + t * t * c * c * mpmath.hyp0f1(3, z))
+                           for z in u])
+    w, w_t = pde._kg_kernels(H, t, s)
+    assert np.max(np.abs(w - ref_w)) <= 1e-14 * np.max(np.abs(ref_w))
+    assert np.max(np.abs(w_t - ref_wt)) <= 1e-14 * np.max(np.abs(ref_wt))
 
 
 def test_kernel_time_derivative_matches_finite_differences():
     H, t, h = 3.0, 2.0, 1e-5
     s = np.linspace(0.0, 1.8, 10)
     fd = (kg_kernel(H, t + h, s) - kg_kernel(H, t - h, s)) / (2 * h)
-    _, w_t = pde._kg_series(H, t, s, want_dt=True)
+    _, w_t = pde._kg_kernels(H, t, s)
     assert np.max(np.abs(w_t - fd)) < 1e-9
 
 
@@ -98,9 +117,12 @@ def test_flat_line_energy_value():
     assert v.info["energy"] == pytest.approx(math.sqrt(math.pi), abs=1e-6)
 
 
-def test_kg_solve_domain_cap():
-    with pytest.raises(ValueError, match="exceeds the supported range"):
-        kg_solve(5.0, _gauss_line(0.5), 9.0)
+def test_kg_energy_is_conserved_at_large_h_times_t():
+    # H*t = 45, where the power series of W cancels away its digits
+    g = gauss_line(0.8, 6.0)
+    e0 = kg_solve(5.0, g, 0.25).info["energy"]
+    e = kg_solve(5.0, g, 9.0).info["energy"]
+    assert abs(e / e0 - 1.0) < 1e-10
 
 
 # -- radial wave flow ---------------------------------------------------------

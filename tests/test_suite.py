@@ -42,3 +42,16 @@ def test_smooth_bump_roundtrip_h3_passes():
     (check,) = [c for c in suite.registered_checks()
                 if c.name == "abel_roundtrip_smooth_h3"]
     _passes(check)
+
+
+def test_dr21_oracle_fails_when_its_double_precision_sums_drift(monkeypatch):
+    # the oracle sums in mpmath.fp and is certified against working
+    # precision; a drift of 1e-12 at the certified radii fails the check
+    import mpmath
+    fp_hyp2f1 = mpmath.fp.hyp2f1
+    monkeypatch.setattr(mpmath.fp, "hyp2f1",
+                        lambda *a: fp_hyp2f1(*a) * (1.0 + 1e-12))
+    (check,) = [c for c in QUICK if c.name == "phi_oracle_dr21_lam_0.5"]
+    res = suite._run_one(check, {"seed": suite.DEFAULT_SEED, "quick": True})
+    assert not res.passed
+    assert "working precision" in res.detail

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 from harmonic import transforms
 from harmonic.density import make_damek_ricci, make_euclidean
 from harmonic.grids import Grid1D, make_grid
-from harmonic.pde import _kg_series, kg_kernel, kg_solve
+from harmonic.pde import _kg_kernels, kg_kernel, kg_solve
 from harmonic.profiles import annulus_bump, smooth_bump
 from harmonic.transforms import (EvenFunction, abel, cosine_transform,
                                  line_convolve)
@@ -135,7 +135,7 @@ def _dense_kg(H, g, t):
     sgrid = _lattice(g, g.support + t + 0.5)
     qgrid = make_grid(t, spacing=0.03)
     sig = qgrid.nodes
-    w_here, wt_here = _kg_series(H, t, sig, want_dt=True)
+    w_here, wt_here = _kg_kernels(H, t, sig)
     w_quad = qgrid.node_weights * w_here
     wt_quad = qgrid.node_weights * wt_here
     edge = kg_kernel(H, t, t)
