@@ -5,11 +5,14 @@ embed the run manifest, print floats with 17 significant digits, and contain
 nothing time- or host-dependent, so re-running an invocation reproduces the
 output bytes exactly.  JSON reports validate against the shipped schema
 (schemas/report.schema.json).
+A manifest's parameters are the parsed flags, in error documents too, and
+a bad number is refused by its flag's name before any command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -116,19 +119,13 @@ def _write_csv(manifest, columns, rows, out):
 # ---------------------------------------------------------------------------
 
 def _parse_complex(text):
-    parts = str(text).split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise CLIError(f"expected 're' or 're,im', got {text!r}")
+    """argparse type of --lambda: 're' or 're,im'."""
+    return complex(*map(float, text.split(",")))
 
 
 def _parse_box(text):
-    parts = str(text).split(",")
-    if len(parts) != 4:
-        raise CLIError(f"--box wants re_lo,im_lo,re_hi,im_hi, got {text!r}")
-    a, b, c, d = (float(p) for p in parts)
+    """argparse type of --box: the corners re_lo,im_lo,re_hi,im_hi."""
+    a, b, c, d = map(float, text.split(","))
     return complex(a, b), complex(c, d)
 
 
@@ -169,7 +166,7 @@ def _add_zero_flags(sp):
     sp.add_argument("--target", default="sphere", choices=two_radius.TARGETS)
     sp.add_argument("--box", metavar="a,b,c,d", default=",".join(
         f"{v:g}" for z in two_radius.DEFAULT_BOX for v in (z.real, z.imag)),
-        help="search box corners re_lo,im_lo,re_hi,im_hi")
+        type=_parse_box, help="search box corners re_lo,im_lo,re_hi,im_hi")
 
 
 def _resolve_model(args):
@@ -219,12 +216,33 @@ def _resolve_profile(args, suffix=""):
     return _PROFILES[name](width)
 
 
-def _manifest(command, args, model, params, tolerances=None):
-    """The run manifest, also kept on args for an error document."""
+# parsed names that the manifest records in fields of its own, or leaves out
+_NOT_PARAMETERS = frozenset({"command", "fn", "manifest", "model", "n", "m",
+                             "k", "theta", "out", "seed", "tol"})
+
+# number flags that must be positive too; every other one need only be finite
+_POSITIVE = frozenset({"width", "width2", "smax", "smax0", "dt", "dr", "rmax",
+                       "r", "r1", "r2", "count", "tol"})
+
+
+def _check_numbers(args):
+    """Refuse a non-finite number flag, or a non-positive _POSITIVE one."""
+    for dest, x in vars(args).items():
+        if type(x) in (int, float, complex):
+            positive = dest in _POSITIVE
+            if not cmath.isfinite(x) or positive and x <= 0:
+                raise CLIError(f"--{dest.replace('_', '-')} must be finite"
+                               f"{' and positive' * positive}, got {x:g}")
+
+
+def _manifest(args, model, tolerances=None, **fixed):
+    """The run manifest, also kept on args for an error document; its
+    parameters are the parsed flags and the command's fixed settings."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     args.manifest = {
-        "command": command, "version": __version__,
+        "command": args.command, "version": __version__,
         "seed": int(getattr(args, "seed", suite.DEFAULT_SEED)),
-        "model": _model_desc(model), "parameters": params,
+        "model": _model_desc(model), "parameters": {**params, **fixed},
         "tolerances": tolerances or {},
         "outputs": [args.out] if getattr(args, "out", None) else []}
     return args.manifest
@@ -236,11 +254,10 @@ def _manifest(command, args, model, params, tolerances=None):
 
 def _cmd_phi(args):
     model = _resolve_model(args)
-    lam = _parse_complex(args.lam)
-    params = {"lambda": lam, "rmax": args.rmax, "spacing": 0.05}
-    mani = _manifest("phi", args, model, params)
-    grid = make_grid(args.rmax, spacing=0.05)
-    f = phi_eval(model, lam, grid)
+    spacing = 0.05
+    mani = _manifest(args, model, spacing=spacing)
+    grid = make_grid(args.rmax, spacing=spacing)
+    f = phi_eval(model, getattr(args, "lambda"), grid)
     vals = np.asarray(f.values, dtype=complex)
     ders = np.asarray(f.derivative_values, dtype=complex)
     rows = zip(grid.points, vals.real, vals.imag, ders.real, ders.imag)
@@ -249,19 +266,16 @@ def _cmd_phi(args):
     return 0
 
 
-def _zero_prologue(command, args, params):
-    """(model, box, manifest) of an L-plane zero command."""
+def _zero_prologue(args):
+    """(model, manifest) of an L-plane zero command."""
     model = _resolve_model(args)
-    box = _parse_box(args.box)
-    params.update(target=args.target, box=list(box))
-    return model, box, _manifest(command, args, model, params,
-                                 {"zero_tol": args.tol})
+    return model, _manifest(args, model, {"zero_tol": args.tol})
 
 
 def _cmd_zeros(args):
-    model, box, mani = _zero_prologue("zeros", args, {"r": args.r})
-    zs = two_radius.find_L_zeros(model, args.r, target=args.target, box=box,
-                                 zero_tol=args.tol)
+    model, mani = _zero_prologue(args)
+    zs = two_radius.find_L_zeros(model, args.r, target=args.target,
+                                 box=args.box, zero_tol=args.tol)
     result = {"count": len(zs.zeros), "winding_total": int(zs.winding_total),
               "zeros": [{"L": z.L, "multiplicity": int(z.multiplicity),
                          "residual": float(z.residual)} for z in zs.zeros]}
@@ -271,9 +285,8 @@ def _cmd_zeros(args):
 
 
 def _cmd_bad_radii(args):
-    model, box, mani = _zero_prologue("bad-radii", args,
-                                      {"r1": args.r1, "rmax": args.rmax})
-    radii = two_radius.bad_radii(model, args.r1, args.target, box=box,
+    model, mani = _zero_prologue(args)
+    radii = two_radius.bad_radii(model, args.r1, args.target, box=args.box,
                                  r_max=args.rmax, zero_tol=args.tol)
     result = {"count": len(radii), "radii": [float(r) for r in radii]}
     _write_json({"kind": "bad-radii", "manifest": mani, "result": result},
@@ -287,10 +300,9 @@ _CONCLUSION = {"common-zero-found": "rejected",
 
 
 def _cmd_certify(args):
-    model, box, mani = _zero_prologue("certify", args,
-                                      {"r1": args.r1, "r2": args.r2})
+    model, mani = _zero_prologue(args)
     cert = two_radius.certify_pair(model, args.r1, args.r2,
-                                   target=args.target, box=box,
+                                   target=args.target, box=args.box,
                                    zero_tol=args.tol)
     result = {"verdict": _CONCLUSION[cert.verdict],
               "zero_search": cert.verdict,
@@ -304,10 +316,8 @@ def _cmd_certify(args):
 
 def _cmd_abel(args):
     model = _resolve_model(args)
+    mani = _manifest(args, model)
     prof = _resolve_profile(args)
-    params = {"profile": args.profile, "width": args.width,
-              "center": args.center, "smax": args.smax}
-    mani = _manifest("abel", args, model, params)
     g = transforms.abel(model, prof, s_max=args.smax)
     _write_csv(mani, ["s", "Af"], zip(g.grid.points, g.values), args.out)
     return 0
@@ -315,19 +325,14 @@ def _cmd_abel(args):
 
 def _lambda_grid(args):
     """--count equally spaced λ on [0, --lambda-max]."""
-    if args.count < 1:
-        raise CLIError(f"--count must be at least 1, got {args.count}")
     return np.linspace(0.0, args.lambda_max, args.count)
 
 
 def _cmd_fourier(args):
     model = _resolve_model(args)
+    mani = _manifest(args, model)
     prof = _resolve_profile(args)
     lams = _lambda_grid(args)
-    params = {"profile": args.profile, "width": args.width,
-              "center": args.center, "lambda_max": args.lambda_max,
-              "count": args.count}
-    mani = _manifest("fourier", args, model, params)
     F = transforms.spherical_fourier(model, prof, lams)
     _write_csv(mani, ["lambda", "F"], zip(lams, F.values), args.out)
     return 0
@@ -335,11 +340,9 @@ def _cmd_fourier(args):
 
 def _cmd_convolve(args):
     model = _resolve_model(args)
+    mani = _manifest(args, model)
     f = _resolve_profile(args)
     g = _resolve_profile(args, suffix="2")
-    params = {"profile": args.profile, "width": args.width,
-              "profile2": args.profile2, "width2": args.width2}
-    mani = _manifest("convolve", args, model, params)
     conv = transforms.radial_convolve(model, f, g)
     _write_csv(mani, ["r", "f_star_g"], zip(conv.grid.points, conv.values),
                args.out)
@@ -348,11 +351,8 @@ def _cmd_convolve(args):
 
 def _cmd_wave(args):
     model = _resolve_model(args)
+    mani = _manifest(args, model)
     prof = _resolve_profile(args)
-    params = {"profile": args.profile, "width": args.width,
-              "center": args.center, "t": args.t, "dt": args.dt,
-              "dr": args.dr}
-    mani = _manifest("wave", args, model, params)
     states = pde.radial_wave_solve(model, prof, args.t, args.dt, dr=args.dr)
     st = states[-1]
     _write_csv(mani, ["r", "u", "u_t"], zip(st.grid.points, st.u, st.u_t),
@@ -362,14 +362,8 @@ def _cmd_wave(args):
 
 def _cmd_kg(args):
     model = _resolve_model(args)
-    for flag, x in (("--width", args.width), ("--smax0", args.smax0)):
-        if not (math.isfinite(x) and x > 0):
-            raise CLIError(f"{flag} must be finite and positive, got {x:g}")
-    if not math.isfinite(args.t):
-        raise CLIError(f"--t must be finite, got {args.t:g}")
+    mani = _manifest(args, model)
     g = transforms.gauss_line(args.width, args.smax0)
-    params = {"width": args.width, "t": args.t, "smax0": args.smax0}
-    mani = _manifest("kg", args, model, params)
     v = pde.kg_solve(model.H, g, args.t)
     vt = v.info["vt_values"]
     _write_csv(mani, ["s", "v", "v_s", "v_t"],
@@ -379,8 +373,7 @@ def _cmd_kg(args):
 
 def _cmd_heat(args):
     model = _resolve_model(args)
-    params = {"t": args.t, "width": args.width, "dr": args.dr}
-    mani = _manifest("heat", args, model, params)
+    mani = _manifest(args, model)
     states = pde.radial_heat_solve(model, args.t, args.width, dr=args.dr)
     st = states[-1]
     _write_csv(mani, ["r", "k"], zip(st.r, st.k), args.out)
@@ -389,10 +382,8 @@ def _cmd_heat(args):
 
 def _cmd_heat_check(args):
     model = _resolve_model(args)
+    mani = _manifest(args, model, {"rel_tol": args.tol})
     lams = _lambda_grid(args)
-    params = {"t": args.t, "lambda_max": args.lambda_max, "count": args.count}
-    mani = _manifest("heat-check", args, model, params,
-                     {"rel_tol": args.tol})
     measured = pde.heat_identity_check(model, args.t, lams)
     passed = bool(measured <= args.tol)
     result = {"max_rel_err": float(measured), "rel_tol": args.tol,
@@ -406,8 +397,7 @@ def _cmd_heat_check(args):
 
 def _cmd_cheeger(args):
     model = _resolve_model(args)
-    params = {"rmax": args.rmax}
-    mani = _manifest("cheeger", args, model, params)
+    mani = _manifest(args, model)
     if args.out and Path(args.out).suffix == ".csv":
         raise CLIError(f"--out {args.out!r} is where the CSV goes; give the "
                        "JSON report another suffix")
@@ -437,6 +427,7 @@ def _cmd_cheeger(args):
 
 
 def _cmd_geo_check(args):
+    mani = _manifest(args, None)
     space = geometry.space_by_tag(args.space)
     rng = np.random.default_rng(args.seed)
     lam = 1.0
@@ -456,8 +447,6 @@ def _cmd_geo_check(args):
             geometry.projector_selfadjoint_check(space, f, g, 3.4),
         "projector_idempotent": geometry.idempotence_check(space, f),
     }
-    params = {"space": args.space}
-    mani = _manifest("geo-check", args, None, params)
     rows = [{"name": n, "measured": float(m), "bound": geometry.BOUNDS[n],
              "passed": bool(m <= geometry.BOUNDS[n])}
             for n, m in checks.items()]
@@ -477,10 +466,9 @@ def _cmd_suite(args):
               f"{_float_str(res.bound)}  ({res.seconds:.2f}s)",
               file=sys.stderr, flush=True)
 
+    mani = _manifest(args, None)
     rep = suite.run_suite(quick=args.quick, seed=args.seed,
                           progress=progress)
-    params = {"quick": bool(args.quick)}
-    mani = _manifest("suite", args, None, params)
     # wall-clock seconds stay out of the file so reruns are byte-identical
     result = {
         "total": len(rep.checks),
@@ -515,7 +503,8 @@ def _build_parser():
     sp = sub.add_parser("phi", help="radial eigenfunction samples (CSV)")
     _add_model_flags(sp)
     _add_out_flag(sp)
-    sp.add_argument("--lambda", dest="lam", default="1,0", metavar="RE[,IM]")
+    sp.add_argument("--lambda", type=_parse_complex, default="1,0",
+                    metavar="RE[,IM]")
     sp.add_argument("--rmax", type=float, default=10.0)
     sp.set_defaults(fn=_cmd_phi)
 
@@ -626,14 +615,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.fn(args)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         # a command that got as far as its manifest keeps it
-        mani = getattr(args, "manifest", None) or _manifest(
-            args.command, args, None, {})
+        mani = getattr(args, "manifest", None) or _manifest(args, None)
         doc = {"kind": "error", "manifest": mani,
                "error": {"type": type(exc).__name__, "message": str(exc)}}
         _write_json(doc, getattr(args, "out", None))

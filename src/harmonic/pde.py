@@ -180,15 +180,15 @@ def _numerical_support(u, r):
     return float(r[hot[-1]]) if hot.size else 0.0
 
 
-def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
+def radial_wave_solve(model, q0, T, dt, dr=None, n_samples=9):
     """Leapfrog trajectory of w_tt = w_rr + (θ'/θ) w_r with w_t(0) = 0.
 
     The origin is handled by the even-extension ghost point together with
     the removable-singularity form (n+1) w_rr of the radial Laplacian at
     r = 0.  It ends at t = T in ⌈T/dt⌉ equal steps of at most dt (none at
     T = 0); dr defaults to 2.5 dt.  Refuses when dt violates the CFL bound
-    0.5 dr, or when the unit light cone from supp(q0) would touch the
-    artificial wall at r_max.
+    0.5 dr.  The artificial wall stands at supp(q0) + T + max(1, 5 dr),
+    beyond the reach of the unit light cone.
     """
     fn, support = _radial_data(q0)
     dt = float(dt)
@@ -199,13 +199,7 @@ def radial_wave_solve(model, q0, T, dt, dr=None, r_max=None, n_samples=9):
     if dt > 0.5 * dr * (1.0 + 1e-12):
         raise ValueError(
             f"CFL violation: dt = {dt:g} exceeds 0.5 dr = {0.5 * dr:g}")
-    if r_max is None:
-        r_max = support + T + 1.0
-    margin = max(0.2, 5.0 * dr)
-    if support + T > r_max - margin:
-        raise ValueError(
-            "light cone reaches the wall: need r_max >= "
-            f"{support + T + margin:.4g}")
+    r_max = support + T + max(1.0, 5.0 * dr)
     m_cells = int(math.ceil(r_max / dr))
     grid = make_grid(m_cells * dr, n_panels=m_cells,
                      nodes_per_panel=FD_NODES_PER_CELL)
@@ -331,11 +325,8 @@ class HeatState:
 
 
 class BoundaryLeakError(RuntimeError):
-    """Heat mass reached the artificial wall; enlarge the domain."""
-
-    def __init__(self, msg, required_r_max=None):
-        super().__init__(msg)
-        self.required_r_max = required_r_max
+    """Heat mass reached the artificial wall: more than LEAK_TOL of it sits
+    in the last cells."""
 
 
 def _tridiagonal_solver(dl, d, du):
@@ -353,8 +344,7 @@ def _tridiagonal_solver(dl, d, du):
     return lambda b: gttrs(*lu, b)[0]
 
 
-def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
-                      n_samples=9):
+def radial_heat_solve(model, t_final, bump_width, dr=0.01, n_samples=9):
     """Crank-Nicolson trajectory of k_t = k_rr + (θ'/θ) k_r from a bump.
 
     Discretized in flux form on cell centers, d/dt (θ_i k_i Δr) =
@@ -362,6 +352,8 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
     walls, so the total mass ω_n Σ θ_i k_i Δr is conserved to roundoff.
     The first two steps are split into backward-Euler halves to damp the
     startup transient.  Initial datum: a smooth bump scaled to mass one.
+    The wall stands at bump_width + H t + 10 √t + 2; more than LEAK_TOL of
+    the mass in the last cells raises BoundaryLeakError.
     """
     if t_final <= 0 or t_final > 5.0:
         raise ValueError("t_final must lie in (0, 5]")
@@ -369,9 +361,7 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
         raise ValueError("bump_width must be at least 3 dr")
     dt = 0.5 * dr
     spread = model.H * t_final + 10.0 * math.sqrt(t_final) + 2.0
-    if r_max is None:
-        r_max = bump_width + spread
-    m_cells = int(math.ceil(r_max / dr))
+    m_cells = int(math.ceil((bump_width + spread) / dr))
     grid = make_grid(m_cells * dr, n_panels=m_cells)
     faces = grid.points
     centers = 0.5 * (faces[:-1] + faces[1:])
@@ -419,10 +409,9 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, r_max=None,
 
     tail = float(np.sum(weights[-3:] * k[-3:]))
     if tail > LEAK_TOL:
-        needed = max(bump_width + 1.6 * spread, 1.5 * grid.x_max)
         raise BoundaryLeakError(
-            f"mass {tail:.3g} in the last cells exceeds {LEAK_TOL:g}; "
-            f"rerun with r_max >= {needed:.4g}", required_r_max=needed)
+            f"mass {tail:.3g} in the last cells before the wall at r = "
+            f"{grid.x_max:.6g} exceeds {LEAK_TOL:g}")
     return states
 
 

@@ -658,7 +658,7 @@ def bad_radii(model, r1, target="sphere", box=DEFAULT_BOX, r_max=10.0,
     collected = []
     for z in zs.zeros:
         collected.extend(find_r_zeros(model, z.L, r_max, target=target,
-                                      zero_tol=max(zero_tol, 1e-9)))
+                                      zero_tol=zero_tol))
     collected.sort()
     out = []
     for rr in collected:

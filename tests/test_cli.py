@@ -52,7 +52,9 @@ def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
     assert rc == 1
     assert doc["error"]["type"] == "CLIError"
     assert doc["manifest"]["model"] is None
-    assert doc["manifest"]["parameters"] == {}
+    # the parameters are the parsed flags even so
+    assert doc["manifest"]["parameters"] == {"lambda": {"re": 1, "im": 0},
+                                             "rmax": 10}
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -73,6 +75,38 @@ def test_kg_refuses_a_bad_flag_by_name(tmp_path, flag, value):
     assert rc == 1
     assert doc["error"]["type"] == "CLIError"
     assert doc["error"]["message"].startswith(f"{flag} must be finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["heat", "--dr", "0"], ["heat", "--dr=-0.01"],
+    ["convolve", "--width", "inf"], ["abel", "--width", "nan"],
+    ["convolve", "--width2", "0"], ["cheeger", "--rmax", "0"],
+    ["phi", "--lambda", "nan,0"]], ids=" ".join)
+def test_a_bad_number_is_refused_by_its_flag(tmp_path, argv):
+    rc, doc = _run(tmp_path, argv)
+    assert rc == 1
+    assert doc["error"]["type"] == "CLIError"
+    flag = argv[1].split("=")[0]
+    assert doc["error"]["message"].startswith(f"{flag} must be finite")
+    assert doc["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--lambda", "1,2,3"], ["phi", "--lambda", "abc"],
+    ["zeros", "--box", "1,2"]], ids=" ".join)
+def test_a_malformed_value_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_wave_wall_follows_dr(tmp_path):
+    # dr = 0.25 puts the wall 5 dr past the light cone, not 1
+    out = tmp_path / "wave.csv"
+    assert cli.main(["wave", "--dr", "0.25", "--dt", "0.1", "--t", "1",
+                     "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#")
+    assert np.all(np.isfinite(rows))
 
 
 def test_kg_runs_past_h_times_t_of_40(tmp_path):

@@ -1,5 +1,5 @@
 """Each verdict is stated once: the CLI's defaults and the suite's bounds are
-the library's own.
+the library's own, and each flag is stated once, in the parser.
 
 The verdict commands (`zeros`, `bad-radii`, `certify`, `heat-check`,
 `cheeger`) and the suite judge statements whose defaults and bounds live in
@@ -15,11 +15,15 @@ import pytest
 from harmonic import asymptotics, cli, geometry, pde, suite, two_radius
 
 
-def _action(command, dest):
-    parser = cli._build_parser()
-    (sub,) = [a for a in parser._actions
+def _subparsers():
+    (sub,) = [a for a in cli._build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+    return sub.choices
+
+
+def _action(command, dest):
+    (action,) = [a for a in _subparsers()[command]._actions
+                 if a.dest == dest]
     return action
 
 
@@ -96,3 +100,26 @@ def test_geometry_checks_use_the_geometry_bounds():
         identity = "_".join(res.name.split("_")[:2])
         assert res.passed
         assert res.bound == geometry.BOUNDS[identity]
+
+
+class _Stop(Exception):
+    """Raised once a command has built its manifest, so that none runs."""
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_manifest_parameters_are_the_parsed_flags(command, monkeypatch):
+    manifests = []
+    build = cli._manifest
+
+    def spy(*args, **kwargs):
+        manifests.append(build(*args, **kwargs))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_manifest", spy)
+    radii = ["--r1", "1", "--r2", "2"] if command == "certify" else []
+    with pytest.raises(_Stop):
+        cli.main([command] + radii)
+    dests = {a.dest for a in _subparsers()[command]._actions} - {"help"}
+    fixed = {"spacing"} if command == "phi" else set()
+    (mani,) = manifests
+    assert set(mani["parameters"]) == dests - cli._NOT_PARAMETERS | fixed

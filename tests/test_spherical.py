@@ -151,6 +151,17 @@ def test_phi_is_one_at_special_imaginary_lambda():
         assert np.max(np.abs(sf.values - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["+iH/2", "-iH/2"])
+def test_phi_series_at_zero_shift_is_exactly_one(sign):
+    # L(±iH/2) = 0 on H³ exactly (λ² = -1, H²/4 = 1): no series term is
+    # summed, φ ≡ 1 and φ' ≡ 0 with no error
+    sf = phi_series(H3, sign * 0.5j * H3.H, GRID)
+    assert sf.L == 0
+    assert np.all(sf.values == 1.0)
+    assert np.all(sf.derivative_values == 0.0)
+    assert sf.error_bound == 0.0
+
+
 def _damek_ricci_phi(m, k, lam, r):
     """Jacobi-function oracle: 2F1(Q/2+iλ, Q/2-iλ; (m+k+1)/2; -sinh²(r/2))."""
     Q = m / 2 + k

@@ -327,6 +327,31 @@ def test_bad_radii_merges_radii_closer_than_the_separation(monkeypatch):
     assert got == [2 * math.pi]
 
 
+def test_bad_radii_passes_its_zero_tol_on(monkeypatch):
+    seen = []
+    r_zeros = two_radius.find_r_zeros
+
+    def spy(*args, zero_tol, **kwargs):
+        seen.append(zero_tol)
+        return r_zeros(*args, zero_tol=zero_tol, **kwargs)
+
+    monkeypatch.setattr(two_radius, "find_r_zeros", spy)
+    assert bad_radii(E0, 1.0, box=(-12 - 2j, 2 + 2j), r_max=3.0,
+                     zero_tol=1e-12)
+    assert seen and set(seen) == {1e-12}
+
+
+def test_certify_with_one_empty_zero_set():
+    # E0's sphere target at r is cos(√-L r): L-zeros -((2a+1)π/2r)², of
+    # which r = 0.2 has none above -12; the least joint residual is then
+    # |cos(√-L r2)| at r1's single zero -(π/2)², i.e. cos(π/10)
+    cert = certify_pair(E0, 1.0, 0.2, box=(-12 - 2j, 2 + 2j))
+    assert cert.verdict == "no-common-zero-in-box"
+    assert cert.common == [] and cert.witness is None
+    assert cert.min_joint_residual == pytest.approx(math.cos(math.pi / 10),
+                                                    rel=1e-12)
+
+
 def test_certify_rejects_odd_ratio():
     cert = certify_pair(E0, 1.0, 3.0, box=(-30 - 8j, 5 + 8j))
     assert cert.verdict == "common-zero-found"
