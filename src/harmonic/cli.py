@@ -5,8 +5,10 @@ embed the run manifest, print floats with 17 significant digits, and contain
 nothing time- or host-dependent, so re-running an invocation reproduces the
 output bytes exactly.  JSON reports validate against the shipped schema
 (schemas/report.schema.json).
-A manifest's parameters are the parsed flags, in error documents too, and
-a bad number is refused by its flag's name before any command runs.
+`main` frames every run: it parses the flags, refuses a bad number by its
+flag's name, resolves the model, builds the manifest (its parameters are the
+parsed flags) and writes the error document of any refusal, carrying that
+manifest.  Each command only computes and writes its result.
 """
 
 from __future__ import annotations
@@ -120,12 +122,19 @@ def _write_csv(manifest, columns, rows, out):
 
 def _parse_complex(text):
     """argparse type of --lambda: 're' or 're,im'."""
-    return complex(*map(float, text.split(",")))
+    try:
+        return complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected RE[,IM], got {text!r}")
 
 
 def _parse_box(text):
     """argparse type of --box: the corners re_lo,im_lo,re_hi,im_hi."""
-    a, b, c, d = map(float, text.split(","))
+    try:
+        a, b, c, d = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected re_lo,im_lo,re_hi,im_hi, got {text!r}")
     return complex(a, b), complex(c, d)
 
 
@@ -144,10 +153,6 @@ def _add_model_flags(sp):
                          "'sinh(r)**2'; sympy is imported only for this flag")
 
 
-def _add_out_flag(sp):
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-
-
 def _add_seed_flag(sp):
     sp.add_argument("--seed", type=int, default=suite.DEFAULT_SEED,
                     help="seed for randomized checks")
@@ -160,8 +165,6 @@ def _add_tol_flag(sp, default, what):
 
 def _add_zero_flags(sp):
     """The flags of the L-plane zero commands, defaulted as two_radius is."""
-    _add_model_flags(sp)
-    _add_out_flag(sp)
     _add_tol_flag(sp, two_radius.DEFAULT_ZERO_TOL, "zero residual tolerance")
     sp.add_argument("--target", default="sphere", choices=two_radius.TARGETS)
     sp.add_argument("--box", metavar="a,b,c,d", default=",".join(
@@ -170,7 +173,7 @@ def _add_zero_flags(sp):
 
 
 def _resolve_model(args):
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         if args.n is None:
             raise CLIError("--theta needs --n (theta ~ r^n near 0)")
         return make_custom(args.theta, args.n)
@@ -217,8 +220,12 @@ def _resolve_profile(args, suffix=""):
 
 
 # parsed names that the manifest records in fields of its own, or leaves out
-_NOT_PARAMETERS = frozenset({"command", "fn", "manifest", "model", "n", "m",
-                             "k", "theta", "out", "seed", "tol"})
+_NOT_PARAMETERS = frozenset({"command", "fn", "model", "n", "m", "k", "theta",
+                             "out", "seed", "tol"})
+
+# the name each verdict command records its --tol under
+_TOL_NAMES = {"zeros": "zero_tol", "bad-radii": "zero_tol",
+              "certify": "zero_tol", "heat-check": "rel_tol"}
 
 # number flags that must be positive too; every other one need only be finite
 _POSITIVE = frozenset({"width", "width2", "smax", "smax0", "dt", "dr", "rmax",
@@ -235,28 +242,23 @@ def _check_numbers(args):
                                f"{' and positive' * positive}, got {x:g}")
 
 
-def _manifest(args, model, tolerances=None, **fixed):
-    """The run manifest, also kept on args for an error document; its
-    parameters are the parsed flags and the command's fixed settings."""
+def _manifest(args, model):
+    """The run manifest; its parameters are the parsed flags."""
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
-    args.manifest = {
-        "command": args.command, "version": __version__,
-        "seed": int(getattr(args, "seed", suite.DEFAULT_SEED)),
-        "model": _model_desc(model), "parameters": {**params, **fixed},
-        "tolerances": tolerances or {},
-        "outputs": [args.out] if getattr(args, "out", None) else []}
-    return args.manifest
+    tol = _TOL_NAMES.get(args.command)
+    return {"command": args.command, "version": __version__,
+            "seed": int(getattr(args, "seed", suite.DEFAULT_SEED)),
+            "model": _model_desc(model), "parameters": params,
+            "tolerances": {tol: args.tol} if tol else {},
+            "outputs": [args.out] if args.out else []}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_phi(args):
-    model = _resolve_model(args)
-    spacing = 0.05
-    mani = _manifest(args, model, spacing=spacing)
-    grid = make_grid(args.rmax, spacing=spacing)
+def _cmd_phi(args, model, mani):
+    grid = make_grid(args.rmax, spacing=args.spacing)
     f = phi_eval(model, getattr(args, "lambda"), grid)
     vals = np.asarray(f.values, dtype=complex)
     ders = np.asarray(f.derivative_values, dtype=complex)
@@ -266,14 +268,7 @@ def _cmd_phi(args):
     return 0
 
 
-def _zero_prologue(args):
-    """(model, manifest) of an L-plane zero command."""
-    model = _resolve_model(args)
-    return model, _manifest(args, model, {"zero_tol": args.tol})
-
-
-def _cmd_zeros(args):
-    model, mani = _zero_prologue(args)
+def _cmd_zeros(args, model, mani):
     zs = two_radius.find_L_zeros(model, args.r, target=args.target,
                                  box=args.box, zero_tol=args.tol)
     result = {"count": len(zs.zeros), "winding_total": int(zs.winding_total),
@@ -284,8 +279,7 @@ def _cmd_zeros(args):
     return 0
 
 
-def _cmd_bad_radii(args):
-    model, mani = _zero_prologue(args)
+def _cmd_bad_radii(args, model, mani):
     radii = two_radius.bad_radii(model, args.r1, args.target, box=args.box,
                                  r_max=args.rmax, zero_tol=args.tol)
     result = {"count": len(radii), "radii": [float(r) for r in radii]}
@@ -299,8 +293,7 @@ _CONCLUSION = {"common-zero-found": "rejected",
                "inconclusive": "inconclusive"}
 
 
-def _cmd_certify(args):
-    model, mani = _zero_prologue(args)
+def _cmd_certify(args, model, mani):
     cert = two_radius.certify_pair(model, args.r1, args.r2,
                                    target=args.target, box=args.box,
                                    zero_tol=args.tol)
@@ -314,9 +307,7 @@ def _cmd_certify(args):
     return 0
 
 
-def _cmd_abel(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_abel(args, model, mani):
     prof = _resolve_profile(args)
     g = transforms.abel(model, prof, s_max=args.smax)
     _write_csv(mani, ["s", "Af"], zip(g.grid.points, g.values), args.out)
@@ -328,9 +319,7 @@ def _lambda_grid(args):
     return np.linspace(0.0, args.lambda_max, args.count)
 
 
-def _cmd_fourier(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_fourier(args, model, mani):
     prof = _resolve_profile(args)
     lams = _lambda_grid(args)
     F = transforms.spherical_fourier(model, prof, lams)
@@ -338,9 +327,7 @@ def _cmd_fourier(args):
     return 0
 
 
-def _cmd_convolve(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_convolve(args, model, mani):
     f = _resolve_profile(args)
     g = _resolve_profile(args, suffix="2")
     conv = transforms.radial_convolve(model, f, g)
@@ -349,9 +336,7 @@ def _cmd_convolve(args):
     return 0
 
 
-def _cmd_wave(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_wave(args, model, mani):
     prof = _resolve_profile(args)
     states = pde.radial_wave_solve(model, prof, args.t, args.dt, dr=args.dr)
     st = states[-1]
@@ -360,9 +345,7 @@ def _cmd_wave(args):
     return 0
 
 
-def _cmd_kg(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_kg(args, model, mani):
     g = transforms.gauss_line(args.width, args.smax0)
     v = pde.kg_solve(model.H, g, args.t)
     vt = v.info["vt_values"]
@@ -371,18 +354,14 @@ def _cmd_kg(args):
     return 0
 
 
-def _cmd_heat(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_heat(args, model, mani):
     states = pde.radial_heat_solve(model, args.t, args.width, dr=args.dr)
     st = states[-1]
     _write_csv(mani, ["r", "k"], zip(st.r, st.k), args.out)
     return 0
 
 
-def _cmd_heat_check(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model, {"rel_tol": args.tol})
+def _cmd_heat_check(args, model, mani):
     lams = _lambda_grid(args)
     measured = pde.heat_identity_check(model, args.t, lams)
     passed = bool(measured <= args.tol)
@@ -395,9 +374,7 @@ def _cmd_heat_check(args):
     return 0 if passed else 1
 
 
-def _cmd_cheeger(args):
-    model = _resolve_model(args)
-    mani = _manifest(args, model)
+def _cmd_cheeger(args, model, mani):
     if args.out and Path(args.out).suffix == ".csv":
         raise CLIError(f"--out {args.out!r} is where the CSV goes; give the "
                        "JSON report another suffix")
@@ -426,8 +403,7 @@ def _cmd_cheeger(args):
     return 0 if rep.ok else 1
 
 
-def _cmd_geo_check(args):
-    mani = _manifest(args, None)
+def _cmd_geo_check(args, model, mani):
     space = geometry.space_by_tag(args.space)
     rng = np.random.default_rng(args.seed)
     lam = 1.0
@@ -456,7 +432,7 @@ def _cmd_geo_check(args):
     return 0 if result["ok"] else 1
 
 
-def _cmd_suite(args):
+def _cmd_suite(args, model, mani):
     # progress goes to stderr so a bare `harmonic suite` still leaves
     # parseable JSON on stdout
     def progress(res):
@@ -466,7 +442,6 @@ def _cmd_suite(args):
               f"{_float_str(res.bound)}  ({res.seconds:.2f}s)",
               file=sys.stderr, flush=True)
 
-    mani = _manifest(args, None)
     rep = suite.run_suite(quick=args.quick, seed=args.seed,
                           progress=progress)
     # wall-clock seconds stay out of the file so reruns are byte-identical
@@ -491,6 +466,17 @@ def _cmd_suite(args):
 # parser assembly
 # ---------------------------------------------------------------------------
 
+def _command(sub, name, help, fn, model=True):
+    """A subcommand with --out, the model flags unless model is False, and
+    fn, which main calls as fn(args, model, manifest)."""
+    sp = sub.add_parser(name, help=help)
+    if model:
+        _add_model_flags(sp)
+    sp.add_argument("--out", default=None, help="output path (default stdout)")
+    sp.set_defaults(fn=fn)
+    return sp
+
+
 @functools.cache
 def _build_parser():
     """The argparse tree, built at the first main call and then reused."""
@@ -500,131 +486,104 @@ def _build_parser():
                     "defined by a radial volume density.")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sp = sub.add_parser("phi", help="radial eigenfunction samples (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "phi", "radial eigenfunction samples (CSV)", _cmd_phi)
     sp.add_argument("--lambda", type=_parse_complex, default="1,0",
                     metavar="RE[,IM]")
     sp.add_argument("--rmax", type=float, default=10.0)
-    sp.set_defaults(fn=_cmd_phi)
+    sp.set_defaults(spacing=0.05)
 
-    sp = sub.add_parser("zeros", help="eigenvalue-plane zeros of a radius "
-                                      "functional (JSON)")
+    sp = _command(sub, "zeros", "eigenvalue-plane zeros of a radius "
+                                "functional (JSON)", _cmd_zeros)
     _add_zero_flags(sp)
     sp.add_argument("--r", type=float, default=1.0)
-    sp.set_defaults(fn=_cmd_zeros)
 
-    sp = sub.add_parser("bad-radii", help="second radii sharing a zero with "
-                                          "r1 (JSON)")
+    sp = _command(sub, "bad-radii", "second radii sharing a zero with r1 "
+                                    "(JSON)", _cmd_bad_radii)
     _add_zero_flags(sp)
     sp.add_argument("--r1", type=float, default=1.0)
     sp.add_argument("--rmax", type=float, default=10.0)
-    sp.set_defaults(fn=_cmd_bad_radii)
 
-    sp = sub.add_parser("certify", help="two-radius disjointness certificate "
-                                        "(JSON)")
+    sp = _command(sub, "certify", "two-radius disjointness certificate "
+                                  "(JSON)", _cmd_certify)
     _add_zero_flags(sp)
     sp.add_argument("--r1", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
-    sp.set_defaults(fn=_cmd_certify)
 
-    sp = sub.add_parser("abel", help="Abel transform of a radial bump (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "abel", "Abel transform of a radial bump (CSV)",
+                  _cmd_abel)
     _add_profile_flags(sp)
     sp.add_argument("--smax", type=float, default=None)
-    sp.set_defaults(fn=_cmd_abel)
 
-    sp = sub.add_parser("fourier", help="spherical Fourier transform (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "fourier", "spherical Fourier transform (CSV)",
+                  _cmd_fourier)
     _add_profile_flags(sp)
     sp.add_argument("--lambda-max", type=float, default=8.0)
     sp.add_argument("--count", type=int, default=161)
-    sp.set_defaults(fn=_cmd_fourier)
 
-    sp = sub.add_parser("convolve", help="radial convolution of two bumps "
-                                         "(CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "convolve", "radial convolution of two bumps (CSV)",
+                  _cmd_convolve)
     _add_profile_flags(sp, width=0.35, default="gauss")
     _add_profile_flags(sp, suffix="2", width=0.45, default="gauss")
-    sp.set_defaults(fn=_cmd_convolve)
 
-    sp = sub.add_parser("wave", help="radial wave slice at time t (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "wave", "radial wave slice at time t (CSV)", _cmd_wave)
     _add_profile_flags(sp)
     sp.add_argument("--t", type=float, default=3.0)
     sp.add_argument("--dt", type=float, default=0.004)
     sp.add_argument("--dr", type=float, default=0.01)
-    sp.set_defaults(fn=_cmd_wave)
 
-    sp = sub.add_parser("kg", help="Klein-Gordon line evolution from a "
-                                   "Gaussian (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "kg", "Klein-Gordon line evolution from a Gaussian "
+                             "(CSV)", _cmd_kg)
     sp.add_argument("--width", type=float, default=0.5)
     sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--smax0", type=float, default=4.0,
                     help="initial datum domain half-length")
-    sp.set_defaults(fn=_cmd_kg)
 
-    sp = sub.add_parser("heat", help="radial heat profile at time t (CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "heat", "radial heat profile at time t (CSV)",
+                  _cmd_heat)
     sp.add_argument("--t", type=float, default=0.5)
     sp.add_argument("--width", type=float, default=0.3)
     sp.add_argument("--dr", type=float, default=0.01)
-    sp.set_defaults(fn=_cmd_heat)
 
-    sp = sub.add_parser("heat-check", help="heat multiplier identity verdict "
-                                           "(JSON; exit 1 on failure)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "heat-check", "heat multiplier identity verdict "
+                                     "(JSON; exit 1 on failure)",
+                  _cmd_heat_check)
     _add_tol_flag(sp, pde.HEAT_REL_TOL, "relative tolerance")
     sp.add_argument("--t", type=float, default=pde.HEAT_T)
     sp.add_argument("--lambda-max", type=float, default=pde.HEAT_LAMBDAS[-1])
     sp.add_argument("--count", type=int, default=len(pde.HEAT_LAMBDAS))
-    sp.set_defaults(fn=_cmd_heat_check)
 
-    sp = sub.add_parser("cheeger", help="growth chain and spectral bottom "
-                                        "report (JSON + CSV)")
-    _add_model_flags(sp)
-    _add_out_flag(sp)
+    sp = _command(sub, "cheeger", "growth chain and spectral bottom report "
+                                  "(JSON + CSV)", _cmd_cheeger)
     sp.add_argument("--rmax", type=float, default=asymptotics.CHEEGER_R_MAX)
-    sp.set_defaults(fn=_cmd_cheeger)
 
-    sp = sub.add_parser("geo-check", help="non-radial identities on an "
-                                          "explicit 2D space (JSON)")
-    _add_out_flag(sp)
+    sp = _command(sub, "geo-check", "non-radial identities on an explicit 2D "
+                                    "space (JSON)", _cmd_geo_check, model=False)
     _add_seed_flag(sp)
     sp.add_argument("--space", default="plane",
                     choices=["plane", "euclidean", "hyperbolic_plane", "h2"])
-    sp.set_defaults(fn=_cmd_geo_check)
 
-    sp = sub.add_parser("suite", help="full verification battery (JSON; "
-                                      "exit 0 iff all checks pass)")
-    _add_out_flag(sp)
+    sp = _command(sub, "suite", "full verification battery (JSON; exit 0 iff "
+                                "all checks pass)", _cmd_suite, model=False)
     _add_seed_flag(sp)
     sp.add_argument("--quick", action="store_true",
                     help="skip the slowest checks (still >= 40 checks)")
-    sp.set_defaults(fn=_cmd_suite)
 
     return p
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    model = mani = None
     try:
         _check_numbers(args)
-        return args.fn(args)
+        if "model" in args:
+            model = _resolve_model(args)
+        mani = _manifest(args, model)
+        return args.fn(args, model, mani)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        # a command that got as far as its manifest keeps it
-        mani = getattr(args, "manifest", None) or _manifest(args, None)
-        doc = {"kind": "error", "manifest": mani,
+        doc = {"kind": "error", "manifest": mani or _manifest(args, model),
                "error": {"type": type(exc).__name__, "message": str(exc)}}
-        _write_json(doc, getattr(args, "out", None))
+        _write_json(doc, args.out)
         return 1
 
 

@@ -6,7 +6,8 @@
 
 and one path evaluates it: the spectral-parameter power series (Kravchenko
 & Porter, Math. Methods Appl. Sci. 33, 2010) taken piece by piece.  The
-radii are cut into pieces of length h ≤ min(3/sqrt(max|L|), 0.5); on each
+radii are cut into pieces of length h ≤ min(3/sqrt(max|L|), 0.5), and a
+piece across which r^n grows by more than 2^7 is cut again; on each
 piece two fundamental solutions are power series in L from the piece's
 start, with coefficient functions that depend on the model and the pieces
 but not on λ, and (φ, φ') pass from piece to piece by 2×2 transfer
@@ -327,6 +328,10 @@ def phi_series(model, lam, grid):
 SPPS_PHASE = 3.0
 SPPS_MAX_PIECE = 0.5
 SPPS_NODES = 32
+# a piece [b, e] from b > 0 across which r^n grows by more than 2^SPPS_OCTAVES
+# is cut at equal ratios, so that its nodes resolve 1/θ̂ ~ (b/r)^n, whose pole
+# sits at 0; no model with n ≤ SPPS_OCTAVES gains an edge
+SPPS_OCTAVES = 7
 # the smallest K whose term bound X^(2K)/(2K)! is below 1e-17, plus one
 # level of margin
 SPPS_ORDER = truncation_order(SPPS_PHASE ** 2, 1.0, tol=1e-17) + 1
@@ -338,6 +343,34 @@ def _spps_piece(top):
     """Longest piece for a batch whose largest |L| is top."""
     return min(SPPS_PHASE / math.sqrt(top) if top > 0 else math.inf,
                SPPS_MAX_PIECE)
+
+
+def _cut_growth(edges, n):
+    """The edges with each piece [b, e], b > 0, across which r^n grows by
+    more than 2^SPPS_OCTAVES cut into the fewest pieces of equal ratio that
+    each keep below it."""
+    b, e = edges[:-1], edges[1:]
+    ratio = np.divide(e, b, out=np.ones_like(e), where=b > 0)
+    m = np.maximum(1, np.ceil(n * np.log2(ratio) / SPPS_OCTAVES - 1e-9))
+    m = m.astype(int)
+    piece = np.repeat(np.arange(b.size), m)
+    last = np.cumsum(m) - 1
+    j = np.arange(last[-1] + 1) - np.repeat(last, m) + m[piece]
+    out = b[piece] * ratio[piece] ** (j / m[piece])
+    out[last] = e
+    return np.concatenate([edges[:1], out])
+
+
+def _spps_edges(n, top, r_last):
+    """Edges of the series' pieces on [0, r_last] for a batch whose largest
+    |L| is top: the first [0, h] and then equal pieces of length
+    h = min(_spps_piece(top), r_last), so every later piece [b, b + h] keeps
+    b ≥ h away from the singular θ'/θ ~ n/r, each cut by _cut_growth."""
+    h = min(_spps_piece(top), r_last)
+    P = max(1, math.ceil(r_last / h - 1e-9))
+    edges = h * np.arange(P + 1.0)
+    edges[-1] = r_last
+    return _cut_growth(edges, n)
 
 
 def _spps_levels(model, edges, Phi=False):
@@ -361,7 +394,8 @@ def _spps_levels(model, edges, Phi=False):
     (A_k', B_k') at each piece's end, slopes (1, P, K+1, 2, D) the node
     values of (A_k', B_k'), and log_ref (P,) log θ at the radius θ̂ is
     relative to.  With Phi, ends[:, 2] and slopes[1] hold (C_{k+1}, E_{k+1})
-    in the same way.
+    in the same way.  Raises QuadratureError, naming the dimension, where
+    r^(n+1) or θ̂ leaves the normal double range at the first node.
     """
     D, K, n = SPPS_NODES, SPPS_ORDER, model.n
     t, w, coef_mat, partial = _tables(D)
@@ -374,6 +408,11 @@ def _spps_levels(model, edges, Phi=False):
     th = np.exp(model.log_theta(x) - log_ref)
     if not np.all(np.isfinite(th) & (th > 0)):
         raise QuadratureError("theta not positive/finite on the series nodes")
+    if min(x[0, 0] ** (n + 1), th[0, 0]) < np.finfo(float).tiny:
+        raise QuadratureError(
+            f"dimension n + 1 = {n + 1} is beyond the series: r^{n + 1} "
+            f"and θ on its first piece [0, {edges[1]:.3g}] underflow at its "
+            f"first node r = {x[0, 0]:.3g}")
     first = _weighted_running(x[0], edges[1], D, n) / x[0, :D] ** n
     P = edges.size - 1
     d = np.zeros((2, P, D + 1))
@@ -402,20 +441,15 @@ def _spps_levels(model, edges, Phi=False):
 def _spps_frame(model, L, radii, Phi=False):
     """The pieces of the series for a batch of L, and the radii in them.
 
-    Pieces: the first [0, h] and then equal pieces of length
-    h = min(_spps_piece(max|L|), r_last) up to the last radius (which must be
-    positive), so every later piece [b, b + h] keeps b ≥ h away from the
-    singular θ'/θ ~ n/r.  Returns (ends, slopes, log_ref, powers, i0, edges,
-    cut): _spps_levels' data, the powers L^k, k = 0..K, the piece edges and
-    the radii: radii[:i0] are 0, and piece p holds
-    r = radii[i0:][cut[p]:cut[p+1]] (_spps_maps gives their tables).
+    Pieces: _spps_edges' up to the last radius (which must be positive).
+    Returns (ends, slopes, log_ref, powers, i0, edges, cut): _spps_levels'
+    data, the powers L^k, k = 0..K, the piece edges and the radii:
+    radii[:i0] are 0, and piece p holds r = radii[i0:][cut[p]:cut[p+1]]
+    (_spps_maps gives their tables).
     """
     K = SPPS_ORDER
-    r_last = float(radii[-1])
-    h = min(_spps_piece(float(np.max(np.abs(L), initial=0.0))), r_last)
-    P = max(1, math.ceil(r_last / h - 1e-9))
-    edges = h * np.arange(P + 1.0)
-    edges[-1] = r_last
+    edges = _spps_edges(model.n, float(np.max(np.abs(L), initial=0.0)),
+                        float(radii[-1]))
     ends, slopes, log_ref = _spps_levels(model, edges, Phi)
     powers = L[:, None] ** np.arange(K + 1)
     i0 = np.searchsorted(radii, 0.0, side="right")
@@ -631,7 +665,7 @@ def phi(model, lam, grid):
     L, _ = spectral_shift(model, lam)
     vals, derivs = phi_ode_values(model, [lam], grid.points)
     scale = float(np.max(np.abs(vals)))
-    pieces = math.ceil(grid.x_max / min(_spps_piece(abs(L)), grid.x_max))
+    pieces = _spps_edges(model.n, abs(L), grid.x_max).size - 1
     err = _EPS * math.cosh(SPPS_PHASE) * pieces * max(scale, 1.0)
     return SphericalFunction(model, lam, L, grid, vals[0], derivs[0], err)
 
@@ -654,16 +688,17 @@ def _refuse_state_growth(model, L, r_last):
 def _state_levels(model, r, P):
     """The series' end values for P equal pieces of [0, r], cached.
 
+    The pieces are cut by _cut_growth, so there may be more than P.
     _spps_levels' ends, with the fluxes times θ at the radius θ̂ is
     relative to, so a piece from b adds φ(b) Σ L^k θC_{k+1} +
-    φ'(b) Σ L^k θE_{k+1} to Φ.  The cache keeps one (K+1, 3, 2, P) array
-    per (model, r, P).
+    φ'(b) Σ L^k θE_{k+1} to Φ.  The cache keeps one (K+1, 3, 2, pieces)
+    array per (model, r, P).
     """
     key = ("state", model.key, r, P)
     out = _CACHE.get(key)
     if out is None:
-        out, _, log_ref = _spps_levels(model, r * (np.arange(P + 1) / P),
-                                       Phi=True)
+        edges = _cut_growth(r * (np.arange(P + 1) / P), model.n)
+        out, _, log_ref = _spps_levels(model, edges, Phi=True)
         out[:, 2] *= np.exp(log_ref)
         out.flags.writeable = False
         out = _CACHE.put(key, out)
@@ -676,7 +711,7 @@ def eigen_state_at(model, L_values, r_stop):
     By the piecewise series: [0, r_stop] is cut into P equal pieces of
     length at most _spps_piece(max|L|), with P rounded up to a power of two
     so that the batches of one search share a few level sets, cached per
-    (model, r_stop, P).  Each piece's transfer matrix [[y1, y2], [y1', y2'],
+    (model, r_stop, P), and then cut by _cut_growth.  Each piece's transfer matrix [[y1, y2], [y1', y2'],
     [G1, G2]] is a polynomial in L (the last row adds Φ's increment, see
     _state_levels); the chain passes (φ, φ') and Φ on, and ∂/∂L follows by
     the product rule through it, the matrices differentiated term-wise.
@@ -692,8 +727,8 @@ def eigen_state_at(model, L_values, r_stop):
     M, K = L.size, SPPS_ORDER
     top = float(np.max(np.abs(L), initial=0.0))
     n = max(1, math.ceil(r / _spps_piece(top) - 1e-9))
-    P = 1 << (n - 1).bit_length()
-    ends = _state_levels(model, r, P)
+    ends = _state_levels(model, r, 1 << (n - 1).bit_length())
+    P = ends.shape[-1]
     powers = L[:, None] ** np.arange(K + 1)
     dpowers = np.zeros_like(powers)
     dpowers[:, 1:] = powers[:, :-1] * np.arange(1, K + 1)

@@ -51,6 +51,13 @@ def test_volume_growth_guards():
         volume_growth(E2, [61.0])
 
 
+def test_lambda0_estimate_guards():
+    with pytest.raises(ValueError, match="positive"):
+        lambda0_estimate(E2, [-1.0, 1.0])
+    with pytest.raises(ValueError, match="supported range"):
+        lambda0_estimate(E2, [1.0, 61.0])
+
+
 # first zero of λ ↦ φ_λ(1): φ_λ(r) = cos λr on R¹, J₀(λr) on R², and
 # J_ν(λr)/(λr)^ν, ν = (n - 1)/2, on R^(n+1); on H³ it is sin(λr)/(λ sinh r)
 FIRST_ZEROS = {

@@ -54,7 +54,26 @@ def test_unresolved_model_leaves_the_manifest_empty(tmp_path):
     assert doc["manifest"]["model"] is None
     # the parameters are the parsed flags even so
     assert doc["manifest"]["parameters"] == {"lambda": {"re": 1, "im": 0},
-                                             "rmax": 10}
+                                             "rmax": 10, "spacing": 0.05}
+
+
+def test_theta_without_n_is_refused_with_the_parsed_flags(tmp_path):
+    rc, doc = _run(tmp_path, ["abel", "--theta", "sinh(r)**2",
+                              "--width", "0.5"])
+    assert rc == 1
+    assert doc["error"]["type"] == "CLIError"
+    assert "--theta needs --n" in doc["error"]["message"]
+    assert doc["manifest"]["model"] is None
+    assert doc["manifest"]["parameters"] == {
+        "center": 1, "profile": "smooth", "smax": None, "width": 0.5}
+
+
+def test_a_refusal_before_the_command_keeps_its_tolerance(tmp_path):
+    # --n -1 fails while the model is resolved, before `zeros` runs
+    rc, doc = _run(tmp_path, ["zeros", "--n", "-1"])
+    assert rc == 1
+    assert doc["manifest"]["model"] is None
+    assert doc["manifest"]["tolerances"] == {"zero_tol": 1e-10}
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -91,13 +110,18 @@ def test_a_bad_number_is_refused_by_its_flag(tmp_path, argv):
     assert doc["manifest"]["command"] == argv[0]
 
 
+FORMS = {"--lambda": "RE[,IM]", "--box": "re_lo,im_lo,re_hi,im_hi"}
+
+
 @pytest.mark.parametrize("argv", [
     ["phi", "--lambda", "1,2,3"], ["phi", "--lambda", "abc"],
-    ["zeros", "--box", "1,2"]], ids=" ".join)
-def test_a_malformed_value_is_a_usage_error(argv):
+    ["zeros", "--box", "1,2"], ["zeros", "--box", "1,2,3,x"]], ids=" ".join)
+def test_a_malformed_value_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{argv[1]}: expected {FORMS[argv[1]]}, got {argv[2]!r}" in err
 
 
 def test_wave_wall_follows_dr(tmp_path):

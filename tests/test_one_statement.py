@@ -102,8 +102,14 @@ def test_geometry_checks_use_the_geometry_bounds():
         assert res.bound == geometry.BOUNDS[identity]
 
 
+# the verdict commands record --tol under the name their library reads
+TOLERANCES = {**dict.fromkeys(ZERO_COMMANDS,
+                              {"zero_tol": two_radius.DEFAULT_ZERO_TOL}),
+              "heat-check": {"rel_tol": pde.HEAT_REL_TOL}}
+
+
 class _Stop(Exception):
-    """Raised once a command has built its manifest, so that none runs."""
+    """Raised once main has built a manifest, so that no command runs."""
 
 
 @pytest.mark.parametrize("command", sorted(_subparsers()))
@@ -120,6 +126,8 @@ def test_manifest_parameters_are_the_parsed_flags(command, monkeypatch):
     with pytest.raises(_Stop):
         cli.main([command] + radii)
     dests = {a.dest for a in _subparsers()[command]._actions} - {"help"}
+    assert "out" in dests
     fixed = {"spacing"} if command == "phi" else set()
     (mani,) = manifests
     assert set(mani["parameters"]) == dests - cli._NOT_PARAMETERS | fixed
+    assert mani["tolerances"] == TOLERANCES.get(command, {})

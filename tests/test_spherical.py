@@ -199,6 +199,81 @@ def test_cli_phi_damek_ricci_short_radius(tmp_path):
     assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - ref)) < 1e-8
 
 
+# -- high dimensions: within error_bound, or a typed refusal ----------------
+
+def _flat_phi(n, lam, r):
+    """E^(n+1): Γ(ν+1)(2/λr)^ν J_ν(λr) = 0F1(; (n+1)/2; -(λr)²/4)."""
+    return complex(mpmath.hyp0f1((n + 1) / 2, -(lam * r) ** 2 / 4))
+
+
+def _hyperbolic_phi(n, lam, r):
+    """H^(n+1): 2F1((n/2+iλ)/2, (n/2-iλ)/2; (n+1)/2; -sinh² r)."""
+    with mpmath.workdps(30):
+        return complex(mpmath.hyp2f1((n / 2 + 1j * lam) / 2,
+                                     (n / 2 - 1j * lam) / 2, (n + 1) / 2,
+                                     -mpmath.sinh(r) ** 2))
+
+
+@pytest.mark.parametrize("lam", [1.0, 5.0])
+@pytest.mark.parametrize("n", [16, 21, 30, 60])
+@pytest.mark.parametrize("make, exact", [
+    (make_euclidean, _flat_phi), (make_real_hyperbolic, _hyperbolic_phi)],
+    ids=["E", "H"])
+def test_phi_in_high_dimension_is_within_its_bound(make, exact, n, lam):
+    # uncut, the piece [h, 2h] grows r^n by 2^n, more than its nodes resolve
+    grid = make_grid(10.0, spacing=0.05)
+    sf = phi(make(n), lam, grid)
+    i = np.searchsorted(grid.points, [0.05, 0.3, 1, 2, 3, 5, 10])
+    want = np.array([exact(n, lam, r) for r in grid.points[i]])
+    assert np.max(np.abs(sf.values[i] - want)) <= sf.error_bound
+
+
+def test_growth_cuts_leave_n_up_to_7_alone():
+    lattice = 0.5 * np.arange(21.0)
+    halves = 3.0 * (np.arange(65) / 64)
+    for n in range(8):
+        for edges in (lattice, halves):
+            assert np.array_equal(spherical._cut_growth(edges, n), edges)
+    # r^8 grows by 2^8 across [0.5, 1]: one cut, at 0.5·√2
+    cut = spherical._cut_growth(lattice, 8)
+    assert np.array_equal(np.delete(cut, 2), lattice)
+    assert cut[2] == pytest.approx(0.5 * math.sqrt(2), rel=1e-15)
+
+
+def test_series_refuses_the_dimension_whose_first_piece_underflows():
+    model = make_euclidean(100)
+    with pytest.raises(QuadratureError, match=r"n \+ 1 = 101"):
+        phi(model, 1.0, make_grid(3.0, spacing=0.05))
+    with pytest.raises(QuadratureError, match=r"n \+ 1 = 101"):
+        eigen_state_at(model, [-1.0], 1.0)
+
+
+def test_eigen_state_in_high_dimension():
+    # E^31 at r = 1: φ = 0F1(; b; L/4) and φ_r = (L/2b) 0F1(; b + 1; L/4),
+    # b = 31/2
+    L = np.array([-1 + 0.5j, -9, -30 + 2j])
+    state = eigen_state_at(make_euclidean(30), L, 1.0)
+    b = 31 / 2
+    phi_want = [complex(mpmath.hyp0f1(b, z / 4)) for z in L]
+    dphi_want = [complex(z / (2 * b) * mpmath.hyp0f1(b + 1, z / 4))
+                 for z in L]
+    for got, want in [(state["phi"], phi_want),
+                      (state["dphi_dr"], dphi_want)]:
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def test_cli_phi_in_dimension_91_has_finite_rows_within_the_bound(tmp_path):
+    # r^91 on the first piece is near the bottom of double range
+    out = tmp_path / "phi.csv"
+    assert cli.main(["phi", "--n", "90", "--rmax", "3",
+                     "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#")
+    assert np.all(np.isfinite(rows))
+    bound = phi(make_euclidean(90), 1.0, make_grid(3.0)).error_bound
+    want = [_flat_phi(90, 1.0, x) for x in rows[::6, 0]]
+    assert np.max(np.abs(rows[::6, 1] - want)) <= bound
+
+
 def test_spherical_function_spline_call():
     sf = phi_series(E0, 1.1, GRID)
     r = np.array([0.513, 2.044, 5.391])
