@@ -227,19 +227,24 @@ _NOT_PARAMETERS = frozenset({"command", "fn", "model", "n", "m", "k", "theta",
 _TOL_NAMES = {"zeros": "zero_tol", "bad-radii": "zero_tol",
               "certify": "zero_tol", "heat-check": "rel_tol"}
 
-# number flags that must be positive too; every other one need only be finite
+# number flags that must be positive too, and those that must not be
+# negative; every other one need only be finite
 _POSITIVE = frozenset({"width", "width2", "smax", "smax0", "dt", "dr", "rmax",
                        "r", "r1", "r2", "count", "tol"})
+_NONNEGATIVE = frozenset({"seed"})
 
 
 def _check_numbers(args):
-    """Refuse a non-finite number flag, or a non-positive _POSITIVE one."""
+    """Refuse a non-finite number flag, a non-positive _POSITIVE one or a
+    negative _NONNEGATIVE one."""
     for dest, x in vars(args).items():
         if type(x) in (int, float, complex):
-            positive = dest in _POSITIVE
-            if not cmath.isfinite(x) or positive and x <= 0:
+            need = ("positive" if dest in _POSITIVE else
+                    "non-negative" if dest in _NONNEGATIVE else "")
+            if (not cmath.isfinite(x) or need == "positive" and x <= 0
+                    or need == "non-negative" and x < 0):
                 raise CLIError(f"--{dest.replace('_', '-')} must be finite"
-                               f"{' and positive' * positive}, got {x:g}")
+                               f"{' and ' * bool(need)}{need}, got {x:g}")
 
 
 def _manifest(args, model):

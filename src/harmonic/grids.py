@@ -1,17 +1,12 @@
-"""Panelized Gauss-Legendre grids on [0, X] with cumulative integration.
+"""Panelized Gauss-Legendre grids on [0, X] and their reference tables.
 
 Every quadrature in the package runs through this module: a Grid1D is a
 partition 0 = x_0 < x_1 < ... < x_N together with a fixed-order Gauss-Legendre
-rule on each panel.  Besides plain integration it supports *cumulative*
-integrals evaluated both at panel boundaries and at the interior quadrature
-nodes.  The node values of the antiderivative are obtained by integrating the
-degree q-1 Legendre interpolant of the integrand panel by panel, which keeps
-the full spectral accuracy of the rule (exact for polynomials of degree
-q-1 inside a panel, exact panel sums up to degree 2q-1).
-
-That cumulative machinery is what makes the nested Volterra integrals cheap:
-each recursion level is two passes of cumulative integration over the same
-node set.
+rule on each panel.  The reference-panel tables (_tables) also map node
+values to the running integral of their degree q-1 Legendre interpolant,
+which keeps the full spectral accuracy of the rule (exact for polynomials of
+degree q-1 inside a panel); the piecewise series in spherical integrates its
+pieces with them, and the first piece, from 0, with _weighted_running.
 
 Values at the nodes of data given at the panel boundaries come from the
 even cubic spline through them (flat at 0), evaluated at the nodes
@@ -136,42 +131,6 @@ class Grid1D:
 
     def integrate(self, node_values):
         return np.sum(self.node_weights * node_values, axis=-1)
-
-    def panel_integrals(self, node_values):
-        w = self.node_weights.reshape(self.n_panels, self.q)
-        v = np.asarray(node_values).reshape(self.n_panels, self.q)
-        return np.sum(w * v, axis=1)
-
-    def cumulative_at_points(self, node_values):
-        """Antiderivative (from 0) evaluated at the panel boundaries."""
-        out = np.zeros(self.n_panels + 1, dtype=np.result_type(node_values, float))
-        np.cumsum(self.panel_integrals(node_values), out=out[1:])
-        return out
-
-    def cumulative_at_nodes(self, node_values):
-        """Antiderivative (from 0) evaluated at every quadrature node."""
-        _, _, coef_mat, partial = _tables(self.q)
-        v = np.asarray(node_values).reshape(self.n_panels, self.q)
-        half = (np.diff(self.points) / 2.0)[:, None]
-        coeffs = v @ coef_mat.T
-        inner = (coeffs @ partial.T) * half
-        base = self.cumulative_at_points(node_values)[:-1][:, None]
-        return (base + inner).ravel()
-
-    def first_panel_weighted(self, n):
-        """Matrix of the running integral of s^n·g over the first panel.
-
-        (M @ g)[j] = ∫_0^{x_j} s^n p(s) ds at the first panel's nodes x_j,
-        with p the degree q-1 interpolant of g there (_weighted_running).
-        An integrand s^n·g keeps its relative accuracy at every node this
-        way, where cumulative_at_nodes, interpolating s^n·g itself, errs by
-        about (h/x_j)^n times its value at the first node x_j.
-        """
-        key = ("first", n)
-        if key not in self._cache:
-            self._cache[key] = _weighted_running(
-                self.nodes[:self.q], self.points[1], self.q, n)
-        return self._cache[key]
 
     # -- interpolation ---------------------------------------------------
 

@@ -433,11 +433,24 @@ def heat_identity_check(model, t=HEAT_T, lambdas=HEAT_LAMBDAS, dr=0.01):
     flux form conserves to roundoff, so there the ratio is e^0 = 1 exactly;
     elsewhere it carries the scheme's O(dr²) error.  λ values where
     |F b| <= MULTIPLIER_GUARD are refused (the quotient would amplify
-    noise), as is an empty λ grid.
+    noise), as is an empty λ grid and, naming --t or --lambda-max with its
+    largest usable value, a multiplier below 1e-12.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("the λ grid is empty; give at least one λ")
+    # a relative comparison is meaningless where e^{-(λ² + H²/4)t} < 1e-12
+    log_floor, quarter = math.log(1e12), model.H**2 / 4.0
+    if quarter * t > log_floor:
+        raise ValueError(
+            f"spectral multiplier underflows already at λ = 0; shrink --t "
+            f"(largest usable t: {log_floor / quarter:.4g})")
+    lam_top = float(np.max(np.abs(lambdas)))
+    if (lam_top**2 + quarter) * t > log_floor:
+        raise ValueError(
+            f"spectral multiplier underflows at λ = {lam_top:.4g}; shrink "
+            f"--lambda-max (largest usable λ: "
+            f"{math.sqrt(log_floor / t - quarter):.4g})")
     states = radial_heat_solve(model, t, 0.3, dr=dr, n_samples=2)
     f_start, f_end = (_cell_transform(model, st, lambdas)
                       for st in (states[0], states[-1]))
@@ -449,8 +462,4 @@ def heat_identity_check(model, t=HEAT_T, lambdas=HEAT_LAMBDAS, dr=0.01):
             f"|F bump| <= {MULTIPLIER_GUARD:g} at λ = {lambdas[weak][0]:.4g}; "
             f"shrink the λ grid (largest usable λ: {cap})")
     target = np.exp(-(lambdas**2 + model.H**2 / 4.0) * states[-1].t)
-    if np.any(target < 1e-12):
-        raise ValueError(
-            "spectral multiplier underflows at the largest λ; a relative "
-            "comparison there is meaningless, shrink the λ grid")
     return float(np.max(np.abs(f_end / f_start - target) / target))

@@ -23,20 +23,19 @@ eigen_state_at for the L-plane zero search, at one radius cut into a
 power-of-two number of equal pieces, with ∂/∂L through the transfer chain;
 eigen_profile for the zeros in r, on the distinct radii of a profile.
 
-The same series taken over the whole radius, φ_λ = 1 + Σ_{k≥1} a_k(r) L^k,
-is kept as the battery's reference (phi_series, volterra_coefficients).
-Its coefficients obey the recursion
+Chained from r = 0, the transfer matrices give φ's Taylor series in L,
+φ_λ = 1 + Σ_{k≥1} a_k(r) L^k (volterra_coefficients, phi_series), where
 
     a_0 = 1,
     a_{k+1}(r) = ∫_0^r (1/θ(r₂)) ∫_0^{r₂} θ(r₁) a_k(r₁) dr₁ dr₂,
 
-with the bounds 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant),
-which the suite checks; in double precision its sum carries a cancellation
-floor of about eps·cosh(sqrt(|L|)·r) over the whole radius.
+with 0 ≤ a_k(r) ≤ r^{2k}/(2k)! (equality iff θ is constant), which the suite
+checks; summed over the whole radius they carry a cancellation floor of
+about eps·cosh(sqrt(|L|)·r).
 
-No ODE is stepped anywhere.  The tests cross-check both series against the
-closed forms of the flat and real hyperbolic spaces and against a DOP853
-reference built in the tests.
+No ODE is stepped anywhere.  The tests cross-check the series against the
+closed forms of the flat and real hyperbolic spaces, against mpmath's
+hypergeometric functions and against a DOP853 reference built in the tests.
 
 Everything is even in λ (functions of L only), entire in L, and equals 1
 identically at λ = ±iH/2 (L = 0).
@@ -50,6 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import legvander
 # not called here: perfbench/tracer.py wraps this module global by name
 # (tests/test_tracer_contract.py::test_every_traced_name_resolves)
@@ -66,7 +66,7 @@ LOG_RANGE = 690.0
 
 
 class QuadratureError(RuntimeError):
-    """Coefficient quadrature failed its internal bound check."""
+    """The series' quadrature cannot hold θ or r^(n+1) on its nodes."""
 
 
 class PhiOverflowError(OverflowError):
@@ -141,7 +141,7 @@ _CACHE = _LRUCache(CACHE_BYTES)
 
 
 # ---------------------------------------------------------------------------
-# Volterra coefficients (the battery's reference series)
+# Volterra coefficients of φ_λ (the terms criterion 2 bounds)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -155,68 +155,38 @@ class SeriesCoefficients:
     point_derivs: np.ndarray    # (K, P) a_k'
 
 
-def _check_bound(grid, k, a):
-    """0 ≤ a_k ≤ r^(2k)/(2k)! at the panel boundaries grid.points.
-
-    There the running integrals are Gauss sums; at the nodes they integrate
-    the degree q-1 interpolant, whose error (about 1e-5 relative for a_12
-    of a constant θ on 0.05 panels) is no roundoff.  A boundary value is a
-    running sum of q-term panel sums of nonnegative terms, so its roundoff
-    stays below q·eps times the level's largest value; the bound holds up
-    to that and 1e-8 relative (and below 1e-250, where subnormal numbers
-    lose their precision).  A level that overflowed (inf or nan) fails too.
-    """
-    with np.errstate(divide="ignore"):
-        log_r = np.log(grid.points)
-    bound = np.exp(2 * k * log_r - math.lgamma(2 * k + 1))
-    floor = grid.q * _EPS * float(np.max(np.abs(a), initial=0.0))
-    slack = 1e-8 * bound + floor + 1e-250
-    if (np.any(a > bound + slack) or np.any(a < -slack)
-            or not np.all(np.isfinite(a))):
-        over = float(np.max(a - bound))
-        under = float(np.min(a))
-        raise QuadratureError(
-            f"coefficient a_{k} violates 0 <= a_k <= r^(2k)/(2k)! "
-            f"(excess {over:.3e}, min {under:.3e}); refine the grid")
-
-
 def volterra_coefficients(model, grid, k_max):
-    """Volterra coefficients a_1..a_{k_max} on the grid, by the recursion.
+    """Volterra coefficients a_1..a_{k_max} of φ_λ = 1 + Σ a_k(r) L^k at
+    grid.points, from the pieces φ is summed from: the grid's panels, cut by
+    _cut_growth (whose edges are not reported).
 
-    Each level is checked against its bound (_check_bound); a level that
-    fails raises QuadratureError.
+    Each piece's transfer matrix [[y1, y2], [y1', y2']] is a polynomial in L
+    (_spps_levels); (φ, φ') = Σ L^k (a_k, a_k') is their product from
+    (1, 0), truncated at degree k_max.  As degree k depends on degrees ≤ k
+    only, a coefficient is bit-identical whatever k_max is.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    th = model.theta(grid.nodes)
-    if np.any(th <= 0) or not np.all(np.isfinite(th)):
-        raise QuadratureError("theta not positive/finite on quadrature nodes")
-    th_points = model.theta(grid.points)
-    q, n, K = grid.q, model.n, int(k_max)
-    point_values = np.empty((K, grid.points.size))
-    point_derivs = np.empty_like(point_values)
-    prev = np.ones_like(th)
-    for k in range(1, K + 1):
-        f = th * prev
-        inner_nodes = grid.cumulative_at_nodes(f)
-        # θ·a_{k-1} vanishes like r^n at 0: on the first panel integrate r^n
-        # times the interpolant of θ·a_{k-1}/r^n, so that dividing by θ
-        # keeps the relative accuracy at its first nodes
-        inner_nodes[:q] = (grid.first_panel_weighted(n)
-                           @ (f[:q] / grid.nodes[:q] ** n))
-        inner_points = grid.cumulative_at_points(f)
-        d_nodes = inner_nodes / th
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_points = inner_points / th_points
-        d_points[0] = 0.0     # a_k'(0) = 0: inner integral vanishes like theta
-        prev = grid.cumulative_at_nodes(d_nodes)
-        a_points = grid.cumulative_at_points(d_nodes)
-        _check_bound(grid, k, a_points)
-        point_values[k - 1] = a_points
-        point_derivs[k - 1] = d_points
+    K = int(k_max)
+    edges = _cut_growth(grid.points, model.n)
+    ends = _spps_levels(model, edges)[0]
+    J = ends.shape[0]
+    # poly[p, J-1-j, b, a] = entry (a, b) of piece p's degree-j matrix
+    poly = np.ascontiguousarray(ends[::-1, :2].transpose(3, 0, 2, 1))
+    # state[J-1+k] = (a_k, a_k'); the J-1 rows below degree 0 stay zero, so
+    # window k holds the degrees k-J+1..k that degree k is made from
+    state = np.zeros((J + K, 2))
+    state[J - 1, 0] = 1.0
+    window = sliding_window_view(state, J, axis=0)
+    out = np.zeros((edges.size, K + 1, 2))
+    for p, m in enumerate(poly):
+        # einsum sums in an order fixed by J; a BLAS product's order, and so
+        # its rounding, can change with the number of degrees
+        state[J - 1:] = out[p + 1] = np.einsum("kbj,jba->ka", window, m)
+    at = out[np.searchsorted(edges, grid.points), 1:]
     return SeriesCoefficients(model=model, grid=grid, k_max=K,
-                              point_values=point_values,
-                              point_derivs=point_derivs)
+                              point_values=at[..., 0].T,
+                              point_derivs=at[..., 1].T)
 
 
 def truncation_order(abs_L, r_max, tol=SERIES_TOL, k_cap=SERIES_K_CAP):
@@ -298,7 +268,8 @@ def _series_sum(coeff_arrays, L, real_input):
 
 
 def phi_series(model, lam, grid):
-    """φ_λ on grid.points via the truncated Volterra series.
+    """φ_λ on grid.points as 1 + Σ a_k L^k, the volterra_coefficients
+    summed up to truncation_order(|L|, grid.x_max).
 
     error_bound combines the truncation tolerance SERIES_TOL with the
     double-precision cancellation floor eps·max_k |a_k L^k|.
@@ -387,11 +358,11 @@ def _spps_levels(model, edges, Phi=False):
     C_{k+1} = ∫_b θ̂ A_k and E_{k+1} = ∫_b θ̂ B_k, so ∫_b θ y1 =
     θ(b) Σ L^k C_{k+1}, with no division by L.  The first piece, from 0,
     holds the Volterra levels a_k of φ itself in the y1 slot (θ̂ = θ/θ(b_1),
-    its inner integral r^n-weighted as in Grid1D.first_panel_weighted) and
-    no y2.  Each integral is the running integral of the degree D-1
-    interpolant at the piece's D Gauss-Legendre nodes.  Returns (ends,
-    slopes, log_ref): ends (K+1, 2, 2, P) holds (A_k, B_k) and
-    (A_k', B_k') at each piece's end, slopes (1, P, K+1, 2, D) the node
+    its inner integral that of r^n times the interpolant of θ̂ A_{k-1}/r^n,
+    _weighted_running) and no y2.  Each integral is the running integral of
+    the degree D-1 interpolant at the piece's D Gauss-Legendre nodes.
+    Returns (ends, slopes, log_ref): ends (K+1, 2, 2, P) holds (A_k, B_k)
+    and (A_k', B_k') at each piece's end, slopes (1, P, K+1, 2, D) the node
     values of (A_k', B_k'), and log_ref (P,) log θ at the radius θ̂ is
     relative to.  With Phi, ends[:, 2] and slopes[1] hold (C_{k+1}, E_{k+1})
     in the same way.  Raises QuadratureError, naming the dimension, where

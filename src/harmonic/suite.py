@@ -178,33 +178,38 @@ def _paths_agree(ctx):
         b = phi(_model("dr21"), lam, grid).values
         worst = max(worst, float(np.max(np.abs(a - b))))
     return (worst, 1e-8,
-            "Volterra series vs piecewise series on Damek-Ricci(2,1)")
+            "φ's Taylor series in L, criterion 2's coefficients summed, vs "
+            "φ on Damek-Ricci(2,1)")
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: coefficient bounds
 # ---------------------------------------------------------------------------
 
-def _volterra_caps():
-    r = _grid10().points
-    k = np.arange(1, 21)[:, None]
-    log_cap = 2 * k * np.log(np.maximum(r, 1e-300)) - \
-        np.array([math.lgamma(2 * kk + 1) for kk in range(1, 21)])[:, None]
-    cap = np.exp(log_cap)
-    # violations are measured in units of each row's sup: the recursion
-    # carries absolute noise near r = 0 (observed ~1e-17 of the row scale),
-    # so a pointwise-relative test at 1e-100-sized values is meaningless
-    return cap, cap[:, -1:]
+def _volterra_scaled(coef):
+    """(a_k, r^{2k}/(2k)!) at the grid points, k ≤ coef.k_max, in units of
+    each row's bound at the last radius: near r = 0 the coefficients carry
+    absolute noise, so a pointwise-relative test at 1e-100-sized values is
+    meaningless."""
+    r, k = coef.grid.points, np.arange(1, coef.k_max + 1)[:, None]
+    log_fact = np.array([math.lgamma(2 * j + 1) for j in k[:, 0]])[:, None]
+    cap = np.exp(2 * k * np.log(np.maximum(r, 1e-300)) - log_fact)
+    return coef.point_values / cap[:, -1:], cap / cap[:, -1:]
+
+
+def _volterra_violation(coef):
+    """Worst violation of 0 ≤ a_k ≤ r^{2k}/(2k)!, in row units, or nan."""
+    a, cap = _volterra_scaled(coef)
+    # + 0.0 reads the -0.0 of a zero coefficient at r = 0 as 0
+    return float(np.max(np.maximum(a - cap, -a))) + 0.0
 
 
 def _volterra_check(key):
     def fn(ctx):
         coef = volterra_coefficients(_model(key), _grid10(), 20)
-        cap, rowscale = _volterra_caps()
-        a = coef.point_values
-        viol = float(np.max(np.maximum(a - cap, -a) / rowscale))
-        return viol, 1e-12, \
-            "worst violation of 0 ≤ a_k ≤ r^{2k}/(2k)!, k ≤ 20, r ≤ 10"
+        return _volterra_violation(coef), 1e-12, \
+            "worst violation of 0 ≤ a_k ≤ r^{2k}/(2k)! by φ's own series " \
+            "coefficients, k ≤ 20, r ≤ 10"
     return fn
 
 
@@ -214,10 +219,11 @@ for _key in ("e0", "e2", "h3", "dr21", "dr11"):
 
 @_check("volterra_equality_flat", 2)
 def _volterra_flat(ctx):
-    coef = volterra_coefficients(_model("e0"), _grid10(), 20)
-    cap, rowscale = _volterra_caps()
-    worst = float(np.max(np.abs(coef.point_values - cap) / rowscale))
-    return worst, 1e-12, "on the line the bound is attained: a_k = r^{2k}/(2k)!"
+    a, cap = _volterra_scaled(volterra_coefficients(_model("e0"), _grid10(),
+                                                    20))
+    worst = float(np.max(np.abs(a - cap)))
+    return worst, 1e-12, ("on the line φ's series coefficients attain the "
+                          "bound: a_k = r^{2k}/(2k)!")
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def test_kg_refuses_a_bad_flag_by_name(tmp_path, flag, value):
     ["heat", "--dr", "0"], ["heat", "--dr=-0.01"],
     ["convolve", "--width", "inf"], ["abel", "--width", "nan"],
     ["convolve", "--width2", "0"], ["cheeger", "--rmax", "0"],
-    ["phi", "--lambda", "nan,0"]], ids=" ".join)
+    ["phi", "--lambda", "nan,0"], ["geo-check", "--seed=-1"],
+    ["suite", "--seed=-1", "--quick"]], ids=" ".join)
 def test_a_bad_number_is_refused_by_its_flag(tmp_path, argv):
     rc, doc = _run(tmp_path, argv)
     assert rc == 1

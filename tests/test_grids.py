@@ -1,4 +1,4 @@
-"""Quadrature grid behavior: exactness, cumulants, construction guards."""
+"""Quadrature grid behavior: exactness, interpolation, construction guards."""
 
 import numpy as np
 import pytest
@@ -22,44 +22,6 @@ def test_integrate_exact_for_degree_15():
 def test_integrate_smooth_function():
     g = make_grid(np.pi, n_panels=20)
     assert abs(g.integrate(np.sin(g.nodes)) - 2.0) < 1e-14
-
-
-def test_panel_integrals_sum_to_total():
-    g = make_grid(3.0, n_panels=24)
-    vals = np.exp(-g.nodes)
-    assert abs(np.sum(g.panel_integrals(vals)) - g.integrate(vals)) < 1e-15
-
-
-def test_cumulative_at_points_matches_antiderivative():
-    g = make_grid(4.0, n_panels=40)
-    cum = g.cumulative_at_points(np.cos(g.nodes))
-    assert cum[0] == 0.0
-    assert np.max(np.abs(cum - np.sin(g.points))) < 1e-14
-
-
-def test_cumulative_at_nodes_matches_antiderivative():
-    g = make_grid(4.0, n_panels=40)
-    cum = g.cumulative_at_nodes(np.cos(g.nodes))
-    assert np.max(np.abs(cum - np.sin(g.nodes))) < 1e-13
-
-
-def test_cumulative_at_nodes_exact_for_interpolant_degree():
-    # Inside one panel the antiderivative of the degree q-1 interpolant is
-    # reproduced exactly, so degree 7 data gives machine-level cumulants.
-    g = make_grid(1.5, n_panels=16)
-    c = np.array([1.0, -0.5, 0.25, 2.0, -1.5, 0.75, 0.1, -0.3])
-    vals = np.polynomial.polynomial.polyval(g.nodes, c)
-    anti = np.polynomial.polynomial.polyint(c)
-    expect = np.polynomial.polynomial.polyval(g.nodes, anti)
-    assert np.max(np.abs(g.cumulative_at_nodes(vals) - expect)) < 1e-13
-
-
-def test_cumulative_handles_complex_values():
-    g = make_grid(2.0, n_panels=20)
-    lam = 1.0 + 0.5j
-    vals = np.exp(lam * g.nodes)
-    expect = (np.exp(lam * g.points) - 1.0) / lam
-    assert np.max(np.abs(g.cumulative_at_points(vals) - expect)) < 1e-13
 
 
 def test_nodes_lie_inside_panels_and_weights_sum():

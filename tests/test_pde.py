@@ -299,6 +299,18 @@ def test_heat_multiplier_guard_underflow():
         heat_identity_check(E2, 0.5, np.array([0.0, 60.0]))
 
 
+@pytest.mark.parametrize("model, lam_max, flag, largest", [
+    (make_real_hyperbolic(20), 2.0, "--t", "largest usable t: 0.2763"),
+    (make_real_hyperbolic(2), 12.0, "--lambda-max",
+     "largest usable λ: 7.366")], ids=["H21", "H3"])
+def test_heat_multiplier_underflow_names_the_flag_that_helps(
+        model, lam_max, flag, largest):
+    # H²¹ at the default t: e^{-H²t/4} = e^{-50} is below 1e-12 at λ = 0,
+    # so only a smaller t helps, up to ln(1e12)/(H²/4)
+    with pytest.raises(ValueError, match=f"shrink {flag} \\({largest}\\)"):
+        heat_identity_check(model, pde.HEAT_T, np.linspace(0.0, lam_max, 9))
+
+
 def test_heat_multiplier_refuses_an_empty_lambda_grid():
     with pytest.raises(ValueError, match="λ grid is empty"):
         heat_identity_check(E2, 0.5, [])

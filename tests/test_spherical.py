@@ -68,6 +68,23 @@ def test_workspace_extends_consistently():
     assert np.array_equal(more.point_values[:3], first)
 
 
+@pytest.mark.parametrize("n, edges", [(10, 202), (30, 210)])
+def test_coefficients_where_the_growth_cuts_add_edges(n, edges):
+    # θ = r^n: a_1 = r²/(2(n+1)), a_1' = r/(n+1), a_2 = r⁴/(8(n+1)(n+3)),
+    # at the 201 grid points only, not at the edges _cut_growth inserts
+    grid = make_grid(10.0, spacing=0.05)
+    assert spherical._cut_growth(grid.points, n).size == edges
+    coeffs = volterra_coefficients(make_euclidean(n), grid, 2)
+    assert coeffs.point_values.shape == coeffs.point_derivs.shape == (2, 201)
+    r = grid.points
+    for got, want in [(coeffs.point_values[0], r**2 / (2 * (n + 1))),
+                      (coeffs.point_derivs[0], r / (n + 1)),
+                      (coeffs.point_values[1],
+                       r**4 / (8 * (n + 1) * (n + 3)))]:
+        assert got[0] == 0.0
+        assert np.max(np.abs(got[1:] / want[1:] - 1)) < 1e-13
+
+
 def test_coefficient_guards():
     with pytest.raises(ValueError):
         volterra_coefficients(E2, GRID, 0)
@@ -169,22 +186,6 @@ def _damek_ricci_phi(m, k, lam, r):
                                            (m + k + 1) / 2,
                                            -math.sinh(x / 2) ** 2))
                      for x in r])
-
-
-def test_phi_auto_falls_back_to_ode_on_quadrature_error(monkeypatch):
-    # a coefficient failing its quadrature bound makes the Volterra series
-    # refuse; phi does not depend on it
-    def refuse(grid, k, a):
-        raise QuadratureError(f"a_{k} refused")
-
-    monkeypatch.setattr(spherical, "_check_bound", refuse)
-    model = make_damek_ricci(2, 1)
-    grid = make_grid(2.0, spacing=0.05)
-    with pytest.raises(QuadratureError):
-        phi_series(model, 1.0, grid)
-    sf = phi(model, 1.0, grid)
-    ref = _damek_ricci_phi(2, 1, 1.0, grid.points)
-    assert np.max(np.abs(sf.values - ref)) < 1e-8
 
 
 def test_cli_phi_damek_ricci_short_radius(tmp_path):

@@ -1,10 +1,15 @@
 """The benchmark tracer (perfbench/tracer.py) wraps program functions by name.
 
-Every function, module global and method it names must keep resolving.
-`spherical.solve_ivp` is one of them: the tracer counts ODE solves there,
-and phi_ode_values, eigen_state_at and eigen_profile, which sum the
-piecewise series, make none.  The tracer module is loaded
-from its file and not modified.
+Every function, module global and method it names must keep resolving: it
+looks each one up with getattr when it installs, so a missing name breaks
+`perfbench/run.py --trace 1`.  Four names stay for it until the tracer
+skips a name its module no longer defines.  `spherical.solve_ivp`, where
+the tracer counts ODE solves (phi_ode_values, eigen_state_at and
+eigen_profile, which sum the piecewise series, make none), and
+`Grid1D.interp_matrix`, which no program code calls, would otherwise go.
+`spherical.volterra_coefficients` and `spherical.phi_series`, which only
+the suite's criterion-2 and phi_paths_agree_dr21 checks call, keep their
+names.  The tracer module is loaded from its file and not modified.
 """
 
 import importlib

@@ -42,6 +42,8 @@ call with its inputs built beforehand:
                    an empty cache
   eigen_profile    eigen_profile of E0 at L = -10 + i on find_r_zeros' scan
                    of r ≤ 10 (801 radii)
+  volterra         volterra_coefficients(DR(2,1), make_grid(10, spacing=0.05),
+                   20), the coefficients the suite's criterion 2 bounds
   mvp_box          find_L_zeros(E0, r, "mvp") from an empty cache, keyed by
                    r: r = 2π on [-3, 1] × [-3, 3]i, which holds L = 0, and
                    r = 1 on [-50, 5] × [-5, 5]i
@@ -295,6 +297,7 @@ def main(argv=None):
                                              wave.grid.x_max))
     fw.exact_node_values = fw.node_values()
     sweep_radii = make_grid(1.5, spacing=0.02).nodes
+    suite_grid = make_grid(10.0, spacing=0.05)
 
     e0, h6 = make_euclidean(0), make_real_hyperbolic(5)
 
@@ -348,6 +351,8 @@ def main(argv=None):
                for r in FIND_RADII}},
         "eigen_profile": best_of(lambda: spherical.eigen_profile(
             e0, -10.0 + 1.0j, np.linspace(0.0, 10.0, 801)), repeat),
+        "volterra": best_of(lambda: spherical.volterra_coefficients(
+            dr, suite_grid, 20), repeat),
         "mvp_box": {
             key: best_of(lambda: find_L_zeros(e0, r, "mvp", box=box), repeat,
                          setup=empty_caches)
