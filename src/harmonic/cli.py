@@ -266,7 +266,7 @@ def _cmd_phi(args, model, mani):
     grid = make_grid(args.rmax, spacing=args.spacing)
     f = phi_eval(model, getattr(args, "lambda"), grid)
     vals = np.asarray(f.values, dtype=complex)
-    ders = np.asarray(f.derivative_values, dtype=complex)
+    ders = np.asarray(f.deriv_values, dtype=complex)
     rows = zip(grid.points, vals.real, vals.imag, ders.real, ders.imag)
     _write_csv(mani, ["r", "phi_re", "phi_im", "dphi_re", "dphi_im"],
                rows, args.out)
@@ -345,8 +345,8 @@ def _cmd_wave(args, model, mani):
     prof = _resolve_profile(args)
     states = pde.radial_wave_solve(model, prof, args.t, args.dt, dr=args.dr)
     st = states[-1]
-    _write_csv(mani, ["r", "u", "u_t"], zip(st.grid.points, st.u, st.u_t),
-               args.out)
+    _write_csv(mani, ["r", "u", "u_t"],
+               zip(st.grid.points, st.values, st.info["ut_values"]), args.out)
     return 0
 
 

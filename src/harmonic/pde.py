@@ -7,6 +7,10 @@ Klein-Gordon problem on the line is assembled from the d'Alembert average
 plus a smoothing kernel W(t, s) = t c ₀F₁(;2; c (t² - s²)), c = -H²/16,
 evaluated in closed form by scipy.special.hyp0f1.
 
+A wave slice is a grids.EvenFunction: u at the finite-difference grid's
+points, its numerical support and info {"t", "ut_values"}, u_t at the
+points, as a Klein-Gordon solution carries info["t"] and info["vt_values"].
+
 The checks in this module tie the flows together: the line picture of the
 radial wave flow solves Klein-Gordon, the transform intertwines the radial
 Laplacian with d²/ds² - H²/4, and the heat flow acts spectrally as the
@@ -15,16 +19,16 @@ multiplier e^{-(λ² + H²/4) t}, checked on the heat scheme's own cells: at
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 from scipy.special import hyp0f1
 
-from .grids import Grid1D, make_grid
+from .grids import EvenFunction, make_grid
 from .profiles import RadialProfile, smooth_bump
 from .spherical import phi_ode_values
-from .transforms import EvenFunction, _as_radial, abel
+from .transforms import _as_radial, abel
 
 # Gauss-Legendre nodes per cell of the wave grid.  Its samples are read
 # through the cubic spline, one piece per cell, so spline × θφ_λ is smooth
@@ -139,8 +143,7 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
     vp, vsp, vtp = assemble(sgrid.points, folds[0])
     vn, vsn, vtn = assemble(sgrid.nodes, folds[1])
     energy = 2.0 * float(sgrid.integrate(vsn**2 + vtn**2 + quarter * vn**2))
-    info = {"H": H, "t": t, "energy": energy,
-            "vt_values": vtp, "vt_node_values": vtn}
+    info = {"t": t, "energy": energy, "vt_values": vtp}
     return EvenFunction(grid=sgrid, values=vp, support=support,
                         deriv_values=vsp, exact_node_values=vn, info=info)
 
@@ -148,26 +151,6 @@ def kg_solve(H, g, t, s_max=None, sigma_panels=None):
 # ---------------------------------------------------------------------------
 # radial wave flow
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WaveState:
-    """One time slice of the radial wave flow."""
-
-    t: float
-    grid: Grid1D
-    u: np.ndarray
-    u_t: np.ndarray
-    model: object
-    support: float
-
-
-def _radial_data(q0):
-    if isinstance(q0, RadialProfile):
-        return q0.f, q0.support
-    if isinstance(q0, EvenFunction):
-        return q0.__call__, q0.support
-    raise TypeError("expected EvenFunction or RadialProfile")
-
 
 def _numerical_support(u, r):
     # threshold relative to the current slice, so fronts whose amplitude
@@ -190,7 +173,8 @@ def radial_wave_solve(model, q0, T, dt, dr=None, n_samples=9):
     0.5 dr.  The artificial wall stands at supp(q0) + T + max(1, 5 dr),
     beyond the reach of the unit light cone.
     """
-    fn, support = _radial_data(q0)
+    fn = q0.f if isinstance(q0, RadialProfile) else _as_radial(q0)
+    support = q0.support
     dt = float(dt)
     if dt <= 0 or T < 0:
         raise ValueError("need T >= 0 and dt > 0")
@@ -223,26 +207,27 @@ def radial_wave_solve(model, q0, T, dt, dr=None, n_samples=9):
     w_cur = w_prev + 0.5 * dt * dt * apply_lap(w_prev)
     sample_steps = sorted({int(round(x))
                            for x in np.linspace(0.0, n_steps, n_samples)})
+
+    def state(t, u, u_t):
+        return EvenFunction(grid, u, _numerical_support(u, r),
+                            info={"t": t, "ut_values": u_t})
+
     states = []
     if sample_steps and sample_steps[0] == 0:
-        states.append(WaveState(
-            0.0, grid, w_prev.copy(), np.zeros_like(w_prev), model,
-            _numerical_support(w_prev, r)))
+        states.append(state(0.0, w_prev.copy(), np.zeros_like(w_prev)))
     wanted = set(sample_steps)
     for m in range(1, n_steps + 1):
         w_next = 2.0 * w_cur - w_prev + dt * dt * apply_lap(w_cur)
         if m in wanted:
-            u_t = (w_next - w_prev) * (0.5 / dt)
-            states.append(WaveState(
-                T if m == n_steps else m * dt, grid, w_cur.copy(), u_t, model,
-                _numerical_support(w_cur, r)))
+            states.append(state(T if m == n_steps else m * dt, w_cur.copy(),
+                                (w_next - w_prev) * (0.5 / dt)))
         w_prev, w_cur = w_cur, w_next
     return states
 
 
 def support_growth_slope(states, t_min=0.5):
     """Least-squares slope of the numerical support radius against time."""
-    ts = np.array([st.t for st in states])
+    ts = np.array([st.info["t"] for st in states])
     rs = np.array([st.support for st in states])
     keep = ts >= t_min
     if np.count_nonzero(keep) < 2:
@@ -291,15 +276,14 @@ def wave_to_kg_check(model, q0, T, dt=0.002):
     g0 = abel(model, rf)
     worst = 0.0
     for st in states:
-        if st.t <= 0:
+        if st.info["t"] <= 0:
             continue
-        fw = EvenFunction(grid=st.grid, values=st.u,
-                          support=min(st.support + 0.1, st.grid.x_max))
+        fw = replace(st, support=min(st.support + 0.1, st.grid.x_max))
         # the flow multiplies F q0 by a bounded factor, so above q0's own
         # cutoff a slice's spectrum is the O(dr^2) noise of its FD samples
         a_w = abel(model, fw, s_max=st.support + 0.5,
                    lambda_max=g0.info["lambda_max"])
-        v = kg_solve(model.H, g0, st.t)
+        v = kg_solve(model.H, g0, st.info["t"])
         gap = np.abs(a_w.values - v(a_w.grid.points))
         worst = max(worst, float(np.max(gap)))
     return worst

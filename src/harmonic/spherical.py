@@ -37,6 +37,9 @@ No ODE is stepped anywhere.  The tests cross-check the series against the
 closed forms of the flat and real hyperbolic spaces, against mpmath's
 hypergeometric functions and against a DOP853 reference built in the tests.
 
+phi and phi_series return a grids.EvenFunction: φ_λ and φ' at grid.points,
+support the grid's end, and info {"lam", "L", "error_bound"}.
+
 Everything is even in λ (functions of L only), entire in L, and equals 1
 identically at λ = ±iH/2 (L = 0).
 """
@@ -55,7 +58,8 @@ from numpy.polynomial.legendre import legvander
 # (tests/test_tracer_contract.py::test_every_traced_name_resolves)
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .grids import Grid1D, _legendre_partials, _tables, _weighted_running
+from .grids import (EvenFunction, Grid1D, _legendre_partials, _tables,
+                    _weighted_running)
 
 SERIES_TOL = 1e-14
 SERIES_K_CAP = 160
@@ -148,7 +152,6 @@ _CACHE = _LRUCache(CACHE_BYTES)
 class SeriesCoefficients:
     """Samples of the Volterra coefficients a_k and their r-derivatives."""
 
-    model: object
     grid: Grid1D
     k_max: int
     point_values: np.ndarray    # (K, P) a_k at grid.points, k = 1..K
@@ -184,8 +187,7 @@ def volterra_coefficients(model, grid, k_max):
         # its rounding, can change with the number of degrees
         state[J - 1:] = out[p + 1] = np.einsum("kbj,jba->ka", window, m)
     at = out[np.searchsorted(edges, grid.points), 1:]
-    return SeriesCoefficients(model=model, grid=grid, k_max=K,
-                              point_values=at[..., 0].T,
+    return SeriesCoefficients(grid=grid, k_max=K, point_values=at[..., 0].T,
                               point_derivs=at[..., 1].T)
 
 
@@ -207,27 +209,6 @@ def truncation_order(abs_L, r_max, tol=SERIES_TOL, k_cap=SERIES_K_CAP):
     raise TruncationError(
         f"series truncation order exceeds 2000 for |L| = {abs_L:.3g}, "
         f"r_max = {r_max:.3g}", required_k=2001)
-
-
-# ---------------------------------------------------------------------------
-# evaluation results
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SphericalFunction:
-    """φ_λ sampled on a radial grid, with its radial derivative."""
-
-    model: object
-    lam: complex
-    L: complex
-    grid: Grid1D
-    values: np.ndarray
-    derivative_values: np.ndarray
-    error_bound: float
-
-    def __call__(self, r):
-        """Cubic-spline evaluation between the stored samples."""
-        return self.grid.spline(self.values)(r)
 
 
 def _normalize_lambda(lam):
@@ -271,22 +252,25 @@ def phi_series(model, lam, grid):
     """φ_λ on grid.points as 1 + Σ a_k L^k, the volterra_coefficients
     summed up to truncation_order(|L|, grid.x_max).
 
-    error_bound combines the truncation tolerance SERIES_TOL with the
-    double-precision cancellation floor eps·max_k |a_k L^k|.
+    info["error_bound"] is K·eps·max(max_k |a_k L^k|, max_k |a_k' L^k|, 1)
+    + SERIES_TOL: the K summed terms each round at eps of the largest, and
+    the truncation tolerance.  At L = 0 (λ = ±iH/2) no term is summed and
+    φ ≡ 1, φ' ≡ 0 with error_bound 0.
     """
     L, real_input = spectral_shift(model, lam)
     K = truncation_order(abs(L), grid.x_max)
     if K == 0:
         P = grid.points.size
         ones = np.ones(P) if real_input else np.ones(P, complex)
-        zeros = np.zeros_like(ones)
-        return SphericalFunction(model, lam, L, grid, ones, zeros, 0.0)
+        return EvenFunction(grid, ones, grid.x_max, np.zeros_like(ones),
+                            info={"lam": lam, "L": L, "error_bound": 0.0})
     coeffs = volterra_coefficients(model, grid, K)
     vals, mx1 = _series_sum(coeffs.point_values, L, real_input)
     derivs, mx2 = _series_sum(coeffs.point_derivs, L, real_input)
     derivs = derivs - 1.0   # derivative series has no constant term
-    err = _EPS * max(mx1, mx2, 1.0) + SERIES_TOL
-    return SphericalFunction(model, lam, L, grid, vals, derivs, float(err))
+    err = K * _EPS * max(mx1, mx2, 1.0) + SERIES_TOL
+    return EvenFunction(grid, vals, grid.x_max, derivs,
+                        info={"lam": lam, "L": L, "error_bound": float(err)})
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +612,18 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
 def phi(model, lam, grid):
     """φ_λ on grid.points by the piecewise series (phi_ode_values).
 
-    error_bound is the series floor: eps·cosh(SPPS_PHASE) per piece, summed
-    over the pieces, relative to max(1, max|φ|).  The piecewise series is
-    within 1e-12 of the closed forms for λ ≤ 640 on r ≤ 3 and λ ≤ 160 on
-    r ≤ 10 (tests).
+    info["error_bound"] is the series floor: eps·cosh(SPPS_PHASE) per
+    piece, summed over the pieces, relative to max(1, max|φ|).  The
+    piecewise series is within 1e-12 of the closed forms for λ ≤ 640 on
+    r ≤ 3 and λ ≤ 160 on r ≤ 10 (tests).
     """
     L, _ = spectral_shift(model, lam)
     vals, derivs = phi_ode_values(model, [lam], grid.points)
     scale = float(np.max(np.abs(vals)))
     pieces = _spps_edges(model.n, abs(L), grid.x_max).size - 1
     err = _EPS * math.cosh(SPPS_PHASE) * pieces * max(scale, 1.0)
-    return SphericalFunction(model, lam, L, grid, vals[0], derivs[0], err)
+    return EvenFunction(grid, vals[0], grid.x_max, derivs[0],
+                        info={"lam": lam, "L": L, "error_bound": err})
 
 
 # ---------------------------------------------------------------------------

@@ -205,11 +205,16 @@ def _volterra_violation(coef):
 
 
 def _volterra_check(key):
+    # off the line a_k < r^{2k}/(2k)! for r > 0, so only r = 0 reaches 0
+    why = "" if key == "e0" else (
+        "; a pass reads exactly 0: every sample is negative but those at "
+        "r = 0, where -a_k = 0, so only a violation moves it")
+
     def fn(ctx):
         coef = volterra_coefficients(_model(key), _grid10(), 20)
         return _volterra_violation(coef), 1e-12, \
             "worst violation of 0 ≤ a_k ≤ r^{2k}/(2k)! by φ's own series " \
-            "coefficients, k ≤ 20, r ≤ 10"
+            "coefficients, k ≤ 20, r ≤ 10" + why
     return fn
 
 
@@ -238,7 +243,11 @@ def _special_phi_check(key):
         for sign in (+1.0, -1.0):
             vals = phi(model, sign * 0.5j * model.H, grid).values
             worst = max(worst, float(np.max(np.abs(vals - 1.0))))
-        return worst, 1e-10, "φ at λ = ±iH/2 must be identically 1"
+        return worst, 1e-10, (
+            "φ at λ = ±iH/2 must be identically 1; reads exactly 0: there "
+            "L = -(λ² + H²/4) is 0 in double precision, every series level "
+            "but L⁰ is multiplied by 0 and φ ≡ 1 to the bit, so this "
+            "guards the λ ↦ L map, not the series")
     return fn
 
 
@@ -409,7 +418,8 @@ def _certify_accept(ctx):
                                    box=(-400 - 20j, 2 + 20j))
     ok = cert.verdict == "no-common-zero-in-box"
     return (0.0 if ok else 1.0), 0.5, \
-        f"verdict {cert.verdict} on |Re L| ≤ 400 (irrational ratio)"
+        f"verdict {cert.verdict} on |Re L| ≤ 400 (irrational ratio); " \
+        "reads the verdict itself, 0 accepted or 1 not"
 
 
 @_check("mvp_cosine_counterexample", 8)
@@ -548,7 +558,7 @@ def _wave_exact_error(key, dr):
     prof = profiles.gauss_bump(0.5)
     states = pde.radial_wave_solve(model, prof, 2.0, dt=0.4 * dr, dr=dr)
     st = states[-1]
-    r, t = st.grid.points, st.t
+    r, t = st.grid.points, st.info["t"]
     if key == "e0":
         exact = (prof.f(np.abs(r - t)) + prof.f(r + t)) / 2.0
     else:
@@ -558,7 +568,7 @@ def _wave_exact_error(key, dr):
             exact = (psi(r - t) + psi(r + t)) / (2.0 * r)
         h = 1e-6
         exact[0] = (psi(t + h) - psi(t - h)) / (2.0 * h)
-    return float(np.max(np.abs(st.u - exact)))
+    return float(np.max(np.abs(st.values - exact)))
 
 
 def _wave_order_check(key):

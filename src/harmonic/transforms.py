@@ -16,8 +16,8 @@ are kept nearby as oracles for the tests.
 
 So F = (cosine transform) ∘ A, and both sides of every transform are the
 same kind of object: an even function of one variable, stored on [0, X].
-One container, EvenFunction, holds them all, radial data on X and line
-functions alike.
+One container, grids.EvenFunction, holds them all, radial data on X and
+line functions alike, as it holds every other sampled radial function.
 
 The synthesis takes cos and sin on (s × panels) and (s × q) arrays only.
 Both grids have equal panels (every Grid1D does), so a node is a panel
@@ -26,14 +26,8 @@ cos λ(a + b) = cos λa cos λb - sin λa sin λb builds the rest: the rows at
 the grid points from the λ-edges and λ-offsets, one block of points at a
 time, and the node values as two matrix products of those rows with the
 small (λ × q) offset matrices.  cosine_transform factors the same way.
-Line functions are folded against quadrature weights (line_convolve here,
-the Klein-Gordon kernel in pde.kg_solve) by EvenFunction.fold, onto a grid
-laid on the knot lattice of the folded spline (lattice_grid: panels of r
-knot intervals).  For the grid points, and for each in-panel node offset,
-every shift ±σ lands at one offset inside a knot interval for all x, so
-the fold is a strided correlation of the binned weights with the spline's
-power coefficients, one FFT product per node class, not a spline
-evaluation per (x, σ) pair.
+line_convolve folds one line function against the other's quadrature
+weights with EvenFunction.fold (see grids).
 
 abel's cutoff in λ is either the caller's lambda_max, used as given, or the
 tail rule: grow λ_max until |F f| on the top tenth of [0, λ_max] is at most
@@ -51,20 +45,20 @@ in λ follows abel's tail rule through the same helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from .grids import Grid1D, make_grid
+from .grids import (DEFAULT_NODES_PER_PANEL, DEFAULT_SPACING, EvenFunction,
+                    Grid1D, make_grid)
 from .profiles import RadialProfile
 from .spherical import SPPS_BLOCK_BYTES, phi_basis, phi_ode_values
 
-DEFAULT_SPACING = 0.02
 # abel's tail rule, see _sample_until_decayed
 TAIL_TOL = 1e-11
 LAMBDA_CAP_FACTOR = 10.0
+# abel refuses a λ-round of more nodes than this before building it
+LAMBDA_NODE_BUDGET = 10**6
 
 
 class AccuracyError(RuntimeError):
@@ -73,185 +67,6 @@ class AccuracyError(RuntimeError):
     def __init__(self, msg, required_lambda_max=None):
         super().__init__(msg)
         self.required_lambda_max = required_lambda_max
-
-
-# ---------------------------------------------------------------------------
-# the sampled even function
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EvenFunction:
-    """Even function stored at grid.points, x >= 0; zero beyond the grid.
-
-    Both sides of every transform are of this kind: a radial function on X
-    (x the distance to the origin) and its Abel transform, an even function
-    on the line.  support bounds where it is nonzero.  Quadrature-node
-    samples are stored separately (exact_node_values) when the constructor
-    knows them exactly, so integrals of the function do not pay spline
-    error.  Between the samples the function is the even cubic spline
-    through them, built once per object (values must not be changed in place
-    after the first call); its slope is the odd cubic spline through
-    deriv_values (second derivative 0 at x = 0) when given, else the value
-    spline's derivative.
-    """
-
-    grid: Grid1D
-    values: np.ndarray
-    support: float
-    deriv_values: np.ndarray | None = None
-    exact_node_values: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    @classmethod
-    def from_profile(cls, profile):
-        grid = make_grid(profile.support, spacing=DEFAULT_SPACING)
-        return cls(grid=grid, values=profile.f(grid.points),
-                   support=profile.support,
-                   exact_node_values=profile.f(grid.nodes))
-
-    @cached_property
-    def _spline(self):
-        return self.grid.spline(self.values)
-
-    @cached_property
-    def _slope_spline(self):
-        if self.deriv_values is None:
-            return self._spline.derivative()
-        return self.grid.odd_spline(self.deriv_values)
-
-    def _at(self, spline, a):
-        """spline at abscissae a >= 0, zero beyond the grid."""
-        x_max = self.grid.x_max
-        return np.where(a <= x_max, spline(np.minimum(a, x_max)), 0.0)
-
-    def __call__(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
-        out = self._at(self._spline, np.atleast_1d(x))
-        return out[0] if x.ndim == 0 else out
-
-    def node_values(self):
-        if self.exact_node_values is not None:
-            return self.exact_node_values
-        return self.grid.values_at_nodes(self.values)
-
-    def derivative(self, s):
-        """dg/ds at signed s (odd function)."""
-        s = np.asarray(s, dtype=float)
-        s1 = np.atleast_1d(s)
-        out = self._at(self._slope_spline, np.abs(s1)) * np.sign(s1)
-        return out[0] if s.ndim == 0 else out
-
-    def lattice_grid(self, x_max):
-        """The output grid of a fold reaching at least x_max.
-
-        Its panels are r knot intervals of this function's grid wide,
-        r = max(1, round(DEFAULT_SPACING / h)) for knot spacing h, and its
-        x_max is the requested one rounded up to a whole number of panels
-        (at least 16).
-        """
-        h = self.grid.h
-        r = max(1, round(DEFAULT_SPACING / h))
-        n = max(16, math.ceil(x_max / (r * h) - 1e-9))
-        return make_grid(n * r * h, n_panels=n)
-
-    def fold(self, grid, sigma, weights, slope=False):
-        """Σ_k (g(x - σ_k) + g(x + σ_k)) weights[k] at grid.points and nodes.
-
-        weights is (K,) or (K, m) for the K entries of sigma; returns the
-        fold at grid.points and at grid.nodes, each of shape
-        (n,) + weights.shape[1:] for its n abscissae.  slope=True folds g'
-        instead of g.
-        grid must lie on the knot lattice of this function's grid (panels
-        of h): panels r·h wide, as lattice_grid builds.  Then
-        for the points, and for each in-panel node offset, every shift ±σ_k
-        lands at one offset d_k inside a knot interval for all x, and the
-        fold is Σ_m Σ_i K_m[i] E_m[i + p·r]: K_m bins w_k (d_k/h)^m by the
-        interval of the shift, E_m holds the spline's power coefficients,
-        extended evenly (oddly for g') over [-X, X] and zero beyond, and
-        the correlation is one FFT product per offset class.  A shift onto
-        ±X exactly still reads the spline, as g does; beyond it, zero.
-        """
-        h, width = self.grid.h, grid.h
-        r = round(width / h)
-        if r < 1 or abs(width - r * h) > 1e-12 * width:
-            raise ValueError(
-                f"fold needs output panels a whole number of knot intervals "
-                f"(h = {h:.6g}) wide, got {width:.6g}; build the grid with "
-                "lattice_grid")
-        coef, edge = self._slope_lattice if slope else self._lattice
-        n_cells = coef.shape[1]                  # 2N intervals over [-X, X]
-        w = np.asarray(weights, dtype=float)
-        w2 = np.concatenate([w, w]).reshape(2 * w.shape[0], -1)
-        offsets = np.concatenate([[0.0], grid.nodes[:grid.q]])
-        sigma = np.asarray(sigma, dtype=float)
-        u = (np.concatenate([-sigma, sigma])[None, :] + offsets[:, None]
-             + self.grid.x_max) / h
-        # a shift within rounding of a knot lands on it
-        n = np.rint(u)
-        on_knot = np.abs(u - n) <= 8 * np.finfo(float).eps * np.abs(u)
-        n = np.where(on_knot, n, np.floor(u))
-        d = np.where(on_knot, 0.0, u - n)
-        lo = int(n.min())
-        span = int(n.max()) - lo + 1
-        rows = (np.arange(offsets.size)[:, None] * span + (n - lo)).astype(
-            np.intp).ravel()
-        size = offsets.size * span
-
-        def binned(vals):
-            return np.stack([np.bincount(rows, (vals * col).ravel(),
-                                         minlength=size)
-                             for col in w2.T], axis=-1).reshape(
-                                 offsets.size, span, -1)
-
-        length = sp_fft.next_fast_len(n_cells + span, real=True)
-        spec = sum(np.conj(sp_fft.rfft(binned(d**m), length, axis=1))
-                   * sp_fft.rfft(e, length)[None, :, None]
-                   for m, e in enumerate(coef))
-        corr = sp_fft.irfft(spec, length, axis=1)
-        # j = lo + p·r indexes the correlation; it vanishes off the overlap
-        n_out = grid.n_panels + 1
-        j = lo + r * np.arange(n_out)
-        reach = (j > -span) & (j < n_cells)
-        out = np.where(reach[None, :, None], corr[:, j % length], 0.0)
-        # shifts onto +X exactly read the spline's end value
-        knot = binned(on_knot.astype(float))
-        at_edge = n_cells - lo - r * np.arange(n_out)
-        hit = (at_edge >= 0) & (at_edge < span)
-        out[:, hit] += edge * knot[:, at_edge[hit]]
-        shape = (-1,) + w.shape[1:]
-        at_points = out[0].reshape(shape)
-        at_nodes = out[1:, :-1].transpose(1, 0, 2).reshape(shape)
-        return at_points, at_nodes
-
-    @cached_property
-    def _lattice(self):
-        return _lattice_coefficients(self._spline, self.grid, odd=False)
-
-    @cached_property
-    def _slope_lattice(self):
-        return _lattice_coefficients(self._slope_spline, self.grid, odd=True)
-
-
-def _lattice_coefficients(spline, grid, odd):
-    """(E, edge): power coefficients of a spline on the knot intervals of [-X, X].
-
-    E[m, i] is the coefficient of (d/h)^m at offset d into interval i of the
-    2N intervals of width h from -X, for the even (odd=True: odd) extension
-    of the spline on grid's N equal panels; edge is the spline's value at X.
-    """
-    deg = spline.c.shape[0] - 1
-    h = grid.h
-    right = spline.c[::-1] * (h ** np.arange(deg + 1))[:, None]
-    # on the mirror image of an interval the polynomial is P(1 - t), and
-    # P(1 - t) = Σ_l t^l (-1)^l Σ_m binom(m, l) C_m
-    flip = np.array([[(-1) ** l * math.comb(m, l) for m in range(deg + 1)]
-                     for l in range(deg + 1)], dtype=float)
-    left = (-1.0 if odd else 1.0) * (flip @ right)[:, ::-1]
-    return (np.concatenate([left, right], axis=1),
-            float(spline(grid.x_max)))
 
 
 @dataclass
@@ -323,10 +138,12 @@ def abel(model, f, s_max=None, lambda_max=None):
     the datum looks up.  A given lambda_max is a
     fixed cutoff, rounded up to a panel edge, neither extended nor refused,
     for callers that pin it themselves (identity checks, samples whose
-    spectrum flattens into noise).  info["lambda_max"] is the rounded cutoff
-    actually used, info["tail_ratio"] the largest |F f| on its top tenth
-    relative to the peak, and info["d2_values"] the second derivative at
-    the grid points, from the same spectral samples.
+    spectrum flattens into noise).  Either way a λ-round of more than
+    LAMBDA_NODE_BUDGET nodes (the first has about 224/R for small R) is
+    refused with AccuracyError before it is built.  info["lambda_max"] is
+    the rounded cutoff actually used, info["tail_ratio"] the largest |F f|
+    on its top tenth relative to the peak, and info["d2_values"] the second
+    derivative at the grid points, from the same spectral samples.
     """
     f = _as_radial(f)
     R = f.support
@@ -336,6 +153,12 @@ def abel(model, f, s_max=None, lambda_max=None):
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
 
     def panels(n):
+        nodes = n * DEFAULT_NODES_PER_PANEL
+        if nodes > LAMBDA_NODE_BUDGET:
+            raise AccuracyError(
+                f"abel's λ-round for support {R:.4g} reaches λ_max = "
+                f"{n * width:.4g} with {nodes} nodes, over the budget of "
+                f"{LAMBDA_NODE_BUDGET}; the round grows as 1/support")
         return Grid1D(points=width * np.arange(n + 1))
 
     def sample(lams):

@@ -25,6 +25,15 @@ def _run(tmp_path, argv):
     return rc, doc
 
 
+def test_convolve_of_a_too_narrow_datum_is_refused_by_its_lambda_budget(
+        tmp_path):
+    rc, doc = _run(tmp_path, ["convolve", "--model", "damek-ricci",
+                              "--width", "1e-6"])
+    assert rc == 1
+    assert doc["error"]["type"] == "AccuracyError"
+    assert "over the budget" in doc["error"]["message"]
+
+
 def test_overflowing_phi_is_refused_with_its_model(tmp_path):
     # λ = 5i on H³: φ grows like e^{4r}, so r = 300 leaves double range
     rc, doc = _run(tmp_path, ["phi", "--model", "hyperbolic",

@@ -133,19 +133,21 @@ def test_wave_flat_line_matches_dalembert():
     f = gauss_bump(0.5).f
     r = st.grid.points
     exact = 0.5 * (f(np.abs(r - 2.0)) + f(r + 2.0))
-    assert st.t == pytest.approx(2.0)
-    assert np.max(np.abs(st.u - exact)) < 2e-4
+    assert st.info["t"] == pytest.approx(2.0)
+    assert np.max(np.abs(st.values - exact)) < 2e-4
 
 
 def test_wave_states_are_ordered_samples():
     states = radial_wave_solve(E2, gauss_bump(0.5), 1.0, 0.004, n_samples=5)
-    ts = [st.t for st in states]
+    ts = [st.info["t"] for st in states]
     assert len(states) == 5
     assert ts[0] == 0.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
     # initial slice is the datum with zero velocity
-    assert np.array_equal(states[0].u_t, np.zeros_like(states[0].u))
-    assert np.max(np.abs(states[0].u - gauss_bump(0.5).f(states[0].grid.points))) < 1e-12
+    assert np.array_equal(states[0].info["ut_values"],
+                          np.zeros_like(states[0].values))
+    datum = gauss_bump(0.5).f(states[0].grid.points)
+    assert np.max(np.abs(states[0].values - datum)) < 1e-12
 
 
 def test_wave_support_grows_at_unit_speed():
@@ -169,7 +171,7 @@ def test_wave_guards():
 def test_wave_ends_at_T(T):
     # 1.83207 is not a multiple of dt: the steps shrink to T/459
     states = radial_wave_solve(E2, gauss_bump(0.5), T, 0.004, n_samples=3)
-    assert states[-1].t == T
+    assert states[-1].info["t"] == T
     assert len(states) == (1 if T == 0 else 3)
 
 

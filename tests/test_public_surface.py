@@ -1,7 +1,7 @@
 """The public surface of `harmonic` is what the CLI, the suite and tests use.
 
 Read from the sources with `ast` only, so nothing here imports the package
-or the benchmark.  Two rules:
+or the benchmark.  Three rules:
 
 * every public top-level function of `src/harmonic` is reached by a
   name-based walk whose roots are `cli.py` and `suite.py` (every function
@@ -13,7 +13,11 @@ or the benchmark.  Two rules:
   classmethod of a public class, is passed, by keyword or by position, at
   some call site in `src/`, `tests/`, `tools/` or `perfbench/`.  A method
   counts the calls of its name as an attribute, `self` and `cls` not among
-  the positions.  A `**mapping` at a call site passes nothing by name.
+  the positions.  A `**mapping` at a call site passes nothing by name;
+* every name `__init__.py` binds is a submodule, `__version__`, or a name
+  that `tests/`, `tools/` or `perfbench/` read from the package: as
+  `harmonic.<name>` (also through an attribute called `harmonic`) or by
+  `from harmonic import <name>`.
 """
 
 import ast
@@ -24,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "harmonic"
 ROOT_MODULES = ("cli.py", "suite.py")
 CALLER_DIRS = ("src", "tests", "tools", "perfbench")
+READER_DIRS = ("tests", "tools", "perfbench")
 
 
 def _modules():
@@ -164,3 +169,45 @@ def test_every_public_function_is_reached_from_the_cli_or_the_suite():
 
 def test_every_public_keyword_argument_is_passed_somewhere():
     assert _never_passed(_modules()) == []
+
+
+def _package_bindings():
+    """Every top-level name `__init__.py` binds."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            out.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            out.update(n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return out
+
+
+def _package_reads():
+    """Names the readers take from the package itself."""
+    out = set()
+    for d in READER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute):
+                    base = node.value
+                    if (isinstance(base, ast.Name) and base.id == "harmonic"
+                            or isinstance(base, ast.Attribute)
+                            and base.attr == "harmonic"):
+                        out.add(node.attr)
+                elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                      and node.module == "harmonic"):
+                    out.update(a.name for a in node.names)
+    return out
+
+
+def test_the_package_binds_only_submodules_and_names_read_from_it():
+    submodules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    unread = (_package_bindings() - submodules - {"__version__"}
+              - _package_reads())
+    assert sorted(unread) == []

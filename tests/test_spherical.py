@@ -123,7 +123,7 @@ def _phi_errors(model, lam, oracle, builder):
 def test_phi_series_flat_line_is_cosine():
     err, sf = _phi_errors(E0, 1.7, lambda r: np.cos(1.7 * r), phi_series)
     assert err < 1e-11
-    assert err <= sf.error_bound + 1e-11
+    assert err <= sf.info["error_bound"] + 1e-11
 
 
 def test_phi_series_flat_space_is_sinc():
@@ -173,10 +173,10 @@ def test_phi_series_at_zero_shift_is_exactly_one(sign):
     # L(±iH/2) = 0 on H³ exactly (λ² = -1, H²/4 = 1): no series term is
     # summed, φ ≡ 1 and φ' ≡ 0 with no error
     sf = phi_series(H3, sign * 0.5j * H3.H, GRID)
-    assert sf.L == 0
+    assert sf.info["L"] == 0
     assert np.all(sf.values == 1.0)
-    assert np.all(sf.derivative_values == 0.0)
-    assert sf.error_bound == 0.0
+    assert np.all(sf.deriv_values == 0.0)
+    assert sf.info["error_bound"] == 0.0
 
 
 def _damek_ricci_phi(m, k, lam, r):
@@ -186,6 +186,26 @@ def _damek_ricci_phi(m, k, lam, r):
                                            (m + k + 1) / 2,
                                            -math.sinh(x / 2) ** 2))
                      for x in r])
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7, 4.0, 2 + 1j])
+@pytest.mark.parametrize("r_max", [5.0, 10.0])
+def test_phi_series_is_within_its_stated_bound(r_max, lam):
+    # the K summed terms each round at eps of the largest: on R³ at λ = 4,
+    # r ≤ 10, φ is 5.7 off, 17.8 times eps·max|a_k L^k| but within K times it
+    grid = make_grid(r_max, spacing=0.05)
+    r = grid.points.astype(complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cases = [(E0, np.cos(lam * r)),
+                 (E2, np.where(r > 0, np.sin(lam * r) / (lam * r), 1.0)),
+                 (H3, np.where(r > 0, np.sin(lam * r) / (lam * np.sinh(r)),
+                               1.0))]
+    with mpmath.workdps(30):
+        cases.append((DR21, _damek_ricci_phi(2, 1, lam, grid.points[::4])))
+    for model, want in cases:
+        sf = phi_series(model, lam, grid)
+        got = sf.values[::4] if model is DR21 else sf.values
+        assert np.max(np.abs(got - want)) <= sf.info["error_bound"]
 
 
 def test_cli_phi_damek_ricci_short_radius(tmp_path):
@@ -226,7 +246,7 @@ def test_phi_in_high_dimension_is_within_its_bound(make, exact, n, lam):
     sf = phi(make(n), lam, grid)
     i = np.searchsorted(grid.points, [0.05, 0.3, 1, 2, 3, 5, 10])
     want = np.array([exact(n, lam, r) for r in grid.points[i]])
-    assert np.max(np.abs(sf.values[i] - want)) <= sf.error_bound
+    assert np.max(np.abs(sf.values[i] - want)) <= sf.info["error_bound"]
 
 
 def test_growth_cuts_leave_n_up_to_7_alone():
@@ -270,7 +290,7 @@ def test_cli_phi_in_dimension_91_has_finite_rows_within_the_bound(tmp_path):
                      "--out", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", comments="#")
     assert np.all(np.isfinite(rows))
-    bound = phi(make_euclidean(90), 1.0, make_grid(3.0)).error_bound
+    bound = phi(make_euclidean(90), 1.0, make_grid(3.0)).info["error_bound"]
     want = [_flat_phi(90, 1.0, x) for x in rows[::6, 0]]
     assert np.max(np.abs(rows[::6, 1] - want)) <= bound
 
@@ -641,7 +661,7 @@ def test_weights_need_values_only_and_one_per_radius():
 def test_phi_starts_at_one(re, im):
     sf = phi_series(H3, complex(re, im), GRID)
     assert abs(sf.values[0] - 1.0) < 1e-12
-    assert abs(sf.derivative_values[0]) < 1e-12
+    assert abs(sf.deriv_values[0]) < 1e-12
 
 
 @given(st.floats(min_value=0.1, max_value=5.0))

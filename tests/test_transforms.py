@@ -314,6 +314,25 @@ def test_abel_refusal_asks_for_more_than_it_tried(monkeypatch):
     assert exc.value.required_lambda_max > max(tried)
 
 
+def test_abel_refuses_a_lambda_round_over_budget_before_building_it():
+    # support 7.5e-6: 40/R starts at λ_max = 5.3e6, a round of 29,878,896
+    # nodes whose series powers alone would take 3.78 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(AccuracyError) as exc:
+            abel(make_damek_ricci(2, 1), gauss_bump(1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    msg = str(exc.value)
+    assert "support 7.5e-06" in msg and "29878896 nodes" in msg
+    assert f"budget of {transforms.LAMBDA_NODE_BUDGET}" in msg
+    # a pinned cutoff is held to the same budget
+    with pytest.raises(AccuracyError, match="over the budget"):
+        abel(E2, gauss_bump(0.4), lambda_max=1e7)
+
+
 def test_abel_reports_spectral_window():
     af = abel(E2, gauss_bump(0.4))
     assert af.info["lambda_max"] >= 40.0 / 3.0

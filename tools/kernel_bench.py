@@ -100,6 +100,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -292,9 +293,7 @@ def main(argv=None):
     slice_lams = Grid1D(points=slice_width * np.arange(max(16, math.ceil(
         transforms.abel(h3, gauss_bump(0.42)).info["lambda_max"]
         / slice_width)) + 1)).nodes
-    fw = transforms.EvenFunction(grid=wave.grid, values=wave.u,
-                                 support=min(wave.support + 0.1,
-                                             wave.grid.x_max))
+    fw = replace(wave, support=min(wave.support + 0.1, wave.grid.x_max))
     fw.exact_node_values = fw.node_values()
     sweep_radii = make_grid(1.5, spacing=0.02).nodes
     suite_grid = make_grid(10.0, spacing=0.05)
@@ -319,7 +318,7 @@ def main(argv=None):
         "values_at_nodes": best_of(
             lambda: Grid1D(points=wave.grid.points,
                            nodes_per_panel=wave.grid.q).values_at_nodes(
-                               wave.u), repeat),
+                               wave.values), repeat),
         "phi_rows": best_of(lambda: spherical.phi_ode_values(
             e3, lams, r_nodes, derivs=False), repeat),
         "spherical_fourier": {
