@@ -11,7 +11,8 @@ This module samples all three stages, estimates the Dirichlet bottom
 eigenvalue λ₀(B_R) of the radial Sturm-Liouville problem (whose R → ∞ limit
 is H²/4), and assembles a consolidated report.  λ₀(B_R) comes from the
 series engine: it is λ₁² + H²/4 at the first zero λ₁ of λ ↦ φ_λ(R), found
-on a λ-scan of φ_λ(R) as abel_inverse finds its Dirichlet zeros.
+by spherical.dirichlet_lambdas, the scan that gives abel_inverse its
+Dirichlet zeros.
 h itself is an infimum over all compact domains and is not computable from θ
 alone; the report labels the equality h = H as proved but unverified by this
 artifact.
@@ -31,8 +32,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .grids import make_grid
-from .spherical import phi_ode_values
-from .transforms import _WINDOW, _scan_roots
+from .spherical import dirichlet_lambdas
 
 __all__ = [
     "GrowthReport",
@@ -129,6 +129,17 @@ class GrowthReport:
 # ball volumes and the growth chain
 # ---------------------------------------------------------------------------
 
+def _radii(r_list):
+    """The radii sorted, refused unless in (0, GROWTH_R_CAP]."""
+    rs = sorted(float(r) for r in np.atleast_1d(np.asarray(r_list, float)))
+    if not rs or rs[0] <= 0:
+        raise ValueError("radii must be positive")
+    if rs[-1] > GROWTH_R_CAP:
+        raise ValueError(f"--rmax = {rs[-1]:g} exceeds the supported range: "
+                         f"at most {GROWTH_R_CAP:g}")
+    return rs
+
+
 def volume_growth(model, r_list):
     """Sample the first two stages of the growth chain at the given radii.
 
@@ -137,12 +148,7 @@ def volume_growth(model, r_list):
     θ'/θ at max(r_list).  Everything runs in log space, so overflow in θ is
     handled without a separate code path.
     """
-    rs = sorted(float(r) for r in np.atleast_1d(np.asarray(r_list, float)))
-    if not rs or rs[0] <= 0:
-        raise ValueError("radii must be positive")
-    if rs[-1] > GROWTH_R_CAP:
-        raise ValueError(
-            f"radii beyond {GROWTH_R_CAP:g} exceed the supported range")
+    rs = _radii(r_list)
 
     # One fine grid to r_max; cumulative panel sums give every smaller ball.
     grid = make_grid(rs[-1], spacing=GROWTH_SPACING)
@@ -188,37 +194,25 @@ def lambda0_estimate(model, R_list):
 
     λ₀(B_R) = λ₁² + H²/4, where λ₁ is the first zero of λ ↦ φ_λ(R)
     (Koornwinder 1984): φ_{λ₁}, regular at 0 and zero at the wall, is the
-    radial ground state.  One series call (phi_ode_values) samples φ_λ(R)
-    at λ = kπ/(8R), k = 0 … n + 8, and the first sign change is bisected on
-    the scan's windowed interpolant (_scan_roots, as in abel_inverse).  At
-    half abel_inverse's step π/(4R) this places λ₁ to about 1e-13
-    relative on the built-in models.  n = 32 covers λR ≤ 4π; a ball whose
-    λ₁R lies beyond that is rescanned with n doubled.
+    radial ground state.  dirichlet_lambdas scans φ_λ(R) in one series call
+    at λ = kπ/(8R), k = 0 … n + 8, and λ₁ is its first zero.  At half
+    abel_inverse's step π/(4R) this places λ₁ to about 1e-13 relative on
+    the built-in models.  n = 32 covers λR ≤ 4π; a ball whose λ₁R lies
+    beyond that is rescanned with n doubled.
 
     The first sign change is λ₁ because φ₀(R) > 0.  θ'/θ ≥ H
     (validate_density) gives McKean's inequality ∫θu'² ≥ (H²/4)∫θu² on
     B_R, so no Dirichlet value of any ball reaches H²/4; a zero of φ₀ at
     ρ ≤ R would make H²/4 one of B_ρ.  Returns a GrowthReport fragment.
     """
-    Rs = sorted(float(R) for R in np.atleast_1d(np.asarray(R_list, float)))
-    if not Rs or Rs[0] <= 0:
-        raise ValueError("radii must be positive")
-    if Rs[-1] > GROWTH_R_CAP:
-        raise ValueError(
-            f"radii beyond {GROWTH_R_CAP:g} exceed the supported range")
+    Rs = _radii(R_list)
 
     pairs = []
     for R in Rs:
         step, n = math.pi / (8.0 * R), 32
-        while True:
-            lams = step * np.arange(n + _WINDOW // 2 + 1)
-            edge, _ = phi_ode_values(model, lams, [R], derivs=False)
-            left, _, t = _scan_roots(edge[:, 0], n)
-            if left.size:
-                break
+        while (lams := dirichlet_lambdas(model, R, step, n)).size == 0:
             n *= 2
-        lam1 = step * (left[0] + t[0])
-        pairs.append((R, float(lam1 * lam1 + model.H**2 / 4.0)))
+        pairs.append((R, float(lams[0] * lams[0] + model.H**2 / 4.0)))
     return GrowthReport(
         model=model.name,
         H=model.H,

@@ -199,17 +199,6 @@ def bump_patch(space, center, width):
     return f
 
 
-def _phi_at(model, lam, d):
-    """φ_λ of the paired density model at arbitrary (unsorted) distances."""
-    d = np.asarray(d, float)
-    flat = d.ravel()
-    order = np.argsort(flat, kind="stable")
-    vals, _ = phi_ode_values(model, [lam], flat[order])
-    out = np.empty(flat.shape, dtype=vals.dtype)
-    out[order] = vals[0]
-    return out.reshape(d.shape)
-
-
 def displacement_identity_check(space, lam, x, r_grid, quad_order=QUAD_ORDER):
     """sup_r | π((φ_λ)_x)(r) - φ_λ(d(x₀,x)) φ_λ(r) |.
 
@@ -227,7 +216,7 @@ def displacement_identity_check(space, lam, x, r_grid, quad_order=QUAD_ORDER):
     model = space.density
     d0 = float(space.distance(x0, x))
     block = np.concatenate([dists.ravel(), r_grid, [d0]])
-    phis = _phi_at(model, lam, block)
+    phis = phi_ode_values(model, [lam], block, derivs=False)[0][0]
     n = dists.size
     lhs = np.mean(phis[:n].reshape(dists.shape), axis=-1)
     rhs = phis[-1] * phis[n:n + r_grid.size]

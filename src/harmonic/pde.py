@@ -340,9 +340,10 @@ def radial_heat_solve(model, t_final, bump_width, dr=0.01, n_samples=9):
     the mass in the last cells raises BoundaryLeakError.
     """
     if t_final <= 0 or t_final > 5.0:
-        raise ValueError("t_final must lie in (0, 5]")
+        raise ValueError(f"--t = {t_final:g} must lie in (0, 5]")
     if bump_width < 3.0 * dr:
-        raise ValueError("bump_width must be at least 3 dr")
+        raise ValueError(f"--width = {bump_width:g} must be at least 3 dr = "
+                         f"{3.0 * dr:g} (--dr = {dr:g})")
     dt = 0.5 * dr
     spread = model.H * t_final + 10.0 * math.sqrt(t_final) + 2.0
     m_cells = int(math.ceil((bump_width + spread) / dr))

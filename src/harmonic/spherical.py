@@ -16,9 +16,10 @@ matrices.  The inner integrals of the recursion are the piece's fluxes, so
 sqrt|L|·h ≤ 3, the sums on a piece carry a rounding floor of about
 eps·cosh 3 whatever λ is, and a batch of rows costs matrix products, in
 proportion to its size and not to λ_max.  It serves every caller:
-phi_ode_values for real or complex λ (the rows abel_inverse scans), and
-with it phi, phi_basis (the weighted sums that the spherical transform
-contracts into the levels) and the geometry checks;
+phi_ode_values for real or complex λ, and with it phi, phi_basis (the
+weighted sums that the spherical transform contracts into the levels),
+dirichlet_lambdas (the Dirichlet zeros of abel_inverse and lambda0_estimate)
+and the geometry checks;
 eigen_state_at for the L-plane zero search, at one radius cut into a
 power-of-two number of equal pieces, with ∂/∂L through the transfer chain;
 eigen_profile for the zeros in r, on the distinct radii of a profile.
@@ -135,11 +136,9 @@ class _LRUCache:
 # - eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per
 #   piece (about 0.8 KB); a level set of the default L-box at r = 10 has 32
 #   pieces, 26 KB.
-# abel_inverse's λ-scans (λ-scan × radii, 2.0-2.6 MB for the support-2
-# convolutions of H3 and R³) are not cached: in a benchmark run of the
-# spectral mix they drew 0 hits in 9 lookups while holding 12.9 of the
-# cache's 13.0 MB.  No entry is a λ × r matrix, so the cap is a guard, far
-# above what a run holds.
+# Rows of φ are not cached: abel_inverse asks for its exact rows at its
+# Dirichlet zeros once per datum.  No entry is a λ × r matrix, so the cap
+# is a guard, far above what a run holds.
 CACHE_BYTES = 64 * 2**20
 _CACHE = _LRUCache(CACHE_BYTES)
 
@@ -433,7 +432,7 @@ def _spps_maps(edges, r, cut, p0, p1):
 
 
 def _spps_rows(model, L, radii, derivs=True, Phi=False):
-    """φ[, φ_r][, Φ = ∫θφ] at sorted radii for a batch of L, by the series.
+    """φ[, φ_r][, Φ = ∫θφ] at any radii for a batch of L, by the series.
 
     The pieces are _spps_frame's.  (φ, φ') pass from piece to piece by the
     2×2 transfer matrices [[y1, y2], [y1', y2']] at the piece ends; a radius
@@ -443,13 +442,14 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
     running integral; φ_r and Φ interpolate node values, so derivs=False
     maps and sums half the levels of φ and φ_r.  Each piece's sums carry a
     rounding floor of about eps·cosh(SPPS_PHASE).  Returns the rows in that
-    order, each (len(L), len(radii)).
+    order, each (len(L), len(radii)), from one pass over the distinct radii.
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
+    radii, where = np.unique(radii, return_inverse=True)
     rows = [np.ones((M, radii.size), dtype=L.dtype)]
     rows += [np.zeros_like(rows[0]) for _ in range(derivs + Phi)]
     if not (M and radii.size) or radii[-1] == 0.0:
-        return rows
+        return [row[:, where] for row in rows]
     ends, slopes, log_ref, powers, i0, edges, cut = _spps_frame(
         model, L, radii, Phi)
     P = cut.size - 1
@@ -495,7 +495,7 @@ def _spps_rows(model, L, radii, derivs=True, Phi=False):
             Phi_b = Phi_b + theta_ref[p] * (t[:, 2, 0] * u + t[:, 2, 1] * du)
         u, du = (t[:, 0, 0] * u + t[:, 0, 1] * du,
                  t[:, 1, 0] * u + t[:, 1, 1] * du)
-    return rows
+    return [row[:, where] for row in rows]
 
 
 def _spps_contract(model, L, radii, weights):
@@ -512,9 +512,12 @@ def _spps_contract(model, L, radii, weights):
     powers of L gives each piece's (Y1, Y2), and the sum gathers
     φ(b_p) Y1 + φ'(b_p) Y2 along the transfer chain of _spps_rows.  The
     work in L is O(len(L)·P·K) for P pieces, against
-    O(len(L)·len(radii)·K) for the rows.  Returns shape (len(L),).
+    O(len(L)·len(radii)·K) for the rows; equal radii add their weights.
+    Returns shape (len(L),).
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
+    radii, where = np.unique(radii, return_inverse=True)
+    weights = np.bincount(where, weights, radii.size)
     if not (M and radii.size) or radii[-1] == 0.0:
         return np.full(M, np.sum(weights), dtype=L.dtype)
     ends, slopes, _, powers, i0, edges, cut = _spps_frame(model, L, radii)
@@ -571,12 +574,13 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
 
     Returns (values, derivatives) with shape (len(lams), len(r_points));
     with derivs=False the derivatives are not formed and come back as None
-    (abel_inverse's scan).  With weights (one per radius, derivs=False) it
+    (abel_inverse's rows).  With weights (one per radius, derivs=False) it
     returns only the contraction Σ_i weights_i φ_λ(r_i), shape
     (len(lams),), summed into the series levels before λ enters
     (_spps_contract): its cost in λ is ∝ the number of pieces, not of
-    radii, and no row is formed.  No λ gives empty results.
-    r_points must be sorted ascending.  No ODE is stepped: the coefficient
+    radii, and no row is formed.  No λ gives empty results.  r_points may
+    repeat and come in any order; a repeated radius adds its weights.
+    No ODE is stepped: the coefficient
     functions of the piecewise spectral-parameter power series depend on
     the model and the pieces only, so rows cost ∝ their count, not λ_max
     (see _spps_rows).  Raises PhiOverflowError, naming the largest usable
@@ -589,9 +593,9 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
     H = model.H
     L = -(lams * lams + H * H / 4.0)
     r_points = np.asarray(r_points, dtype=float)
-    if r_points.ndim != 1 or np.any(np.diff(r_points) < 0):
-        raise ValueError("r_points must be a sorted 1-d array")
-    if r_points.size and r_points[0] < 0:
+    if r_points.ndim != 1:
+        raise ValueError("r_points must be a 1-d array")
+    if np.any(r_points < 0):
         raise ValueError("radii must be nonnegative")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
@@ -600,13 +604,67 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
                              "radius")
     # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
     # sums meet an overflow
-    if r_points.size:
-        rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
-        _refuse_growth("φ_λ", rate, r_points[-1])
+    rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
+    _refuse_growth("φ_λ", rate, np.max(r_points, initial=0.0))
     if weights is not None:
         return _spps_contract(model, L, r_points, weights)
     rows = _spps_rows(model, L, r_points, derivs=derivs)
     return rows[0], (rows[1] if derivs else None)
+
+
+# points of a local interpolation window in λ, as offsets from the left end
+# of the scan interval it serves, and their barycentric weights
+_WINDOW = 16
+_OFFSETS = np.arange(_WINDOW) - (_WINDOW // 2 - 1)
+_BARY = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k)
+                  for k in range(_WINDOW)])
+
+
+def _lagrange_weights(t):
+    """Interpolation weights on the window, one row per local position t.
+
+    0 < t < 1 places the point strictly inside its scan interval, so never
+    on a window point (_scan_roots' bisection keeps every t there).
+    """
+    a = _BARY / (np.asarray(t, dtype=float)[:, None] - _OFFSETS)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _scan_roots(edge, n):
+    """Zeros of the interpolant of an even scan on its first n steps.
+
+    edge[k] samples an even function of λ at λ = k·step.  Zero j lies at
+    left_j + t_j steps, 0 < t_j < 1, inside the scan interval of a sign
+    change; its window of samples is mirrored through λ = 0.  The zeros are
+    bisected to full precision on the interpolant, all at once, and
+    returned in steps.
+    """
+    pos = edge > 0
+    left = np.nonzero(pos[:n] != pos[1:n + 1])[0]
+    samples = edge[np.abs(left[:, None] + _OFFSETS)]
+    lo, hi = np.zeros(left.size), np.ones(left.size)
+    for _ in range(52):              # to the spacing of doubles below 1
+        mid = 0.5 * (lo + hi)
+        same = (np.sum(_lagrange_weights(mid) * samples, axis=1) > 0) \
+            == pos[left]
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return left + 0.5 * (lo + hi)
+
+
+def dirichlet_lambdas(model, R, step, n):
+    """The zeros λ in (0, n·step) of λ ↦ φ_λ(R), ascending.
+
+    They are the Dirichlet spectrum λ² + H²/4 of the ball B_R.  One
+    phi_ode_values call samples φ_λ(R) at λ = k·step, k = 0 … n +
+    _WINDOW/2.  In λ, φ_λ(R) is even and entire of exponential type R, so
+    for step ≤ π/(4R) the _WINDOW-point interpolant of the scan (mirrored
+    through λ = 0) follows it closely, and each sign change is bisected on
+    it (_scan_roots).
+    """
+    lams = step * np.arange(n + _WINDOW // 2 + 1)
+    edge, _ = phi_ode_values(model, lams, [R], derivs=False)
+    return step * _scan_roots(edge[:, 0], n)
 
 
 def phi(model, lam, grid):
@@ -712,21 +770,17 @@ def eigen_profile(model, L, r_points):
     """Radial profile of (φ, φ_r, Φ) for one complex L at the given radii.
 
     Used to hunt zeros in r at fixed λ.  r_points need not be sorted or
-    distinct: the piecewise series runs once over the distinct radii
-    (_spps_rows, Φ from the flux levels, so L = 0 gives the ball volume) and
-    equal radii get equal values.  Returns a dict of complex arrays keyed
-    "phi", "dphi_dr" and "Phi", plus the radii as "r".  Raises
-    PhiOverflowError when φ or Φ would leave double range.
+    distinct (_spps_rows, Φ from the flux levels, so L = 0 gives the ball
+    volume).  Returns a dict of complex arrays keyed "phi", "dphi_dr" and
+    "Phi", plus the radii as "r".  Raises PhiOverflowError when φ or Φ would
+    leave double range.
     """
     r = np.asarray(r_points, dtype=float)
-    distinct, inverse = np.unique(r, return_inverse=True)
-    if distinct.size and distinct[0] < 0:
+    if np.any(r < 0):
         raise ValueError("radii must be nonnegative")
     L = np.array([complex(L)])
-    if distinct.size:
-        _refuse_state_growth(model, L, distinct[-1])
-    u, v, Phi = (row[0, inverse] for row in _spps_rows(model, L, distinct,
-                                                      Phi=True))
+    _refuse_state_growth(model, L, np.max(r, initial=0.0))
+    u, v, Phi = (row[0] for row in _spps_rows(model, L, r, Phi=True))
     return {"r": r, "phi": u, "dphi_dr": v, "Phi": Phi}
 
 

@@ -38,8 +38,9 @@ convolution, and F(f * g) = F f · F g.  radial_convolve exploits that:
 convolve on the line, then invert A.  abel_inverse needs no c-function: a
 radial f supported in the ball B_S is determined by F f at the Dirichlet
 eigenvalues of B_S, where F f equals the cosine transform of A f, and f is
-their eigen-expansion (exact by Sturm-Liouville completeness).  Its cutoff
-in λ follows abel's tail rule through the same helper.
+their eigen-expansion (exact by Sturm-Liouville completeness), summed
+over the exact rows of φ at the eigenvalues (spherical.dirichlet_lambdas).
+Its cutoff in λ follows abel's tail rule through the same helper.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ import numpy as np
 from .grids import (DEFAULT_NODES_PER_PANEL, DEFAULT_SPACING, EvenFunction,
                     Grid1D, make_grid)
 from .profiles import RadialProfile
-from .spherical import SPPS_BLOCK_BYTES, phi_basis, phi_ode_values
+from .spherical import (SPPS_BLOCK_BYTES, dirichlet_lambdas, phi_basis,
+                        phi_ode_values)
 
 # abel's tail rule, see _sample_until_decayed
 TAIL_TOL = 1e-11
@@ -285,46 +287,6 @@ def cosine_transform(g, lambdas):
 # inversion by the Dirichlet eigen-expansion
 # ---------------------------------------------------------------------------
 
-# points of a local interpolation window in λ, as offsets from the left end
-# of the scan interval it serves, and their barycentric weights
-_WINDOW = 16
-_OFFSETS = np.arange(_WINDOW) - (_WINDOW // 2 - 1)
-_BARY = np.array([(-1.0) ** k * math.comb(_WINDOW - 1, k)
-                  for k in range(_WINDOW)])
-
-
-def _lagrange_weights(t):
-    """Interpolation weights on the window, one row per local position t.
-
-    0 < t < 1 places the point strictly inside its scan interval, so never
-    on a window point (_scan_roots' bisection keeps every t there).
-    """
-    a = _BARY / (np.asarray(t, dtype=float)[:, None] - _OFFSETS)
-    return a / a.sum(axis=1, keepdims=True)
-
-
-def _scan_roots(edge, n):
-    """Zeros of the interpolant of edge = φ_λ(S) on the scan's first n steps.
-
-    Returns (left, window, t): zero j lies at local position t[j] of scan
-    interval [left[j], left[j] + 1], and window[j] holds the scan indices
-    of its samples, mirrored through λ = 0 (φ_λ is even in λ).  The zeros
-    are bisected to full precision on the interpolant, all at once.
-    """
-    pos = edge > 0
-    left = np.nonzero(pos[:n] != pos[1:n + 1])[0]
-    window = np.abs(left[:, None] + _OFFSETS)
-    samples = edge[window]
-    lo, hi = np.zeros(left.size), np.ones(left.size)
-    for _ in range(52):              # to the spacing of doubles below 1
-        mid = 0.5 * (lo + hi)
-        same = (np.sum(_lagrange_weights(mid) * samples, axis=1) > 0) \
-            == pos[left]
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return left, window, 0.5 * (lo + hi)
-
-
 def abel_inverse(model, g):
     """Solve A f = g for the radial f supported in [0, S], S = g.support.
 
@@ -339,36 +301,22 @@ def abel_inverse(model, g):
     serves.  The sum runs to the λ_max at which abel's tail rule stops on ĝ
     (refusing, like abel, when ĝ does not decay).
 
-    One phi_ode_values call serves it: λ is scanned at spacing π/(4S) at
-    the output grid's points and nodes, of which S is the last.  In λ,
-    φ_λ(r) is even and entire of exponential type r ≤ S, so _WINDOW-point
-    interpolation on the scan (mirrored through λ = 0) gives the zeros of
-    φ_λ(S) and the rows φ_{λ_j}(r), within about 4e-8 of φ's size near
-    r = S and far closer inside; the norms come from the grid's
-    Gauss-Legendre rule.  The scan is a transient, dropped once the rows
-    are interpolated: no later call asks for the same λ-scan at the same
-    radii, so it is not cached.  info holds the λ_j ("lambdas"), the norms
-    ∫_0^S θ φ_{λ_j}² ("norms") and the cutoff ("lambda_max").
+    The λ_j come from dirichlet_lambdas at spacing π/(4S), and one
+    phi_ode_values call gives the exact rows φ_{λ_j} at the output grid's
+    points and nodes; the norms come from the grid's Gauss-Legendre rule.
+    info holds the λ_j ("lambdas"), the norms ∫_0^S θ φ_{λ_j}² ("norms")
+    and the cutoff ("lambda_max").
     """
     S = g.support
     step = math.pi / (4.0 * S)
     n, _, _ = _sample_until_decayed(lambda lams: cosine_transform(g, lams),
                                     lambda n: step * np.arange(n + 1),
                                     step, max(40.0 / S, 8.0))
+    lambdas = dirichlet_lambdas(model, S, step, n)
     rgrid = make_grid(S, spacing=DEFAULT_SPACING)
-    radii, where = np.unique(np.concatenate([rgrid.points, rgrid.nodes]),
-                             return_inverse=True)
-    scan, _ = phi_ode_values(model, step * np.arange(n + _WINDOW // 2 + 1),
-                             radii, derivs=False)
-    left, window, t = _scan_roots(scan[:, -1], n)
-    lambdas = step * (left + t)
-    interp = np.zeros((left.size, scan.shape[0]))
-    np.add.at(interp, (np.arange(left.size)[:, None], window),
-              _lagrange_weights(t))
-    rows = (interp @ scan)[:, where]
-    del scan
-    n_pts = rgrid.points.size
-    at_points, at_nodes = rows[:, :n_pts], rows[:, n_pts:]
+    rows, _ = phi_ode_values(model, lambdas, np.concatenate(
+        [rgrid.points, rgrid.nodes]), derivs=False)
+    at_points, at_nodes = np.split(rows, [rgrid.points.size], axis=1)
     norms = at_nodes ** 2 @ (rgrid.node_weights * model.theta(rgrid.nodes))
     coef = cosine_transform(g, lambdas) / (model.sphere_const * norms)
     return EvenFunction(grid=rgrid, values=coef @ at_points, support=S,

@@ -79,7 +79,7 @@ RANK_TOL = 1e-8
 NU_TOL = 1e-3
 # Newton stops a simple zero at this relative step
 SIMPLE_STEP = 1e-14
-# a boundary sample with |t| below this fraction of max(1, max |t|) is a zero
+# a boundary sample below this fraction of its neighbours' |t| is a zero
 ZERO_FLOOR = 1e-11
 # find_L_zeros refuses a box holding more zeros than this
 MAX_ZEROS = 64
@@ -259,8 +259,9 @@ def _count_box(model, r, target, lo, hi, n_side):
     gap = np.maximum(np.abs(np.roll(pts, -1) - pts),
                      np.abs(pts - np.roll(pts, 1)))
     a = np.abs(t)
-    # written so that a nan sample (mvp at L = 0) is a hit too
-    hit = ~(a >= ZERO_FLOOR * max(1.0, float(np.nanmax(a))))
+    # judged on the local scale, since |t| spans e^{±r·sqrt|L|} along the
+    # box; written so that a nan sample (mvp at L = 0) is a hit too
+    hit = ~(a > ZERO_FLOOR * np.fmax(np.roll(a, 1), np.roll(a, -1)))
     if hit.any():
         raise WindingError("boundary sample hits a zero",
                            gap=float(np.max(gap[hit])))
@@ -488,13 +489,13 @@ def find_L_zeros(model, r, target="sphere", box=DEFAULT_BOX,
         raise ValueError("box corners must satisfy lo < hi componentwise")
     r = float(r)
 
-    total = None
     corner_lo, corner_hi = lo, hi
     for attempt in range(6):
         try:
             total = boundary_winding(model, r, target, corner_lo, corner_hi)
             break
         except WindingError as err:
+            last = err
             # nudge the outer box outward, by two sample gaps when a zero
             # lies on the boundary so one nudge clears it; the searched
             # region is reported
@@ -502,8 +503,9 @@ def find_L_zeros(model, r, target="sphere", box=DEFAULT_BOX,
                        2.0 * err.gap)
             corner_lo = corner_lo - bump * (1 + 1j)
             corner_hi = corner_hi + bump * (1 + 1j)
-    if total is None:
-        raise WindingError("outer boundary winding unstable after nudging")
+    else:
+        raise WindingError(
+            f"outer boundary winding unstable after nudging: {last}")
     if total.winding > MAX_ZEROS:
         raise WindingError(
             f"{total.winding} zeros counted in the box, above the limit of "
@@ -595,7 +597,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
     """
     _check_target(target)
     if r_max > 50:
-        raise ValueError("r_max must be at most 50")
+        raise ValueError(f"--rmax = {r_max:g} must be at most 50")
     L = complex(L)
     osc = math.sqrt(abs(L)) * r_max
     n = int(max(800, 60 * osc / math.pi))
@@ -651,8 +653,10 @@ def bad_radii(model, r1, target="sphere", box=DEFAULT_BOX, r_max=10.0,
 
     Union over the L-zeros of the r1 target of the r-zero sets of the same
     target function, sorted.  Radii closer than SEPARATION are one radius,
-    as in find_r_zeros: a double r-zero (the mvp target touching 0) is
-    located only to about 2e-8, so two L-zeros can return it apart.
+    as in find_r_zeros: r-zero sets share radii (r1 is one of every L-zero
+    at r1), each located on its own profile, 0 to 5.7e-14 apart for the
+    sphere at r1 = 1 and the mvp target at r1 = 2π on the built-in models,
+    and a double r-zero (mvp touching 0) only to about 2e-8.
     """
     zs = find_L_zeros(model, r1, target=target, box=box, zero_tol=zero_tol)
     collected = []

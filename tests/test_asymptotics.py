@@ -12,7 +12,7 @@ import math
 import pytest
 from scipy.special import jn_zeros
 
-from harmonic import asymptotics, spherical
+from harmonic import spherical
 from harmonic.asymptotics import (lambda0_estimate, lambda0_extrapolate,
                                   volume_growth)
 from harmonic.density import (builtin_models, make_euclidean,
@@ -98,7 +98,7 @@ def test_lambda0_estimate_is_one_series_call_per_radius(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("eigen_state_at called")
 
-    monkeypatch.setattr(asymptotics, "phi_ode_values", counted)
+    monkeypatch.setattr(spherical, "phi_ode_values", counted)
     monkeypatch.setattr(spherical, "eigen_state_at", refused)
     Rs = [20.0, 30.0, 40.0]
     for model in builtin_models():

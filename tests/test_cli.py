@@ -120,6 +120,23 @@ def test_a_bad_number_is_refused_by_its_flag(tmp_path, argv):
     assert doc["manifest"]["command"] == argv[0]
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["bad-radii", "--rmax", "60"], ["--rmax = 60", "at most 50"]),
+    (["cheeger", "--model", "hyperbolic", "--rmax", "70"],
+     ["--rmax = 70", "at most 60"]),
+    (["heat", "--t", "6"], ["--t = 6", "(0, 5]"]),
+    (["heat", "--width", "0.01", "--dr", "0.01"],
+     ["--width = 0.01", "3 dr = 0.03", "--dr = 0.01"])],
+    ids=["bad-radii", "cheeger", "heat-t", "heat-width"])
+def test_an_out_of_range_number_is_refused_by_its_flag(tmp_path, argv, words):
+    # the message states the value, the flag and the limit
+    rc, doc = _run(tmp_path, argv)
+    assert rc == 1
+    assert doc["error"]["type"] == "ValueError"
+    for word in words:
+        assert word in doc["error"]["message"]
+
+
 FORMS = {"--lambda": "RE[,IM]", "--box": "re_lo,im_lo,re_hi,im_hi"}
 
 

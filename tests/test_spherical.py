@@ -388,9 +388,22 @@ def test_phi_ode_values_match_the_ode_reference(model, dop853_rows):
                   / np.maximum(1.0, lams[:, None])) < 1e-10
 
 
-def test_phi_ode_values_requires_sorted_points():
-    with pytest.raises(ValueError, match="sorted"):
-        phi_ode_values(E2, [1.0], np.array([1.0, 0.5, 2.0]))
+def test_phi_ode_values_takes_radii_in_any_order():
+    # unsorted and repeated radii get the rows of the sorted distinct radii,
+    # in the caller's order, and a repeated radius adds its weights
+    r = np.array([1.0, 0.5, 2.0, 0.5, 0.0, 1.0])
+    distinct = np.array([0.0, 0.5, 1.0, 2.0])
+    at = [2, 1, 3, 1, 0, 2]
+    for lams in ([0.3, 1.7, 4.0], [1.0 + 0.4j, 2.5]):
+        vals, ders = phi_ode_values(DR21, lams, r)
+        ref_vals, ref_ders = phi_ode_values(DR21, lams, distinct)
+        assert np.array_equal(vals, ref_vals[:, at])
+        assert np.array_equal(ders, ref_ders[:, at])
+    w = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    sums = phi_ode_values(DR21, [0.3, 1.7], r, derivs=False, weights=w)
+    ref = phi_ode_values(DR21, [0.3, 1.7], distinct, derivs=False,
+                         weights=[5.0, 6.0, 7.0, 3.0])
+    assert np.array_equal(sums, ref)
 
 
 def test_phi_ode_values_of_no_lambda_are_empty():

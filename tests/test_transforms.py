@@ -113,7 +113,7 @@ def test_abel_inverse_adds_no_cache_entry(monkeypatch):
     g = abel(H3, gauss_bump(0.42))
     before = list(spherical._CACHE._entries)
     abel_inverse(H3, g)
-    # its λ-scan is never looked up again, so it is dropped after use
+    # neither its Dirichlet scan nor its rows are looked up again
     assert list(spherical._CACHE._entries) == before
 
 
@@ -152,6 +152,15 @@ def test_spherical_fourier_stays_within_a_few_blocks(monkeypatch):
                         spherical._LRUCache(spherical.CACHE_BYTES))
     lams = np.linspace(0.0, 2.0, 9)
     assert _traced_peak(lambda: spherical_fourier(H6, f, lams)) <= 6 * 2**20
+
+
+def test_abel_inverse_builds_no_lambda_scan_by_radii_table(monkeypatch):
+    # the rows are φ at the λ_j only, and the scan is at the one radius S;
+    # a (λ-scan × radii) table, interpolated to the 133 rows, takes 6.6 MiB
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    g = abel(E2, smooth_bump(1.3))
+    assert _traced_peak(lambda: abel_inverse(E2, g)) <= 5 * 2**20
 
 
 # -- closed-form oracles ------------------------------------------------------

@@ -254,6 +254,18 @@ def test_find_L_zeros_refuses_a_box_with_too_many_zeros(monkeypatch):
         find_L_zeros(E0, 3.0)
 
 
+def test_find_L_zeros_at_r_10_finds_the_closed_forms():
+    # |t| spans e^{±r·sqrt|L|} along the default box, so a boundary sample
+    # is judged a zero on its neighbours' scale; on the largest |t| of the
+    # whole boundary (2.3e11), 20 samples of the first winding were zeros
+    zs = find_L_zeros(E0, 10.0)
+    expect = _closed_form_zeros(E0, "sphere", 10.0, DEFAULT_BOX[0].real)
+    got = np.sort(zs.values().real)
+    assert len(expect) == len(zs.zeros) == 25
+    assert np.max(np.abs(got - expect) / np.abs(expect)) < 1e-12
+    assert max(abs(z.L.imag) for z in zs.zeros) < 1e-10
+
+
 def test_find_r_zeros_odd_integers():
     L = -(math.pi / 2) ** 2
     zeros = find_r_zeros(E0, L, 10.0)
@@ -325,6 +337,15 @@ def test_bad_radii_merges_radii_closer_than_the_separation(monkeypatch):
     monkeypatch.setattr(two_radius, "find_r_zeros", r_zeros)
     got = bad_radii(E0, 1.0, box=(-30 - 8j, 5 + 8j))
     assert got == [2 * math.pi]
+
+
+def test_bad_radii_lists_r1_once():
+    # r1 is an r-zero of both L-zeros of cos(sqrt(-L)) in the box, and the
+    # two profiles place it at 1.0 and 1.0000000000000002
+    got = bad_radii(E0, 1.0, box=(-30 - 2j, 2 + 2j), r_max=3.0)
+    assert len(got) == 5
+    assert np.max(np.abs(np.asarray(got) - [1 / 3, 1, 5 / 3, 7 / 3, 3])) \
+        < 1e-12
 
 
 def test_bad_radii_passes_its_zero_tol_on(monkeypatch):

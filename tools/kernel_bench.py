@@ -26,9 +26,11 @@ call with its inputs built beforehand:
                    `heat-check --model hyperbolic --n 5 --t 0.8` calls it,
                    from an empty cache
   abel_inverse_h3_gauss    abel_inverse of A(gauss_bump(0.4)) on H3, from
-                           an empty φ-basis cache
+                           an empty φ-basis cache: the Dirichlet scan of
+                           φ_λ(S) at the one radius S, then the exact rows
+                           at the λ_j
   abel_inverse_e3_smooth   abel_inverse of A(smooth_bump(1.3)) on E3, from
-                           an empty φ-basis cache
+                           an empty φ-basis cache, likewise
   phi_rows_sweep   phi_ode_values for 256 rows, λ evenly spaced up to
                    λ_max = 10 / 40 / 160 / 640, at the 600 radial nodes of
                    r ≤ 1.5 (spacing 0.02), keyed by λ_max
@@ -71,8 +73,10 @@ call each (deterministic, so taken once):
                    profile e^{-r²/3.2} on the 1,525 cells of dr = 0.01
                    that `heat-check --model hyperbolic --n 5 --t 0.8`
                    takes (12,200 radial nodes), from an empty cache
-  abel_inverse_h3  abel_inverse(H3, abel(H3, gauss_bump(0.42))), with the
-                   bytes it adds to the cache as "abel_inverse_h3_cached"
+  abel_inverse_h3  abel_inverse(H3, abel(H3, gauss_bump(0.42))): its
+                   (λ_j × radii) rows and the one-radius Dirichlet scan,
+                   with the bytes it adds to the cache as
+                   "abel_inverse_h3_cached"
 
 A "state_calls" object gives, for the find_L_zeros calls of the
 "eigen_state" and "mvp_box" entries, the eigen_state_at calls and L-points
