@@ -131,14 +131,15 @@ class _LRUCache:
 # The one cache holds two kinds of entry:
 # - F f vectors (phi_basis), one double per λ-node: 11 KB for the 1,384
 #   nodes of abel on a support-1.5 bump in R³.  A datum's vector is looked
-#   up again by the 2-3 transform calls that reuse it (abel, then a
-#   Klein-Gordon, convolution or inversion of the same profile);
+#   up again by every later abel of the same profile (before a
+#   Klein-Gordon solve or an inversion, say); radial_convolve samples F f
+#   at its own λ, the Dirichlet scan's and the λ_j, so it reuses none;
 # - eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per
 #   piece (about 0.8 KB); a level set of the default L-box at r = 10 has 32
 #   pieces, 26 KB.
-# Rows of φ are not cached: abel_inverse asks for its exact rows at its
-# Dirichlet zeros once per datum.  No entry is a λ × r matrix, so the cap
-# is a guard, far above what a run holds.
+# Rows of φ are not cached: abel_inverse and radial_convolve ask for their
+# exact rows at their Dirichlet zeros once per datum.  No entry is a λ × r
+# matrix, so the cap is a guard, far above what a run holds.
 CACHE_BYTES = 64 * 2**20
 _CACHE = _LRUCache(CACHE_BYTES)
 

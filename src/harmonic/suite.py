@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import asymptotics, geometry, pde, profiles, transforms, two_radius
-from .density import builtin_models
+from .density import builtin_models, make_euclidean
 from .grids import make_grid
 from .spherical import phi, phi_series, volterra_coefficients
 
@@ -87,7 +87,8 @@ def registered_checks(quick=False):
 
 @lru_cache(maxsize=None)
 def _models():
-    return dict(zip(("e0", "e2", "h3", "dr21", "dr11"), builtin_models()))
+    return dict(zip(("e0", "e2", "h3", "dr21", "dr11"), builtin_models()),
+                e10=make_euclidean(10))
 
 
 def _model(key):
@@ -103,6 +104,15 @@ def _grid10():
 def _wave_states(key):
     return pde.radial_wave_solve(_model(key), profiles.smooth_bump(1.0),
                                  6.0, 0.004)
+
+
+# the `convolve` command's default pair of data
+_CONV_PAIR = (profiles.gauss_bump(0.35), profiles.gauss_bump(0.45))
+
+
+@lru_cache(maxsize=None)
+def _convolution(key):
+    return transforms.radial_convolve(_model(key), *_CONV_PAIR)
 
 
 @lru_cache(maxsize=None)
@@ -280,19 +290,49 @@ def _abel_r3(ctx):
 def _factorization_check(key):
     def fn(ctx):
         model = _model(key)
-        f, g = profiles.gauss_bump(0.35), profiles.gauss_bump(0.45)
-        conv = transforms.radial_convolve(model, f, g)
         lams = np.linspace(0.0, 6.0, 25)
-        Fc = transforms.spherical_fourier(model, conv, lams).values
-        Ff = transforms.spherical_fourier(model, f, lams).values
-        Fg = transforms.spherical_fourier(model, g, lams).values
+        Fc, Ff, Fg = (transforms.spherical_fourier(model, f, lams).values
+                      for f in (_convolution(key),) + _CONV_PAIR)
         rel = float(np.max(np.abs(Fc - Ff * Fg)) / np.max(np.abs(Ff * Fg)))
-        return rel, 1e-6, "F(f*g) = Ff · Fg, relative on λ ∈ [0, 6]"
+        return rel, 1e-12, "F(f*g) = Ff · Fg, relative on λ ∈ [0, 6]"
     return fn
 
 
 _check("fourier_factorization_e2", 4)(_factorization_check("e2"))
 _check("fourier_factorization_h3", 4)(_factorization_check("h3"))
+
+
+def _inner_product(model, f, g):
+    """⟨f, g⟩ = ω_n ∫ f g θ of two radial profiles, by quadrature."""
+    grid = make_grid(min(f.support, g.support))
+    r = grid.nodes
+    return model.sphere_const * grid.integrate(f.f(r) * g.f(r)
+                                               * model.theta(r))
+
+
+def _origin_check(key, bound):
+    # (f*g)(o) = ∫ f(y) g(y⁻¹o) dy = ⟨f, g⟩ for radial g: a reference that
+    # takes no transform
+    def fn(ctx):
+        inner = _inner_product(_model(key), *_CONV_PAIR)
+        rel = abs(_convolution(key).values[0] - inner) / abs(inner)
+        return float(rel), bound, "(f*g)(o) = ω_n ∫ f g θ, relative"
+    return fn
+
+
+for _key, _bound in (("e2", 1e-12), ("h3", 1e-12), ("e10", 1e-8)):
+    _check(f"convolve_at_origin_{_key}", 4)(_origin_check(_key, _bound))
+
+
+@_check("convolution_intertwines_h3", 4)
+def _conv_intertwine(ctx):
+    model = _model("h3")
+    line = transforms.line_convolve(*(transforms.abel(model, f)
+                                      for f in _CONV_PAIR))
+    lifted = transforms.abel(model, _convolution("h3"))
+    gap = np.max(np.abs(lifted(line.grid.points) - line.values))
+    return float(gap / np.max(np.abs(line.values))), 1e-8, \
+        "A(f*g) = Af ⋆ Ag, relative to the peak"
 
 
 def _roundtrip_check(key, f, bound, label):

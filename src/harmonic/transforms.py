@@ -19,28 +19,15 @@ same kind of object: an even function of one variable, stored on [0, X].
 One container, grids.EvenFunction, holds them all, radial data on X and
 line functions alike, as it holds every other sampled radial function.
 
-The synthesis takes cos and sin on (s × panels) and (s × q) arrays only.
-Both grids have equal panels (every Grid1D does), so a node is a panel
-edge plus an in-panel offset, λ = e + o and s = a_p + b_j, and
-cos λ(a + b) = cos λa cos λb - sin λa sin λb builds the rest: the rows at
-the grid points from the λ-edges and λ-offsets, one block of points at a
-time, and the node values as two matrix products of those rows with the
-small (λ × q) offset matrices.  cosine_transform factors the same way.
-line_convolve folds one line function against the other's quadrature
-weights with EvenFunction.fold (see grids).
+The syntheses over λ take cos and sin on (node × panel) and (node × q)
+arrays only (_cosine_synthesis, cosine_transform), and abel's cutoff in λ
+is a tail rule (_sample_until_decayed).
 
-abel's cutoff in λ is either the caller's lambda_max, used as given, or the
-tail rule: grow λ_max until |F f| on the top tenth of [0, λ_max] is at most
-TAIL_TOL of its peak, refusing at LAMBDA_CAP_FACTOR times the start.
-
-A intertwines convolutions: A(f * g) = A f ⋆ A g with ⋆ the line
-convolution, and F(f * g) = F f · F g.  radial_convolve exploits that:
-convolve on the line, then invert A.  abel_inverse needs no c-function: a
-radial f supported in the ball B_S is determined by F f at the Dirichlet
-eigenvalues of B_S, where F f equals the cosine transform of A f, and f is
-their eigen-expansion (exact by Sturm-Liouville completeness), summed
-over the exact rows of φ at the eigenvalues (spherical.dirichlet_lambdas).
-Its cutoff in λ follows abel's tail rule through the same helper.
+The way back from λ is the Dirichlet eigen-expansion on a ball
+(_dirichlet_expansion), which needs no c-function: abel_inverse expands
+the cosine transform of A f, and radial_convolve expands F f · F g, since
+F(f * g) = F f · F g.  A intertwines the convolutions, A(f * g) = A f ⋆ A g
+with ⋆ the line convolution (line_convolve); the suite checks it.
 """
 
 from __future__ import annotations
@@ -287,19 +274,18 @@ def cosine_transform(g, lambdas):
 # inversion by the Dirichlet eigen-expansion
 # ---------------------------------------------------------------------------
 
-def abel_inverse(model, g):
-    """Solve A f = g for the radial f supported in [0, S], S = g.support.
+def _dirichlet_expansion(model, S, transform):
+    """The radial f on [0, S] whose spherical transform is transform(λ).
 
-    F f equals ĝ, the cosine transform of g, and f is its Dirichlet
-    eigen-expansion on the ball B_S,
+    f is the Dirichlet eigen-expansion of F f on the ball B_S,
 
-        f = Σ_j ĝ(λ_j) φ_{λ_j} / (ω_n ∫_0^S θ φ_{λ_j}²),
+        f = Σ_j F f(λ_j) φ_{λ_j} / (ω_n ∫_0^S θ φ_{λ_j}²),
 
     over the zeros λ_j > 0 of λ ↦ φ_λ(S).  They are real (the Dirichlet
     eigenvalues λ_j² + H²/4 of B_S exceed H²/4), the φ_{λ_j} are complete
     on [0, S] (Sturm-Liouville), and no c-function enters, so any density
-    serves.  The sum runs to the λ_max at which abel's tail rule stops on ĝ
-    (refusing, like abel, when ĝ does not decay).
+    serves.  The sum runs to the λ_max at which abel's tail rule stops on
+    transform (refusing, like abel, when it does not decay).
 
     The λ_j come from dirichlet_lambdas at spacing π/(4S), and one
     phi_ode_values call gives the exact rows φ_{λ_j} at the output grid's
@@ -307,9 +293,8 @@ def abel_inverse(model, g):
     info holds the λ_j ("lambdas"), the norms ∫_0^S θ φ_{λ_j}² ("norms")
     and the cutoff ("lambda_max").
     """
-    S = g.support
     step = math.pi / (4.0 * S)
-    n, _, _ = _sample_until_decayed(lambda lams: cosine_transform(g, lams),
+    n, _, _ = _sample_until_decayed(transform,
                                     lambda n: step * np.arange(n + 1),
                                     step, max(40.0 / S, 8.0))
     lambdas = dirichlet_lambdas(model, S, step, n)
@@ -318,11 +303,20 @@ def abel_inverse(model, g):
         [rgrid.points, rgrid.nodes]), derivs=False)
     at_points, at_nodes = np.split(rows, [rgrid.points.size], axis=1)
     norms = at_nodes ** 2 @ (rgrid.node_weights * model.theta(rgrid.nodes))
-    coef = cosine_transform(g, lambdas) / (model.sphere_const * norms)
+    coef = transform(lambdas) / (model.sphere_const * norms)
     return EvenFunction(grid=rgrid, values=coef @ at_points, support=S,
                         exact_node_values=coef @ at_nodes,
                         info={"lambdas": lambdas, "norms": norms,
                               "lambda_max": n * step})
+
+
+def abel_inverse(model, g):
+    """Solve A f = g for the radial f supported in [0, S], S = g.support.
+
+    F f equals ĝ, the cosine transform of g; f is its Dirichlet expansion.
+    """
+    return _dirichlet_expansion(model, g.support,
+                                lambda lams: cosine_transform(g, lams))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +337,15 @@ def line_convolve(g1, g2):
 
 
 def radial_convolve(model, f, g):
-    """Radial convolution on X through the Abel route: A(f*g) = Af ⋆ Ag."""
-    h = line_convolve(abel(model, f), abel(model, g))
-    return abel_inverse(model, h)
+    """Radial convolution f * g on X, supported in [0, supp f + supp g].
+
+    F(f * g) = F f · F g, and f * g is that product's Dirichlet expansion.
+    """
+    f, g = _as_radial(f), _as_radial(g)
+    return _dirichlet_expansion(
+        model, f.support + g.support,
+        lambda lams: (spherical_fourier(model, f, lams).values
+                      * spherical_fourier(model, g, lams).values))
 
 
 # ---------------------------------------------------------------------------

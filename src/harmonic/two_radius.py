@@ -87,8 +87,9 @@ MAX_ZEROS = 64
 MAX_SIDE = 2048
 # subdivision stops at boxes this small relative to 1 + |center|
 RESOLVE = 1e-4
-# find_r_zeros searches r in [R_MIN, r_max]
+# find_r_zeros searches r in [R_MIN, r_max], with r_max at most R_MAX
 R_MIN = 1e-3
+R_MAX = 50.0
 
 # split fractions tried when a subdivision line lands on a zero
 _SPLIT_FRACTIONS = (0.5, 0.45, 0.57, 0.37, 0.63, 0.41, 0.55)
@@ -146,6 +147,11 @@ class RadiusCertificate:
 def _check_target(target):
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
+
+
+def _check_r_max(r_max):
+    if r_max > R_MAX:
+        raise ValueError(f"--rmax = {r_max:g} must be at most {R_MAX:g}")
 
 
 def _target_values(model, L_values, r, target):
@@ -596,8 +602,7 @@ def find_r_zeros(model, L, r_max, target="sphere", zero_tol=DEFAULT_ZERO_TOL):
     candidates it left near a zero.
     """
     _check_target(target)
-    if r_max > 50:
-        raise ValueError(f"--rmax = {r_max:g} must be at most 50")
+    _check_r_max(r_max)
     L = complex(L)
     osc = math.sqrt(abs(L)) * r_max
     n = int(max(800, 60 * osc / math.pi))
@@ -658,6 +663,7 @@ def bad_radii(model, r1, target="sphere", box=DEFAULT_BOX, r_max=10.0,
     sphere at r1 = 1 and the mvp target at r1 = 2π on the built-in models,
     and a double r-zero (mvp touching 0) only to about 2e-8.
     """
+    _check_r_max(r_max)
     zs = find_L_zeros(model, r1, target=target, box=box, zero_tol=zero_tol)
     collected = []
     for z in zs.zeros:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import harmonic
-from harmonic import asymptotics, cli, suite
-from harmonic.density import make_real_hyperbolic
+from harmonic import asymptotics, cli, profiles, suite
+from harmonic.density import make_euclidean, make_real_hyperbolic
 from harmonic.spherical import PhiOverflowError, phi_ode_values
 
 SCHEMA = json.loads((Path(harmonic.__file__).parent / "schemas"
@@ -25,10 +25,21 @@ def _run(tmp_path, argv):
     return rc, doc
 
 
-def test_convolve_of_a_too_narrow_datum_is_refused_by_its_lambda_budget(
+def test_convolve_of_a_narrow_datum_is_its_mass(tmp_path):
+    # f * g at o is ⟨f, g⟩ ≈ g(0) ∫ f = ω_3 · 2w⁴ for a Gaussian of width
+    # w = 1e-6 (θ ≈ r³ there); the spectral product takes no Abel λ-round
+    out = tmp_path / "conv.csv"
+    argv = ["convolve", "--model", "damek-ricci", "--width", "1e-6"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    at_origin = np.loadtxt(out, delimiter=",", comments="#")[0, 1]
+    mass = 2 * np.pi**2 * 2e-24
+    assert abs(at_origin - mass) < 1e-9 * mass
+
+
+def test_abel_of_a_too_narrow_datum_is_refused_by_its_lambda_budget(
         tmp_path):
-    rc, doc = _run(tmp_path, ["convolve", "--model", "damek-ricci",
-                              "--width", "1e-6"])
+    rc, doc = _run(tmp_path, ["abel", "--model", "damek-ricci", "--profile",
+                              "gauss", "--width", "1e-6"])
     assert rc == 1
     assert doc["error"]["type"] == "AccuracyError"
     assert "over the budget" in doc["error"]["message"]
@@ -343,3 +354,19 @@ def test_convolve_on_higher_rank_models(tmp_path, model_flags):
     assert doc["manifest"]["command"] == "convolve"
     rows = np.loadtxt(out, delimiter=",", comments="#")
     assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize("argv, n, f, g", [
+    (["--n", "30"], 30, profiles.gauss_bump(0.35), profiles.gauss_bump(0.45)),
+    (["--n", "1", "--profile", "smooth", "--width", "1.3", "--profile2",
+      "smooth", "--width2", "1.3"], 1, profiles.smooth_bump(1.3),
+     profiles.smooth_bump(1.3))], ids=["R31", "R2-smooth"])
+def test_convolve_at_the_origin_is_the_inner_product(tmp_path, argv, n, f,
+                                                     g):
+    # (f * g)(o) = ⟨f, g⟩ = ω_n ∫ f g θ, a reference that takes no transform
+    out = tmp_path / "conv.csv"
+    argv = ["convolve", "--model", "euclidean"] + argv + ["--out", str(out)]
+    assert cli.main(argv) == 0
+    inner = suite._inner_product(make_euclidean(n), f, g)
+    at_origin = np.loadtxt(out, delimiter=",", comments="#")[0, 1]
+    assert abs(at_origin - inner) < 1e-8 * abs(inner)

@@ -275,7 +275,8 @@ def _factorization_error(model, f, g):
 
 @pytest.mark.parametrize("model", [DR43, H6], ids=["DR43", "H6"])
 def test_abel_inverse_on_higher_rank_models(model):
-    # roots off the scan points: the rows and zeros are interpolated in λ
+    # roots off the scan points: the zeros are bisected on the scan's
+    # interpolant of φ_λ(S), and the rows are exact at them
     f = gauss_bump(0.4)
     finv = abel_inverse(model, abel(model, f))
     truth = f.f(finv.grid.points)

@@ -362,6 +362,20 @@ def test_bad_radii_passes_its_zero_tol_on(monkeypatch):
     assert seen and set(seen) == {1e-12}
 
 
+def test_bad_radii_refuses_r_max_before_it_searches(monkeypatch):
+    calls = []
+    state_at = two_radius.eigen_state_at
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return state_at(*args, **kwargs)
+
+    monkeypatch.setattr(two_radius, "eigen_state_at", counted)
+    with pytest.raises(ValueError, match="--rmax = 60 must be at most 50"):
+        bad_radii(E0, 20.0, r_max=60.0)
+    assert calls == []
+
+
 def test_certify_with_one_empty_zero_set():
     # E0's sphere target at r is cos(√-L r): L-zeros -((2a+1)π/2r)², of
     # which r = 0.2 has none above -12; the least joint residual is then

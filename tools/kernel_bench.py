@@ -9,6 +9,9 @@ call with its inputs built beforehand:
                    it times the cosine synthesis (λ_max ≈ 275)
   kg_solve         kg_solve on A(annulus_bump(0.9, 0.2)) over DR(2,1), t = 5.25
   line_convolve    A(smooth_bump(1.5)) ⋆ A(gauss_bump(0.4)) on E3
+  radial_convolve  gauss_bump(0.35) * gauss_bump(0.45), the `convolve`
+                   command's default pair, from an empty cache, keyed by
+                   model (E3, R31)
   values_at_nodes  node values of a wave solution on radial_wave_solve's
                    finite-difference grid (H3, gauss_bump(0.42), T = 1.25),
                    on a fresh copy of the grid each time
@@ -319,6 +322,11 @@ def main(argv=None):
         "kg_solve": best_of(lambda: pde.kg_solve(dr.H, a_ann, 5.25), repeat),
         "line_convolve": best_of(
             lambda: transforms.line_convolve(a_bump, a_gauss), repeat),
+        "radial_convolve": {
+            key: best_of(lambda: transforms.radial_convolve(
+                model, gauss_bump(0.35), gauss_bump(0.45)), repeat,
+                setup=empty_caches)
+            for key, model in (("E3", e3), ("R31", make_euclidean(30)))},
         "values_at_nodes": best_of(
             lambda: Grid1D(points=wave.grid.points,
                            nodes_per_panel=wave.grid.q).values_at_nodes(
