@@ -194,11 +194,12 @@ def lambda0_estimate(model, R_list):
 
     λ₀(B_R) = λ₁² + H²/4, where λ₁ is the first zero of λ ↦ φ_λ(R)
     (Koornwinder 1984): φ_{λ₁}, regular at 0 and zero at the wall, is the
-    radial ground state.  dirichlet_lambdas scans φ_λ(R) in one series call
-    at λ = kπ/(8R), k = 0 … n + 8, and λ₁ is its first zero.  At half
-    abel_inverse's step π/(4R) this places λ₁ to about 1e-13 relative on
-    the built-in models.  n = 32 covers λR ≤ 4π; a ball whose λ₁R lies
-    beyond that is rescanned with n doubled.
+    radial ground state.  dirichlet_lambdas scans φ_λ(R) at every R in one
+    series call, each R at λ = kπ/(8R), k = 0 … n + 8, and λ₁ is the first
+    zero of its scan.  At half abel_inverse's step π/(4R) this places λ₁
+    to about 1e-13 relative on the built-in models.  n = 32 covers
+    λR ≤ 4π; the balls whose λ₁R lies beyond that are rescanned together
+    with n doubled.
 
     The first sign change is λ₁ because φ₀(R) > 0.  θ'/θ ≥ H
     (validate_density) gives McKean's inequality ∫θu'² ≥ (H²/4)∫θu² on
@@ -207,12 +208,14 @@ def lambda0_estimate(model, R_list):
     """
     Rs = _radii(R_list)
 
-    pairs = []
-    for R in Rs:
-        step, n = math.pi / (8.0 * R), 32
-        while (lams := dirichlet_lambdas(model, R, step, n)).size == 0:
-            n *= 2
-        pairs.append((R, float(lams[0] * lams[0] + model.H**2 / 4.0)))
+    first, n = {}, 32
+    while todo := [R for R in Rs if R not in first]:
+        steps = [math.pi / (8.0 * R) for R in todo]
+        scans = dirichlet_lambdas(model, todo, steps, [n] * len(todo))
+        first.update((R, lams[0]) for R, lams in zip(todo, scans)
+                     if lams.size)
+        n *= 2
+    pairs = [(R, float(first[R] ** 2 + model.H**2 / 4.0)) for R in Rs]
     return GrowthReport(
         model=model.name,
         H=model.H,

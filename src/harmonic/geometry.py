@@ -162,24 +162,38 @@ def _angles(n):
 def _circle_means(space, f, centers, radii, angles):
     """Means of f over the circles S_radii(centers) at the given angles.
 
-    centers is a (..., d) stack of points (or one point) and radii broadcasts
-    against its stack shape; the result has the common shape.  f is
-    evaluated on whole circles of about 2¹⁴ points at a time, so the point
-    stack of many circles is never built whole; each circle's points and
-    mean are computed as for that circle alone.
+    centers is a (..., d) stack of points or one point, and radii broadcasts
+    against its stack shape; the result has the common shape.  One point
+    stays one point, so each block forms its frame once.  f is evaluated on
+    whole circles of about 2¹⁴ points at a time, so the point stack of many
+    circles is never built whole; each circle's points and mean are computed
+    as for that circle alone.  When f carries the ball (c, ρ) outside which
+    it is exactly zero (bump_patch), a circle S_r(y) with
+    |d(y, c) - r| ≥ ρ(1 + 1e-9) + 1e-12 lies outside that ball, by the
+    triangle inequality with a margin for rounding, and gets the mean 0.0,
+    what its exact zeros sum to, without evaluating f.
     """
     centers = np.asarray(centers, float)
     radii = np.asarray(radii, float)
     shape = np.broadcast_shapes(centers.shape[:-1], radii.shape)
-    centers = np.broadcast_to(centers, shape + centers.shape[-1:]).reshape(
-        -1, centers.shape[-1])
+    one = centers.ndim == 1
+    if not one:
+        centers = np.broadcast_to(centers, shape + centers.shape[-1:])
+        centers = centers.reshape(-1, centers.shape[-1])
     radii = np.broadcast_to(radii, shape).ravel()
-    out = np.empty(radii.size)
+    live = np.arange(radii.size)
+    ball = getattr(f, "ball", None)
+    if ball is not None:
+        c, rho = ball
+        gap = np.abs(space.distance(centers, c) - radii)
+        live = live[gap < rho * (1.0 + 1e-9) + 1e-12]
+    out = np.zeros(radii.size)
     step = max(1, 2**14 // angles.size)
-    for lo in range(0, radii.size, step):
-        s = slice(lo, lo + step)
-        pts = space.sphere_param(centers[s, None, :], radii[s, None], angles)
-        out[s] = np.mean(_eval_points(f, pts), axis=-1)
+    for lo in range(0, live.size, step):
+        at = live[lo:lo + step]
+        pts = space.sphere_param(centers if one else centers[at, None, :],
+                                 radii[at, None], angles)
+        out[at] = np.mean(_eval_points(f, pts), axis=-1)
     return out.reshape(shape)
 
 
@@ -189,13 +203,20 @@ def project(space, f, radii):
 
 
 def bump_patch(space, center, width):
-    """Smooth compactly supported bump around an arbitrary point."""
+    """Smooth compactly supported bump around an arbitrary point.
+
+    The function is smooth_bump(width) of the distance to center, exactly
+    zero outside the ball of radius width about it.  It carries that ball
+    as f.ball = (center, width), which lets _circle_means skip the circles
+    that miss it.
+    """
     prof = smooth_bump(width)
     center = np.asarray(center, float)
 
     def f(pts):
         return prof.f(space.distance(center, pts))
 
+    f.ball = (center, prof.support)
     return f
 
 
@@ -243,15 +264,14 @@ def projector_convolution_check(space, r, f, y_radii=None,
     # left side: average T_r*f, the circle means of f about each y, over the
     # circle S_s(x0); right side: circle integral of πf over S_r(y) for the
     # one y on the ray (angle 0), where πf(z) is the mean of f over the
-    # circle about x0 of radius d(x0, z).  Both sides need Q circle means per
-    # radius s: one batch of (2, S, Q) circles of Q points serves both.
+    # circle about x0 of radius d(x0, z).  Each side needs Q circle means
+    # per radius s: (S, Q) circles of Q points about the ys, and (S, Q)
+    # about x0.
     ys = space.sphere_param(x0, y_radii[:, None], psi)
     zs = space.sphere_param(ys[:, :1], r, psi)
-    centers = np.stack([ys, np.broadcast_to(x0, ys.shape)])
-    radii = np.stack([np.full(ys.shape[:-1], float(r)),
-                      space.distance(x0, zs)])
-    lhs, rhs = circ * np.mean(_circle_means(space, f, centers, radii, psi),
-                              axis=-1)
+    lhs = circ * np.mean(_circle_means(space, f, ys, float(r), psi), axis=-1)
+    rhs = circ * np.mean(_circle_means(space, f, x0, space.distance(x0, zs),
+                                       psi), axis=-1)
     return float(np.max(np.abs(lhs - rhs)))
 
 

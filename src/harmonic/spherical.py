@@ -132,8 +132,9 @@ class _LRUCache:
 # - F f vectors (phi_basis), one double per λ-node: 11 KB for the 1,384
 #   nodes of abel on a support-1.5 bump in R³.  A datum's vector is looked
 #   up again by every later abel of the same profile (before a
-#   Klein-Gordon solve or an inversion, say); radial_convolve samples F f
-#   at its own λ, the Dirichlet scan's and the λ_j, so it reuses none;
+#   Klein-Gordon solve or an inversion, say).  radial_convolve asks for
+#   none: it samples F f and F g at its own λ, the Dirichlet scan's and
+#   the λ_j, and takes both from one phi_ode_values contraction per batch;
 # - eigen_state_at's series levels at one radius, (K+1)×3×2 doubles per
 #   piece (about 0.8 KB); a level set of the default L-box at r = 10 has 32
 #   pieces, 26 KB.
@@ -514,20 +515,26 @@ def _spps_contract(model, L, radii, weights):
     φ(b_p) Y1 + φ'(b_p) Y2 along the transfer chain of _spps_rows.  The
     work in L is O(len(L)·P·K) for P pieces, against
     O(len(L)·len(radii)·K) for the rows; equal radii add their weights.
-    Returns shape (len(L),).
+    weights is one weight per radius, shape (len(radii),), or a
+    (m, len(radii)) array of m such rows, which share the value maps and
+    the transfer chain; returns shape (len(L),) or (m, len(L)).
     """
     M, K, D = L.size, SPPS_ORDER, SPPS_NODES
     radii, where = np.unique(radii, return_inverse=True)
-    weights = np.bincount(where, weights, radii.size)
+    rows = np.atleast_2d(weights)
+    rows = np.stack([np.bincount(where, w, radii.size) for w in rows])
     if not (M and radii.size) or radii[-1] == 0.0:
-        return np.full(M, np.sum(weights), dtype=L.dtype)
+        out = np.repeat(np.sum(rows, axis=1)[:, None], M, axis=1)
+        return out.astype(L.dtype).reshape(np.shape(weights)[:-1] + (M,))
     ends, slopes, _, powers, i0, edges, cut = _spps_frame(model, L, radii)
-    P = cut.size - 1
-    r, w = radii[i0:], weights[i0:]
-    out = np.full(M, np.sum(weights[:i0]), dtype=L.dtype)    # φ(0) = 1
+    P, m = cut.size - 1, rows.shape[0]
+    r, w = radii[i0:], rows[:, i0:]
+    # φ(0) = 1
+    out = np.repeat(np.sum(rows[:, :i0], axis=1)[:, None], M,
+                    axis=1).astype(L.dtype)
     # Σ_r w_r (value_map row, 1) per piece; about four (radii × D+1)
     # tables are alive at once while a block is summed
-    sums = np.zeros((P, D + 1))
+    sums = np.zeros((m, P, D + 1))
     per_block = max(1, SPPS_BLOCK_BYTES // (4 * w.itemsize * (D + 1)))
     p0 = 0
     while p0 < P:
@@ -537,29 +544,33 @@ def _spps_contract(model, L, radii, weights):
         if filled.any():
             _, value_map = _spps_maps(edges, r, cut, p0, p1)
             seg = slice(cut[p0], cut[p1])
-            sums[p0:p1][filled] = np.add.reduceat(
-                np.column_stack([w[seg, None] * value_map, w[seg]]),
-                cut[p0:p1][filled] - cut[p0], axis=0)
+            for i in range(m):
+                sums[i, p0:p1][filled] = np.add.reduceat(
+                    np.column_stack([w[i, seg, None] * value_map,
+                                     w[i, seg]]),
+                    cut[p0:p1][filled] - cut[p0], axis=0)
         p0 = p1
-    # (K+1, 2, P): Σ_r w_r (A_k(r), B_k(r)) per piece, A_0 = 1 included
-    lev = np.einsum("pkjd,pd->kjp", slopes[0], sums[:, :D])
-    lev[0, 0] += sums[:, D]
-    block = max(1, SPPS_BLOCK_BYTES // (6 * out.itemsize * M))
+    # (m, K+1, 2, P): Σ_r w_r (A_k(r), B_k(r)) per piece, A_0 = 1 included
+    lev = np.stack([np.einsum("pkjd,pd->kjp", slopes[0], sums[i, :, :D])
+                    for i in range(m)])
+    lev[:, 0, 0] += sums[:, :, D]
+    block = max(1, SPPS_BLOCK_BYTES // ((4 + 2 * m) * out.itemsize * M))
     u, du = np.ones(M, dtype=L.dtype), np.zeros(M, dtype=L.dtype)
     for lo in range(0, P, block):
         s = slice(lo, min(lo + block, P))
         n = s.stop - s.start
         # the transfer matrices and the (Y1, Y2) of n pieces, one product
-        y = powers @ np.concatenate([ends[..., s].reshape(K + 1, -1),
-                                     lev[..., s].reshape(K + 1, -1)], axis=1)
+        y = powers @ np.concatenate(
+            [ends[..., s].reshape(K + 1, -1)]
+            + [lev[i, ..., s].reshape(K + 1, -1) for i in range(m)], axis=1)
         transfer = y[:, :4 * n].reshape(M, 2, 2, n)
-        Y = y[:, 4 * n:].reshape(M, 2, n)
+        Y = y[:, 4 * n:].reshape(M, m, 2, n)
         for j in range(n):
-            out += u * Y[:, 0, j] + du * Y[:, 1, j]
+            out += u * Y[:, :, 0, j].T + du * Y[:, :, 1, j].T
             t = transfer[..., j]
             u, du = (t[:, 0, 0] * u + t[:, 0, 1] * du,
                      t[:, 1, 0] * u + t[:, 1, 1] * du)
-    return out
+    return out.reshape(np.shape(weights)[:-1] + (M,))
 
 
 def _refuse_growth(what, rate, r_last):
@@ -579,7 +590,9 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
     returns only the contraction Σ_i weights_i φ_λ(r_i), shape
     (len(lams),), summed into the series levels before λ enters
     (_spps_contract): its cost in λ is ∝ the number of pieces, not of
-    radii, and no row is formed.  No λ gives empty results.  r_points may
+    radii, and no row is formed.  weights of shape (m, len(r_points))
+    give m contractions, shape (m, len(lams)), from one pass
+    (radial_convolve's F f and F g).  No λ gives empty results.  r_points may
     repeat and come in any order; a repeated radius adds its weights.
     No ODE is stepped: the coefficient
     functions of the piecewise spectral-parameter power series depend on
@@ -600,9 +613,9 @@ def phi_ode_values(model, lams, r_points, *, derivs=True, weights=None):
         raise ValueError("radii must be nonnegative")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)
-        if derivs or weights.shape != r_points.shape:
+        if derivs or weights.ndim > 2 or weights.shape[-1:] != r_points.shape:
             raise ValueError("weights need derivs=False and one weight per "
-                             "radius")
+                             "radius in each row")
     # φ_λ grows like exp((|Im λ| - H/2) r) at large r; refuse before the
     # sums meet an overflow
     rate = float(np.max(np.abs(np.imag(lams)), initial=0.0)) - H / 2
@@ -661,11 +674,18 @@ def dirichlet_lambdas(model, R, step, n):
     _WINDOW/2.  In λ, φ_λ(R) is even and entire of exponential type R, so
     for step ≤ π/(4R) the _WINDOW-point interpolant of the scan (mirrored
     through λ = 0) follows it closely, and each sign change is bisected on
-    it (_scan_roots).
+    it (_scan_roots).  R, step and n may also be equal-length sequences:
+    then one phi_ode_values call samples every radius at every scan λ, each
+    radius keeps the column of its own λ = k·step_i, k = 0 … n_i +
+    _WINDOW/2, and the zeros come back as a list, one array per radius.
     """
-    lams = step * np.arange(n + _WINDOW // 2 + 1)
-    edge, _ = phi_ode_values(model, lams, [R], derivs=False)
-    return step * _scan_roots(edge[:, 0], n)
+    if np.ndim(R) == 0:
+        return dirichlet_lambdas(model, [R], [step], [n])[0]
+    scans = [h * np.arange(k + _WINDOW // 2 + 1) for h, k in zip(step, n)]
+    edge, _ = phi_ode_values(model, np.concatenate(scans), R, derivs=False)
+    rows = np.split(edge, np.cumsum([lams.size for lams in scans])[:-1])
+    return [h * _scan_roots(e[:, i], k)
+            for i, (e, h, k) in enumerate(zip(rows, step, n))]
 
 
 def phi(model, lam, grid):

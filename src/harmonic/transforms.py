@@ -19,9 +19,10 @@ same kind of object: an even function of one variable, stored on [0, X].
 One container, grids.EvenFunction, holds them all, radial data on X and
 line functions alike, as it holds every other sampled radial function.
 
-The syntheses over λ take cos and sin on (node × panel) and (node × q)
-arrays only (_cosine_synthesis, cosine_transform), and abel's cutoff in λ
-is a tail rule (_sample_until_decayed).
+abel's synthesis over λ is a chirp-z transform, FFT convolutions on the
+lattice of panel edges (_cosine_synthesis); cosine_transform takes cos and
+sin on (λ × panel) and (λ × q) arrays only; abel's cutoff in λ is a tail
+rule (_sample_until_decayed).
 
 The way back from λ is the Dirichlet eigen-expansion on a ball
 (_dirichlet_expansion), which needs no c-function: abel_inverse expands
@@ -40,8 +41,7 @@ import numpy as np
 from .grids import (DEFAULT_NODES_PER_PANEL, DEFAULT_SPACING, EvenFunction,
                     Grid1D, make_grid)
 from .profiles import RadialProfile
-from .spherical import (SPPS_BLOCK_BYTES, dirichlet_lambdas, phi_basis,
-                        phi_ode_values)
+from .spherical import dirichlet_lambdas, phi_basis, phi_ode_values
 
 # abel's tail rule, see _sample_until_decayed
 TAIL_TOL = 1e-11
@@ -99,15 +99,19 @@ def spherical_fourier(model, f, lambdas):
     formed; the F f vector is cached for the 2-3 transform calls that reuse
     the datum.
     """
-    f = _as_radial(f)
-    if not np.isfinite(f.support):
-        raise ValueError("spherical_fourier needs compact support")
     lambdas = np.asarray(lambdas, dtype=float)
-    nodes = f.grid.nodes
-    weighted = f.grid.node_weights * model.theta(nodes) * f.node_values()
+    nodes, weighted = _fourier_weights(model, _as_radial(f))
     vals = model.sphere_const * phi_basis(model, lambdas, nodes,
                                           weights=weighted)
     return SpectralSamples(lambdas=lambdas, values=vals)
+
+
+def _fourier_weights(model, f):
+    """f's grid nodes, and the weights that contract φ_λ there into F f/ω_n."""
+    if not np.isfinite(f.support):
+        raise ValueError("spherical_fourier needs compact support")
+    nodes = f.grid.nodes
+    return nodes, f.grid.node_weights * model.theta(nodes) * f.node_values()
 
 
 def abel(model, f, s_max=None, lambda_max=None):
@@ -121,10 +125,10 @@ def abel(model, f, s_max=None, lambda_max=None):
     extension evaluates F f on the added panels only, so every λ-node is
     summed once (and its F f cached, see phi_basis); the cost per λ-node is
     ∝ the series pieces, not the radial nodes, nor λ_max
-    (phi_ode_values).  The synthesis over λ (_cosine_synthesis) forms no
-    s × λ table whole, only blocks of rows of about SPPS_BLOCK_BYTES, and
-    its output is not cached: only the F f vectors are, which every call on
-    the datum looks up.  A given lambda_max is a
+    (phi_ode_values).  The synthesis over λ (_cosine_synthesis) is a
+    chirp-z transform that forms no s × λ table, and its output is not
+    cached: only the F f vectors are, which every call on the datum looks
+    up.  A given lambda_max is a
     fixed cutoff, rounded up to a panel edge, neither extended nor refused,
     for callers that pin it themselves (identity checks, samples whose
     spectrum flattens into noise).  Either way a λ-round of more than
@@ -172,45 +176,76 @@ def abel(model, f, s_max=None, lambda_max=None):
                         info=info)
 
 
+def _chirp_block(n_out):
+    """λ-panels per chirp-z block for n_out outputs: at least
+    max(n_out, 64), filling the power-of-two FFT of the block's
+    convolution."""
+    nfft = 1 << (2 * max(n_out, 64) - 2).bit_length()
+    return nfft - n_out + 1
+
+
+def _unit(theta, n):
+    """e^{iθn} for whole or half n, θ split as hi + lo with hi of 24 bits.
+
+    hi·n is exact for |n| < 2²⁸, so the phase of a large n carries the
+    rounding of θ·n's small part only (the sine and cosine reduce their
+    argument exactly).
+    """
+    hi = float(np.float32(theta))
+    return np.exp(1j * (hi * n)) * np.exp(1j * ((theta - hi) * n))
+
+
 def _cosine_synthesis(sgrid, lgrid, Ff):
     """(1/π) ∫ F f(λ) cos(λs) dλ and its first two s-derivatives.
 
     The λ-integral is lgrid's quadrature; returns the synthesis, its slope
     and its second derivative at sgrid.points, and the synthesis at
-    sgrid.nodes.  Both grids have equal panels, so cos and sin are taken on
-    (s × panels) and (s × q) arrays only: λ-node = edge e + offset o gives
-    cos s(e + o) = cos se cos so - sin se sin so for the rows at the points,
-    and node p·q + j = point p + offset b_j gives the node values from those
-    rows and the (λ × q) matrices cos λb, sin λb.  The rows are formed for
-    one block of points at a time, each row pair about SPPS_BLOCK_BYTES.
+    sgrid.nodes.  Both grids have equal panels, W and h wide, so a λ-node
+    is λ = kW + o_j and a point s_p = p·h, and every output is the real or
+    imaginary part of
+
+        Z_w(p) = Σ_j e^{i o_j s_p} Σ_k w_{kj} ω^{kp},   ω = e^{iWh},
+
+    for the weights w = wF, wF·λ, wF·λ² (wF the quadrature weights times
+    F f) and wF·e^{iλb_i}, which give the nodes s_p + b_i.  The inner sums
+    are a chirp-z transform: kp = (k² + p² - (k-p)²)/2 gives
+    Σ_k w_k ω^{kp} = c_p Σ_k (w_k c_k) c̄_{k-p} with c_m = e^{iWh m²/2}, one
+    FFT convolution for all the sums of a block of _chirp_block panels, and
+    a block from panel k0 is shifted by ω^{p·k0}.  Their phases θ·m²/2 and
+    θ·p·k0 (θ = Wh), from the exact numbers m²/2 and p·k0, are taken by
+    _unit nearly free of rounding.  The work is O(q²(K + N) log) for K
+    λ-panels and N points, in FFTs, against O(N·K·q) for the cosines of
+    every s·λ.
     """
-    lnodes = lgrid.nodes
+    K, q, n_out = lgrid.n_panels, lgrid.q, sgrid.points.size
+    lam = lgrid.nodes
     wF = lgrid.node_weights * Ff
-    wF1, wF2 = wF * lnodes, wF * lnodes**2
-    edges, offsets = lgrid.points[:-1], lgrid.nodes[:lgrid.q]
-    inner = np.outer(lnodes, sgrid.nodes[:sgrid.q])
-    cos_in, sin_in = np.cos(inner), np.sin(inner)
-    s = sgrid.points
-    n_nodes = s.size - 1
-    vals, dvals, d2vals = np.empty(s.size), np.empty(s.size), np.empty(s.size)
-    node_vals = np.empty((n_nodes, inner.shape[1]))
-    block = max(1, SPPS_BLOCK_BYTES // (2 * lnodes.itemsize * lnodes.size))
-    for lo in range(0, s.size, block):
-        rows = slice(lo, min(lo + block, s.size))
-        a, b = np.outer(s[rows], edges), np.outer(s[rows], offsets)
-        ce, se = np.cos(a)[:, :, None], np.sin(a)[:, :, None]
-        co, so = np.cos(b)[:, None], np.sin(b)[:, None]
-        cosp = (ce * co - se * so).reshape(ce.shape[0], -1)
-        sinp = (se * co + ce * so).reshape(ce.shape[0], -1)
-        vals[rows] = (cosp @ wF) / math.pi
-        dvals[rows] = -(sinp @ wF1) / math.pi
-        d2vals[rows] = -(cosp @ wF2) / math.pi
-        # every point but the last is a panel edge of sgrid
-        n = min(rows.stop, n_nodes) - lo
-        cosp *= wF
-        sinp *= wF
-        node_vals[lo:lo + n] = cosp[:n] @ cos_in - sinp[:n] @ sin_in
-    return vals, dvals, d2vals, node_vals.ravel() / math.pi
+    sets = np.concatenate([
+        [wF, wF * lam, wF * lam**2],
+        wF * np.exp(1j * np.outer(sgrid.nodes[:sgrid.q], lam))])
+    # (weight set, offset j) rows over the panels k
+    sets = sets.reshape(-1, K, q).transpose(0, 2, 1).reshape(-1, K)
+    theta = lgrid.points[1] * sgrid.h
+    block = min(K, _chirp_block(n_out))
+    nfft = 1 << (block + n_out - 2).bit_length()
+    m = np.arange(max(block, n_out))
+    chirp = _unit(theta, m * m / 2)
+    # c̄_{k-p} at k - p mod nfft
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[:n_out] = chirp[:n_out].conj()
+    kernel[nfft - block + 1:] = chirp[block - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+    p = np.arange(n_out)
+    acc = np.zeros((sets.shape[0], n_out), dtype=complex)
+    for k0 in range(0, K, block):
+        a = sets[:, k0:k0 + block] * chirp[:min(block, K - k0)]
+        conv = np.fft.ifft(np.fft.fft(a, nfft) * kernel)[:, :n_out]
+        acc += _unit(theta, p * k0) * conv
+    outer = np.exp(1j * np.outer(lam[:q], sgrid.points)) * chirp[:n_out]
+    Z = np.einsum("wjp,jp->wp", acc.reshape(-1, q, n_out), outer) / math.pi
+    # every point but the last is a panel edge of sgrid
+    node_vals = Z[3:, :-1].real.T.ravel()
+    return Z[0].real, -Z[1].imag, -Z[2].real, node_vals
 
 
 def _tail_and_peak(x, vals, lam):
@@ -340,12 +375,22 @@ def radial_convolve(model, f, g):
     """Radial convolution f * g on X, supported in [0, supp f + supp g].
 
     F(f * g) = F f · F g, and f * g is that product's Dirichlet expansion.
+    F f and F g come from one contraction per λ batch, over the nodes of
+    both data with a weight row for each (phi_ode_values); they are not
+    cached, since no other call asks for them at these λ.
     """
     f, g = _as_radial(f), _as_radial(g)
-    return _dirichlet_expansion(
-        model, f.support + g.support,
-        lambda lams: (spherical_fourier(model, f, lams).values
-                      * spherical_fourier(model, g, lams).values))
+    (fn, fw), (gn, gw) = _fourier_weights(model, f), _fourier_weights(model, g)
+    weights = np.zeros((2, fn.size + gn.size))
+    weights[0, :fn.size], weights[1, fn.size:] = fw, gw
+    nodes = np.concatenate([fn, gn])
+
+    def transform(lams):
+        Ff, Fg = model.sphere_const * phi_ode_values(
+            model, lams, nodes, derivs=False, weights=weights)
+        return Ff * Fg
+
+    return _dirichlet_expansion(model, f.support + g.support, transform)
 
 
 # ---------------------------------------------------------------------------

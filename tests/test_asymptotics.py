@@ -15,8 +15,8 @@ from scipy.special import jn_zeros
 from harmonic import spherical
 from harmonic.asymptotics import (lambda0_estimate, lambda0_extrapolate,
                                   volume_growth)
-from harmonic.density import (builtin_models, make_euclidean,
-                              make_real_hyperbolic)
+from harmonic.density import (builtin_models, make_damek_ricci,
+                              make_euclidean, make_real_hyperbolic)
 from harmonic.spherical import phi_ode_values
 
 E2 = make_euclidean(2)
@@ -86,9 +86,9 @@ def test_lambda0_estimate_and_extrapolation(key):
     assert lambda0_extrapolate(exact) == pytest.approx(floor, abs=1e-12)
 
 
-def test_lambda0_estimate_is_one_series_call_per_radius(monkeypatch):
-    """One phi_ode_values scan per radius on every built-in model, and no
-    L-plane state (eigen_state_at)."""
+def test_lambda0_estimate_is_one_series_call(monkeypatch):
+    """One phi_ode_values scan for all the radii on every built-in model,
+    and no L-plane state (eigen_state_at)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -104,7 +104,39 @@ def test_lambda0_estimate_is_one_series_call_per_radius(monkeypatch):
     for model in builtin_models():
         calls.clear()
         lambda0_estimate(model, Rs)
-        assert calls == [[R] for R in Rs], model.name
+        assert calls == [Rs], model.name
+
+
+def _per_radius_lambda0(model, R):
+    """λ₀(B_R) from R's own scan, n doubled until it holds a zero."""
+    n = 32
+    while (lams := spherical.dirichlet_lambdas(
+            model, R, math.pi / (8.0 * R), n)).size == 0:
+        n *= 2
+    return n, lams[0] ** 2 + model.H**2 / 4.0
+
+
+CHEEGER_RADII = (20.0, 30.0, 40.0)
+# (model, radii, the radii whose scan needs n doubled)
+SCAN_CASES = [
+    *((m, CHEEGER_RADII, ()) for m in builtin_models()
+      + [make_damek_ricci(4, 3), make_real_hyperbolic(5)]),
+    # j₁₀,₁ = 14.48 > 4π: every scan of R²² is doubled
+    (make_euclidean(21), CHEEGER_RADII, CHEEGER_RADII),
+    # on H²² λ₁R is 14.2 at R = 0.5 and below 4 from R = 20
+    (make_real_hyperbolic(21), (0.5,) + CHEEGER_RADII, (0.5,)),
+]
+
+
+@pytest.mark.parametrize("model, Rs, doubled", SCAN_CASES,
+                         ids=[case[0].key for case in SCAN_CASES])
+def test_lambda0_estimate_matches_the_per_radius_scans(model, Rs, doubled):
+    rep = lambda0_estimate(model, Rs)
+    assert [R for R, _ in rep.lambda0_estimates] == list(Rs)
+    for R, lam in rep.lambda0_estimates:
+        n, ref = _per_radius_lambda0(model, R)
+        assert n == (64 if R in doubled else 32)
+        assert lam == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_lambda0_extrapolate_uses_the_three_largest_radii():

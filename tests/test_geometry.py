@@ -63,6 +63,58 @@ def test_circle_means_equal_the_unblocked_mean(tag):
         np.mean(geometry._eval_points(f, pts), axis=-1))
 
 
+@pytest.mark.parametrize("tag", ["plane", "h2"])
+def test_circle_means_skip_only_circles_that_miss_the_ball(tag):
+    space = geometry.space_by_tag(tag)
+    psi = geometry._angles(256)
+    c = space.sphere_param(space.origin, 0.7, 0.4)
+    f = geometry.bump_patch(space, c, 1.1)
+    assert np.array_equal(f.ball[0], c) and f.ball[1] == 1.1
+    evaluated = []
+
+    def counted(pts):
+        evaluated.append(pts.shape[0])
+        return f(pts)
+
+    counted.ball = f.ball
+
+    def hidden(pts):
+        return f(pts)
+
+    tangent = np.array([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12])
+    cases = [
+        # (distance of the centre from c, radii)
+        (3.0, [0.5, 1.2]),                  # circles that miss the ball
+        (2.0, [1.2, 2.5, 3.05]),            # circles that cross it
+        (2.0, 0.9 + tangent),               # tangent from outside
+        (0.5, 1.6 + tangent),               # tangent about it, enclosing
+        (0.5, [2.5, 3.0, 0.3]),             # enclosing it, and inside it
+        (0.0, [0.5, 2.0, 0.0]),             # concentric, and r = 0
+        (0.0, 1.1 + tangent),               # concentric on its boundary
+        (1.1, [0.0]),                       # r = 0 on the boundary
+        (2.0, [0.0]),                       # r = 0 outside
+    ]
+    centers, radii = [], []
+    for d, rs in cases:
+        y = space.sphere_param(c, d, 2.1)
+        centers += [y] * len(rs)
+        radii += list(rs)
+    centers, radii = np.array(centers), np.array(radii)
+    got = geometry._circle_means(space, counted, centers, radii, psi)
+    assert np.array_equal(
+        got, geometry._circle_means(space, hidden, centers, radii, psi))
+    assert 0 < sum(evaluated) < radii.size * psi.size
+    assert np.any(got == 0.0) and np.any(got != 0.0)
+    # one centre and a stack of radii
+    evaluated.clear()
+    radii = np.concatenate([[0.0, 0.3, 0.5, 1.1, 2.0, 3.5], 1.1 + tangent])
+    for y in (c, space.origin):
+        assert np.array_equal(
+            geometry._circle_means(space, counted, y, radii, psi),
+            geometry._circle_means(space, hidden, y, radii, psi))
+    assert sum(evaluated) < 2 * radii.size * psi.size
+
+
 def test_sphere_param_takes_a_stack_of_centres():
     space = geometry.make_hyperbolic_plane()
     centers = space.sphere_param(space.origin, np.array([0.5, 1.2]), 0.3)

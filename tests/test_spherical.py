@@ -657,6 +657,16 @@ def test_weighted_sums_equal_the_rows_product(model):
     got = phi_ode_values(model, lams, r, derivs=False, weights=w)
     want = rows @ w
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # two weight rows from one pass, each row to rounding as if contracted
+    # alone
+    W = np.stack([w, np.random.default_rng(9).uniform(-1.0, 1.0, r.size)])
+    both = phi_ode_values(model, lams, r, derivs=False, weights=W)
+    assert both.shape == (2, lams.size)
+    for row, w_row in zip(both, W):
+        alone = phi_ode_values(model, lams, r, derivs=False, weights=w_row)
+        assert np.max(np.abs(row - alone)) <= 1e-15 * np.max(np.abs(alone))
+    assert np.max(np.abs(both - W @ rows.T)) <= \
+        1e-14 * np.max(np.abs(W @ rows.T))
 
 
 def test_weights_need_values_only_and_one_per_radius():
@@ -665,6 +675,12 @@ def test_weights_need_values_only_and_one_per_radius():
         phi_ode_values(E2, [1.0], r, weights=np.ones(5))
     with pytest.raises(ValueError, match="weights"):
         phi_ode_values(E2, [1.0], r, derivs=False, weights=np.ones(4))
+    with pytest.raises(ValueError, match="weights"):
+        phi_ode_values(E2, [1.0], r, derivs=False, weights=np.ones((2, 4)))
+    with pytest.raises(ValueError, match="weights"):
+        phi_ode_values(E2, [1.0], r, derivs=False, weights=np.ones((1, 2, 5)))
+    assert phi_ode_values(E2, [1.0, 2.0], np.zeros(5), derivs=False,
+                          weights=np.ones((3, 5))).shape == (3, 2)
 
 
 # -- structural properties ---------------------------------------------------

@@ -1,11 +1,13 @@
 """Cosine synthesis and the line fold against their dense reference formulas.
 
-abel and cosine_transform factor cos/sin of λ times each quadrature node
-through the panel edges and the in-panel offsets; EvenFunction.fold sums
-the spline's power coefficients on its knot lattice by one correlation per
-node class.  The references below are the dense formulas those replace:
-np.cos of the full (nodes × λ) outer product, and masked spline evaluations
-on full (points × σ) arrays with a matrix-vector sum.
+abel synthesizes over λ by a blocked chirp-z transform, FFT convolutions
+on the lattices of λ-panels and s-points; cosine_transform factors cos/sin
+of λ times each quadrature node through the panel edges and the in-panel
+offsets; EvenFunction.fold sums the spline's power coefficients on its
+knot lattice by one correlation per node class.  The references below are
+the dense formulas those replace: np.cos of the full (nodes × λ) outer
+product, and masked spline evaluations on full (points × σ) arrays with a
+matrix-vector sum.
 """
 
 import math
@@ -15,15 +17,17 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from harmonic import transforms
-from harmonic.density import make_damek_ricci, make_euclidean
+from harmonic.density import (make_damek_ricci, make_euclidean,
+                              make_real_hyperbolic)
 from harmonic.grids import Grid1D, make_grid
 from harmonic.pde import _kg_kernels, kg_kernel, kg_solve
-from harmonic.profiles import annulus_bump, smooth_bump
+from harmonic.profiles import annulus_bump, gauss_bump, smooth_bump
 from harmonic.transforms import (EvenFunction, abel, cosine_transform,
                                  line_convolve)
 
 E3 = make_euclidean(2)
 DR21 = make_damek_ricci(2, 1)
+H3 = make_real_hyperbolic(2)
 
 
 def _gauss_line(w, S, deriv=False, spacing=0.02):
@@ -40,9 +44,8 @@ def _gauss_line(w, S, deriv=False, spacing=0.02):
 
 # -- cosine synthesis ---------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def bump_abel():
-    """abel(E3, smooth_bump(1.5)) with the F f samples it synthesized from."""
+def _abel_with_samples(model, profile):
+    """abel(model, profile) with the F f samples it synthesized from."""
     pieces = []
     real = transforms.spherical_fourier
 
@@ -53,18 +56,46 @@ def bump_abel():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "spherical_fourier", recording)
-        af = abel(E3, smooth_bump(1.5))
+        af = abel(model, profile)
     return af, np.concatenate(pieces)
 
 
-def test_abel_synthesis_matches_the_dense_formula(bump_abel):
-    af, Ff = bump_abel
+@pytest.fixture(scope="module")
+def bump_abel():
+    """abel(E3, smooth_bump(1.5)) with the F f samples it synthesized from."""
+    return _abel_with_samples(E3, smooth_bump(1.5))
+
+
+# case: (model, profile, chirp-z block in λ-panels or None for the default,
+# λ-panels, s-points, blocks)
+SYNTHESIS_CASES = {
+    # λ_max > 250
+    "e3_smooth": (E3, smooth_bump(1.5), None, 463, 211, 2),
+    # a long s-grid
+    "h3_long_s": (H3, smooth_bump(4.0), None, 341, 461, 1),
+    # a λ-grid of several blocks, and of more with the block cut down
+    "h3_blocks": (H3, gauss_bump(0.02), None, 340, 76, 2),
+    "h3_nine_blocks": (H3, gauss_bump(0.02), 40, 340, 76, 9),
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTHESIS_CASES))
+def test_abel_synthesis_matches_the_dense_formula(case, bump_abel,
+                                                  monkeypatch):
+    model, profile, block, n_panels, n_points, blocks = SYNTHESIS_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(transforms, "_chirp_block", lambda n_out: block)
+    af, Ff = (bump_abel if case == "e3_smooth"
+              else _abel_with_samples(model, profile))
     s_max = af.grid.x_max
     width = math.pi / (2.0 * max(s_max + 0.5, 1.0))
     lgrid = Grid1D(points=width * np.arange(
         round(af.info["lambda_max"] / width) + 1))
     assert lgrid.nodes.size == Ff.size
-    assert af.info["lambda_max"] > 250
+    assert (lgrid.n_panels, af.grid.points.size) == (n_panels, n_points)
+    assert math.ceil(n_panels / transforms._chirp_block(n_points)) == blocks
+    if case == "e3_smooth":
+        assert af.info["lambda_max"] > 250
     lam = lgrid.nodes
     wF = lgrid.node_weights * Ff
     phase = np.outer(af.grid.points, lam)

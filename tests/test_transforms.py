@@ -117,6 +117,24 @@ def test_abel_inverse_adds_no_cache_entry(monkeypatch):
     assert list(spherical._CACHE._entries) == before
 
 
+def test_radial_convolve_contracts_both_data_in_one_pass(monkeypatch):
+    monkeypatch.setattr(spherical, "_CACHE",
+                        spherical._LRUCache(spherical.CACHE_BYTES))
+    rows = []
+
+    def counted(model, lams, r_points, **kw):
+        if kw.get("weights") is not None:
+            rows.append(np.shape(kw["weights"])[0])
+        return spherical.phi_ode_values(model, lams, r_points, **kw)
+
+    monkeypatch.setattr(transforms, "phi_ode_values", counted)
+    radial_convolve(H3, gauss_bump(0.35), gauss_bump(0.45))
+    # each tail-rule round and the λ_j: one call with a row per datum, and
+    # no F f vector cached
+    assert len(rows) >= 2 and set(rows) == {2}
+    assert not spherical._CACHE._entries
+
+
 # -- peak memory --------------------------------------------------------------
 
 def _traced_peak(fn):

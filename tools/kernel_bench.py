@@ -7,6 +7,9 @@ call with its inputs built beforehand:
 
   abel_synthesis   abel(E3, smooth_bump(1.5)) with its F f cached, so
                    it times the cosine synthesis (λ_max ≈ 275)
+  abel_synthesis_blocks  abel(H3, gauss_bump(0.02)) with its F f cached:
+                   340 λ-panels against 76 s-points, a synthesis of
+                   several chirp-z blocks
   kg_solve         kg_solve on A(annulus_bump(0.9, 0.2)) over DR(2,1), t = 5.25
   line_convolve    A(smooth_bump(1.5)) ⋆ A(gauss_bump(0.4)) on E3
   radial_convolve  gauss_bump(0.35) * gauss_bump(0.45), the `convolve`
@@ -63,10 +66,12 @@ call with its inputs built beforehand:
   lambda0          lambda0_estimate at R = 20, 30, 40, the radii of
                    `cheeger --rmax 40`, keyed by model (H3, DR21, DR43)
   geometry         distance and sphere_param of the hyperbolic plane on a
-                   (2, 256, 256, 3) stack of circle points, built as one
-                   pass of projector_convolution_check builds it (distance
-                   from the bump centre of `geo-check`, as bump_patch
-                   takes it), and one `harmonic geo-check` per space
+                   (2, 256, 256, 3) stack of circle points: the circles
+                   that projector_convolution_check at r = 1 takes for the
+                   one ray radius 1.1, about the ys and about x0, none
+                   skipped for missing the datum's ball (distance from the
+                   bump centre of `geo-check`, as bump_patch takes it), and
+                   one `harmonic geo-check` per space
 
 A separate "peak_alloc" object gives the tracemalloc peak, in MiB, of one
 call each (deterministic, so taken once):
@@ -317,8 +322,12 @@ def main(argv=None):
                   "H3": (h3, phi_draws(h3, False)),
                   "DR21": (dr, phi_draws(dr, False))}
 
+    narrow = gauss_bump(0.02)
+    transforms.abel(h3, narrow)          # its F f cached
     out = {
         "abel_synthesis": best_of(lambda: transforms.abel(e3, bump), repeat),
+        "abel_synthesis_blocks": best_of(
+            lambda: transforms.abel(h3, narrow), repeat),
         "kg_solve": best_of(lambda: pde.kg_solve(dr.H, a_ann, 5.25), repeat),
         "line_convolve": best_of(
             lambda: transforms.line_convolve(a_bump, a_gauss), repeat),
